@@ -7,7 +7,6 @@ module assembles these into the exported tables.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -18,7 +17,8 @@ from . import textkernel
 from .corpus.fetch import FetchResult
 from .extraction import SeedCollection, SeedUri
 from .goldstandard import GoldStandard, TermVector, build_term_vector
-from .htmltools import HtmlDecodingError, decode_html, find_meta, parse_html
+from .htmltools import HtmlDecodingError, decode_html, parse_html
+from .pages import metadata_date
 from .segmentation import BASE_CLASSES, MC, MC_MEMBER_CLASSES
 
 DEFAULT_RELEVANCE_THRESHOLD = 0.25
@@ -255,100 +255,17 @@ def conditional_relevance_by_k(post_stats) -> dict[str, KBinPrecision]:
 # Publication dates and ages
 # ---------------------------------------------------------------------------
 
-_ISO_DATE_PREFIX_RE = re.compile(r"^\s*(\d{4})-(\d{2})-(\d{2})")
 _PATH_DATE_RE = re.compile(r"/((?:19|20)\d{2})/(\d{1,2})(?:/(\d{1,2}))?(?=/|$)")
-
-# Meta attribute values that announce a publication timestamp, tried in
-# this order before generic name-based fields.
-_META_PROPERTY_FIELDS = ("article:published_time", "og:article:published_time", "article:published")
-_META_NAME_FIELDS = (
-    "date",
-    "pubdate",
-    "publishdate",
-    "publish-date",
-    "published-date",
-    "publication_date",
-    "dc.date",
-    "dc.date.issued",
-    "sailthru.date",
-    "parsely-pub-date",
-    "article.published",
-    "timestamp",
-)
-
-
-def _parse_iso_date(value) -> date | None:
-    if not isinstance(value, str):
-        return None
-    m = _ISO_DATE_PREFIX_RE.match(value)
-    if not m:
-        return None
-    try:
-        return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    except ValueError:
-        return None
-
-
-def _jsonld_published(node) -> str | None:
-    if isinstance(node, dict):
-        for field in ("datePublished", "dateCreated"):
-            if field in node:
-                return node[field]
-        for value in node.values():
-            found = _jsonld_published(value)
-            if found:
-                return found
-    elif isinstance(node, list):
-        for item in node:
-            found = _jsonld_published(item)
-            if found:
-                return found
-    return None
 
 
 def date_from_metadata(fetch: FetchResult) -> date | None:
-    """Publication date from document metadata (meta tags, time elements,
-    embedded JSON-LD), in a fixed priority order."""
+    """Publication date from document metadata (``pages.metadata_date``
+    over a fresh parse); None for an undecodable body."""
     try:
         root = parse_html(decode_html(fetch.body))
     except HtmlDecodingError:
         return None
-    metas = find_meta(root)
-
-    for wanted in _META_PROPERTY_FIELDS:
-        for meta in metas:
-            if meta.get("property", "").lower() == wanted:
-                found = _parse_iso_date(meta.get("content", ""))
-                if found:
-                    return found
-    for meta in metas:
-        if meta.get("itemprop", "").lower() == "datepublished":
-            found = _parse_iso_date(meta.get("content", ""))
-            if found:
-                return found
-    for el in root.iter_tag("time"):
-        if "pubdate" in el.attrs or el.attrs.get("itemprop", "").lower() == "datepublished":
-            found = _parse_iso_date(el.attrs.get("datetime", ""))
-            if found:
-                return found
-    for el in root.iter_tag("script"):
-        if el.attrs.get("type", "").lower() != "application/ld+json":
-            continue
-        raw = "".join(c for c in el.children if isinstance(c, str))
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError:
-            continue
-        found = _parse_iso_date(_jsonld_published(payload))
-        if found:
-            return found
-    for wanted in _META_NAME_FIELDS:
-        for meta in metas:
-            if meta.get("name", "").lower() == wanted:
-                found = _parse_iso_date(meta.get("content", ""))
-                if found:
-                    return found
-    return None
+    return metadata_date(root)
 
 
 def date_from_uri_path(fetch: FetchResult) -> date | None:
@@ -380,6 +297,19 @@ DEFAULT_DATE_ESTIMATORS = (
     ("uri-path", date_from_uri_path),
     ("last-modified", date_from_last_modified),
 )
+
+
+def digest_date_estimators(fetcher) -> tuple:
+    """DEFAULT_DATE_ESTIMATORS with the metadata step read from
+    ``fetcher``'s page digests instead of a fresh parse."""
+
+    def from_digest(fetch):
+        return fetcher.digest(fetch).published
+
+    return tuple(
+        (name, from_digest if estimator is date_from_metadata else estimator)
+        for name, estimator in DEFAULT_DATE_ESTIMATORS
+    )
 
 
 def estimate_publication_date(fetch: FetchResult, estimators=None):

@@ -2,8 +2,9 @@
 
 A Transport performs one request/response exchange with no redirect
 handling; the Fetcher layers redirect following, per-host politeness,
-and a request-URI-keyed cache on top. The supported, reproducible path
-is FixtureTransport, which serves bit-exact HTTP-message-like files.
+and a request-URI-keyed cache on top, plus one page digest per final
+URI (see ``seedsmith.pages``). The supported, reproducible path is
+FixtureTransport, which serves bit-exact HTTP-message-like files.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from email.utils import parsedate_to_datetime
 from pathlib import Path
 from urllib.parse import urljoin, urlsplit
 
-import requests
-
+from ..pages import PageDigest, digest_page
 from .model import format_timestamp, parse_timestamp
 
 CACHE_ENV = "SEEDSMITH_CACHE"
@@ -89,12 +89,19 @@ def media_type_of(headers: dict[str, str]) -> str | None:
 
 
 class HttpTransport:
-    """Live single-exchange transport; redirects are not followed here."""
+    """Live single-exchange transport; redirects are not followed here.
+
+    ``requests`` is imported on first use, so offline runs never load it.
+    """
 
     def __init__(self):
+        import requests
+
         self._session = requests.Session()
 
     def request(self, uri: str, *, timeout: float, user_agent: str):
+        import requests
+
         try:
             response = self._session.get(
                 uri,
@@ -172,7 +179,7 @@ class Fetcher:
 
     Safe for concurrent use: requests to distinct hosts may proceed in
     parallel, same-host requests are serialized by the politeness delay,
-    and the cache tolerates concurrent readers/writers.
+    and the caches tolerate concurrent readers/writers.
     """
 
     def __init__(self, transport=None, policy: FetchPolicy | None = None, clock=None):
@@ -181,6 +188,8 @@ class Fetcher:
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._memory: dict[str, FetchResult] = {}
         self._memory_lock = threading.Lock()
+        self._digests: dict[str, PageDigest] = {}
+        self._digest_lock = threading.Lock()
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
         self.request_count = 0  # network exchanges performed (cache misses)
@@ -247,6 +256,19 @@ class Fetcher:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(record), encoding="utf-8")
         tmp.replace(path)
+
+    def digest(self, result: FetchResult) -> PageDigest:
+        """The digest of a successfully fetched document, built once per
+        final URI (requests redirected to one page share its digest).
+
+        A page is digested under a lock, so concurrent callers never
+        parse it twice; parsing holds the GIL throughout anyway.
+        """
+        with self._digest_lock:
+            found = self._digests.get(result.final_uri)
+            if found is None:
+                found = self._digests[result.final_uri] = digest_page(result.body)
+        return found
 
     # -- politeness ----------------------------------------------------
 

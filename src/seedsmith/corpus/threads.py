@@ -7,6 +7,7 @@ adapter replays recorded replies (FixtureThreadAdapter).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -82,9 +83,9 @@ def expand_thread(root: Post, adapter, reply_limit: int, provenance=None) -> lis
 
     out = [root]
     seen = {root.id}
-    queue = [root]
+    queue = deque([root])
     while queue and len(out) < reply_limit + 1:
-        node = queue.pop(0)
+        node = queue.popleft()
         try:
             children = sorted(adapter.replies(node), key=_reply_order)
         except ThreadAdapterError as exc:

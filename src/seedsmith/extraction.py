@@ -17,7 +17,6 @@ from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 from .corpus.fetch import Fetcher, FetchResult
 from .corpus.model import Corpus, Post
-from .htmltools import absolute_http_links, decode_html, parse_html
 from .segmentation import CellKey, PostGroup
 
 log = logging.getLogger(__name__)
@@ -223,13 +222,6 @@ def intra_site_source(uri: str) -> str | None:
     return None
 
 
-def _target_links(result: FetchResult) -> list[str]:
-    try:
-        return absolute_http_links(parse_html(decode_html(result.body)))
-    except ValueError:
-        return []
-
-
 def substitute_intra_site(
     seed: SeedUri,
     fetcher: Fetcher,
@@ -260,7 +252,7 @@ def substitute_intra_site(
             warn(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
             return None
         out: list[SeedUri] = []
-        for link in _target_links(result):
+        for link in fetcher.digest(result).links:
             try:
                 canonical = canonicalize(link)
             except CanonicalizationError:

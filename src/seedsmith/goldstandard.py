@@ -19,14 +19,8 @@ from urllib.parse import urlsplit
 from . import textkernel
 from .corpus.fetch import Fetcher, FetchResult
 from .corpus.model import TopicSpec, format_timestamp
-from .htmltools import (
-    Element,
-    HtmlDecodingError,
-    NON_CONTENT_TAGS,
-    decode_html,
-    find_links,
-    parse_html,
-)
+from .htmltools import Element, HtmlDecodingError, decode_html, find_links, parse_html
+from .pages import main_text
 from .segmentation import P1AN
 from .stopwords import STOPWORDS, STOPWORDS_VERSION
 
@@ -98,41 +92,14 @@ def build_term_vector(texts, normalize: bool = True) -> TermVector:
 
 
 def strip_boilerplate(html) -> str:
-    """Main-content plaintext of an HTML document.
+    """Main-content plaintext of an HTML document (``pages.main_text``
+    over a fresh parse).
 
-    Drops scripts, styles, navigation, headers, footers, and asides,
-    then keeps the block container with the most non-link text.
-    Whitespace is collapsed. Raises HtmlDecodingError for undecodable
-    bytes and ValueError for input with no markup at all.
+    Raises HtmlDecodingError for undecodable bytes and ValueError for
+    input with no markup at all. The pipeline reads the same text from
+    the fetcher's page digests instead.
     """
-    text = decode_html(html) if isinstance(html, bytes) else html
-    root = parse_html(text)
-    elements = [el for el in root.iter() if el is not root]
-    if not elements:
-        raise ValueError("input does not look like an HTML document (no tags found)")
-
-    candidates = [
-        el for el in elements if el.tag in ("article", "main", "body", "section", "div", "td")
-    ]
-    if not candidates:
-        candidates = [root]
-
-    def score(el: Element) -> int:
-        full = el.text(exclude=NON_CONTENT_TAGS)
-        link_text = " ".join(a.text(exclude=NON_CONTENT_TAGS) for a in el.iter_tag("a"))
-        return len(full) - len(link_text)
-
-    best = None
-    best_key = None
-    for index, el in enumerate(candidates):
-        key = (score(el), -el.element_count(), -index)
-        if best_key is None or key > best_key:
-            best, best_key = el, key
-
-    content = best.text(exclude=NON_CONTENT_TAGS)
-    if not content:
-        log.warning("document contained no main-content text after boilerplate removal")
-    return content
+    return main_text(parse_html(decode_html(html)))
 
 
 def _looks_like_reference_container(el: Element) -> bool:
@@ -236,8 +203,9 @@ def build_gold_standard(
     fetcher: Fetcher,
     clock=None,
 ) -> GoldStandard:
-    """Fetch every reference, strip boilerplate, and build one normalized
-    vector over the concatenation.
+    """Fetch every reference, take its main-content text from the
+    fetcher's page digest, and build one normalized vector over the
+    concatenation.
 
     Individual fetch/parse failures are recorded and skipped; if every
     reference fails, GoldStandardError is raised. ``built_at`` defaults
@@ -257,10 +225,11 @@ def build_gold_standard(
             failures.append((uri, str(result.status)))
             continue
         fetched_times.append(result.fetched_at)
-        try:
-            texts.append(strip_boilerplate(result.body))
-        except (HtmlDecodingError, ValueError) as exc:
-            failures.append((uri, f"unusable document: {exc}"))
+        digest = fetcher.digest(result)
+        if digest.text_error is not None:
+            failures.append((uri, f"unusable document: {digest.text_error}"))
+        else:
+            texts.append(digest.text)
 
     if not texts:
         raise GoldStandardError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .analytics import (
     age_distribution,
     class_average_precision,
     conditional_relevance_by_k,
+    digest_date_estimators,
     estimate_publication_date,
     hostname_diversity,
     judge_relevance,
@@ -32,8 +34,7 @@ from .analytics import (
 from .corpus.fetch import Fetcher
 from .corpus.model import Corpus
 from .extraction import HTML_KIND, NON_HTML_KIND, seed_rows
-from .goldstandard import GoldStandard, strip_boilerplate
-from .htmltools import HtmlDecodingError
+from .goldstandard import GoldStandard
 from .segmentation import MC, MC_MEMBER_CLASSES, partition_counts
 from .stopwords import STOPWORDS_VERSION
 
@@ -67,16 +68,18 @@ class ReportConfig:
 class SeedTextProvider:
     """Supplies the text a seed is judged on.
 
-    HTML seeds are judged on their dereferenced, boilerplate-stripped
-    document; everything else on the text of the post that embedded the
-    URI. Page texts are cached per canonical URI.
+    HTML seeds are judged on the main-content text of their dereferenced
+    document, read from the fetcher's page digest; everything else on
+    the text of the post that embedded the URI. A page that yields no
+    text is warned about once per canonical URI.
     """
 
     def __init__(self, corpus: Corpus, fetcher: Fetcher, warnings=None):
         self.corpus = corpus
         self.fetcher = fetcher
         self.warnings = warnings
-        self._page_text: dict[str, str] = {}
+        self._warned: set[str] = set()
+        self._warned_lock = threading.Lock()
 
     def __call__(self, seed) -> str:
         if seed.kind == HTML_KIND:
@@ -85,21 +88,20 @@ class SeedTextProvider:
         return post.text if post else ""
 
     def page_text(self, uri: str) -> str:
-        if uri in self._page_text:
-            return self._page_text[uri]
         result = self.fetcher.dereference(uri)
-        text = ""
         if result.failed or not result.ok:
-            self._warn(f"seed {uri} not fetchable ({result.status}); judged on empty text")
-        else:
-            try:
-                text = strip_boilerplate(result.body)
-            except (HtmlDecodingError, ValueError) as exc:
-                self._warn(f"seed {uri} unusable as HTML: {exc}")
-        self._page_text[uri] = text
-        return text
+            self._warn(uri, f"seed {uri} not fetchable ({result.status}); judged on empty text")
+            return ""
+        digest = self.fetcher.digest(result)
+        if digest.text_error is not None:
+            self._warn(uri, f"seed {uri} unusable as HTML: {digest.text_error}")
+        return digest.text
 
-    def _warn(self, message):
+    def _warn(self, uri, message):
+        with self._warned_lock:
+            if uri in self._warned:
+                return
+            self._warned.add(uri)
         log.warning(message)
         if self.warnings is not None:
             self.warnings.append(message)
@@ -321,9 +323,10 @@ def build_tables(
 
 
 def _prefetch_page_texts(provider: SeedTextProvider, collections, jobs: int) -> None:
-    """Warm the page-text cache concurrently; the fetcher serializes
-    same-host requests itself. Warnings raised during the parallel phase
-    are re-appended in sorted order so manifests stay deterministic."""
+    """Fetch and digest every HTML seed's page concurrently; the fetcher
+    serializes same-host requests itself. Warnings raised during the
+    parallel phase are re-appended in sorted order so manifests stay
+    deterministic."""
     from concurrent.futures import ThreadPoolExecutor
 
     uris = sorted(
@@ -350,16 +353,14 @@ def _age_tables(collections, row_keys, judge: RelevanceIndex, provider: SeedText
     """Ages of relevant HTML seeds per row cell, summary plus ECDF."""
     summary_rows = []
     ecdf_rows = []
-    estimate_memo: dict[str, tuple | None] = {}
+    fetcher = provider.fetcher
+    estimators = digest_date_estimators(fetcher)
 
     def estimate(uri):
-        if uri not in estimate_memo:
-            result = provider.fetcher.dereference(uri)
-            if result.failed or not result.ok:
-                estimate_memo[uri] = None
-            else:
-                estimate_memo[uri] = estimate_publication_date(result)
-        return estimate_memo[uri]
+        result = fetcher.dereference(uri)
+        if result.failed or not result.ok:
+            return None
+        return estimate_publication_date(result, estimators)
 
     for row_key in row_keys:
         samples = []

@@ -176,21 +176,31 @@ def _maximal_self_chains(root: TreeNode) -> list[list[Post]]:
 
     Each returned chain starts at the root, follows one reply edge per
     step, and cannot be extended by another same-author reply. Chains of
-    just the root (no same-author reply at all) are not returned.
+    just the root (no same-author reply at all) are not returned. Chains
+    come in depth-first order, children in tree order; the walk keeps an
+    explicit stack, so chain depth is not bounded by the recursion limit.
     """
     author = root.post.author
+
+    def same_author_replies(node: TreeNode) -> list[TreeNode]:
+        return [c for c in node.children if c.post.author == author]
+
     chains: list[list[Post]] = []
-
-    def grow(node: TreeNode, prefix: list[Post]) -> None:
-        extensions = [c for c in node.children if c.post.author == author]
-        if not extensions:
-            if len(prefix) >= 2:
-                chains.append(prefix)
-            return
-        for child in extensions:
-            grow(child, prefix + [child.post])
-
-    grow(root, [root.post])
+    path = [root.post]  # the chain so far; pending[i] extends path[i]
+    pending = [iter(same_author_replies(root))]
+    while pending:
+        child = next(pending[-1], None)
+        if child is None:
+            pending.pop()
+            path.pop()
+            continue
+        path.append(child.post)
+        replies = same_author_replies(child)
+        if replies:
+            pending.append(iter(replies))
+        else:
+            chains.append(list(path))
+            path.pop()
     return chains
 
 

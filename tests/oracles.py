@@ -4,9 +4,25 @@ Everything here is deliberately written with a different algorithmic
 shape than the production code: path enumeration instead of chain
 growing, stdlib quantiles instead of the hand-rolled interpolation, a
 calendar-free day counter instead of datetime arithmetic.
+
+The last section keeps reference copies of code the package has since
+restructured (recursive self-chain growing, and the page functions that
+each parsed a document on their own), for differential tests.
 """
 
+import json
+import re
 from collections import defaultdict
+from datetime import date
+
+from seedsmith.htmltools import (
+    NON_CONTENT_TAGS,
+    HtmlDecodingError,
+    absolute_http_links,
+    decode_html,
+    find_meta,
+    parse_html,
+)
 
 
 def brute_force_classify(posts, mc_exclude_root=False):
@@ -30,24 +46,25 @@ def brute_force_classify(posts, mc_exclude_root=False):
     # Enumerate every downward path from the root, then keep the
     # author-uniform ones that are not prefixes of longer uniform paths.
     paths = []
-
-    def walk(post_id, acc):
-        acc = acc + [post_id]
-        paths.append(tuple(acc))
+    stack = [(root.id, ())]
+    while stack:
+        post_id, acc = stack.pop()
+        acc = acc + (post_id,)
+        paths.append(acc)
         for child in children[post_id]:
-            walk(child.id, acc)
+            stack.append((child.id, acc))
 
-    walk(root.id, [])
     uniform = [
         p
         for p in paths
         if len(p) >= 2 and all(by_id[x].author == root.author for x in p)
     ]
-    maximal = [
-        p
-        for p in uniform
-        if not any(len(q) > len(p) and q[: len(p)] == p for q in uniform)
-    ]
+    # Every prefix of a uniform path that still has two posts is uniform,
+    # so p is a proper prefix of some uniform path exactly when p plus
+    # one more post is one: comparing against the one-shorter prefixes
+    # of all uniform paths is the prefix test, in linear time.
+    extended = {q[:-1] for q in uniform}
+    maximal = [p for p in uniform if p not in extended]
     for chain in maximal:
         members = chain[1:] if mc_exclude_root else chain
         groups.add(("PnA1", frozenset(members)))
@@ -117,3 +134,154 @@ def distinct_count(items):
             count += 1
             previous = item
     return count
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of restructured code
+# ---------------------------------------------------------------------------
+
+
+def reference_self_chains(root):
+    """Maximal root-author chains of a segmentation TreeNode, grown
+    recursively; the chain order the package must keep."""
+    author = root.post.author
+    chains = []
+
+    def grow(node, prefix):
+        extensions = [c for c in node.children if c.post.author == author]
+        if not extensions:
+            if len(prefix) >= 2:
+                chains.append(prefix)
+            return
+        for child in extensions:
+            grow(child, prefix + [child.post])
+
+    grow(root, [root.post])
+    return chains
+
+
+def reference_strip_boilerplate(html):
+    """Main-content text, parsing the document itself."""
+    text = decode_html(html) if isinstance(html, bytes) else html
+    root = parse_html(text)
+    elements = [el for el in root.iter() if el is not root]
+    if not elements:
+        raise ValueError("input does not look like an HTML document (no tags found)")
+
+    candidates = [
+        el for el in elements if el.tag in ("article", "main", "body", "section", "div", "td")
+    ]
+    if not candidates:
+        candidates = [root]
+
+    def score(el):
+        full = el.text(exclude=NON_CONTENT_TAGS)
+        link_text = " ".join(a.text(exclude=NON_CONTENT_TAGS) for a in el.iter_tag("a"))
+        return len(full) - len(link_text)
+
+    best = None
+    best_key = None
+    for index, el in enumerate(candidates):
+        key = (score(el), -el.element_count(), -index)
+        if best_key is None or key > best_key:
+            best, best_key = el, key
+    return best.text(exclude=NON_CONTENT_TAGS)
+
+
+_ISO_DATE_PREFIX_RE = re.compile(r"^\s*(\d{4})-(\d{2})-(\d{2})")
+_META_PROPERTY_FIELDS = ("article:published_time", "og:article:published_time", "article:published")
+_META_NAME_FIELDS = (
+    "date",
+    "pubdate",
+    "publishdate",
+    "publish-date",
+    "published-date",
+    "publication_date",
+    "dc.date",
+    "dc.date.issued",
+    "sailthru.date",
+    "parsely-pub-date",
+    "article.published",
+    "timestamp",
+)
+
+
+def _parse_iso_date(value):
+    if not isinstance(value, str):
+        return None
+    m = _ISO_DATE_PREFIX_RE.match(value)
+    if not m:
+        return None
+    try:
+        return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    except ValueError:
+        return None
+
+
+def _jsonld_published(node):
+    if isinstance(node, dict):
+        for field in ("datePublished", "dateCreated"):
+            if field in node:
+                return node[field]
+        for value in node.values():
+            found = _jsonld_published(value)
+            if found:
+                return found
+    elif isinstance(node, list):
+        for item in node:
+            found = _jsonld_published(item)
+            if found:
+                return found
+    return None
+
+
+def reference_metadata_date(body):
+    """Metadata publication date of a document body, parsing it itself."""
+    try:
+        root = parse_html(decode_html(body))
+    except HtmlDecodingError:
+        return None
+    metas = find_meta(root)
+
+    for wanted in _META_PROPERTY_FIELDS:
+        for meta in metas:
+            if meta.get("property", "").lower() == wanted:
+                found = _parse_iso_date(meta.get("content", ""))
+                if found:
+                    return found
+    for meta in metas:
+        if meta.get("itemprop", "").lower() == "datepublished":
+            found = _parse_iso_date(meta.get("content", ""))
+            if found:
+                return found
+    for el in root.iter_tag("time"):
+        if "pubdate" in el.attrs or el.attrs.get("itemprop", "").lower() == "datepublished":
+            found = _parse_iso_date(el.attrs.get("datetime", ""))
+            if found:
+                return found
+    for el in root.iter_tag("script"):
+        if el.attrs.get("type", "").lower() != "application/ld+json":
+            continue
+        raw = "".join(c for c in el.children if isinstance(c, str))
+        try:
+            payload = json.loads(raw)
+        except json.JSONDecodeError:
+            continue
+        found = _parse_iso_date(_jsonld_published(payload))
+        if found:
+            return found
+    for wanted in _META_NAME_FIELDS:
+        for meta in metas:
+            if meta.get("name", "").lower() == wanted:
+                found = _parse_iso_date(meta.get("content", ""))
+                if found:
+                    return found
+    return None
+
+
+def reference_target_links(body):
+    """Absolute http(s) links of a document body, [] if it cannot be read."""
+    try:
+        return absolute_http_links(parse_html(decode_html(body)))
+    except ValueError:
+        return []

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -204,3 +207,11 @@ class TestHttpTransport:
         fetcher.dereference(f"{live_server}/page")
         fetcher.dereference(f"{live_server}/page")
         assert _Handler.hits.count("/page") == 1
+
+
+def test_cli_import_leaves_requests_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, seedsmith.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -208,6 +208,25 @@ class TestBuildGoldStandard:
         assert len(gold.failures) == 2
         assert gold.failures[0] == ("https://ref2.example/b", "404")
 
+    def test_unusable_documents_recorded(self, tmp_path):
+        write_fixture(tmp_path, "https://ref1.example/a", 200, self.DATE, ref_doc("flood"))
+        write_fixture(tmp_path, "https://ref2.example/b", 200, self.DATE, b"no markup here")
+        write_fixture(tmp_path, "https://ref3.example/c", 200, self.DATE,
+                      b'<meta charset="utf-8"><p>\xff\xfe</p>')
+        gold = build_gold_standard(
+            make_topic(),
+            ["https://ref1.example/a", "https://ref2.example/b", "https://ref3.example/c"],
+            self.fetcher(tmp_path),
+        )
+        assert gold.vector.weights == {"flood": 1.0}
+        reasons = dict(gold.failures)
+        assert reasons["https://ref2.example/b"] == (
+            "unusable document: input does not look like an HTML document (no tags found)"
+        )
+        assert reasons["https://ref3.example/c"].startswith(
+            "unusable document: cannot decode document as utf-8: "
+        )
+
     def test_all_failures_error(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
         with pytest.raises(GoldStandardError, match="every reference failed"):

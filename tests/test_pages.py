@@ -1,0 +1,209 @@
+"""Page digests: one parse per fetched page, same results as parsing per use."""
+
+import sys
+import threading
+from datetime import datetime, timezone
+from pathlib import Path
+
+import pytest
+
+from conftest import make_corpus, make_post
+from oracles import reference_metadata_date, reference_strip_boilerplate, reference_target_links
+from seedsmith import htmltools
+from seedsmith.analytics import date_from_metadata, digest_date_estimators, estimate_publication_date
+from seedsmith.cli import main as cli_main
+from seedsmith.corpus import fetch as fetch_module
+from seedsmith.corpus.fetch import FetchPolicy, Fetcher, FetchResult, FixtureTransport, write_fixture
+from seedsmith.goldstandard import strip_boilerplate
+from seedsmith.pages import digest_page
+from seedsmith.reports import SeedTextProvider
+
+DATA = Path(__file__).parent / "data"
+RESPONSES = DATA / "responses"
+FAST = FetchPolicy(politeness_delay=0.0, disk_cache=False)
+
+
+def fixture_bodies():
+    return [
+        pytest.param(path.read_bytes().split(b"\r\n\r\n", 1)[1], id=path.stem[:12])
+        for path in sorted(RESPONSES.glob("*.response"))
+    ]
+
+
+EDGE_PAGES = [
+    pytest.param(b'<html><head><meta charset="utf-8"></head><body>\xff\xfe\xfa</body></html>',
+                 id="undecodable"),
+    pytest.param(b'<html><head><meta charset="no-such-codec"></head><body><p>x</p></body></html>',
+                 id="unknown-charset"),
+    pytest.param(b"just some plain text, no markup at all https://a.example/x", id="tagless"),
+    pytest.param(b"", id="empty"),
+    pytest.param(
+        b'<script type="application/ld+json">{"@graph":[{"datePublished":"2015-02-03T10:00:00Z"}]}'
+        b"</script>",
+        id="jsonld-only",
+    ),
+    pytest.param(b'<script type="application/ld+json">{not json</script>', id="bad-jsonld"),
+    pytest.param(b"<html><body><script>var x=1;</script></body></html>", id="script-only"),
+    pytest.param(
+        b'<html><head><meta name="dc.date" content="2011-05-06"></head><body>'
+        b'<time pubdate datetime="2012-01-02">then</time>'
+        b'<div><a href=" HTTPS://b.example/y ">b</a> <a href="/rel">r</a> '
+        b'<a href="mailto:x@y">m</a> <a href="http://c.example">c</a> text</div></body></html>',
+        id="time-and-links",
+    ),
+    pytest.param(b"<div><p>one<p>two<a href='https://a.example/x'>x</div></span>", id="unclosed"),
+]
+
+
+def _outcome(fn, body):
+    try:
+        return ("ok", fn(body))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+class TestDigestMatchesPerUseParsing:
+    @pytest.mark.parametrize("body", fixture_bodies() + EDGE_PAGES)
+    def test_text_date_and_links(self, body):
+        digest = digest_page(body)
+        want_text = _outcome(reference_strip_boilerplate, body)
+        if digest.text_error is None:
+            got_text = ("ok", digest.text)
+        else:
+            assert digest.text == ""
+            got_text = ("error", digest.text_error)
+        assert got_text == want_text
+        assert digest.published == reference_metadata_date(body)
+        assert list(digest.links) == reference_target_links(body)
+
+    @pytest.mark.parametrize("body", fixture_bodies() + EDGE_PAGES)
+    def test_thin_wrappers(self, body):
+        assert _outcome(strip_boilerplate, body) == _outcome(reference_strip_boilerplate, body)
+        fetch = FetchResult("https://a.example/", "https://a.example/", 200, "text/html", {},
+                            body, datetime(2018, 11, 6, tzinfo=timezone.utc))
+        assert date_from_metadata(fetch) == reference_metadata_date(body)
+
+    def test_edge_pages_cover_each_outcome(self):
+        digests = {p.id: digest_page(p.values[0]) for p in EDGE_PAGES}
+        assert digests["undecodable"].text_error.startswith("cannot decode document as utf-8")
+        assert digests["unknown-charset"].text_error.startswith("cannot decode document as no-such-codec")
+        assert digests["tagless"].text_error.endswith("(no tags found)")
+        assert digests["jsonld-only"].published is not None
+        assert digests["time-and-links"].links == ("HTTPS://b.example/y", "http://c.example")
+
+
+class TestFetcherDigests:
+    def test_one_digest_per_final_uri(self, tmp_path, monkeypatch):
+        write_fixture(tmp_path, "https://a.example/old", 301,
+                      {"Location": "https://a.example/page"}, b"")
+        write_fixture(tmp_path, "https://a.example/page", 200,
+                      {"Content-Type": "text/html"}, b"<p>hello <a href='https://b.example/'>b</a></p>")
+        calls = []
+        monkeypatch.setattr(fetch_module, "digest_page", lambda body: calls.append(body) or digest_page(body))
+        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        first = fetcher.digest(fetcher.dereference("https://a.example/old"))
+        second = fetcher.digest(fetcher.dereference("https://a.example/page"))
+        assert first is second
+        assert first.links == ("https://b.example/",)
+        assert len(calls) == 1
+
+    def test_concurrent_callers_share_one_parse(self, tmp_path, monkeypatch):
+        uris = [f"https://a.example/p{i}" for i in range(20)]
+        for uri in uris:
+            write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"}, f"<p>{uri}</p>".encode())
+        parsed = []
+        monkeypatch.setattr(fetch_module, "digest_page", lambda body: parsed.append(body) or digest_page(body))
+        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        results = [fetcher.dereference(uri) for uri in uris]
+        seen = [[] for _ in range(8)]
+
+        def worker(i):
+            order = results[i:] + results[:i]
+            seen[i].extend(fetcher.digest(result) for result in order)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(parsed) == sorted(result.body for result in results)
+        by_uri = {}
+        for i, digests in enumerate(seen):
+            assert len(digests) == len(uris)
+            for result, digest in zip(results[i:] + results[:i], digests):
+                assert by_uri.setdefault(result.final_uri, digest) is digest
+
+    @pytest.mark.parametrize("body", fixture_bodies() + EDGE_PAGES)
+    def test_digest_chain_matches_default_chain(self, body):
+        fetcher = Fetcher(FixtureTransport(RESPONSES), FAST)
+        for uri in ("https://x.example/story", "https://x.example/2016/01/05/story"):
+            result = FetchResult(uri, uri, 200, "text/html", {}, body,
+                                 datetime(2018, 11, 6, tzinfo=timezone.utc))
+            assert estimate_publication_date(result, digest_date_estimators(fetcher)) == (
+                estimate_publication_date(result)
+            )
+
+
+class TestSeedTextProvider:
+    def test_warns_once_per_uri(self, tmp_path):
+        write_fixture(tmp_path, "https://a.example/plain", 200, {"Content-Type": "text/html"}, b"no tags")
+        warnings = []
+        post = make_post(id="p1", serp_visible=True)
+        provider = SeedTextProvider(make_corpus([post]), Fetcher(FixtureTransport(tmp_path), FAST), warnings)
+        for uri in ("https://a.example/plain", "https://a.example/missing") * 2:
+            assert provider.page_text(uri) == ""
+        assert len(warnings) == 2
+        assert warnings[0].startswith("seed https://a.example/plain unusable as HTML: ")
+        assert warnings[1].startswith("seed https://a.example/missing not fetchable (missing-fixture)")
+
+
+def _count_parses(monkeypatch):
+    """Count parse_html calls wherever a seedsmith module binds it."""
+    original = htmltools.parse_html
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "seedsmith" or name.startswith("seedsmith.")):
+            continue
+        for binding, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, binding, counting)
+    return calls
+
+
+def _record_html_pages(monkeypatch):
+    """URIs answered 200 with an HTML media type by the fixture transport."""
+    original = FixtureTransport.request
+    pages = set()
+
+    def recording(self, uri, **kwargs):
+        status, headers, body = original(self, uri, **kwargs)
+        if status == 200 and headers.get("content-type", "").startswith("text/html"):
+            pages.add(uri)
+        return status, headers, body
+
+    monkeypatch.setattr(FixtureTransport, "request", recording)
+    return pages
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fixture_run_parses_each_html_page_once(tmp_path, monkeypatch, jobs):
+    calls = _count_parses(monkeypatch)
+    pages = _record_html_pages(monkeypatch)
+    code = cli_main(
+        ["run", "--corpus", str(DATA / "corpus.jsonl"), "--out", str(tmp_path / "out"),
+         "--fixtures", str(RESPONSES), "--refs", str(DATA / "refs.json"), "--jobs", jobs]
+    )
+    assert code == 0
+    assert pages
+    assert len(calls) == len(pages)

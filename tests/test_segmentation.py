@@ -2,7 +2,12 @@ import random
 from datetime import datetime, timezone
 
 from conftest import make_corpus, make_post
-from oracles import brute_force_classify, classify_result_as_set, random_reply_tree
+from oracles import (
+    brute_force_classify,
+    classify_result_as_set,
+    random_reply_tree,
+    reference_self_chains,
+)
 from seedsmith.segmentation import (
     MC,
     P1A1,
@@ -15,6 +20,7 @@ from seedsmith.segmentation import (
     partition_corpus,
     partition_counts,
 )
+from seedsmith.segmentation import _maximal_self_chains
 
 
 def forest_of(posts):
@@ -309,4 +315,38 @@ class TestInvariants:
             posts = [make_post(**kw) for kw in random_reply_tree(rng)]
             got = classify_result_as_set(classify_posts(posts))
             want = brute_force_classify(posts)
+            assert got == want
+
+
+class TestDeepChains:
+    def deep_chain(self, length, author="chainer"):
+        posts = [make_post(id="c0", serp_visible=True, author=author)]
+        for i in range(1, length):
+            posts.append(make_post(id=f"c{i}", parent_id=f"c{i - 1}", author=author))
+        return posts
+
+    def test_1200_post_self_chain_matches_brute_force(self):
+        posts = self.deep_chain(1200)
+        groups = classify_posts(posts)
+        assert classify_result_as_set(groups) == brute_force_classify(posts)
+        sizes = sorted((g.post_class, len(g.post_ids)) for g in groups)
+        assert sizes == [(P1A1, 1), (PNA1, 1200)]
+
+    def test_1200_post_self_chain_excluding_root(self):
+        posts = self.deep_chain(1200)
+        got = classify_result_as_set(classify_posts(posts, mc_exclude_root=True))
+        assert got == brute_force_classify(posts, mc_exclude_root=True)
+
+    def test_deep_chain_partitions(self):
+        partition = partition_corpus(make_corpus(self.deep_chain(1200)))
+        rows = {row[3]: row[4:] for row in partition_counts(partition)}
+        assert rows == {P1A1: (1, 1), PNA1: (1, 1200)}
+
+    def test_chain_order_matches_recursive_growth(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            posts = [make_post(**kw) for kw in random_reply_tree(rng, max_posts=25, max_authors=2)]
+            tree = forest_of(posts)[0]
+            got = [[p.id for p in chain] for chain in _maximal_self_chains(tree)]
+            want = [[p.id for p in chain] for chain in reference_self_chains(tree)]
             assert got == want
