@@ -16,18 +16,29 @@ from pathlib import Path
 
 from . import __version__
 from .analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_LITERAL, MODE_NORMALIZED
-from .corpus.fetch import FetchError, FetchPolicy, Fetcher, FixtureTransport, HttpTransport
+from .corpus.fetch import EPOCH, FetchError, FetchPolicy, Fetcher, FixtureTransport, HttpTransport
 from .corpus.jsonl import load_corpus, write_corpus
 from .corpus.model import Corpus, CorpusError, TopicSpec
 from .corpus.threads import FixtureThreadAdapter, expand_thread
-from .extraction import AssembleOptions, ExtractionError, assemble_collections, seed_json
+from .extraction import (
+    SEED_CSV_HEADER,
+    AssembleOptions,
+    ExtractionError,
+    assemble_collections,
+    seed_json,
+    seed_rows,
+)
 from .goldstandard import GoldStandard, GoldStandardError, build_gold_standard, extract_references
 from .reports import (
     DEFAULT_REFERENCE_SOURCE,
+    PARTITION_HEADER,
     ReportConfig,
     build_manifest,
     build_tables,
+    fmt,
+    partition_rows,
     write_bundle,
+    write_csv,
 )
 from .segmentation import Selector, mc_view, partition_corpus
 
@@ -91,8 +102,11 @@ class RunConfig:
             lenient=not self.strict,
             disk_cache=self.mode == "live",
         )
-        transport = FixtureTransport(self.fixtures) if self.mode == "offline" else HttpTransport()
-        return Fetcher(transport, policy)
+        if self.mode == "live":
+            return Fetcher(HttpTransport(), policy)
+        # A fixture without a Date header is stamped with the epoch, not
+        # the wall clock, so that offline bundles are byte-identical.
+        return Fetcher(FixtureTransport(self.fixtures), policy, clock=lambda: EPOCH)
 
     def echo(self) -> dict:
         return {
@@ -372,16 +386,9 @@ def main(argv=None) -> int:
             partition = partition_corpus(
                 corpus, config.selector(), mc_exclude_root=config.mc_exclude_root, warnings=warnings
             )
-            from .reports import fmt
-            from .segmentation import partition_counts
-
             config.out.mkdir(parents=True, exist_ok=True)
             for name, data in (("partition", partition), ("partition_mc", mc_view(partition))):
-                _write_csv(
-                    config.out / f"{name}.csv",
-                    ("topic", "source", "vertical", "post_class", "group_count", "post_count"),
-                    [list(map(fmt, row)) for row in partition_counts(data)],
-                )
+                write_csv(config.out / f"{name}.csv", PARTITION_HEADER, partition_rows(data))
             for warning in warnings:
                 print(f"warning: {warning}", file=sys.stderr)
             return EXIT_OK
@@ -405,11 +412,8 @@ def main(argv=None) -> int:
                 ),
                 warnings=warnings,
             )
-            from .extraction import SEED_CSV_HEADER, seed_rows
-            from .reports import fmt
-
             config.out.mkdir(parents=True, exist_ok=True)
-            _write_csv(
+            write_csv(
                 config.out / "seeds.csv",
                 SEED_CSV_HEADER,
                 [list(map(fmt, row)) for row in seed_rows(collections)],
@@ -446,15 +450,6 @@ def main(argv=None) -> int:
     except (CorpusError, FetchError, ExtractionError, GoldStandardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    import csv
-
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ TAG_REDIRECT_LOOP = "redirect-loop"
 TAG_REDIRECT_LIMIT = "redirect-limit"
 TAG_MISSING_FIXTURE = "missing-fixture"
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# Fetch time of failed fetches, and the clock of offline runs.
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class FetchError(Exception):
@@ -365,7 +366,7 @@ class Fetcher:
             media_type=None,
             headers={},
             body=b"",
-            fetched_at=_EPOCH,
+            fetched_at=EPOCH,
             redirect_chain=chain,
         )
         # Failures are cached in memory only, so a later run may retry.

@@ -145,7 +145,7 @@ def canonicalize(uri: str) -> str:
     Lowercases scheme and host, drops the fragment and default ports,
     strips tracking parameters (utm_*, fbclid, gclid), sorts the
     remaining query parameters, and removes the trailing slash of an
-    otherwise-empty path. Idempotent.
+    otherwise-empty path. IPv6 hosts keep their brackets. Idempotent.
     """
     if not isinstance(uri, str) or not uri.strip():
         raise CanonicalizationError(f"cannot canonicalize {uri!r}")
@@ -160,6 +160,8 @@ def canonicalize(uri: str) -> str:
         raise CanonicalizationError(f"not an absolute http(s) URI: {uri!r}")
 
     netloc = host.lower()
+    if ":" in netloc:  # an IPv6 literal
+        netloc = f"[{netloc}]"
     if port is not None and port != {"http": 80, "https": 443}[scheme]:
         netloc = f"{netloc}:{port}"
     if parts.username:
@@ -255,6 +257,7 @@ def substitute_intra_site(
         for link in fetcher.digest(result).links:
             try:
                 canonical = canonicalize(link)
+                hostname = hostname_of(canonical)
             except CanonicalizationError:
                 warn(f"skipping unparseable link {link!r} in {uri}")
                 continue
@@ -271,7 +274,7 @@ def substitute_intra_site(
                     seed,
                     original=link,
                     canonical=canonical,
-                    hostname=hostname_of(canonical),
+                    hostname=hostname,
                     kind=classify_uri_kind(uri=canonical),
                     final=None,
                     fetch_status=None,
@@ -332,13 +335,14 @@ def assemble_collections(
                 for raw in extract_uris(post):
                     try:
                         canonical = canonicalize(raw)
+                        hostname = hostname_of(canonical)
                     except CanonicalizationError:
                         warn(f"post {post.id}: skipping unparseable URI {raw!r}")
                         continue
                     seed = SeedUri(
                         original=raw,
                         canonical=canonical,
-                        hostname=hostname_of(canonical),
+                        hostname=hostname,
                         kind=classify_uri_kind(uri=canonical),
                         provenance=SeedProvenance(
                             post_id=post.id,

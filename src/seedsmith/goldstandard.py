@@ -55,18 +55,6 @@ class TermVector:
         return not self.weights
 
 
-def tokenize(text: str) -> list[str]:
-    """Tokens of ``text`` after lowercasing, alphanumeric splitting,
-    length filtering, and stopword removal."""
-    counts = textkernel.token_counts(text, STOPWORDS, MIN_TOKEN_LEN)
-    # Expansion back to a list is only used by diagnostics; counting is
-    # what the vector builders consume.
-    out = []
-    for term, n in counts.items():
-        out.extend([term] * n)
-    return out
-
-
 def build_term_vector(texts, normalize: bool = True) -> TermVector:
     """Accumulate term frequencies over the concatenation of ``texts``.
 

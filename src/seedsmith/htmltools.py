@@ -64,12 +64,6 @@ class Element:
     def element_count(self) -> int:
         return sum(1 for _ in self.iter()) - 1
 
-    def attr(self, name: str) -> str | None:
-        return self.attrs.get(name)
-
-    def classes(self) -> list[str]:
-        return (self.attrs.get("class") or "").lower().split()
-
 
 class _TreeBuilder(HTMLParser):
     def __init__(self):

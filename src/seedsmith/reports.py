@@ -33,7 +33,7 @@ from .analytics import (
 )
 from .corpus.fetch import Fetcher
 from .corpus.model import Corpus
-from .extraction import HTML_KIND, NON_HTML_KIND, seed_rows
+from .extraction import HTML_KIND, NON_HTML_KIND, SEED_CSV_HEADER, seed_rows
 from .goldstandard import GoldStandard
 from .segmentation import MC, MC_MEMBER_CLASSES, partition_counts
 from .stopwords import STOPWORDS_VERSION
@@ -44,6 +44,7 @@ NA = "NA"
 KIND_FILTERS = (("all", None), ("html", HTML_KIND), ("non_html", NON_HTML_KIND))
 SCOPES = ("P1A1", "PnA1", "PnAn", "MC", "All")
 DEFAULT_REFERENCE_SOURCE = "google"
+PARTITION_HEADER = ("topic", "source", "vertical", "post_class", "group_count", "post_count")
 
 
 def fmt(value) -> str:
@@ -53,6 +54,10 @@ def fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)
+
+
+def partition_rows(partition) -> list[list[str]]:
+    return [list(map(fmt, row)) for row in partition_counts(partition)]
 
 
 @dataclass
@@ -173,50 +178,48 @@ def _mc_label(post_class: str) -> str | None:
     return MC if post_class in MC_MEMBER_CLASSES else None
 
 
-def _row_keys(collections):
-    """Report row keys: every partition cell plus pooled MC cells."""
-    keys = set()
-    for topic, source, vertical, post_class in collections:
-        keys.add((topic, source, vertical, post_class))
-        mc = _mc_label(post_class)
+@dataclass(frozen=True)
+class RowIndex:
+    """Every report row's member cells, deduped seeds and observations.
+
+    Row keys are every partition cell plus one pooled MC row per
+    (topic, source, vertical) that has a PnA1 or PnAn cell. Member cells
+    are sorted; that order fixes the order in which seeds and
+    observations pool, and with it every row's float summation order.
+    """
+
+    keys: list  # sorted row keys
+    cells: dict  # row key -> sorted member cell keys
+    seeds: dict  # row key -> seeds deduped by canonical URI, first occurrence winning
+    observations: dict  # row key -> PostObservations in collect_observations order
+
+
+def index_rows(collections, observations) -> RowIndex:
+    """Group the cells, seeds and observations of every report row in one
+    pass over each."""
+    cells: dict = {}
+    for key in sorted(collections):
+        cells.setdefault(key, []).append(key)
+        mc = _mc_label(key[3])
         if mc:
-            keys.add((topic, source, vertical, mc))
-    return sorted(keys)
-
-
-def _seeds_for_row(collections, row_key):
-    """Deduped seeds of a row cell; MC rows pool their member cells."""
-    topic, source, vertical, post_class = row_key
-    if post_class == MC:
-        member_keys = [
-            k
-            for k in sorted(collections)
-            if k[0] == topic and k[1] == source and k[2] == vertical and k[3] in MC_MEMBER_CLASSES
-        ]
-    else:
-        member_keys = [row_key] if row_key in collections else []
-    seen = set()
-    seeds = []
-    for key in member_keys:
-        for seed in collections[key].seeds:
-            if seed.canonical in seen:
-                continue
-            seen.add(seed.canonical)
-            seeds.append(seed)
-    return seeds
-
-
-def _observations_for_row(observations, row_key):
-    topic, source, vertical, post_class = row_key
-    if post_class == MC:
-        classes = MC_MEMBER_CLASSES
-    else:
-        classes = (post_class,)
-    return [
-        o
-        for o in observations
-        if o.topic == topic and o.source == source and o.vertical == vertical and o.post_class in classes
-    ]
+            cells.setdefault((*key[:3], mc), []).append(key)
+    seeds = {}
+    for row_key, members in cells.items():
+        seen = set()
+        row = []
+        for key in members:
+            for seed in collections[key].seeds:
+                if seed.canonical not in seen:
+                    seen.add(seed.canonical)
+                    row.append(seed)
+        seeds[row_key] = row
+    grouped: dict = {row_key: [] for row_key in cells}
+    for o in observations:
+        grouped[(o.topic, o.source, o.vertical, o.post_class)].append(o)
+        mc = _mc_label(o.post_class)
+        if mc:
+            grouped[(o.topic, o.source, o.vertical, mc)].append(o)
+    return RowIndex(sorted(cells), cells, seeds, grouped)
 
 
 def build_tables(
@@ -236,22 +239,12 @@ def build_tables(
     judge = RelevanceIndex(golds, provider, config.threshold)
     observations = collect_observations(collections, judge)
     sources = sorted({key[1] for key in collections})
-    row_keys = _row_keys(collections)
+    rows_index = index_rows(collections, observations)
     tables = {}
 
-    tables["partition"] = _table(
-        ("topic", "source", "vertical", "post_class", "group_count", "post_count"),
-        [list(map(fmt, row)) for row in partition_counts(partition)],
-    )
-    tables["partition_mc"] = _table(
-        ("topic", "source", "vertical", "post_class", "group_count", "post_count"),
-        [list(map(fmt, row)) for row in partition_counts(mc_partition)],
-    )
-    tables["seeds"] = _table(
-        ("topic", "source", "vertical", "post_class", "canonical_uri", "kind",
-         "hostname", "post_id", "retrieved_at"),
-        [list(map(fmt, row)) for row in seed_rows(collections)],
-    )
+    tables["partition"] = _table(PARTITION_HEADER, partition_rows(partition))
+    tables["partition_mc"] = _table(PARTITION_HEADER, partition_rows(mc_partition))
+    tables["seeds"] = _table(SEED_CSV_HEADER, [list(map(fmt, row)) for row in seed_rows(collections)])
 
     for kind_name, kind in KIND_FILTERS:
         rows = []
@@ -269,10 +262,8 @@ def build_tables(
 
     for kind_name, kind in KIND_FILTERS:
         rows = []
-        for row_key in row_keys:
-            obs = [
-                o for o in _observations_for_row(observations, row_key) if o.k[kind_name] >= 1
-            ]
+        for row_key in rows_index.keys:
+            obs = [o for o in rows_index.observations[row_key] if o.k[kind_name] >= 1]
             summary = class_average_precision(o.precision[kind_name] for o in obs)
             topic, source, vertical, post_class = row_key
             if summary is None:
@@ -314,11 +305,9 @@ def build_tables(
             ("bin", "source", "class", "avg_precision", "post_count", "kind"), rows
         )
 
-    tables["age"], tables["age_ecdf"] = _age_tables(
-        collections, row_keys, judge, provider, warnings
-    )
-    tables["diversity"] = _diversity_table(collections, row_keys)
-    tables["overlap"] = _overlap_table(collections, row_keys, config.reference_source)
+    tables["age"], tables["age_ecdf"] = _age_tables(rows_index, judge, provider, warnings)
+    tables["diversity"] = _diversity_table(rows_index)
+    tables["overlap"] = _overlap_table(collections, rows_index, config.reference_source)
     return tables
 
 
@@ -349,10 +338,15 @@ def _prefetch_page_texts(provider: SeedTextProvider, collections, jobs: int) -> 
             main_warnings.extend(sorted(phase))
 
 
-def _age_tables(collections, row_keys, judge: RelevanceIndex, provider: SeedTextProvider, warnings):
-    """Ages of relevant HTML seeds per row cell, summary plus ECDF."""
+def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextProvider, warnings):
+    """Ages of relevant HTML seeds per row cell, summary plus ECDF.
+
+    A seed whose estimate postdates its retrieval is warned about once,
+    at the first row (in row-key order) that holds it.
+    """
     summary_rows = []
     ecdf_rows = []
+    warned: set[str] = set()
     fetcher = provider.fetcher
     estimators = digest_date_estimators(fetcher)
 
@@ -362,9 +356,9 @@ def _age_tables(collections, row_keys, judge: RelevanceIndex, provider: SeedText
             return None
         return estimate_publication_date(result, estimators)
 
-    for row_key in row_keys:
+    for row_key in rows_index.keys:
         samples = []
-        for seed in _seeds_for_row(collections, row_key):
+        for seed in rows_index.seeds[row_key]:
             if seed.kind != HTML_KIND:
                 continue
             judgment = judge.judgment(seed)
@@ -375,7 +369,8 @@ def _age_tables(collections, row_keys, judge: RelevanceIndex, provider: SeedText
                 continue
             estimated, estimator = found
             sample = make_age_sample(seed.canonical, estimated, estimator, seed.retrieved_at)
-            if sample.flagged:
+            if sample.flagged and seed.canonical not in warned:
+                warned.add(seed.canonical)
                 warnings.append(
                     f"seed {seed.canonical}: publication estimate {estimated} postdates "
                     "retrieval; excluded from age aggregates"
@@ -402,10 +397,10 @@ def _age_tables(collections, row_keys, judge: RelevanceIndex, provider: SeedText
     )
 
 
-def _diversity_table(collections, row_keys):
+def _diversity_table(rows_index: RowIndex):
     rows = []
-    for row_key in row_keys:
-        seeds = _seeds_for_row(collections, row_key)
+    for row_key in rows_index.keys:
+        seeds = rows_index.seeds[row_key]
         for kind_name, kind in KIND_FILTERS:
             subset = seeds if kind is None else [s for s in seeds if s.kind == kind]
             hosts = [s.hostname for s in subset]
@@ -421,7 +416,7 @@ def _diversity_table(collections, row_keys):
     )
 
 
-def _overlap_table(collections, row_keys, reference_source):
+def _overlap_table(collections, rows_index: RowIndex, reference_source):
     reference_by_topic: dict[str, set] = {}
     for key in sorted(collections):
         topic, source, _vertical, _post_class = key
@@ -430,11 +425,11 @@ def _overlap_table(collections, row_keys, reference_source):
                 collections[key].canonical_uris
             )
     rows = []
-    for row_key in row_keys:
+    for row_key in rows_index.keys:
         topic, source, vertical, post_class = row_key
         if source == reference_source or topic not in reference_by_topic:
             continue
-        candidate = {s.canonical for s in _seeds_for_row(collections, row_key)}
+        candidate = {s.canonical for s in rows_index.seeds[row_key]}
         reference = reference_by_topic[topic]
         value = serp_overlap(reference, candidate)
         rows.append(
@@ -475,36 +470,56 @@ def write_bundle(bundle: dict, out_dir, formats=("csv",)) -> list[Path]:
     ``bundle`` is {"tables": ..., "manifest": ...}. CSV emission writes
     one file per table plus manifest.json and bundle.json; JSON emission
     writes report.json carrying the same values.
+
+    Every file is ``json.dumps(value, ensure_ascii=False, indent=2,
+    sort_keys=True)`` plus a newline. Each top-level value is encoded
+    once and bundle.json is spliced from those texts: the indenting
+    encoder is pure Python, and the tables are most of the bytes.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     created = []
+    texts = {key: _json_text(bundle[key]) for key in sorted(bundle)}
 
     path = out_dir / "bundle.json"
-    path.write_text(json.dumps(bundle, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(_splice_object(texts) + "\n", encoding="utf-8")
     created.append(path)
     path = out_dir / "manifest.json"
-    path.write_text(
-        json.dumps(bundle["manifest"], ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(texts["manifest"] + "\n", encoding="utf-8")
     created.append(path)
 
     if "csv" in formats:
         for name in sorted(bundle["tables"]):
             table = bundle["tables"][name]
             path = out_dir / f"{name}.csv"
-            with path.open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(table["header"])
-                writer.writerows(table["rows"])
+            write_csv(path, table["header"], table["rows"])
             created.append(path)
     if "json" in formats:
         path = out_dir / "report.json"
-        path.write_text(
-            json.dumps(bundle["tables"], ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        path.write_text(texts["tables"] + "\n", encoding="utf-8")
         created.append(path)
     return created
+
+
+def write_csv(path: Path, header, rows) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _json_text(value) -> str:
+    return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
+
+
+def _splice_object(texts: dict) -> str:
+    """``_json_text`` of an object whose members' texts are ``texts``, in
+    key order. Exact because JSON escapes every newline inside a string,
+    so each newline of a member's text starts one of its lines."""
+    if not texts:
+        return "{}"
+    members = (
+        f"  {json.dumps(key, ensure_ascii=False)}: " + text.replace("\n", "\n  ")
+        for key, text in texts.items()
+    )
+    return "{\n" + ",\n".join(members) + "\n}"

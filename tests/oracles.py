@@ -6,8 +6,9 @@ growing, stdlib quantiles instead of the hand-rolled interpolation, a
 calendar-free day counter instead of datetime arithmetic.
 
 The last section keeps reference copies of code the package has since
-restructured (recursive self-chain growing, and the page functions that
-each parsed a document on their own), for differential tests.
+restructured (recursive self-chain growing, the page functions that
+each parsed a document on their own, and the per-row rescans of report
+assembly), for differential tests.
 """
 
 import json
@@ -285,3 +286,40 @@ def reference_target_links(body):
         return absolute_http_links(parse_html(decode_html(body)))
     except ValueError:
         return []
+
+
+_MC_MEMBER_CLASSES = ("PnA1", "PnAn")
+
+
+def reference_seeds_for_row(collections, row_key):
+    """Deduped seeds of a report row, rescanning every cell; MC rows pool
+    their member cells in sorted order."""
+    topic, source, vertical, post_class = row_key
+    if post_class == "MC":
+        member_keys = [
+            k
+            for k in sorted(collections)
+            if k[0] == topic and k[1] == source and k[2] == vertical and k[3] in _MC_MEMBER_CLASSES
+        ]
+    else:
+        member_keys = [row_key] if row_key in collections else []
+    seen = set()
+    seeds = []
+    for key in member_keys:
+        for seed in collections[key].seeds:
+            if seed.canonical in seen:
+                continue
+            seen.add(seed.canonical)
+            seeds.append(seed)
+    return seeds
+
+
+def reference_observations_for_row(observations, row_key):
+    """Observations of a report row, rescanning every observation."""
+    topic, source, vertical, post_class = row_key
+    classes = _MC_MEMBER_CLASSES if post_class == "MC" else (post_class,)
+    return [
+        o
+        for o in observations
+        if o.topic == topic and o.source == source and o.vertical == vertical and o.post_class in classes
+    ]

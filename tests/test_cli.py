@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_corpus, make_post
 from seedsmith.cli import main
-from seedsmith.corpus import write_corpus
+from seedsmith.corpus import write_corpus, write_fixture
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,6 +117,57 @@ class TestRun:
         assert run_cli("run", "--corpus", corpus_path, "--out", out, "--fixtures", fixtures) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert any("not resolvable" in w for w in manifest["warnings"])
+
+    def test_postdates_warning_once_per_seed(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(*base_args(out), "--refs", DATA / "refs.json") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        postdates = [w for w in manifest["warnings"] if "postdates retrieval" in w]
+        assert postdates == [
+            "seed https://transit-news.example/strike-outlook: publication estimate "
+            "2019-01-01 postdates retrieval; excluded from age aggregates"
+        ]
+        assert manifest["warning_count"] == len(manifest["warnings"])
+
+    def test_fixtures_without_date_header_give_identical_bundles(self, tmp_path):
+        corpus = make_corpus(
+            [make_post(id="r", serp_visible=True, text="river flood https://news.example/flood")]
+        )
+        corpus_path = tmp_path / "c.jsonl"
+        write_corpus(corpus, corpus_path)
+        fixtures = tmp_path / "responses"
+        page = b"<html><body><main><p>the river flood rose over the town bridge</p></main></body></html>"
+        for uri in ("https://news.example/flood", "https://ref.example/flood"):
+            write_fixture(fixtures, uri, 200, {"Content-Type": "text/html"}, page)
+        refs = tmp_path / "refs.json"
+        refs.write_text(json.dumps({"t1": ["https://ref.example/flood"]}))
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            args = ("run", "--corpus", corpus_path, "--fixtures", fixtures, "--refs", refs, "--out", out)
+            assert run_cli(*args) == 0
+        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+        gold = json.loads((outs[0] / "golds" / "gold_t1.json").read_text())
+        assert gold["built_at"] == "1970-01-01T00:00:00Z"
+
+    def test_ipv6_seeds_keep_their_brackets(self, tmp_path):
+        corpus = make_corpus(
+            [make_post(id="r", serp_visible=True,
+                       text="see http://[::1]:8080/a and http://[2001:DB8::1]/x")]
+        )
+        corpus_path = tmp_path / "c.jsonl"
+        write_corpus(corpus, corpus_path)
+        fixtures = tmp_path / "responses"
+        fixtures.mkdir()
+        out = tmp_path / "out"
+        assert run_cli("run", "--corpus", corpus_path, "--out", out, "--fixtures", fixtures) == 0
+        import csv as csvmod
+
+        with (out / "seeds.csv").open(newline="") as fh:
+            seeds = {row["canonical_uri"]: row["hostname"] for row in csvmod.DictReader(fh)}
+        assert seeds == {"http://[::1]:8080/a": "::1", "http://[2001:db8::1]/x": "2001:db8::1"}
 
 
 class TestStages:

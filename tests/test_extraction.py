@@ -1,3 +1,6 @@
+import ipaddress
+from urllib.parse import urlsplit, urlunsplit
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +65,41 @@ class TestExtractUris:
         assert extract_uris(make_post(text="no links here")) == []
 
 
+_LABEL = st.text(alphabet="abcxyzABC019-", min_size=1, max_size=6).filter(
+    lambda label: not label.startswith("-") and not label.endswith("-")
+)
+_IDN_LABEL = st.text(alphabet="abcäöüßéñÅÉкиїДΩ中文字", min_size=1, max_size=5)
+_IPV6 = st.integers(0, 2**128 - 1).map(
+    lambda n: ipaddress.IPv6Address(n)
+).flatmap(lambda addr: st.sampled_from([addr.compressed, addr.exploded, addr.compressed.upper()]))
+_HOSTS = st.one_of(
+    st.lists(_LABEL, min_size=1, max_size=3).map(".".join),
+    st.lists(_IDN_LABEL, min_size=1, max_size=3).map(lambda labels: ".".join(labels) + ".example"),
+    st.tuples(*[st.integers(0, 255)] * 4).map(lambda octets: ".".join(map(str, octets))),
+    _IPV6.map(lambda addr: f"[{addr}]"),
+)
+_USERINFO = st.one_of(
+    st.just(""),
+    st.builds(
+        lambda user, password: f"{user}:{password}@" if password else f"{user}@",
+        st.text(alphabet="abcXYZ019._~-", min_size=1, max_size=6),
+        st.text(alphabet="abcXYZ019._~-", max_size=6),
+    ),
+)
+URIS = st.builds(
+    lambda scheme, userinfo, host, port, path, query, fragment: (
+        f"{scheme}://{userinfo}{host}{port}{path}{query}{fragment}"
+    ),
+    st.sampled_from(["http", "https", "HTTP", "Https"]),
+    _USERINFO,
+    _HOSTS,
+    st.one_of(st.just(""), st.integers(0, 65535).map(lambda port: f":{port}")),
+    st.text(alphabet="abc/%20-._~", max_size=10).map(lambda path: "/" + path),
+    st.one_of(st.just(""), st.text(alphabet="abc=&", max_size=8).map(lambda q: "?" + q)),
+    st.one_of(st.just(""), st.text(alphabet="abc", max_size=4).map(lambda f: "#" + f)),
+)
+
+
 class TestCanonicalize:
     def test_case_port_fragment(self):
         assert canonicalize("HTTPS://WWW.CNN.com:443/a#top") == "https://www.cnn.com/a"
@@ -115,6 +153,35 @@ class TestCanonicalize:
             return
         assert canonicalize(once) == once
         assert once.startswith(("http://", "https://"))
+
+    @pytest.mark.parametrize(
+        "uri,expected,host",
+        [
+            ("http://[2001:db8::1]/x", "http://[2001:db8::1]/x", "2001:db8::1"),
+            ("HTTP://[2001:DB8::1]:80/", "http://[2001:db8::1]", "2001:db8::1"),
+            ("http://[::1]:8080/a", "http://[::1]:8080/a", "::1"),
+            ("https://u:p@[::ffff:1.2.3.4]:8443/a", "https://u:p@[::ffff:1.2.3.4]:8443/a",
+             "::ffff:1.2.3.4"),
+        ],
+    )
+    def test_ipv6_brackets_kept(self, uri, expected, host):
+        assert canonicalize(uri) == expected
+        assert hostname_of(expected) == host
+
+    @given(URIS)
+    @settings(max_examples=300, deadline=None)
+    def test_properties(self, uri):
+        """Idempotent, keeps the hostname (and a non-default port), and
+        round-trips through urlsplit."""
+        once = canonicalize(uri)
+        assert canonicalize(once) == once
+        before, after = urlsplit(uri), urlsplit(once)
+        assert after.hostname == before.hostname
+        assert hostname_of(once) == before.hostname
+        default = {"http": 80, "https": 443}[after.scheme]
+        assert after.port == (None if before.port == default else before.port)
+        assert (after.username, after.password or None) == (before.username, before.password or None)
+        assert urlunsplit(after) == once
 
 
 class TestClassifyKind:
@@ -202,6 +269,13 @@ class TestSubstitute:
         out = substitute_intra_site(make_seed(uri), fetcher)
         assert [s.canonical for s in out] == ["https://news.example/story"]
         assert out[0].provenance.post_id == "p1"
+
+    def test_ipv6_link_substituted(self, tmp_path):
+        uri = "https://twitter.com/bob/status/1"
+        write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"},
+                      tweet_page("http://[::1]:8080/a"))
+        out = substitute_intra_site(make_seed(uri), Fetcher(FixtureTransport(tmp_path), FAST))
+        assert [(s.canonical, s.hostname) for s in out] == [("http://[::1]:8080/a", "::1")]
 
     def test_chain_resolved_to_depth(self, tmp_path):
         a = "https://twitter.com/a/status/1"

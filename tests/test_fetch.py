@@ -189,8 +189,13 @@ def live_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.hits = []
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 class TestHttpTransport:

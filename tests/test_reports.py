@@ -1,0 +1,131 @@
+"""Report assembly: row grouping against the per-row rescans it replaced,
+and bundle files against the plain JSON encoding of their values."""
+
+import json
+import random
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_corpus, make_post, make_topic
+from oracles import random_reply_tree, reference_observations_for_row, reference_seeds_for_row
+from seedsmith.extraction import AssembleOptions, assemble_collections
+from seedsmith.reports import collect_observations, index_rows, write_bundle
+from seedsmith.segmentation import MC, MC_MEMBER_CLASSES, partition_corpus
+
+LINK_POOL = [
+    "https://a.example/story",
+    "https://a.example/other",
+    "https://b.example/story",
+    "https://c.example/report.pdf",
+    "https://d.example/clip.mp4",
+    "https://e.example/",
+]
+
+
+def _random_corpus(rng):
+    """Several topics, sources and verticals of random reply trees whose
+    posts share links from a small pool, so cells overlap."""
+    topics = [make_topic(f"t{i}") for i in range(rng.randint(2, 3))]
+    posts = []
+    for topic in topics:
+        for source in ("reddit", "twitter"):
+            for vertical in ("top", "new"):
+                for tree in range(rng.randint(1, 4)):
+                    prefix = f"{topic.topic_id}-{source}-{vertical}-{tree}-"
+                    for kw in random_reply_tree(rng, max_posts=8, max_authors=3):
+                        links = rng.sample(LINK_POOL, rng.randint(0, 3))
+                        kw = dict(kw, id=prefix + kw["id"], author=prefix[:2] + kw["author"])
+                        if kw.get("parent_id"):
+                            kw["parent_id"] = prefix + kw["parent_id"]
+                        posts.append(make_post(topic_id=topic.topic_id, source=source,
+                                               vertical=vertical, text=" ".join(links), **kw))
+    return make_corpus(posts, topics)
+
+
+class _Judge:
+    """Relevance stand-in: golds for some topics, a fixed verdict per URI."""
+
+    def __init__(self, topics):
+        self.golds = {topic: object() for topic in topics}
+
+    def judgment(self, seed):
+        return SimpleNamespace(relevant=len(seed.canonical) % 2 == 0)
+
+
+def test_row_index_matches_per_row_rescans():
+    rng = random.Random(7)
+    classes_seen = set()
+    for _ in range(25):
+        corpus = _random_corpus(rng)
+        partition = partition_corpus(corpus)
+        collections = assemble_collections(
+            corpus, partition, options=AssembleOptions(substitute=False)
+        )
+        observations = collect_observations(collections, _Judge(["t0", "t1"]))
+        index = index_rows(collections, observations)
+
+        mc_keys = {(*key[:3], MC) for key in collections if key[3] in MC_MEMBER_CLASSES}
+        assert index.keys == sorted(set(collections) | mc_keys)
+        for key in index.keys:
+            classes_seen.add(key[3])
+            want_seeds = reference_seeds_for_row(collections, key)
+            assert len(index.seeds[key]) == len(want_seeds)
+            assert all(a is b for a, b in zip(index.seeds[key], want_seeds)), key
+            want_obs = reference_observations_for_row(observations, key)
+            assert len(index.observations[key]) == len(want_obs)
+            assert all(a is b for a, b in zip(index.observations[key], want_obs)), key
+            members = index.cells[key]
+            assert members == sorted(members)
+    assert {"P1A1", "PnA1", "PnAn", MC} <= classes_seen
+
+
+TRICKY_CELLS = [
+    "plain", "naïve — 漢字 🌊", 'say "hi"', "back\\slash", "two\nlines", "cr\r\nlf",
+    "tab\tend", "\u2028line separator", "", "NA", "0.2500",
+]
+
+
+def _expected(value):
+    return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def _check_bundle_files(bundle, out):
+    # Only the JSON files are under test; table names need not be file names.
+    write_bundle(bundle, out, formats=("json",))
+    assert (out / "bundle.json").read_text(encoding="utf-8") == _expected(bundle)
+    assert (out / "report.json").read_text(encoding="utf-8") == _expected(bundle["tables"])
+    assert (out / "manifest.json").read_text(encoding="utf-8") == _expected(bundle["manifest"])
+
+
+def test_bundle_files_equal_plain_json_encoding(tmp_path):
+    bundle = {
+        "tables": {
+            "tricky": {"header": ["a", "b\nc"], "rows": [TRICKY_CELLS[i:i + 2]
+                                                        for i in range(0, len(TRICKY_CELLS), 2)]},
+            "empty": {"header": ["topic", "value"], "rows": []},
+            "ünïcode \"name\"\n": {"header": [], "rows": [[]]},
+        },
+        "manifest": {"warnings": ['seed "x"\\y\nz'], "warning_count": 1, "counts": {}},
+    }
+    _check_bundle_files(bundle, tmp_path / "out")
+    _check_bundle_files({**bundle, "tables": {}}, tmp_path / "no-tables")
+
+
+@given(
+    st.dictionaries(
+        st.text(max_size=6),
+        st.lists(st.lists(st.text(max_size=8), max_size=3), max_size=3),
+        max_size=3,
+    ),
+    st.dictionaries(st.text(max_size=6).filter(lambda k: k not in ("tables", "manifest")),
+                    st.one_of(st.none(), st.text(max_size=6), st.dictionaries(st.text(max_size=3),
+                                                                               st.integers())),
+                    max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_bundle_files_equal_plain_json_encoding_random(tmp_path_factory, rows_by_name, extra):
+    tables = {name: {"header": ["h"], "rows": rows} for name, rows in rows_by_name.items()}
+    bundle = {"tables": tables, "manifest": {"warnings": list(rows_by_name)}, **extra}
+    _check_bundle_files(bundle, tmp_path_factory.mktemp("bundle"))
