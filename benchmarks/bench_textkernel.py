@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled text kernels against the pure-Python fallback.
+"""Benchmark the text kernels.
 
 Times the two hot operations on synthetic news-like documents: token
 counting (tokenize + filter + count) and sparse cosine between term
-vectors. Run after an editable install:
+vectors. One leaf function each, so not evidence for end-to-end time.
+Run after an editable install:
 
     python benchmarks/bench_textkernel.py [--docs 200] [--words 800] [--repeat 5]
 """
@@ -13,12 +14,7 @@ import random
 import time
 
 from seedsmith.stopwords import STOPWORDS
-from seedsmith.textkernel import _pykernel
-
-try:
-    from seedsmith.textkernel import _ckernel
-except ImportError:
-    _ckernel = None
+from seedsmith.textkernel import sparse_cosine, token_counts
 
 VOCAB = (
     "flood river levee water rainfall evacuation crest rescue damage bridge "
@@ -39,8 +35,7 @@ def make_docs(n_docs, words_per_doc, seed=7):
 
 def bench(label, fn, repeat):
     best = min(_timed(fn) for _ in range(repeat))
-    print(f"  {label:<14} {best * 1000:9.2f} ms")
-    return best
+    print(f"{label:<52} {best * 1000:9.2f} ms")
 
 
 def _timed(fn):
@@ -59,41 +54,12 @@ def main():
     docs = make_docs(args.docs, args.words)
     print(f"corpus: {args.docs} docs x {args.words} words, best of {args.repeat}")
 
-    impls = [("python", _pykernel)] + ([("c", _ckernel)] if _ckernel else [])
-    if _ckernel is None:
-        print("compiled kernel not built; timing the fallback only")
-
-    results = {}
-    print("\ntoken_counts (tokenize + stopword filter + count):")
-    for name, impl in impls:
-        results[("tok", name)] = bench(
-            name, lambda impl=impl: [impl.token_counts(d, STOPWORDS) for d in docs],
-            args.repeat,
-        )
-
-    vectors = [_pykernel.token_counts(d, STOPWORDS) for d in docs]
-    gold = _pykernel.token_counts(" ".join(docs[: args.docs // 4]), STOPWORDS)
-    print("\nsparse_cosine (every doc vs one large vector):")
-    for name, impl in impls:
-        results[("cos", name)] = bench(
-            name, lambda impl=impl: [impl.sparse_cosine(v, gold) for v in vectors],
-            args.repeat,
-        )
-
-    if _ckernel is not None:
-        sanity = [
-            _pykernel.sparse_cosine(v, gold) == _ckernel.sparse_cosine(v, gold)
-            for v in vectors
-        ]
-        counts_equal = all(
-            _pykernel.token_counts(d, STOPWORDS) == _ckernel.token_counts(d, STOPWORDS)
-            for d in docs[:20]
-        )
-        print(f"\nresult parity: cosine {all(sanity)}, token_counts {counts_equal}")
-        print(
-            f"speedup: token_counts x{results[('tok', 'python')] / results[('tok', 'c')]:.2f}, "
-            f"cosine x{results[('cos', 'python')] / results[('cos', 'c')]:.2f}"
-        )
+    bench("token_counts (tokenize + stopword filter + count)",
+          lambda: [token_counts(d, STOPWORDS) for d in docs], args.repeat)
+    vectors = [token_counts(d, STOPWORDS) for d in docs]
+    gold = token_counts(" ".join(docs[: args.docs // 4]), STOPWORDS)
+    bench("sparse_cosine (every doc vs one large vector)",
+          lambda: [sparse_cosine(v, gold) for v in vectors], args.repeat)
 
 
 if __name__ == "__main__":

@@ -15,11 +15,10 @@ from urllib.parse import urlsplit
 
 from . import textkernel
 from .corpus.fetch import FetchResult
-from .extraction import SeedCollection, SeedUri
+from .extraction import SeedCollection
 from .goldstandard import GoldStandard, TermVector, build_term_vector
 from .htmltools import HtmlDecodingError, decode_html, parse_html
 from .pages import metadata_date
-from .segmentation import BASE_CLASSES, MC, MC_MEMBER_CLASSES
 
 DEFAULT_RELEVANCE_THRESHOLD = 0.25
 
@@ -73,30 +72,6 @@ def judge_relevance(
     return RelevanceJudgment(subject, cos, cos > threshold, threshold)
 
 
-def post_precision(
-    post_seeds,
-    gold: GoldStandard,
-    text_for_seed,
-    threshold: float = DEFAULT_RELEVANCE_THRESHOLD,
-) -> float | None:
-    """Fraction of a post's seeds judged relevant.
-
-    ``text_for_seed`` supplies the judged text per seed: the
-    dereferenced, boilerplate-stripped document for HTML seeds and the
-    embedding post's text for non-HTML ones. A post without seeds has no
-    precision (None), it is skipped rather than scored zero.
-    """
-    seeds = list(post_seeds)
-    if not seeds:
-        return None
-    relevant = 0
-    for seed in seeds:
-        text = text_for_seed(seed) or ""
-        if judge_relevance([text], gold, threshold, subject=seed.canonical).relevant:
-            relevant += 1
-    return relevant / len(seeds)
-
-
 @dataclass(frozen=True)
 class PrecisionSummary:
     average: float
@@ -116,18 +91,6 @@ def class_average_precision(per_post_precisions) -> PrecisionSummary | None:
     return PrecisionSummary(sum(values) / len(values), len(values))
 
 
-def seeds_by_post(collection: SeedCollection, kind: str | None = None) -> dict[str, list[SeedUri]]:
-    """Each post's own seeds (per-post stream, not collection-deduped),
-    only posts with >= 1 seed of the requested kind. Insertion order
-    follows the collection."""
-    grouped: dict[str, list[SeedUri]] = {}
-    for seed in collection.post_seeds:
-        if kind is not None and seed.kind != kind:
-            continue
-        grouped.setdefault(seed.provenance.post_id, []).append(seed)
-    return grouped
-
-
 # ---------------------------------------------------------------------------
 # URI-count probability distributions
 # ---------------------------------------------------------------------------
@@ -145,82 +108,39 @@ def k_bin(k: int) -> str:
     return "5+"
 
 
-def _scope_classes(scope: str):
-    if scope == "All":
-        return None  # wildcard over the classes present
-    if scope == MC:
-        return set(MC_MEMBER_CLASSES) | {MC}
-    if scope in BASE_CLASSES:
-        return {scope}
-    raise ValueError(f"unknown scope {scope!r}; expected one of {BASE_CLASSES}, 'MC', 'All'")
+def uri_count_distribution(post_counts, mode: str = MODE_NORMALIZED) -> dict[str, float]:
+    """Probability that a link-bearing post has k URIs, per k bin.
 
-
-@dataclass(frozen=True)
-class DistributionColumn:
-    source: str
-    scope: str  # post class, "MC", or "All"
-    kind: str | None
-    mode: str
-    probabilities: dict[str, float]  # bin -> probability; empty means NA
-    post_count: int  # pooled link-bearing post occurrences
-    topic_count: int
-
-    @property
-    def is_na(self) -> bool:
-        return not self.probabilities
-
-
-def uri_count_distribution(
-    collections,
-    *,
-    source: str,
-    scope: str = "All",
-    kind: str | None = None,
-    mode: str = MODE_NORMALIZED,
-) -> DistributionColumn:
-    """Probability that a link-bearing post of the scope has k URIs.
-
-    Only posts with at least one URI of the requested kind count, and a
-    post contributes once per post-class cell it belongs to. Two modes:
+    ``post_counts`` holds one (topic, k) pair per link-bearing post
+    occurrence (k >= 1 URIs of the kind measured); a post counts once
+    per post-class cell it belongs to. Two modes:
 
     - normalized (default): pooled counts over all topics, so the column
       sums to 1;
     - literal: the per-topic fractions are summed as the printed formula
-      states, so the column sums to the number of contributing topics.
+      states, in sorted topic order, so the column sums to the number of
+      contributing topics.
+
+    An empty ``post_counts`` gives {}, which reports render as NA.
     """
     if mode not in (MODE_NORMALIZED, MODE_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
-    classes = _scope_classes(scope)
-    per_topic: dict[str, list[int]] = {}
-    for key in sorted(collections):
-        topic, cell_source, _vertical, post_class = key
-        if cell_source != source:
-            continue
-        if classes is not None and post_class not in classes:
-            continue
-        for _post_id, seeds in seeds_by_post(collections[key], kind).items():
-            per_topic.setdefault(topic, []).append(len(seeds))
-
-    pooled = sum(len(ks) for ks in per_topic.values())
+    per_topic: dict[str, dict[str, int]] = {}
+    for topic, k in post_counts:
+        bins = per_topic.setdefault(topic, dict.fromkeys(K_BINS, 0))
+        bins[k_bin(k)] += 1
+    totals = {topic: sum(bins.values()) for topic, bins in per_topic.items()}
+    pooled = sum(totals.values())
     if pooled == 0:
-        return DistributionColumn(source, scope, kind, mode, {}, 0, 0)
-
-    probabilities = {}
-    for bin_label in K_BINS:
-        if mode == MODE_LITERAL:
-            value = sum(
-                sum(1 for k in ks if k_bin(k) == bin_label) / len(ks)
-                for ks in per_topic.values()
-            )
-        else:
-            value = (
-                sum(sum(1 for k in ks if k_bin(k) == bin_label) for ks in per_topic.values())
-                / pooled
-            )
-        probabilities[bin_label] = value
-    return DistributionColumn(
-        source, scope, kind, mode, probabilities, pooled, len(per_topic)
-    )
+        return {}
+    if mode == MODE_LITERAL:
+        topics = sorted(per_topic)
+        return {
+            label: sum(per_topic[t][label] / totals[t] for t in topics) for label in K_BINS
+        }
+    return {
+        label: sum(bins[label] for bins in per_topic.values()) / pooled for label in K_BINS
+    }
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -75,6 +75,7 @@ class RunConfig:
     only_topics: tuple[str, ...] = ()
     only_sources: tuple[str, ...] = ()
     only_verticals: tuple[str, ...] = ()
+    replies: Path | None = None
 
     def validate(self) -> None:
         if not (0 < self.threshold < 1):
@@ -109,24 +110,26 @@ class RunConfig:
         return Fetcher(FixtureTransport(self.fixtures), policy, clock=lambda: EPOCH)
 
     def echo(self) -> dict:
+        """The settings that shape the outputs, as written to the manifest."""
         return {
-            "corpus": str(self.corpus),
-            "mode": self.mode,
-            "fixtures": str(self.fixtures) if self.fixtures else None,
-            "threshold": self.threshold,
-            "reply_limit": self.reply_limit,
-            "depth_limit": self.depth_limit,
-            "max_redirects": self.max_redirects,
-            "dist_mode": self.dist_mode,
-            "mc_exclude_root": self.mc_exclude_root,
-            "global_dedup": self.global_dedup,
-            "fetch_kinds": self.fetch_kinds,
-            "strict": self.strict,
-            "reference_source": self.reference_source,
-            "only_topics": list(self.only_topics),
-            "only_sources": list(self.only_sources),
-            "only_verticals": list(self.only_verticals),
+            f.name: _echo_value(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in _NOT_ECHOED
         }
+
+
+# Left out of the manifest: the output directory, the topics, reference,
+# gold and reply files, and the settings that change only how a run
+# proceeds (pacing and worker count), not what it writes.
+_NOT_ECHOED = frozenset({"out", "topics", "refs", "golds", "politeness_delay", "jobs", "replies"})
+
+
+def _echo_value(value):
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
 def _csv_list(raw: str) -> tuple[str, ...]:
@@ -207,28 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     config = RunConfig(
-        corpus=args.corpus,
-        out=args.out,
-        topics=args.topics,
-        refs=getattr(args, "refs", None),
-        golds=getattr(args, "golds", None),
-        mode=args.mode,
-        fixtures=args.fixtures,
-        threshold=args.threshold,
-        reply_limit=args.reply_limit,
-        depth_limit=args.depth_limit,
-        max_redirects=args.max_redirects,
-        politeness_delay=args.politeness_delay,
-        dist_mode=args.dist_mode,
-        mc_exclude_root=args.mc_exclude_root,
-        global_dedup=args.global_dedup,
-        fetch_kinds=args.fetch_kinds,
-        strict=args.strict,
-        jobs=args.jobs,
-        reference_source=args.reference_source,
-        only_topics=args.only_topics,
-        only_sources=args.only_sources,
-        only_verticals=args.only_verticals,
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     )
     config.validate()
     return config
@@ -248,9 +230,7 @@ def _load_corpus(config: RunConfig) -> Corpus:
 
 def _expand_replies(corpus: Corpus, config: RunConfig, replies_path: Path) -> Corpus:
     """Grow SERP-visible posts into threads using recorded replies."""
-    recorded = load_corpus(replies_path) if replies_path else None
-    if recorded is None:
-        return corpus
+    recorded = load_corpus(replies_path)
     adapter = FixtureThreadAdapter(recorded.posts.values())
     for root in sorted(corpus.posts.values(), key=lambda p: p.id):
         if not root.serp_visible:
@@ -310,32 +290,79 @@ def _write_golds(golds: dict[str, GoldStandard], out_dir: Path) -> None:
         path.write_text(golds[topic_id].to_json(), encoding="utf-8")
 
 
-def run_pipeline(config: RunConfig, replies: Path | None = None) -> int:
-    """segment -> extract -> goldstd -> analyze -> report, plus manifest."""
-    warnings: list[str] = []
-    corpus = _load_corpus(config)
-    if replies:
-        corpus = _expand_replies(corpus, config, replies)
-    fetcher = config.fetcher()
+STAGES = ("ingest", "segment", "extract", "goldstd", "analyze")
 
-    partition = partition_corpus(
-        corpus, config.selector(), mc_exclude_root=config.mc_exclude_root, warnings=warnings
-    )
-    mc_partition = mc_view(partition)
-    collections = assemble_collections(
-        corpus,
-        partition,
-        fetcher,
-        AssembleOptions(
-            depth_limit=config.depth_limit,
-            fetch_kinds=config.fetch_kinds,
-            global_dedup=config.global_dedup,
-            strict=config.strict,
-        ),
-        warnings=warnings,
-    )
+
+def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
+    """Run the stages in pipeline order up to ``stop`` and write that
+    stage's files.
+
+    ingest (load the corpus, grow threads from ``config.replies``) ->
+    segment -> extract -> goldstd -> analyze, which writes the report
+    bundle with its manifest. Gold standards read only the corpus, so a
+    run stopped at goldstd skips segmentation and extraction and fetches
+    no permalinks. A stopped run prints its warnings to stderr; a full
+    run keeps them in the manifest.
+    """
+    if stop not in STAGES:
+        raise ValueError(f"unknown stage {stop!r}; expected one of {STAGES}")
+    warnings: list[str] = []
+    out = Path(config.out)
+    corpus = _load_corpus(config)
+    if config.replies:
+        corpus = _expand_replies(corpus, config, config.replies)
+    if stop == "ingest":
+        out.mkdir(parents=True, exist_ok=True)
+        write_corpus(corpus, out / "corpus.jsonl")
+        print(f"ingested {len(corpus.posts)} posts, {len(corpus.topics)} topics")
+        return EXIT_OK
+
+    if stop != "goldstd":
+        partition = partition_corpus(
+            corpus, config.selector(), mc_exclude_root=config.mc_exclude_root, warnings=warnings
+        )
+        mc_partition = mc_view(partition)
+        if stop == "segment":
+            out.mkdir(parents=True, exist_ok=True)
+            for name, data in (("partition", partition), ("partition_mc", mc_partition)):
+                write_csv(out / f"{name}.csv", PARTITION_HEADER, partition_rows(data))
+            _print_warnings(warnings)
+            return EXIT_OK
+
+    fetcher = config.fetcher()
+    if stop != "goldstd":
+        collections = assemble_collections(
+            corpus,
+            partition,
+            fetcher,
+            AssembleOptions(
+                depth_limit=config.depth_limit,
+                fetch_kinds=config.fetch_kinds,
+                global_dedup=config.global_dedup,
+                strict=config.strict,
+            ),
+            warnings=warnings,
+        )
+        if stop == "extract":
+            out.mkdir(parents=True, exist_ok=True)
+            rows = [list(map(fmt, row)) for row in seed_rows(collections)]
+            write_csv(out / "seeds.csv", SEED_CSV_HEADER, rows)
+            (out / "seeds.json").write_text(
+                json.dumps(seed_json(collections), ensure_ascii=False, indent=2) + "\n",
+                encoding="utf-8",
+            )
+            _print_warnings(warnings)
+            return EXIT_OK
+
     golds = _load_golds(config, corpus, fetcher, warnings)
-    _write_golds(golds, Path(config.out) / "golds")
+    if stop == "goldstd":
+        if not golds:
+            print("error: no gold standards could be built", file=sys.stderr)
+            return EXIT_RUNTIME
+        _write_golds(golds, out)
+        _print_warnings(warnings)
+        return EXIT_OK
+    _write_golds(golds, out / "golds")
 
     report_config = ReportConfig(
         threshold=config.threshold,
@@ -359,8 +386,13 @@ def run_pipeline(config: RunConfig, replies: Path | None = None) -> int:
         "tables": tables,
         "manifest": build_manifest(config.echo(), warnings, counts),
     }
-    write_bundle(bundle, config.out, formats=("csv", "json"))
+    write_bundle(bundle, out, formats=("csv", "json"))
     return EXIT_OK
+
+
+def _print_warnings(warnings) -> None:
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -370,80 +402,8 @@ def main(argv=None) -> int:
             bundle = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
             write_bundle(bundle, args.out, formats=(args.format,))
             return EXIT_OK
-        config = config_from_args(args)
-
-        if args.command == "ingest":
-            corpus = _load_corpus(config)
-            corpus = _expand_replies(corpus, config, args.replies)
-            config.out.mkdir(parents=True, exist_ok=True)
-            write_corpus(corpus, config.out / "corpus.jsonl")
-            print(f"ingested {len(corpus.posts)} posts, {len(corpus.topics)} topics")
-            return EXIT_OK
-
-        if args.command == "segment":
-            warnings: list[str] = []
-            corpus = _load_corpus(config)
-            partition = partition_corpus(
-                corpus, config.selector(), mc_exclude_root=config.mc_exclude_root, warnings=warnings
-            )
-            config.out.mkdir(parents=True, exist_ok=True)
-            for name, data in (("partition", partition), ("partition_mc", mc_view(partition))):
-                write_csv(config.out / f"{name}.csv", PARTITION_HEADER, partition_rows(data))
-            for warning in warnings:
-                print(f"warning: {warning}", file=sys.stderr)
-            return EXIT_OK
-
-        if args.command == "extract":
-            warnings = []
-            corpus = _load_corpus(config)
-            fetcher = config.fetcher()
-            partition = partition_corpus(
-                corpus, config.selector(), mc_exclude_root=config.mc_exclude_root, warnings=warnings
-            )
-            collections = assemble_collections(
-                corpus,
-                partition,
-                fetcher,
-                AssembleOptions(
-                    depth_limit=config.depth_limit,
-                    fetch_kinds=config.fetch_kinds,
-                    global_dedup=config.global_dedup,
-                    strict=config.strict,
-                ),
-                warnings=warnings,
-            )
-            config.out.mkdir(parents=True, exist_ok=True)
-            write_csv(
-                config.out / "seeds.csv",
-                SEED_CSV_HEADER,
-                [list(map(fmt, row)) for row in seed_rows(collections)],
-            )
-            (config.out / "seeds.json").write_text(
-                json.dumps(seed_json(collections), ensure_ascii=False, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            return EXIT_OK
-
-        if args.command == "goldstd":
-            warnings = []
-            corpus = _load_corpus(config)
-            fetcher = config.fetcher()
-            golds = _load_golds(config, corpus, fetcher, warnings)
-            if not golds:
-                print("error: no gold standards could be built", file=sys.stderr)
-                return EXIT_RUNTIME
-            _write_golds(golds, config.out)
-            for warning in warnings:
-                print(f"warning: {warning}", file=sys.stderr)
-            return EXIT_OK
-
-        if args.command == "analyze":
-            return run_pipeline(config)
-
-        if args.command == "run":
-            return run_pipeline(config, replies=args.replies)
-
-        raise AssertionError(f"unhandled command {args.command}")
+        stop = "analyze" if args.command == "run" else args.command
+        return run_pipeline(config_from_args(args), stop)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,19 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-# Known platform names; anything else is accepted as an "other" source.
-KNOWN_SOURCES = ("reddit", "twitter", "twitter_moments", "scoopit")
-# Known SERP verticals (tab/ordering names); others accepted verbatim.
-KNOWN_VERTICALS = (
-    "relevance",
-    "top",
-    "new",
-    "comments",
-    "latest",
-    "scoops",
-    "topics",
-    "moments",
-)
 QUERY_KINDS = ("text", "hashtag")
 EXPECTATIONS = ("expected", "unexpected")
 RECURRENCES = ("recurring", "non_recurring")

@@ -37,11 +37,19 @@ class Element:
     children: list = field(default_factory=list)  # Element | str
 
     def iter(self):
-        """Yield this element and all descendants, depth-first."""
+        """Yield this element and all descendants, depth-first in document
+        order. A stack of child iterators stands in for recursion, so
+        nesting depth is not bounded by the recursion limit."""
         yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter()
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Element):
+                    yield child
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     def iter_tag(self, tag: str):
         for el in self.iter():
@@ -51,15 +59,17 @@ class Element:
     def text(self, exclude=NON_CONTENT_TAGS) -> str:
         """Whitespace-collapsed text of the subtree, skipping ``exclude`` tags."""
         parts: list[str] = []
-        self._collect_text(parts, exclude)
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, str):
+                    parts.append(child)
+                elif child.tag not in exclude:
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
         return " ".join(" ".join(parts).split())
-
-    def _collect_text(self, parts, exclude):
-        for child in self.children:
-            if isinstance(child, str):
-                parts.append(child)
-            elif child.tag not in exclude:
-                child._collect_text(parts, exclude)
 
     def element_count(self) -> int:
         return sum(1 for _ in self.iter()) - 1

@@ -130,20 +130,21 @@ def _parse_iso_date(value) -> date | None:
         return None
 
 
-def _jsonld_published(node) -> str | None:
-    if isinstance(node, dict):
-        for field in ("datePublished", "dateCreated"):
-            if field in node:
+def _jsonld_published(payload) -> str | None:
+    """First non-empty datePublished (else dateCreated) value of a JSON-LD
+    payload, walking it in document order with an explicit stack. An
+    object that holds either field is not searched below."""
+    stack = [payload]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            field = next((f for f in ("datePublished", "dateCreated") if f in node), None)
+            if field is None:
+                stack.extend(reversed(list(node.values())))
+            elif node[field]:
                 return node[field]
-        for value in node.values():
-            found = _jsonld_published(value)
-            if found:
-                return found
-    elif isinstance(node, list):
-        for item in node:
-            found = _jsonld_published(item)
-            if found:
-                return found
+        elif isinstance(node, list):
+            stack.extend(reversed(node))
     return None
 
 
@@ -174,7 +175,8 @@ def metadata_date(root: Element) -> date | None:
         raw = "".join(c for c in el.children if isinstance(c, str))
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
+            # Too deep for the decoder: treated as carrying no date.
             continue
         found = _parse_iso_date(_jsonld_published(payload))
         if found:

@@ -27,7 +27,6 @@ from .analytics import (
     hostname_diversity,
     judge_relevance,
     make_age_sample,
-    seeds_by_post,
     serp_overlap,
     uri_count_distribution,
 )
@@ -152,12 +151,16 @@ class PostObservation:
 
 
 def collect_observations(collections, judge: RelevanceIndex) -> list[PostObservation]:
+    """One observation per post per cell, over each post's own seeds
+    (``post_seeds``, not the collection-deduped ones), in sorted-cell,
+    first-seen-post order."""
     observations = []
     for key in sorted(collections):
         topic, source, vertical, post_class = key
-        collection = collections[key]
-        by_post_all = seeds_by_post(collection, None)
-        for post_id, seeds in by_post_all.items():
+        by_post: dict[str, list] = {}
+        for seed in collections[key].post_seeds:
+            by_post.setdefault(seed.provenance.post_id, []).append(seed)
+        for post_id, seeds in by_post.items():
             ks = {}
             precs = {}
             for kind_name, kind in KIND_FILTERS:
@@ -174,8 +177,28 @@ def collect_observations(collections, judge: RelevanceIndex) -> list[PostObserva
     return observations
 
 
-def _mc_label(post_class: str) -> str | None:
-    return MC if post_class in MC_MEMBER_CLASSES else None
+def _row_classes(post_class: str) -> tuple[str, ...]:
+    """The report classes a cell of ``post_class`` counts towards: its
+    own, and MC when it is PnA1 or PnAn."""
+    return (post_class, MC) if post_class in MC_MEMBER_CLASSES else (post_class,)
+
+
+def group_by_scope(observations) -> dict:
+    """(kind name, source, scope) -> the observations holding at least
+    one seed of that kind, in ``collect_observations`` order.
+
+    A post's scopes are its report classes (``_row_classes``) and All.
+    Both the URI-count distributions and the per-k relevance view read
+    this one grouping.
+    """
+    groups: dict = {}
+    for o in observations:
+        scopes = (*_row_classes(o.post_class), "All")
+        for kind_name, _kind in KIND_FILTERS:
+            if o.k[kind_name] >= 1:
+                for scope in scopes:
+                    groups.setdefault((kind_name, o.source, scope), []).append(o)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -199,10 +222,8 @@ def index_rows(collections, observations) -> RowIndex:
     pass over each."""
     cells: dict = {}
     for key in sorted(collections):
-        cells.setdefault(key, []).append(key)
-        mc = _mc_label(key[3])
-        if mc:
-            cells.setdefault((*key[:3], mc), []).append(key)
+        for label in _row_classes(key[3]):
+            cells.setdefault((*key[:3], label), []).append(key)
     seeds = {}
     for row_key, members in cells.items():
         seen = set()
@@ -215,10 +236,8 @@ def index_rows(collections, observations) -> RowIndex:
         seeds[row_key] = row
     grouped: dict = {row_key: [] for row_key in cells}
     for o in observations:
-        grouped[(o.topic, o.source, o.vertical, o.post_class)].append(o)
-        mc = _mc_label(o.post_class)
-        if mc:
-            grouped[(o.topic, o.source, o.vertical, mc)].append(o)
+        for label in _row_classes(o.post_class):
+            grouped[(o.topic, o.source, o.vertical, label)].append(o)
     return RowIndex(sorted(cells), cells, seeds, grouped)
 
 
@@ -246,18 +265,34 @@ def build_tables(
     tables["partition_mc"] = _table(PARTITION_HEADER, partition_rows(mc_partition))
     tables["seeds"] = _table(SEED_CSV_HEADER, [list(map(fmt, row)) for row in seed_rows(collections)])
 
-    for kind_name, kind in KIND_FILTERS:
-        rows = []
+    groups = group_by_scope(observations)
+    for kind_name, _kind in KIND_FILTERS:
+        distribution_rows = []
+        by_k_rows = []
         for source in sources:
             for scope in SCOPES:
-                column = uri_count_distribution(
-                    collections, source=source, scope=scope, kind=kind, mode=config.dist_mode
+                group = groups.get((kind_name, source, scope), [])
+                probabilities = uri_count_distribution(
+                    [(o.topic, o.k[kind_name]) for o in group], config.dist_mode
+                )
+                by_bin = conditional_relevance_by_k(
+                    (o.k[kind_name], o.precision[kind_name]) for o in group
                 )
                 for bin_label in K_BINS:
-                    value = column.probabilities.get(bin_label) if not column.is_na else None
-                    rows.append([bin_label, source, scope, fmt(value), config.dist_mode])
+                    distribution_rows.append(
+                        [bin_label, source, scope, fmt(probabilities.get(bin_label)),
+                         config.dist_mode]
+                    )
+                    cell = by_bin[bin_label]
+                    by_k_rows.append(
+                        [bin_label, source, scope, fmt(cell.average), fmt(cell.post_count),
+                         kind_name]
+                    )
         tables[f"distribution_{kind_name}"] = _table(
-            ("bin", "source", "class", "probability", "mode"), rows
+            ("bin", "source", "class", "probability", "mode"), distribution_rows
+        )
+        tables[f"relevance_by_k_{kind_name}"] = _table(
+            ("bin", "source", "class", "avg_precision", "post_count", "kind"), by_k_rows
         )
 
     for kind_name, kind in KIND_FILTERS:
@@ -276,33 +311,6 @@ def build_tables(
         tables[f"precision_{kind_name}"] = _table(
             ("topic", "source", "vertical", "class", "avg_precision", "post_count", "kind"),
             rows,
-        )
-
-    for kind_name, _kind in KIND_FILTERS:
-        rows = []
-        for source in sources:
-            for scope in SCOPES:
-                if scope == "All":
-                    classes = None
-                elif scope == MC:
-                    classes = set(MC_MEMBER_CLASSES)
-                else:
-                    classes = {scope}
-                stats = [
-                    (o.k[kind_name], o.precision[kind_name])
-                    for o in observations
-                    if o.source == source
-                    and o.k[kind_name] >= 1
-                    and (classes is None or o.post_class in classes)
-                ]
-                by_bin = conditional_relevance_by_k(stats)
-                for bin_label in K_BINS:
-                    cell = by_bin[bin_label]
-                    rows.append(
-                        [bin_label, source, scope, fmt(cell.average), fmt(cell.post_count), kind_name]
-                    )
-        tables[f"relevance_by_k_{kind_name}"] = _table(
-            ("bin", "source", "class", "avg_precision", "post_count", "kind"), rows
         )
 
     tables["age"], tables["age_ecdf"] = _age_tables(rows_index, judge, provider, warnings)

@@ -1,30 +1,12 @@
 """Hot text kernels: token counting and sparse cosine.
 
-Two interchangeable implementations live here: a Cython extension
-(``_ckernel``) compiled at install time and a pure-Python fallback
-(``_pykernel``). The compiled one is picked at import when available;
-set ``SEEDSMITH_PURE_PYTHON=1`` to force the fallback. Both expose the
-same functions and must produce identical results (see the parity
-tests and ``benchmarks/bench_textkernel.py``).
+The functions live in ``_pykernel`` and are pure Python.
+``IMPLEMENTATION`` names the kernel in every run's manifest.
 """
 
-import os
+from ._pykernel import merge_counts, sparse_cosine, token_counts
 
-from . import _pykernel
-
-if os.environ.get("SEEDSMITH_PURE_PYTHON") == "1":
-    _impl = _pykernel
-else:
-    try:
-        from . import _ckernel as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pykernel
-
-IMPLEMENTATION = "c" if _impl is not _pykernel else "python"
-
-token_counts = _impl.token_counts
-merge_counts = _impl.merge_counts
-sparse_cosine = _impl.sparse_cosine
+IMPLEMENTATION = "python"
 
 __all__ = [
     "IMPLEMENTATION",

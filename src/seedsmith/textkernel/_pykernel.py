@@ -1,15 +1,10 @@
-"""Pure-Python reference implementation of the text kernels.
-
-Kept in lockstep with ``_ckernel.pyx``; any change here must be mirrored
-there (the parity tests compare both on random inputs).
-"""
+"""The text kernels: token counting, count merging and sparse cosine."""
 
 import math
 import re
 
-# One token = a maximal run of Unicode alphanumerics. \w minus underscore
-# matches exactly the characters str.isalnum() accepts, which is what the
-# compiled kernel tests per character.
+# One token = a maximal run of Unicode alphanumerics: \w minus underscore
+# matches exactly the characters str.isalnum() accepts.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 

@@ -1,10 +1,13 @@
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
+from seedsmith.analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_NORMALIZED, uri_count_distribution
 from seedsmith.corpus.model import Post, TopicSpec, build_corpus
+from seedsmith.reports import KIND_FILTERS, RelevanceIndex, collect_observations, group_by_scope
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -44,6 +47,29 @@ def make_corpus(posts, topics=None):
     if topics is None:
         topics = [make_topic(t) for t in sorted({p.topic_id for p in posts})]
     return build_corpus(posts, topics)
+
+
+@dataclass(frozen=True)
+class DistributionColumn:
+    probabilities: dict  # bin -> probability; empty means NA
+    post_count: int  # pooled link-bearing post occurrences
+
+    @property
+    def is_na(self) -> bool:
+        return not self.probabilities
+
+
+def distribution_column(collections, *, source, scope="All", kind=None, mode=MODE_NORMALIZED):
+    """One URI-count distribution column, computed as the report does:
+    the collections' per-post observations (judged against no gold
+    standards), grouped by scope, fed to ``uri_count_distribution``."""
+    judge = RelevanceIndex({}, None, DEFAULT_RELEVANCE_THRESHOLD)
+    kind_name = {k: name for name, k in KIND_FILTERS}[kind]
+    group = group_by_scope(collect_observations(collections, judge)).get(
+        (kind_name, source, scope), []
+    )
+    probabilities = uri_count_distribution([(o.topic, o.k[kind_name]) for o in group], mode)
+    return DistributionColumn(probabilities, len(group))
 
 
 @pytest.fixture

@@ -6,9 +6,9 @@ growing, stdlib quantiles instead of the hand-rolled interpolation, a
 calendar-free day counter instead of datetime arithmetic.
 
 The last section keeps reference copies of code the package has since
-restructured (recursive self-chain growing, the page functions that
-each parsed a document on their own, and the per-row rescans of report
-assembly), for differential tests.
+restructured (recursive self-chain growing, the recursive element-tree
+walks, the page functions that each parsed a document on their own, and
+the per-row rescans of report assembly), for differential tests.
 """
 
 import json
@@ -18,6 +18,7 @@ from datetime import date
 
 from seedsmith.htmltools import (
     NON_CONTENT_TAGS,
+    Element,
     HtmlDecodingError,
     absolute_http_links,
     decode_html,
@@ -159,6 +160,29 @@ def reference_self_chains(root):
 
     grow(root, [root.post])
     return chains
+
+
+def reference_iter(element):
+    """An element and its descendants, recursively, in pre-order."""
+    yield element
+    for child in element.children:
+        if isinstance(child, Element):
+            yield from reference_iter(child)
+
+
+def reference_text(element, exclude=NON_CONTENT_TAGS):
+    """Whitespace-collapsed text of a subtree, collected recursively."""
+    parts = []
+
+    def collect(el):
+        for child in el.children:
+            if isinstance(child, str):
+                parts.append(child)
+            elif child.tag not in exclude:
+                collect(child)
+
+    collect(element)
+    return " ".join(" ".join(parts).split())
 
 
 def reference_strip_boilerplate(html):

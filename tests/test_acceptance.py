@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_corpus, make_post, make_topic
+from conftest import distribution_column, make_corpus, make_post, make_topic
 from oracles import brute_force_classify, classify_result_as_set, distinct_count, random_reply_tree
 from seedsmith.analytics import (
     MODE_LITERAL,
@@ -22,7 +22,6 @@ from seedsmith.analytics import (
     cosine_similarity,
     hostname_diversity,
     judge_relevance,
-    uri_count_distribution,
 )
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus import load_corpus, write_corpus
@@ -126,11 +125,11 @@ def test_criterion_2_distribution_correctness():
                 per_topic = {t: ks for t, ks in per_topic.items() if ks}
                 pooled = sum(len(ks) for ks in per_topic.values())
 
-                normalized = uri_count_distribution(
+                normalized = distribution_column(
                     collections, source=source, scope=scope, kind="html",
                     mode=MODE_NORMALIZED,
                 )
-                literal = uri_count_distribution(
+                literal = distribution_column(
                     collections, source=source, scope=scope, kind="html",
                     mode=MODE_LITERAL,
                 )

@@ -3,10 +3,11 @@ from datetime import date, datetime, timezone
 
 import pytest
 
-from conftest import RETRIEVED
+from conftest import RETRIEVED, distribution_column
 from oracles import days_from_civil, distinct_count, quantiles_inclusive
 from seedsmith.analytics import (
     DAYS_PER_YEAR,
+    DEFAULT_RELEVANCE_THRESHOLD,
     MODE_LITERAL,
     MODE_NORMALIZED,
     age_distribution,
@@ -18,13 +19,12 @@ from seedsmith.analytics import (
     judge_relevance,
     k_bin,
     make_age_sample,
-    post_precision,
     serp_overlap,
-    uri_count_distribution,
 )
 from seedsmith.corpus.fetch import FetchResult
 from seedsmith.extraction import HTML_KIND, SeedCollection, SeedProvenance, SeedUri
 from seedsmith.goldstandard import GoldStandard, TermVector, build_term_vector
+from seedsmith.reports import RelevanceIndex, collect_observations
 
 
 def gold_of(weights=None, text=None):
@@ -134,6 +134,15 @@ class TestPostPrecision:
     def texts(self, mapping):
         return lambda s: mapping[s.canonical]
 
+    def precision(self, seeds, texts, kind="all"):
+        """Precision of the one post holding ``seeds``, as the report
+        observes it."""
+        key = ("t1", "reddit", "top", "P1A1")
+        judge = RelevanceIndex({"t1": self.GOLD}, texts, DEFAULT_RELEVANCE_THRESHOLD)
+        collections = {key: SeedCollection(key=key, seeds=tuple(seeds))}
+        [observation] = collect_observations(collections, judge)
+        return observation.precision[kind]
+
     def test_half_relevant(self):
         seeds = [seed("https://a.example/1"), seed("https://a.example/2")]
         texts = self.texts(
@@ -142,12 +151,12 @@ class TestPostPrecision:
                 "https://a.example/2": "quantum chess bracket",
             }
         )
-        assert post_precision(seeds, self.GOLD, texts) == 0.5
+        assert self.precision(seeds, texts) == 0.5
 
     def test_all_relevant(self):
         seeds = [seed("https://a.example/1")]
         texts = self.texts({"https://a.example/1": "flood waters riverbend"})
-        assert post_precision(seeds, self.GOLD, texts) == 1.0
+        assert self.precision(seeds, texts) == 1.0
 
     def test_one_of_three(self):
         seeds = [seed(f"https://a.example/{i}") for i in range(3)]
@@ -158,10 +167,12 @@ class TestPostPrecision:
                 "https://a.example/2": "dogs",
             }
         )
-        assert post_precision(seeds, self.GOLD, texts) == pytest.approx(1 / 3)
+        assert self.precision(seeds, texts) == pytest.approx(1 / 3)
 
     def test_empty_seeds_undefined(self):
-        assert post_precision([], self.GOLD, lambda s: "") is None
+        seeds = [seed("https://a.example/1")]
+        texts = self.texts({"https://a.example/1": "flood waters riverbend"})
+        assert self.precision(seeds, texts, kind="non_html") is None
 
 
 class TestClassAveragePrecision:
@@ -228,7 +239,7 @@ class TestDistribution:
 
     def test_single_topic_modes_agree(self):
         for mode in (MODE_NORMALIZED, MODE_LITERAL):
-            column = uri_count_distribution(
+            column = distribution_column(
                 self.single_topic(), source="reddit", scope="P1A1", kind="html", mode=mode
             )
             assert column.probabilities["1"] == pytest.approx(0.5)
@@ -237,12 +248,12 @@ class TestDistribution:
             assert column.probabilities["5+"] == pytest.approx(0.25)
 
     def test_two_topic_literal_vs_normalized(self):
-        literal = uri_count_distribution(
+        literal = distribution_column(
             self.two_topics(), source="reddit", scope="P1A1", kind="html", mode=MODE_LITERAL
         )
         assert literal.probabilities["1"] == pytest.approx(1.0)  # 2/4 + 1/2
         assert sum(literal.probabilities.values()) == pytest.approx(2.0)  # topic count
-        normalized = uri_count_distribution(
+        normalized = distribution_column(
             self.two_topics(), source="reddit", scope="P1A1", kind="html", mode=MODE_NORMALIZED
         )
         assert normalized.probabilities["1"] == pytest.approx(0.5)  # 3/6
@@ -252,13 +263,13 @@ class TestDistribution:
         key, coll = collection_of({"a": 2})
         extra = seed("https://files.example/doc.pdf", post_id="a", kind="non_html")
         coll = SeedCollection(key=key, seeds=coll.seeds + (extra,))
-        html_col = uri_count_distribution({key: coll}, source="reddit", scope="P1A1", kind="html")
+        html_col = distribution_column({key: coll}, source="reddit", scope="P1A1", kind="html")
         assert html_col.probabilities["2"] == 1.0
-        all_col = uri_count_distribution({key: coll}, source="reddit", scope="P1A1", kind=None)
+        all_col = distribution_column({key: coll}, source="reddit", scope="P1A1", kind=None)
         assert all_col.probabilities["3-4"] == 1.0
 
     def test_empty_scope_is_na(self):
-        column = uri_count_distribution(
+        column = distribution_column(
             self.single_topic(), source="reddit", scope="PnAn", kind="html"
         )
         assert column.is_na
@@ -266,7 +277,7 @@ class TestDistribution:
     def test_mc_scope_pools_member_classes(self):
         k1, c1 = collection_of({"a": 1}, post_class="PnA1")
         k2, c2 = collection_of({"b": 2}, post_class="PnAn")
-        column = uri_count_distribution({k1: c1, k2: c2}, source="reddit", scope="MC", kind="html")
+        column = distribution_column({k1: c1, k2: c2}, source="reddit", scope="MC", kind="html")
         assert column.probabilities["1"] == pytest.approx(0.5)
         assert column.probabilities["2"] == pytest.approx(0.5)
         assert column.post_count == 2
@@ -274,7 +285,7 @@ class TestDistribution:
     def test_all_scope_counts_class_occurrences(self):
         k1, c1 = collection_of({"a": 1}, post_class="P1A1")
         k2, c2 = collection_of({"a": 1, "b": 1}, post_class="PnAn")
-        column = uri_count_distribution({k1: c1, k2: c2}, source="reddit", scope="All", kind="html")
+        column = distribution_column({k1: c1, k2: c2}, source="reddit", scope="All", kind="html")
         assert column.post_count == 3
 
     def test_k_uses_per_post_stream_not_collection_dedup(self):
@@ -287,7 +298,7 @@ class TestDistribution:
             seeds=(shared, only_b),  # collection-level dedup dropped b's copy
             post_seeds=(shared, also_b, only_b),
         )
-        column = uri_count_distribution({key: coll}, source="reddit", scope="P1A1", kind="html")
+        column = distribution_column({key: coll}, source="reddit", scope="P1A1", kind="html")
         assert column.post_count == 2
         assert column.probabilities["1"] == pytest.approx(0.5)  # post a
         assert column.probabilities["2"] == pytest.approx(0.5)  # post b

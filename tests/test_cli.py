@@ -194,6 +194,47 @@ class TestStages:
         assert gold["reference_uris"]
         assert abs(sum(gold["weights"].values()) - 1.0) < 1e-9
 
+    def test_each_stopped_run_writes_what_run_writes(self, tmp_path):
+        full = tmp_path / "run"
+        assert run_cli(*base_args(full), "--refs", DATA / "refs.json") == 0
+
+        def written(out):
+            return sorted(p.name for p in out.iterdir())
+
+        def assert_same(out, names, reference=full):
+            for name in names:
+                assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+        seg, ext, gold, ana = (tmp_path / name for name in ("seg", "ext", "gold", "ana"))
+        assert run_cli(*base_args(seg, "segment")) == 0
+        assert written(seg) == ["partition.csv", "partition_mc.csv"]
+        assert_same(seg, written(seg))
+
+        assert run_cli(*base_args(ext, "extract")) == 0
+        assert written(ext) == ["seeds.csv", "seeds.json"]
+        assert_same(ext, ["seeds.csv"])
+
+        assert run_cli(*base_args(gold, "goldstd"), "--refs", DATA / "refs.json") == 0
+        assert written(gold) == written(full / "golds")
+        assert_same(gold, written(gold), full / "golds")
+
+        assert run_cli(*base_args(ana, "analyze"), "--golds", gold) == 0
+        tables = [name for name in written(full) if name.endswith(".csv")]
+        assert len(tables) == 16
+        assert_same(ana, tables)
+
+    def test_goldstd_skips_segmentation_and_extraction(self, tmp_path, monkeypatch):
+        import seedsmith.cli as cli
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("goldstd ran a stage it does not need")
+
+        monkeypatch.setattr(cli, "partition_corpus", unexpected)
+        monkeypatch.setattr(cli, "assemble_collections", unexpected)
+        out = tmp_path / "gold"
+        assert run_cli(*base_args(out, "goldstd"), "--refs", DATA / "refs.json") == 0
+        assert (out / "gold_flood.json").exists()
+
     def test_ingest_expands_replies(self, tmp_path):
         roots = make_corpus([make_post(id="r", serp_visible=True)])
         replies = make_corpus(

@@ -2,20 +2,31 @@
 
 import sys
 import threading
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import make_corpus, make_post
-from oracles import reference_metadata_date, reference_strip_boilerplate, reference_target_links
+from oracles import (
+    reference_iter,
+    reference_metadata_date,
+    reference_strip_boilerplate,
+    reference_target_links,
+    reference_text,
+)
 from seedsmith import htmltools
 from seedsmith.analytics import date_from_metadata, digest_date_estimators, estimate_publication_date
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus import fetch as fetch_module
+from seedsmith.corpus import write_corpus
 from seedsmith.corpus.fetch import FetchPolicy, Fetcher, FetchResult, FixtureTransport, write_fixture
 from seedsmith.goldstandard import strip_boilerplate
-from seedsmith.pages import digest_page
+from seedsmith.htmltools import Element, decode_html, parse_html
+from seedsmith.pages import PageDigest, _jsonld_published, digest_page
 from seedsmith.reports import SeedTextProvider
 
 DATA = Path(__file__).parent / "data"
@@ -207,3 +218,132 @@ def test_fixture_run_parses_each_html_page_once(tmp_path, monkeypatch, jobs):
     assert code == 0
     assert pages
     assert len(calls) == len(pages)
+
+
+# ---------------------------------------------------------------------------
+# Element-tree walks and hostile pages
+# ---------------------------------------------------------------------------
+
+
+def _assert_walks_match_reference(root):
+    got = list(root.iter())
+    want = list(reference_iter(root))
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+    for el in got:
+        assert el.text() == reference_text(el)
+        assert el.text(exclude=frozenset()) == reference_text(el, frozenset())
+        assert el.element_count() == len(list(reference_iter(el))) - 1
+
+
+def test_walks_match_recursive_reference_on_fixture_pages():
+    roots = []
+    for param in fixture_bodies():
+        try:
+            roots.append(parse_html(decode_html(param.values[0])))
+        except ValueError:
+            continue
+    assert roots
+    for root in roots:
+        _assert_walks_match_reference(root)
+
+
+_TAGS = ("div", "p", "a", "span", "script", "nav", "article")
+_TREES = st.recursive(
+    st.text(alphabet="ab <&", max_size=4),
+    lambda kids: st.builds(
+        lambda tag, children: Element(tag, {}, children),
+        st.sampled_from(_TAGS),
+        st.lists(kids, max_size=4),
+    ),
+    max_leaves=40,
+)
+_DOCUMENTS = st.builds(lambda children: Element("[document]", {}, children), st.lists(_TREES, max_size=4))
+# Tag soup: unclosed, stray and interleaved tags.
+_MARKUP = st.lists(
+    st.sampled_from(
+        ["<div>", "</div>", "<p>", "</p>", "<a href='https://x.example/'>", "</a>", "<nav>",
+         "</nav>", "<script>", "</script>", "</span>", "<br>", "<td>", "words ", "more ", "&amp; "]
+    ),
+    max_size=80,
+).map("".join)
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=200, deadline=None)
+def test_walks_match_recursive_reference_on_generated_trees(root):
+    _assert_walks_match_reference(root)
+
+
+@given(_MARKUP)
+@settings(max_examples=200, deadline=None)
+def test_walks_match_recursive_reference_on_tag_soup(markup):
+    _assert_walks_match_reference(parse_html(markup))
+
+
+_JSONLD = st.recursive(
+    st.one_of(st.none(), st.integers(0, 2), st.sampled_from(["", "x", "2010-01-02", "2011-02-03T04:05"])),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.sampled_from(["datePublished", "dateCreated", "@graph", "a"]), kids,
+                        max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSONLD)
+@settings(max_examples=300, deadline=None)
+def test_jsonld_search_matches_recursive_reference(payload):
+    # The reference hands back a falsy top-level field value; both mean
+    # "no date" to the caller.
+    assert _jsonld_published(payload) == (oracles._jsonld_published(payload) or None)
+
+
+def test_jsonld_search_deeper_than_recursion_limit():
+    node = {"datePublished": "2010-01-02"}
+    for _ in range(sys.getrecursionlimit() * 5):
+        node = [{"a": None}, node]
+    assert _jsonld_published(node) == "2010-01-02"
+
+
+DEEP_NESTING = (
+    b"<html><body>" + b"<div>" * 2000 + b"<p>deep text</p>" + b"</div>" * 2000 + b"</body></html>"
+)
+# A JSON-LD array nested past the decoder's depth limit, then a meta date.
+DEEP_JSONLD = (
+    b'<html><head><script type="application/ld+json">' + b"[" * 5000 + b"]" * 5000
+    + b'</script><meta name="date" content="2014-03-04"></head><body><p>shallow text</p></body></html>'
+)
+
+
+def test_deep_nesting_digest():
+    assert digest_page(DEEP_NESTING) == PageDigest("deep text", None, None, ())
+
+
+def test_too_deep_jsonld_carries_no_date():
+    digest = digest_page(DEEP_JSONLD)
+    assert digest.published == date(2014, 3, 4)
+    assert digest.text == "shallow text"
+
+
+@pytest.mark.parametrize(
+    "body", [pytest.param(DEEP_NESTING, id="deep-nesting"), pytest.param(DEEP_JSONLD, id="deep-jsonld")]
+)
+def test_lenient_run_over_hostile_page_exits_0(tmp_path, body):
+    uri = "https://hostile.example/page"
+    fixtures = tmp_path / "responses"
+    fixtures.mkdir()
+    write_fixture(fixtures, uri, 200, {"Content-Type": "text/html"}, body)
+    write_corpus(make_corpus([make_post(id="p1", serp_visible=True, text=f"see {uri}")]),
+                 tmp_path / "corpus.jsonl")
+    (tmp_path / "refs.json").write_text(f'{{"t1": ["{uri}"]}}')
+    out = tmp_path / "out"
+    code = cli_main(
+        ["run", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out),
+         "--fixtures", str(fixtures), "--refs", str(tmp_path / "refs.json"), "--jobs", "2"]
+    )
+    assert code == 0
+    assert uri in (out / "seeds.csv").read_text()
+    precision = (out / "precision_html.csv").read_text().splitlines()
+    assert "t1,reddit,top,P1A1,1.0000,1,html" in precision

@@ -1,20 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from seedsmith import textkernel
 from seedsmith.textkernel import IMPLEMENTATION, _pykernel
 
-try:
-    from seedsmith.textkernel import _ckernel
-except ImportError:
-    _ckernel = None
 
-IMPLS = [_pykernel] + ([_ckernel] if _ckernel else [])
-
-
-@pytest.fixture(params=IMPLS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+# The kernel module, as a parameter so that each test's name records the
+# implementation it ran on.
+@pytest.fixture(params=[_pykernel], ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 def kernel(request):
     return request.param
 
@@ -63,24 +57,7 @@ def test_sparse_cosine_hand_value(kernel):
     assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
-@pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
-class TestImplementationParity:
-    @given(st.text(max_size=400))
-    @settings(max_examples=300, deadline=None)
-    def test_token_counts_parity(self, text):
-        stop = frozenset({"the", "of", "και"})
-        assert _pykernel.token_counts(text, stop) == _ckernel.token_counts(text, stop)
-
-    @given(
-        st.dictionaries(st.text(min_size=1, max_size=6), st.floats(0.001, 10.0), max_size=30),
-        st.dictionaries(st.text(min_size=1, max_size=6), st.floats(0.001, 10.0), max_size=30),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_cosine_parity(self, a, b):
-        assert _pykernel.sparse_cosine(a, b) == pytest.approx(
-            _ckernel.sparse_cosine(a, b), abs=1e-12
-        )
-
-
 def test_selected_implementation_is_reported():
-    assert IMPLEMENTATION in ("c", "python")
+    assert IMPLEMENTATION == "python"
+    for name in ("token_counts", "merge_counts", "sparse_cosine"):
+        assert getattr(textkernel, name) is getattr(_pykernel, name)
