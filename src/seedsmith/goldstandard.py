@@ -124,9 +124,9 @@ def extract_references(ref_page: FetchResult) -> list[str]:
                 out.append(href)
         return out
 
-    containers = [el for el in root.iter() if _looks_like_reference_container(el)]
+    containers = [el for el in root.elements if _looks_like_reference_container(el)]
     if not containers:
-        containers = [ol for ol in root.iter_tag("ol") if external_uris(ol)]
+        containers = [el for el in root.elements if el.tag == "ol" and external_uris(el)]
     if not containers:
         log.warning("no references section found in %s", ref_page.final_uri)
         return []

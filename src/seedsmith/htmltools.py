@@ -1,7 +1,8 @@
 """Small lenient HTML layer on top of html.parser.
 
 Builds a minimal element tree that tolerates unclosed and stray tags,
-enough for anchor/meta extraction and main-content text recovery. Not a
+and lists its elements in document order while parsing: enough for
+anchor/meta extraction and main-content text recovery. Not a
 general DOM: no entity-reference table beyond the stdlib's, no CSS.
 """
 
@@ -30,11 +31,17 @@ class HtmlDecodingError(ValueError):
     """Input bytes could not be decoded; the message names the encoding."""
 
 
-@dataclass
+@dataclass(slots=True, eq=False, repr=False)
 class Element:
+    """One element of a parsed page. Elements compare by identity, and
+    ``repr`` shows one level only, so neither recurses into a deep tree."""
+
     tag: str
     attrs: dict[str, str]
     children: list = field(default_factory=list)  # Element | str
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.tag!r}, {self.attrs!r}, children={len(self.children)})"
 
     def iter(self):
         """Yield this element and all descendants, depth-first in document
@@ -71,32 +78,61 @@ class Element:
                 stack.pop()
         return " ".join(" ".join(parts).split())
 
-    def element_count(self) -> int:
-        return sum(1 for _ in self.iter()) - 1
+
+@dataclass(slots=True, eq=False, repr=False)
+class Document(Element):
+    """Root of a parsed page, with every element below it listed once.
+
+    ``elements`` is in document order, the pre-order ``iter`` yields
+    after the root itself; ``parents[i]`` is the index in ``elements``
+    of ``elements[i]``'s parent, -1 for a child of the root. The root is
+    kept out of its own list, so a tree holds no reference cycle and is
+    freed as soon as it is dropped.
+    """
+
+    elements: list = field(default_factory=list)  # Element
+    parents: list = field(default_factory=list)  # int
 
 
 class _TreeBuilder(HTMLParser):
+    """Builds the tree and records each element as its start tag arrives:
+    an element is only ever added under an open element, and a closed
+    one never reopens, so start-tag order is document pre-order."""
+
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        self.root = Element("[document]", {})
+        self.root = Document("[document]", {})
+        self.elements = self.root.elements
+        self.parents = self.root.parents
         self.stack = [self.root]
+        self.open_indices = [-1]  # index in elements of each stack entry
+
+    def updatepos(self, i, j):
+        # Line and column numbers are never read; skip counting newlines.
+        return j
 
     def handle_starttag(self, tag, attrs):
         element = Element(tag, {k: (v if v is not None else "") for k, v in attrs})
         self.stack[-1].children.append(element)
+        self.parents.append(self.open_indices[-1])
+        self.elements.append(element)
         if tag not in VOID_TAGS:
+            self.open_indices.append(len(self.elements) - 1)
             self.stack.append(element)
 
     def handle_startendtag(self, tag, attrs):
-        self.stack[-1].children.append(
-            Element(tag, {k: (v if v is not None else "") for k, v in attrs})
-        )
+        # <tag/> opens and closes at once.
+        self.handle_starttag(tag, attrs)
+        if tag not in VOID_TAGS:
+            self.stack.pop()
+            self.open_indices.pop()
 
     def handle_endtag(self, tag):
         # Pop back to the nearest matching open tag; ignore stray closers.
         for i in range(len(self.stack) - 1, 0, -1):
             if self.stack[i].tag == tag:
                 del self.stack[i:]
+                del self.open_indices[i:]
                 return
 
     def handle_data(self, data):
@@ -104,8 +140,8 @@ class _TreeBuilder(HTMLParser):
             self.stack[-1].children.append(data)
 
 
-def parse_html(text: str) -> Element:
-    """Parse HTML text into an Element tree, tolerating malformed markup."""
+def parse_html(text: str) -> Document:
+    """Parse HTML text into an element tree, tolerating malformed markup."""
     builder = _TreeBuilder()
     builder.feed(text)
     builder.close()
@@ -137,18 +173,20 @@ def find_links(root: Element) -> list[tuple[str, Element]]:
     return [(el.attrs["href"], el) for el in root.iter_tag("a") if el.attrs.get("href")]
 
 
-def absolute_http_links(root: Element) -> list[str]:
-    """hrefs that are absolute http(s) URIs, in document order."""
+def absolute_http_links(root: Document) -> list[str]:
+    """hrefs of a document's anchors that are absolute http(s) URIs, in
+    document order."""
     out = []
-    for href, _ in find_links(root):
-        href = href.strip()
-        if href.lower().startswith(("http://", "https://")):
-            out.append(href)
+    for el in root.elements:
+        if el.tag == "a" and el.attrs.get("href"):
+            href = el.attrs["href"].strip()
+            if href.lower().startswith(("http://", "https://")):
+                out.append(href)
     return out
 
 
-def find_meta(root: Element) -> list[dict[str, str]]:
-    """Attribute dicts of every meta tag, keys lowercased."""
+def find_meta(root: Document) -> list[dict[str, str]]:
+    """Attribute dicts of every meta tag of a document, keys lowercased."""
     return [
-        {k.lower(): v for k, v in el.attrs.items()} for el in root.iter_tag("meta")
+        {k.lower(): v for k, v in el.attrs.items()} for el in root.elements if el.tag == "meta"
     ]

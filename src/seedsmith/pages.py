@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from datetime import date
 
 from .htmltools import (
-    Element,
     NON_CONTENT_TAGS,
+    Document,
     absolute_http_links,
     decode_html,
     find_meta,
@@ -31,7 +31,7 @@ from .htmltools import (
 
 log = logging.getLogger(__name__)
 
-_CONTENT_CANDIDATE_TAGS = ("article", "main", "body", "section", "div", "td")
+_CONTENT_CANDIDATE_TAGS = frozenset(("article", "main", "body", "section", "div", "td"))
 
 _ISO_DATE_PREFIX_RE = re.compile(r"^\s*(\d{4})-(\d{2})-(\d{2})")
 
@@ -84,33 +84,62 @@ def digest_page(body) -> PageDigest:
     return PageDigest(text, error, metadata_date(root), tuple(absolute_http_links(root)))
 
 
-def main_text(root: Element) -> str:
+def main_text(root: Document) -> str:
     """Main-content plaintext of a parsed document.
 
     Drops scripts, styles, navigation, headers, footers, and asides,
-    then keeps the block container with the most non-link text.
-    Whitespace is collapsed. Raises ValueError for a tree with no
-    elements at all.
+    then keeps the block container with the most non-link text: its
+    text length minus the length of its anchors' texts joined by
+    spaces. Ties go to the container with fewer elements, then to the
+    earlier one. Whitespace is collapsed. Raises ValueError for a tree
+    with no elements at all.
+
+    One reverse pass over ``root.elements`` visits every element after
+    its descendants and sums, per subtree, what the scores need. A
+    collapsed text is its tokens joined by single spaces, so its length
+    is the sum of (token length + 1) over its tokens, minus one; the
+    joined anchor texts likewise measure the sum of (anchor text
+    length + 1), minus one. Only the winner's text is built.
     """
-    elements = [el for el in root.iter() if el is not root]
+    elements = root.elements
     if not elements:
         raise ValueError("input does not look like an HTML document (no tags found)")
+    parents = root.parents
+    n = len(elements)
+    # Per element, over its subtree: sum of (token length + 1) of its
+    # text without NON_CONTENT_TAGS children; sum of (text length + 1)
+    # of its anchors, at any depth; number of descendant elements.
+    text_sums = [0] * n
+    anchor_sums = [0] * n
+    sizes = [0] * n
 
-    candidates = [el for el in elements if el.tag in _CONTENT_CANDIDATE_TAGS]
-    if not candidates:
-        candidates = [root]
-
-    def score(el: Element) -> int:
-        full = el.text(exclude=NON_CONTENT_TAGS)
-        link_text = " ".join(a.text(exclude=NON_CONTENT_TAGS) for a in el.iter_tag("a"))
-        return len(full) - len(link_text)
-
-    best = None
+    best = root
     best_key = None
-    for index, el in enumerate(candidates):
-        key = (score(el), -el.element_count(), -index)
-        if best_key is None or key > best_key:
-            best, best_key = el, key
+    for i in range(n - 1, -1, -1):
+        el = elements[i]
+        text_sum = text_sums[i]
+        for child in el.children:
+            if type(child) is str:
+                tokens = child.split()
+                if tokens:
+                    text_sum += len(tokens) + len("".join(tokens))
+        tag = el.tag
+        anchor_sum = anchor_sums[i]
+        if tag == "a":
+            anchor_sum += text_sum if text_sum else 1
+        size = sizes[i]
+        if tag in _CONTENT_CANDIDATE_TAGS:
+            score = (text_sum - 1 if text_sum else 0) - (anchor_sum - 1 if anchor_sum else 0)
+            # Walking backwards, an equal key belongs to an earlier element.
+            key = (score, -size)
+            if best_key is None or key >= best_key:
+                best, best_key = el, key
+        parent = parents[i]
+        if parent >= 0:
+            if tag not in NON_CONTENT_TAGS:
+                text_sums[parent] += text_sum
+            anchor_sums[parent] += anchor_sum
+            sizes[parent] += size + 1
 
     content = best.text(exclude=NON_CONTENT_TAGS)
     if not content:
@@ -148,7 +177,7 @@ def _jsonld_published(payload) -> str | None:
     return None
 
 
-def metadata_date(root: Element) -> date | None:
+def metadata_date(root: Document) -> date | None:
     """Publication date from a parsed document's metadata (meta tags,
     time elements, embedded JSON-LD), in a fixed priority order."""
     metas = find_meta(root)
@@ -164,13 +193,15 @@ def metadata_date(root: Element) -> date | None:
             found = _parse_iso_date(meta.get("content", ""))
             if found:
                 return found
-    for el in root.iter_tag("time"):
+    for el in root.elements:
+        if el.tag != "time":
+            continue
         if "pubdate" in el.attrs or el.attrs.get("itemprop", "").lower() == "datepublished":
             found = _parse_iso_date(el.attrs.get("datetime", ""))
             if found:
                 return found
-    for el in root.iter_tag("script"):
-        if el.attrs.get("type", "").lower() != "application/ld+json":
+    for el in root.elements:
+        if el.tag != "script" or el.attrs.get("type", "").lower() != "application/ld+json":
             continue
         raw = "".join(c for c in el.children if isinstance(c, str))
         try:

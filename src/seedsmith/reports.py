@@ -349,20 +349,25 @@ def _prefetch_page_texts(provider: SeedTextProvider, collections, jobs: int) -> 
 def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextProvider, warnings):
     """Ages of relevant HTML seeds per row cell, summary plus ECDF.
 
-    A seed whose estimate postdates its retrieval is warned about once,
-    at the first row (in row-key order) that holds it.
+    A page is dated once, however many rows hold it. A seed whose
+    estimate postdates its retrieval is warned about once, at the first
+    row (in row-key order) that holds it.
     """
     summary_rows = []
     ecdf_rows = []
     warned: set[str] = set()
     fetcher = provider.fetcher
     estimators = digest_date_estimators(fetcher)
+    estimates: dict[str, tuple | None] = {}
 
     def estimate(uri):
-        result = fetcher.dereference(uri)
-        if result.failed or not result.ok:
-            return None
-        return estimate_publication_date(result, estimators)
+        if uri not in estimates:
+            result = fetcher.dereference(uri)
+            if result.failed or not result.ok:
+                estimates[uri] = None
+            else:
+                estimates[uri] = estimate_publication_date(result, estimators)
+        return estimates[uri]
 
     for row_key in rows_index.keys:
         samples = []

@@ -2,20 +2,21 @@
 
 import math
 import re
+from collections import Counter
 
 # One token = a maximal run of Unicode alphanumerics: \w minus underscore
-# matches exactly the characters str.isalnum() accepts.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# matches exactly the characters str.isalnum() accepts. With a minimum
+# length the greedy match still takes whole runs only: a run too short
+# at its start is too short from any later position.
+_TOKEN_PATTERN = r"[^\W_]{%d,}"
 
 
 def token_counts(text, stopwords=frozenset(), min_len=2):
     """Count tokens in ``text`` after lowercasing, dropping short tokens
-    and stopwords. Returns a term -> count dict."""
-    counts = {}
-    for tok in _TOKEN_RE.findall(text.lower()):
-        if len(tok) < min_len or tok in stopwords:
-            continue
-        counts[tok] = counts.get(tok, 0) + 1
+    and stopwords. Returns a term -> count dict, in first-seen order."""
+    counts = Counter(re.findall(_TOKEN_PATTERN % max(min_len, 1), text.lower()))
+    for term in stopwords.intersection(counts):
+        del counts[term]
     return counts
 
 

@@ -6,9 +6,11 @@ growing, stdlib quantiles instead of the hand-rolled interpolation, a
 calendar-free day counter instead of datetime arithmetic.
 
 The last section keeps reference copies of code the package has since
-restructured (recursive self-chain growing, the recursive element-tree
-walks, the page functions that each parsed a document on their own, and
-the per-row rescans of report assembly), for differential tests.
+restructured (recursive self-chain growing, the token-by-token term
+counter, the recursive element-tree walks, main-text scoring that walks
+each candidate's subtree again, the page functions that each parsed a
+document on their own, and the per-row rescans of report assembly), for
+differential tests.
 """
 
 import json
@@ -162,6 +164,17 @@ def reference_self_chains(root):
     return chains
 
 
+def reference_token_counts(text, stopwords=frozenset(), min_len=2):
+    """Term counts in first-seen order, filtering every alphanumeric run
+    one at a time."""
+    counts = {}
+    for tok in re.findall(r"[^\W_]+", text.lower()):
+        if len(tok) < min_len or tok in stopwords:
+            continue
+        counts[tok] = counts.get(tok, 0) + 1
+    return counts
+
+
 def reference_iter(element):
     """An element and its descendants, recursively, in pre-order."""
     yield element
@@ -185,10 +198,9 @@ def reference_text(element, exclude=NON_CONTENT_TAGS):
     return " ".join(" ".join(parts).split())
 
 
-def reference_strip_boilerplate(html):
-    """Main-content text, parsing the document itself."""
-    text = decode_html(html) if isinstance(html, bytes) else html
-    root = parse_html(text)
+def reference_main_container(root):
+    """The element whose text is a parsed document's main content,
+    scoring every candidate container by walking its subtree again."""
     elements = [el for el in root.iter() if el is not root]
     if not elements:
         raise ValueError("input does not look like an HTML document (no tags found)")
@@ -207,10 +219,16 @@ def reference_strip_boilerplate(html):
     best = None
     best_key = None
     for index, el in enumerate(candidates):
-        key = (score(el), -el.element_count(), -index)
+        key = (score(el), -(len(list(reference_iter(el))) - 1), -index)
         if best_key is None or key > best_key:
             best, best_key = el, key
-    return best.text(exclude=NON_CONTENT_TAGS)
+    return best
+
+
+def reference_strip_boilerplate(html):
+    """Main-content text, parsing the document itself."""
+    text = decode_html(html) if isinstance(html, bytes) else html
+    return reference_main_container(parse_html(text)).text(exclude=NON_CONTENT_TAGS)
 
 
 _ISO_DATE_PREFIX_RE = re.compile(r"^\s*(\d{4})-(\d{2})-(\d{2})")

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 from conftest import make_corpus, make_post
+from seedsmith import reports
 from seedsmith.cli import main
 from seedsmith.corpus import write_corpus, write_fixture
+from seedsmith.extraction import HTML_KIND
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,6 +130,29 @@ class TestRun:
             "2019-01-01 postdates retrieval; excluded from age aggregates"
         ]
         assert manifest["warning_count"] == len(manifest["warnings"])
+
+    def test_each_relevant_html_page_dated_once(self, tmp_path, monkeypatch):
+        dated = []
+        estimate = reports.estimate_publication_date
+
+        def counting(result, estimators):
+            dated.append(result.request_uri)
+            return estimate(result, estimators)
+
+        monkeypatch.setattr(reports, "estimate_publication_date", counting)
+        relevant = set()
+        judgment = reports.RelevanceIndex.judgment
+
+        def recording(self, seed):
+            found = judgment(self, seed)
+            if seed.kind == HTML_KIND and found is not None and found.relevant:
+                relevant.add(seed.canonical)
+            return found
+
+        monkeypatch.setattr(reports.RelevanceIndex, "judgment", recording)
+        assert run_cli(*base_args(tmp_path / "out"), "--refs", DATA / "refs.json") == 0
+        assert relevant
+        assert sorted(dated) == sorted(relevant)
 
     def test_fixtures_without_date_header_give_identical_bundles(self, tmp_path):
         corpus = make_corpus(

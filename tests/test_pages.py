@@ -1,5 +1,6 @@
 """Page digests: one parse per fetched page, same results as parsing per use."""
 
+import re
 import sys
 import threading
 from datetime import date, datetime, timezone
@@ -25,8 +26,8 @@ from seedsmith.corpus import fetch as fetch_module
 from seedsmith.corpus import write_corpus
 from seedsmith.corpus.fetch import FetchPolicy, Fetcher, FetchResult, FixtureTransport, write_fixture
 from seedsmith.goldstandard import strip_boilerplate
-from seedsmith.htmltools import Element, decode_html, parse_html
-from seedsmith.pages import PageDigest, _jsonld_published, digest_page
+from seedsmith.htmltools import NON_CONTENT_TAGS, Document, Element, decode_html, parse_html
+from seedsmith.pages import PageDigest, _jsonld_published, digest_page, main_text
 from seedsmith.reports import SeedTextProvider
 
 DATA = Path(__file__).parent / "data"
@@ -233,19 +234,24 @@ def _assert_walks_match_reference(root):
     for el in got:
         assert el.text() == reference_text(el)
         assert el.text(exclude=frozenset()) == reference_text(el, frozenset())
-        assert el.element_count() == len(list(reference_iter(el))) - 1
+
+
+def _fixture_markup():
+    """Decoded text of every fixture page that decodes."""
+    pages = []
+    for param in fixture_bodies():
+        try:
+            pages.append(decode_html(param.values[0]))
+        except ValueError:
+            continue
+    return pages
 
 
 def test_walks_match_recursive_reference_on_fixture_pages():
-    roots = []
-    for param in fixture_bodies():
-        try:
-            roots.append(parse_html(decode_html(param.values[0])))
-        except ValueError:
-            continue
-    assert roots
-    for root in roots:
-        _assert_walks_match_reference(root)
+    pages = _fixture_markup()
+    assert pages
+    for markup in pages:
+        _assert_walks_match_reference(parse_html(markup))
 
 
 _TAGS = ("div", "p", "a", "span", "script", "nav", "article")
@@ -347,3 +353,135 @@ def test_lenient_run_over_hostile_page_exits_0(tmp_path, body):
     assert uri in (out / "seeds.csv").read_text()
     precision = (out / "precision_html.csv").read_text().splitlines()
     assert "t1,reddit,top,P1A1,1.0000,1,html" in precision
+
+
+def test_too_deep_page_reprs_and_compares_shallowly():
+    first = parse_html(DEEP_NESTING.decode())
+    second = parse_html(DEEP_NESTING.decode())
+    assert first == first
+    assert first != second
+    assert first.elements[0] != second.elements[0]
+    assert repr(first) == "Document('[document]', {}, children=1)"
+    assert repr(first.elements[2]) == "Element('div', {}, children=1)"
+    assert all(repr(el) for el in first.elements)
+
+
+def test_very_deep_page_digests_to_its_text():
+    depth = 20_000
+    body = (b"<html><body>" + b"<div>" * depth + b"<p>deep <a href='https://a.example/'>text</a></p>"
+            + b"</div>" * depth + b"<nav>menu</nav></body></html>")
+    assert digest_page(body) == PageDigest("deep text", None, None, ("https://a.example/",))
+
+
+# ---------------------------------------------------------------------------
+# Document order and the one-pass main-text scorer
+# ---------------------------------------------------------------------------
+
+
+def _assert_document_order(root):
+    """``elements`` is the pre-order walk after the root, and ``parents``
+    holds each element's parent index (-1 under the root)."""
+    assert isinstance(root, Document)
+    walk = list(root.iter())
+    assert len(root.elements) == len(walk) - 1
+    assert all(a is b for a, b in zip(root.elements, walk[1:]))
+    index = {id(el): i for i, el in enumerate(root.elements)}
+    index[id(root)] = -1
+    want = [None] * len(root.elements)
+    for el in walk:
+        for child in el.children:
+            if isinstance(child, Element):
+                want[index[id(child)]] = index[id(el)]
+    assert root.parents == want
+
+
+def _main_text_with_text_calls(root):
+    """``main_text(root)`` and the elements it called ``Element.text`` on."""
+    calls = []
+    original = Element.text
+
+    def spy(self, exclude=NON_CONTENT_TAGS):
+        calls.append(self)
+        return original(self, exclude)
+
+    Element.text = spy
+    try:
+        return main_text(root), calls
+    finally:
+        Element.text = original
+
+
+def _assert_scorer_matches_reference(markup):
+    root = parse_html(markup)
+    _assert_document_order(root)
+    try:
+        winner = oracles.reference_main_container(root)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            main_text(root)
+        return
+    want = winner.text(exclude=NON_CONTENT_TAGS)
+    text, calls = _main_text_with_text_calls(root)
+    assert text == want
+    assert len(calls) == 1
+    assert calls[0] is winner
+
+
+def test_scorer_matches_reference_on_fixture_pages():
+    pages = _fixture_markup()
+    assert pages
+    for markup in pages:
+        _assert_scorer_matches_reference(markup)
+
+
+@pytest.mark.parametrize("body", EDGE_PAGES + [pytest.param(DEEP_JSONLD, id="deep-jsonld")])
+def test_scorer_matches_reference_on_edge_pages(body):
+    try:
+        markup = decode_html(body)
+    except ValueError:
+        return
+    _assert_scorer_matches_reference(markup)
+
+
+# Nested anchors, empty anchors, anchors under nav and other excluded
+# tags (script and style hold raw text, so their "anchors" are text),
+# whitespace-only and non-breaking-space text.
+_SCORER_TOKENS = st.sampled_from(
+    ["<div>", "</div>", "<td>", "</td>", "<section>", "</section>", "<article>", "</article>",
+     "<main>", "<body>", "<p>", "</p>", "<span>", "</span>", "<br>", "<img/>",
+     "<a href='https://x.example/'>", "<a>", "</a>", "<a></a>", "<a> </a>",
+     "<nav>", "</nav>", "<form>", "</form>", "<noscript>", "</noscript>", "<header>", "</header>",
+     "<script>", "</script>", "<style>", "</style>",
+     "words ", "more text ", "x", "  \n\t ", " ", "\u00a0", "&nbsp;", "&amp; "]
+)
+_SCORER_SOUP = st.lists(_SCORER_TOKENS, max_size=60).map("".join)
+# The same block repeated side by side ties on score and element count.
+_TIED_BLOCKS = st.tuples(
+    _SCORER_SOUP, st.lists(_SCORER_TOKENS, min_size=1, max_size=12).map("".join),
+    st.integers(2, 4), _SCORER_SOUP,
+).map(lambda t: t[0] + t[1] * t[2] + t[3])
+
+
+@given(st.one_of(_SCORER_SOUP, _TIED_BLOCKS))
+@settings(max_examples=400, deadline=None)
+def test_scorer_matches_reference_on_tag_soup(markup):
+    _assert_scorer_matches_reference(markup)
+
+
+def test_scorer_breaks_ties_on_element_count_then_order():
+    tied = "<div>same <b>x</b></div><div>same <i>x</i></div>"
+    _assert_scorer_matches_reference(tied)
+    root = parse_html(tied)
+    assert _main_text_with_text_calls(root)[1][0] is root.elements[0]
+    fewer = "<div>same <b><i>x</i></b></div><div>same <b>x</b></div>"
+    root = parse_html(fewer)
+    assert _main_text_with_text_calls(root)[1][0] is root.elements[3]
+    _assert_scorer_matches_reference(fewer)
+
+
+def test_scorer_subtracts_anchors_under_excluded_tags():
+    # The navigation text is not content, but its anchor text still
+    # counts against the container holding it.
+    markup = "<div><nav><a href='https://x.example/'>a long link text</a></nav>abc</div><div>ab</div>"
+    _assert_scorer_matches_reference(markup)
+    assert main_text(parse_html(markup)) == "ab"

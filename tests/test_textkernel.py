@@ -1,8 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_token_counts
 from seedsmith import textkernel
+from seedsmith.stopwords import STOPWORDS
 from seedsmith.textkernel import IMPLEMENTATION, _pykernel
 
 
@@ -32,6 +36,24 @@ def test_token_counts_unicode(kernel):
 
 def test_token_counts_digits(kernel):
     assert kernel.token_counts("win 2018 draw 2018") == {"win": 1, "2018": 2, "draw": 1}
+
+
+@given(
+    st.text(alphabet="aAbB1_ -.\n\u00e9\u0130\u00df\u4e00", max_size=60),
+    st.sets(st.sampled_from(["ab", "a", "the", "b1", "\u00e9a"]), max_size=3),
+    st.integers(0, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_token_counts_matches_token_by_token_reference(text, stopwords, min_len):
+    got = _pykernel.token_counts(text, frozenset(stopwords), min_len)
+    want = reference_token_counts(text, frozenset(stopwords), min_len)
+    assert list(got.items()) == list(want.items())
+
+
+def test_token_counts_order_on_real_text():
+    text = "The river flood rose; the RIVER crest, flood-plain and the_levee: 2018 2018 a b"
+    got = _pykernel.token_counts(text, STOPWORDS)
+    assert list(got.items()) == list(reference_token_counts(text, STOPWORDS).items())
 
 
 def test_merge_counts(kernel):
