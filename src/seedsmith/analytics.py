@@ -17,8 +17,7 @@ from . import textkernel
 from .corpus.fetch import FetchResult
 from .extraction import SeedCollection
 from .goldstandard import GoldStandard, TermVector, build_term_vector
-from .htmltools import HtmlDecodingError, decode_html, parse_html
-from .pages import metadata_date
+from .pages import PageDigest
 
 DEFAULT_RELEVANCE_THRESHOLD = 0.25
 
@@ -178,16 +177,6 @@ def conditional_relevance_by_k(post_stats) -> dict[str, KBinPrecision]:
 _PATH_DATE_RE = re.compile(r"/((?:19|20)\d{2})/(\d{1,2})(?:/(\d{1,2}))?(?=/|$)")
 
 
-def date_from_metadata(fetch: FetchResult) -> date | None:
-    """Publication date from document metadata (``pages.metadata_date``
-    over a fresh parse); None for an undecodable body."""
-    try:
-        root = parse_html(decode_html(fetch.body))
-    except HtmlDecodingError:
-        return None
-    return metadata_date(root)
-
-
 def date_from_uri_path(fetch: FetchResult) -> date | None:
     """Publication date from a /YYYY/MM/DD/ or /YYYY/MM/ path pattern."""
     path = urlsplit(fetch.final_uri).path
@@ -212,36 +201,21 @@ def date_from_last_modified(fetch: FetchResult) -> date | None:
         return None
 
 
-DEFAULT_DATE_ESTIMATORS = (
-    ("metadata", date_from_metadata),
-    ("uri-path", date_from_uri_path),
-    ("last-modified", date_from_last_modified),
-)
+def estimate_publication_date(fetch: FetchResult, digest: PageDigest):
+    """Publication date of a fetched page, from the first step of a fixed
+    chain that finds one: the metadata date of the page's ``digest``,
+    then a date in the URI path, then the Last-Modified header.
 
-
-def digest_date_estimators(fetcher) -> tuple:
-    """DEFAULT_DATE_ESTIMATORS with the metadata step read from
-    ``fetcher``'s page digests instead of a fresh parse."""
-
-    def from_digest(fetch):
-        return fetcher.digest(fetch).published
-
-    return tuple(
-        (name, from_digest if estimator is date_from_metadata else estimator)
-        for name, estimator in DEFAULT_DATE_ESTIMATORS
-    )
-
-
-def estimate_publication_date(fetch: FetchResult, estimators=None):
-    """First estimator in the chain that produces a date wins.
-
-    Returns (date, estimator_name) or None. The chain is pluggable so an
-    external dating service can be swapped in.
+    Returns (date, step name) or None.
     """
-    for name, estimator in estimators or DEFAULT_DATE_ESTIMATORS:
-        found = estimator(fetch)
-        if found is not None:
-            return found, name
+    if digest.published is not None:
+        return digest.published, "metadata"
+    found = date_from_uri_path(fetch)
+    if found is not None:
+        return found, "uri-path"
+    found = date_from_last_modified(fetch)
+    if found is not None:
+        return found, "last-modified"
     return None
 
 

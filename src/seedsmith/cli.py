@@ -368,8 +368,6 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
         threshold=config.threshold,
         dist_mode=config.dist_mode,
         reference_source=config.reference_source,
-        mc_exclude_root=config.mc_exclude_root,
-        global_dedup=config.global_dedup,
         jobs=config.jobs,
     )
     tables = build_tables(

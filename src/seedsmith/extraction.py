@@ -244,17 +244,28 @@ def substitute_intra_site(
         if warnings is not None:
             warnings.append(message)
 
-    visited = {seed.canonical}
-
-    def expand(uri: str, depth: int) -> list[SeedUri] | None:
+    def links_of(uri: str) -> tuple[str, ...] | None:
         result = fetcher.dereference(uri)
         if result.failed or not result.ok:
             if strict:
                 raise ExtractionError(f"cannot resolve intra-site URI {uri}: {result.status}")
             warn(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
             return None
-        out: list[SeedUri] = []
-        for link in fetcher.digest(result).links:
+        return fetcher.digest(result).links
+
+    links = links_of(seed.canonical)
+    if links is None:
+        return [seed]
+    visited = {seed.canonical}
+    out: list[SeedUri] = []
+    # Depth-first over nested post links with an explicit stack of
+    # (uri, depth, remaining links), so the nesting depth is bounded by
+    # ``depth_limit`` alone and not by the interpreter's recursion limit.
+    # A nested post that cannot be fetched contributes nothing.
+    stack = [(seed.canonical, 1, iter(links))]
+    while stack:
+        uri, depth, remaining = stack[-1]
+        for link in remaining:
             try:
                 canonical = canonicalize(link)
                 hostname = hostname_of(canonical)
@@ -265,9 +276,10 @@ def substitute_intra_site(
                 if canonical in visited:
                     continue
                 visited.add(canonical)
-                nested = expand(canonical, depth + 1)
+                nested = links_of(canonical)
                 if nested is not None:
-                    out.extend(nested)
+                    stack.append((canonical, depth + 1, iter(nested)))
+                    break
                 continue
             out.append(
                 replace(
@@ -280,19 +292,15 @@ def substitute_intra_site(
                     fetch_status=None,
                 )
             )
-        return out
-
-    expanded = expand(seed.canonical, 1)
-    if expanded is None:
-        return [seed]
-    if not expanded:
+        else:
+            stack.pop()
+    if not out:
         warn(f"intra-site URI {seed.canonical} had no outbound links; seed dropped")
-    return expanded
+    return out
 
 
 @dataclass(frozen=True)
 class AssembleOptions:
-    substitute: bool = True  # only effective when a fetcher is supplied
     depth_limit: int = 3
     fetch_kinds: bool = False  # dereference seeds for media-type evidence
     global_dedup: bool = False
@@ -308,6 +316,7 @@ def assemble_collections(
 ) -> dict[CellKey, SeedCollection]:
     """Extract, substitute, canonicalize, classify, and dedup seeds per cell.
 
+    Intra-platform post URIs are substituted when a ``fetcher`` is given.
     Every cell of the partition appears in the result, empty or not.
     Dedup is by canonical URI, first occurrence winning, scoped per cell
     (or across the whole run with ``global_dedup``).
@@ -354,11 +363,7 @@ def assemble_collections(
                         ),
                         retrieved_at=post.retrieved_at,
                     )
-                    if (
-                        options.substitute
-                        and fetcher is not None
-                        and intra_site_source(canonical)
-                    ):
+                    if fetcher is not None and intra_site_source(canonical):
                         expanded = substitute_intra_site(
                             seed,
                             fetcher,

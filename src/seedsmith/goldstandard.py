@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from urllib.parse import urlsplit
@@ -20,7 +21,6 @@ from . import textkernel
 from .corpus.fetch import Fetcher, FetchResult
 from .corpus.model import TopicSpec, format_timestamp
 from .htmltools import Element, HtmlDecodingError, decode_html, find_links, parse_html
-from .pages import main_text
 from .segmentation import P1AN
 from .stopwords import STOPWORDS, STOPWORDS_VERSION
 
@@ -59,13 +59,19 @@ def build_term_vector(texts, normalize: bool = True) -> TermVector:
     """Accumulate term frequencies over the concatenation of ``texts``.
 
     Order-invariant: any permutation of the same texts yields the same
-    vector. With ``normalize`` each weight is tf / total tf.
+    vector. With ``normalize`` each weight is tf / total tf. Terms keep
+    their first-seen order, which fixes the summation order of every
+    cosine taken over the vector.
     """
-    counts: dict[str, int] = {}
+    counts = Counter()
     doc_count = 0
     for text in texts:
+        found = textkernel.token_counts(text, STOPWORDS, MIN_TOKEN_LEN)
+        if doc_count:
+            counts.update(found)
+        else:
+            counts = found
         doc_count += 1
-        textkernel.merge_counts(counts, textkernel.token_counts(text, STOPWORDS, MIN_TOKEN_LEN))
     total = sum(counts.values())
     if normalize and total:
         weights = {term: n / total for term, n in counts.items()}
@@ -77,17 +83,6 @@ def build_term_vector(texts, normalize: bool = True) -> TermVector:
         source_doc_count=doc_count,
         normalized=normalize,
     )
-
-
-def strip_boilerplate(html) -> str:
-    """Main-content plaintext of an HTML document (``pages.main_text``
-    over a fresh parse).
-
-    Raises HtmlDecodingError for undecodable bytes and ValueError for
-    input with no markup at all. The pipeline reads the same text from
-    the fetcher's page digests instead.
-    """
-    return main_text(parse_html(decode_html(html)))
 
 
 def _looks_like_reference_container(el: Element) -> bool:

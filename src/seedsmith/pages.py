@@ -5,11 +5,9 @@ decides relevance, its metadata dates it for the age measure, and its
 outbound links replace an intra-platform permalink during extraction.
 ``digest_page`` decodes and parses the body once, keeps those three
 results and drops the element tree. The Fetcher holds one digest per
-final URI for the length of a run.
-
-The tree-level functions (``main_text``, ``metadata_date``) are also
-what ``goldstandard.strip_boilerplate`` and
-``analytics.date_from_metadata`` run on a fresh parse.
+final URI for the length of a run, and every reader of a fetched page
+(relevance, gold standards, dating, substitution) takes that digest;
+none parses the body again.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .analytics import (
     age_distribution,
     class_average_precision,
     conditional_relevance_by_k,
-    digest_date_estimators,
     estimate_publication_date,
     hostname_diversity,
     judge_relevance,
@@ -64,8 +63,6 @@ class ReportConfig:
     threshold: float = DEFAULT_RELEVANCE_THRESHOLD
     dist_mode: str = MODE_NORMALIZED
     reference_source: str = DEFAULT_REFERENCE_SOURCE
-    mc_exclude_root: bool = False
-    global_dedup: bool = False
     jobs: int = 1
 
 
@@ -357,7 +354,6 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextP
     ecdf_rows = []
     warned: set[str] = set()
     fetcher = provider.fetcher
-    estimators = digest_date_estimators(fetcher)
     estimates: dict[str, tuple | None] = {}
 
     def estimate(uri):
@@ -366,7 +362,7 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextP
             if result.failed or not result.ok:
                 estimates[uri] = None
             else:
-                estimates[uri] = estimate_publication_date(result, estimators)
+                estimates[uri] = estimate_publication_date(result, fetcher.digest(result))
         return estimates[uri]
 
     for row_key in rows_index.keys:

@@ -4,13 +4,12 @@ The functions live in ``_pykernel`` and are pure Python.
 ``IMPLEMENTATION`` names the kernel in every run's manifest.
 """
 
-from ._pykernel import merge_counts, sparse_cosine, token_counts
+from ._pykernel import sparse_cosine, token_counts
 
 IMPLEMENTATION = "python"
 
 __all__ = [
     "IMPLEMENTATION",
     "token_counts",
-    "merge_counts",
     "sparse_cosine",
 ]

@@ -1,4 +1,4 @@
-"""The text kernels: token counting, count merging and sparse cosine."""
+"""The text kernels: token counting and sparse cosine."""
 
 import math
 import re
@@ -18,13 +18,6 @@ def token_counts(text, stopwords=frozenset(), min_len=2):
     for term in stopwords.intersection(counts):
         del counts[term]
     return counts
-
-
-def merge_counts(dst, src):
-    """Add ``src`` counts into ``dst`` in place and return ``dst``."""
-    for term, n in src.items():
-        dst[term] = dst.get(term, 0) + n
-    return dst
 
 
 def sparse_cosine(a, b):

@@ -8,16 +8,27 @@ calendar-free day counter instead of datetime arithmetic.
 The last section keeps reference copies of code the package has since
 restructured (recursive self-chain growing, the token-by-token term
 counter, the recursive element-tree walks, main-text scoring that walks
-each candidate's subtree again, the page functions that each parsed a
-document on their own, and the per-row rescans of report assembly), for
+each candidate's subtree again, the page functions and the date chain
+that each parsed a document on their own, recursive intra-site
+substitution, and the per-row rescans of report assembly), for
 differential tests.
 """
 
 import json
 import re
 from collections import defaultdict
+from dataclasses import replace
 from datetime import date
 
+from seedsmith.analytics import date_from_last_modified, date_from_uri_path
+from seedsmith.extraction import (
+    CanonicalizationError,
+    ExtractionError,
+    canonicalize,
+    classify_uri_kind,
+    hostname_of,
+    intra_site_source,
+)
 from seedsmith.htmltools import (
     NON_CONTENT_TAGS,
     Element,
@@ -328,6 +339,76 @@ def reference_target_links(body):
         return absolute_http_links(parse_html(decode_html(body)))
     except ValueError:
         return []
+
+
+def reference_publication_date(fetch):
+    """The publication-date chain with each step reading the fetched page
+    on its own: metadata (parsing the body), URI path, Last-Modified.
+    Returns (date, step name) or None."""
+    steps = (
+        ("metadata", lambda f: reference_metadata_date(f.body)),
+        ("uri-path", date_from_uri_path),
+        ("last-modified", date_from_last_modified),
+    )
+    for name, step in steps:
+        found = step(fetch)
+        if found is not None:
+            return found, name
+    return None
+
+
+def reference_substitute_intra_site(seed, fetcher, depth_limit=3, strict=False, warnings=None):
+    """Intra-site substitution recursing once per nesting level, reading
+    each target's links from a fresh parse of its body."""
+
+    def warn(message):
+        if warnings is not None:
+            warnings.append(message)
+
+    visited = {seed.canonical}
+
+    def expand(uri, depth):
+        result = fetcher.dereference(uri)
+        if result.failed or not result.ok:
+            if strict:
+                raise ExtractionError(f"cannot resolve intra-site URI {uri}: {result.status}")
+            warn(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
+            return None
+        out = []
+        for link in reference_target_links(result.body):
+            try:
+                canonical = canonicalize(link)
+                hostname = hostname_of(canonical)
+            except CanonicalizationError:
+                warn(f"skipping unparseable link {link!r} in {uri}")
+                continue
+            if intra_site_source(canonical) and depth < depth_limit:
+                if canonical in visited:
+                    continue
+                visited.add(canonical)
+                nested = expand(canonical, depth + 1)
+                if nested is not None:
+                    out.extend(nested)
+                continue
+            out.append(
+                replace(
+                    seed,
+                    original=link,
+                    canonical=canonical,
+                    hostname=hostname,
+                    kind=classify_uri_kind(uri=canonical),
+                    final=None,
+                    fetch_status=None,
+                )
+            )
+        return out
+
+    expanded = expand(seed.canonical, 1)
+    if expanded is None:
+        return [seed]
+    if not expanded:
+        warn(f"intra-site URI {seed.canonical} had no outbound links; seed dropped")
+    return expanded
 
 
 _MC_MEMBER_CLASSES = ("PnA1", "PnAn")

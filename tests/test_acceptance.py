@@ -6,6 +6,7 @@ dataset; it needs SEEDSMITH_REPLICATION_DATA to point at a corpus
 prepared from that dataset and is skipped in the offline suite.
 """
 
+import importlib.util
 import json
 import os
 import random
@@ -237,6 +238,27 @@ def test_criterion_5_golden_run(tmp_path):
     report(
         f"5 end-to-end-golden ({len(golden_files)} CSVs byte-identical, {elapsed:.2f}s): PASS"
     )
+
+
+def test_golden_csvs_match_independent_recompute():
+    """The goldens are what ``tools/regen_golden.py`` rebuilds from the raw
+    fixtures; the benchmark loads that file the same way to check every
+    bundle it writes."""
+    spec = importlib.util.spec_from_file_location(
+        "regen_golden", Path(__file__).parents[1] / "tools" / "regen_golden.py"
+    )
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    topics, posts = regen.load_corpus_raw()
+    refs = json.loads((DATA / "refs.json").read_text(encoding="utf-8"))
+    recomputed = {
+        f"{name}.csv": ("\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n")
+        .encode("utf-8")
+        for name, (header, rows) in regen.build_tables(topics, posts, refs).items()
+    }
+    golden = {g.name: g.read_bytes() for g in GOLDEN.glob("*.csv")}
+    assert len(golden) == 16
+    assert recomputed == golden
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from seedsmith.analytics import (
 from seedsmith.corpus.fetch import FetchResult
 from seedsmith.extraction import HTML_KIND, SeedCollection, SeedProvenance, SeedUri
 from seedsmith.goldstandard import GoldStandard, TermVector, build_term_vector
+from seedsmith.pages import digest_page
 from seedsmith.reports import RelevanceIndex, collect_observations
 
 
@@ -334,54 +335,55 @@ def fetch_result(body=b"", uri="https://news.example/story", headers=None):
     )
 
 
+def estimate(fetch):
+    """The date chain over ``fetch`` and its page digest."""
+    return estimate_publication_date(fetch, digest_page(fetch.body))
+
+
 class TestPublicationDate:
     def test_meta_published_time(self):
         page = b'<html><head><meta property="article:published_time" content="2014-08-08"></head><body><p>x</p></body></html>'
-        got = estimate_publication_date(fetch_result(page))
+        got = estimate(fetch_result(page))
         assert got == (date(2014, 8, 8), "metadata")
 
     def test_meta_with_datetime_value(self):
         page = b'<html><head><meta property="article:published_time" content="2014-08-08T10:22:33Z"></head></html>'
-        assert estimate_publication_date(fetch_result(page))[0] == date(2014, 8, 8)
+        assert estimate(fetch_result(page))[0] == date(2014, 8, 8)
 
     def test_json_ld(self):
         page = b'<html><head><script type="application/ld+json">{"@type":"Article","datePublished":"2017-03-02T08:00:00Z"}</script></head></html>'
-        assert estimate_publication_date(fetch_result(page)) == (date(2017, 3, 2), "metadata")
+        assert estimate(fetch_result(page)) == (date(2017, 3, 2), "metadata")
 
     def test_uri_path_pattern(self):
-        got = estimate_publication_date(
+        got = estimate(
             fetch_result(b"<html><body>x</body></html>", uri="https://news.example/2016/01/05/story")
         )
         assert got == (date(2016, 1, 5), "uri-path")
 
     def test_uri_path_month_only(self):
-        got = estimate_publication_date(
+        got = estimate(
             fetch_result(b"<html></html>", uri="https://news.example/2016/07/archive")
         )
         assert got == (date(2016, 7, 1), "uri-path")
 
     def test_last_modified_header(self):
-        got = estimate_publication_date(
+        got = estimate(
             fetch_result(b"<html></html>", headers={"Last-Modified": "Fri, 08 Aug 2014 12:00:00 GMT"})
         )
         assert got == (date(2014, 8, 8), "last-modified")
 
     def test_bare_page_has_no_estimate(self):
-        assert estimate_publication_date(fetch_result(b"<html><body>x</body></html>")) is None
+        assert estimate(fetch_result(b"<html><body>x</body></html>")) is None
 
     def test_metadata_wins_over_path(self):
         page = b'<html><head><meta property="article:published_time" content="2014-08-08"></head></html>'
-        got = estimate_publication_date(
+        got = estimate(
             fetch_result(page, uri="https://news.example/2016/01/05/story")
         )
         assert got == (date(2014, 8, 8), "metadata")
 
-    def test_custom_chain_pluggable(self):
-        custom = (("fixed", lambda fetch: date(2001, 2, 3)),)
-        assert estimate_publication_date(fetch_result(), custom) == (date(2001, 2, 3), "fixed")
-
     def test_invalid_calendar_dates_ignored(self):
-        got = estimate_publication_date(
+        got = estimate(
             fetch_result(b"<html></html>", uri="https://news.example/2016/13/99/story")
         )
         assert got is None

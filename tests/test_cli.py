@@ -135,9 +135,9 @@ class TestRun:
         dated = []
         estimate = reports.estimate_publication_date
 
-        def counting(result, estimators):
+        def counting(result, digest):
             dated.append(result.request_uri)
-            return estimate(result, estimators)
+            return estimate(result, digest)
 
         monkeypatch.setattr(reports, "estimate_publication_date", counting)
         relevant = set()
@@ -193,6 +193,27 @@ class TestRun:
         with (out / "seeds.csv").open(newline="") as fh:
             seeds = {row["canonical_uri"]: row["hostname"] for row in csvmod.DictReader(fh)}
         assert seeds == {"http://[::1]:8080/a": "::1", "http://[2001:db8::1]/x": "2001:db8::1"}
+
+    def test_permalink_chain_deeper_than_the_recursion_limit(self, tmp_path):
+        # Each permalink page links only the next; the last links a news
+        # page. Substitution must follow all 1,500 levels.
+        chain = [f"https://www.reddit.com/r/news/comments/c{i}" for i in range(1500)]
+        corpus = make_corpus([make_post(id="r", serp_visible=True, text=f"see {chain[0]}")])
+        corpus_path = tmp_path / "c.jsonl"
+        write_corpus(corpus, corpus_path)
+        fixtures = tmp_path / "responses"
+        for uri, target in zip(chain, chain[1:] + ["https://news.example/final"]):
+            write_fixture(fixtures, uri, 200, {"Content-Type": "text/html"},
+                          f'<p><a href="{target}">next</a></p>'.encode())
+        out = tmp_path / "out"
+        args = ("run", "--corpus", corpus_path, "--out", out, "--fixtures", fixtures,
+                "--depth-limit", "1510")
+        assert run_cli(*args) == 0
+        import csv as csvmod
+
+        with (out / "seeds.csv").open(newline="") as fh:
+            seeds = [row["canonical_uri"] for row in csvmod.DictReader(fh)]
+        assert seeds == ["https://news.example/final"]
 
 
 class TestStages:

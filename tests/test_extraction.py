@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post
-from seedsmith.corpus.fetch import FetchPolicy, Fetcher, FixtureTransport, write_fixture
+from oracles import reference_substitute_intra_site
+from seedsmith.corpus.fetch import (
+    TAG_MISSING_FIXTURE,
+    FetchPolicy,
+    Fetcher,
+    FixtureTransport,
+    TransportError,
+    write_fixture,
+)
 from seedsmith.extraction import (
     AssembleOptions,
     CanonicalizationError,
@@ -260,7 +268,61 @@ def tweet_page(*links):
     return f"<html><body><p>tweet</p>{anchors}</body></html>".encode()
 
 
+class _PageTransport:
+    """Serves ``pages`` (uri -> outbound links, or None for a 404) from
+    memory; any other URI is a missing fixture."""
+
+    def __init__(self, pages):
+        self.pages = pages
+
+    def request(self, uri, *, timeout, user_agent):
+        if uri not in self.pages:
+            raise TransportError(TAG_MISSING_FIXTURE, f"no fixture for {uri}")
+        links = self.pages[uri]
+        if links is None:
+            return 404, {}, b""
+        return 200, {"content-type": "text/html"}, tweet_page(*links)
+
+
+_PERMALINKS = [f"https://twitter.com/u{i}/status/{i}" for i in range(6)]
+_PAGE_LINKS = st.sampled_from(
+    _PERMALINKS
+    + [
+        "https://twitter.com/u9/status/9",  # never served
+        "https://news.example/a",
+        "https://news.example/b?utm_source=x",
+        "https://files.example/d.pdf",
+        "http://",
+    ]
+)
+
+
 class TestSubstitute:
+    @given(
+        pages=st.dictionaries(
+            st.sampled_from(_PERMALINKS),
+            st.one_of(st.none(), st.lists(_PAGE_LINKS, max_size=5)),
+        ),
+        depth_limit=st.integers(0, 5),
+        strict=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recursive_reference(self, pages, depth_limit, strict):
+        """Branching, cyclic and failing permalink pages give the seeds,
+        in the order, and the warnings of the recursive expansion."""
+
+        def run(substitute):
+            fetcher = Fetcher(_PageTransport(pages), FAST)
+            warnings = []
+            try:
+                out = substitute(make_seed(_PERMALINKS[0]), fetcher, depth_limit=depth_limit,
+                                 strict=strict, warnings=warnings)
+            except ExtractionError as exc:
+                out = str(exc)
+            return out, warnings
+
+        assert run(substitute_intra_site) == run(reference_substitute_intra_site)
+
     def test_single_hop_substitution(self, tmp_path):
         uri = "https://twitter.com/bob/status/1"
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"},
@@ -347,7 +409,7 @@ class TestAssemble:
         corpus = corpus or self.corpus()
         partition = partition_corpus(corpus)
         return assemble_collections(
-            corpus, partition, options=AssembleOptions(substitute=False, **options)
+            corpus, partition, options=AssembleOptions(**options)
         )
 
     def test_dedup_within_collection(self):
@@ -376,7 +438,7 @@ class TestAssemble:
     def test_provenance_resolves(self):
         corpus = self.corpus()
         partition = partition_corpus(corpus)
-        collections = assemble_collections(corpus, partition, options=AssembleOptions(substitute=False))
+        collections = assemble_collections(corpus, partition)
         group_ids = {g.group_id for groups in partition.values() for g in groups}
         for collection in collections.values():
             for seed in collection.seeds:
@@ -389,9 +451,7 @@ class TestAssemble:
         )
         warnings = []
         partition = partition_corpus(corpus)
-        collections = assemble_collections(
-            corpus, partition, options=AssembleOptions(substitute=False), warnings=warnings
-        )
+        collections = assemble_collections(corpus, partition, warnings=warnings)
         assert collections[("t1", "reddit", "top", "P1A1")].seeds == ()
         assert warnings
 
@@ -422,7 +482,7 @@ class TestAssemble:
         fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
         collections = assemble_collections(
             corpus, partition, fetcher,
-            AssembleOptions(substitute=False, fetch_kinds=True),
+            AssembleOptions(fetch_kinds=True),
         )
         seed = collections[("t1", "reddit", "top", "P1A1")].seeds[0]
         assert seed.kind == NON_HTML_KIND

@@ -13,9 +13,9 @@ from seedsmith.goldstandard import (
     build_gold_standard,
     build_term_vector,
     extract_references,
-    strip_boilerplate,
 )
-from seedsmith.htmltools import HtmlDecodingError, absolute_http_links, parse_html
+from seedsmith.htmltools import absolute_http_links, parse_html
+from seedsmith.pages import digest_page
 from seedsmith.stopwords import STOPWORDS
 
 FAST = FetchPolicy(politeness_delay=0.0, disk_cache=False)
@@ -46,8 +46,11 @@ class TestHtmlTools:
 
 
 class TestStripBoilerplate:
+    """Boilerplate stripping as the pipeline reads it: a page digest's
+    ``text``, or its ``text_error`` when the page has none."""
+
     def test_simple_body(self):
-        assert strip_boilerplate(b"<html><body><p>hello world</p></body></html>") == "hello world"
+        assert digest_page(b"<html><body><p>hello world</p></body></html>").text == "hello world"
 
     def test_nav_article_footer(self):
         page = b"""
@@ -57,30 +60,32 @@ class TestStripBoilerplate:
           <footer>Copyright footer text that is quite long as footers are.</footer>
         </body></html>
         """
-        assert strip_boilerplate(page) == "Flood report Water levels rose in Riverbend today."
+        assert digest_page(page).text == "Flood report Water levels rose in Riverbend today."
 
     def test_all_script_page_is_empty_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
-            got = strip_boilerplate(b"<html><body><script>var x=1;</script></body></html>")
-        assert got == ""
+            digest = digest_page(b"<html><body><script>var x=1;</script></body></html>")
+        assert (digest.text, digest.text_error) == ("", None)
         assert any("no main-content" in r.message for r in caplog.records)
 
     def test_undecodable_bytes_error_names_encoding(self):
         bad = b'<html><head><meta charset="utf-8"></head><body>\xff\xfe\xfa</body></html>'
-        with pytest.raises(HtmlDecodingError, match="utf-8"):
-            strip_boilerplate(bad)
+        digest = digest_page(bad)
+        assert digest.text == ""
+        assert digest.text_error.startswith("cannot decode document as utf-8")
 
     def test_declared_charset_honored(self):
         page = b'<html><head><meta charset="iso-8859-1"></head><body><p>caf\xe9 flood</p></body></html>'
-        assert strip_boilerplate(page) == "café flood"
+        assert digest_page(page).text == "café flood"
 
     def test_non_html_input_rejected(self):
-        with pytest.raises(ValueError, match="HTML"):
-            strip_boilerplate(b"just some plain text, no markup at all")
+        digest = digest_page(b"just some plain text, no markup at all")
+        assert digest.text == ""
+        assert "HTML" in digest.text_error
 
     def test_whitespace_collapsed(self):
         page = b"<html><body><p>a\n\n   b\tc</p></body></html>"
-        assert strip_boilerplate(page) == "a b c"
+        assert digest_page(page).text == "a b c"
 
 
 REF_PAGE = """
@@ -145,6 +150,12 @@ class TestTermVector:
     def test_unnormalized_counts(self):
         vector = build_term_vector(["cat cat dog"], normalize=False)
         assert vector.weights == {"cat": 2.0, "dog": 1.0}
+
+    def test_terms_keep_first_seen_order(self):
+        vector = build_term_vector(["cat dog", "eel cat", "dog fox"], normalize=False)
+        assert list(vector.weights.items()) == [
+            ("cat", 2.0), ("dog", 2.0), ("eel", 1.0), ("fox", 1.0)
+        ]
 
     def test_concatenation_order_invariant(self):
         texts = ["flood river", "levee breach flood", "riverbend"]

@@ -15,17 +15,17 @@ from conftest import make_corpus, make_post
 from oracles import (
     reference_iter,
     reference_metadata_date,
+    reference_publication_date,
     reference_strip_boilerplate,
     reference_target_links,
     reference_text,
 )
 from seedsmith import htmltools
-from seedsmith.analytics import date_from_metadata, digest_date_estimators, estimate_publication_date
+from seedsmith.analytics import estimate_publication_date
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus import fetch as fetch_module
 from seedsmith.corpus import write_corpus
 from seedsmith.corpus.fetch import FetchPolicy, Fetcher, FetchResult, FixtureTransport, write_fixture
-from seedsmith.goldstandard import strip_boilerplate
 from seedsmith.htmltools import NON_CONTENT_TAGS, Document, Element, decode_html, parse_html
 from seedsmith.pages import PageDigest, _jsonld_published, digest_page, main_text
 from seedsmith.reports import SeedTextProvider
@@ -89,11 +89,21 @@ class TestDigestMatchesPerUseParsing:
         assert list(digest.links) == reference_target_links(body)
 
     @pytest.mark.parametrize("body", fixture_bodies() + EDGE_PAGES)
-    def test_thin_wrappers(self, body):
-        assert _outcome(strip_boilerplate, body) == _outcome(reference_strip_boilerplate, body)
-        fetch = FetchResult("https://a.example/", "https://a.example/", 200, "text/html", {},
-                            body, datetime(2018, 11, 6, tzinfo=timezone.utc))
-        assert date_from_metadata(fetch) == reference_metadata_date(body)
+    def test_thin_wrappers(self, body, tmp_path):
+        """The relevance reader is a thin wrapper over the fetcher's
+        digest: a seed page is judged on the text per-use parsing finds,
+        or on "" with a warning when that raises."""
+        uri = "https://a.example/story"
+        write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"}, body)
+        warnings = []
+        provider = SeedTextProvider(
+            make_corpus([make_post(id="p1", serp_visible=True)]),
+            Fetcher(FixtureTransport(tmp_path), FAST),
+            warnings,
+        )
+        outcome, want = _outcome(reference_strip_boilerplate, body)
+        assert provider.page_text(uri) == (want if outcome == "ok" else "")
+        assert warnings == ([] if outcome == "ok" else [f"seed {uri} unusable as HTML: {want}"])
 
     def test_edge_pages_cover_each_outcome(self):
         digests = {p.id: digest_page(p.values[0]) for p in EDGE_PAGES}
@@ -153,13 +163,17 @@ class TestFetcherDigests:
 
     @pytest.mark.parametrize("body", fixture_bodies() + EDGE_PAGES)
     def test_digest_chain_matches_default_chain(self, body):
+        """Dating a page from the fetcher's digest gives what the chain
+        of per-use steps (metadata from a fresh parse, then URI path,
+        then Last-Modified) gives."""
         fetcher = Fetcher(FixtureTransport(RESPONSES), FAST)
         for uri in ("https://x.example/story", "https://x.example/2016/01/05/story"):
-            result = FetchResult(uri, uri, 200, "text/html", {}, body,
-                                 datetime(2018, 11, 6, tzinfo=timezone.utc))
-            assert estimate_publication_date(result, digest_date_estimators(fetcher)) == (
-                estimate_publication_date(result)
-            )
+            for headers in ({}, {"last-modified": "Fri, 08 Aug 2014 12:00:00 GMT"}):
+                result = FetchResult(uri, uri, 200, "text/html", headers, body,
+                                     datetime(2018, 11, 6, tzinfo=timezone.utc))
+                assert estimate_publication_date(result, fetcher.digest(result)) == (
+                    reference_publication_date(result)
+                )
 
 
 class TestSeedTextProvider:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post, make_topic
 from oracles import random_reply_tree, reference_observations_for_row, reference_seeds_for_row
-from seedsmith.extraction import AssembleOptions, assemble_collections
+from seedsmith.extraction import assemble_collections
 from seedsmith.reports import collect_observations, index_rows, write_bundle
 from seedsmith.segmentation import MC, MC_MEMBER_CLASSES, partition_corpus
 
@@ -60,9 +60,7 @@ def test_row_index_matches_per_row_rescans():
     for _ in range(25):
         corpus = _random_corpus(rng)
         partition = partition_corpus(corpus)
-        collections = assemble_collections(
-            corpus, partition, options=AssembleOptions(substitute=False)
-        )
+        collections = assemble_collections(corpus, partition)
         observations = collect_observations(collections, _Judge(["t0", "t1"]))
         index = index_rows(collections, observations)
 

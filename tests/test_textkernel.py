@@ -56,13 +56,6 @@ def test_token_counts_order_on_real_text():
     assert list(got.items()) == list(reference_token_counts(text, STOPWORDS).items())
 
 
-def test_merge_counts(kernel):
-    dst = {"cat": 1}
-    out = kernel.merge_counts(dst, {"cat": 2, "dog": 1})
-    assert out is dst
-    assert dst == {"cat": 3, "dog": 1}
-
-
 def test_sparse_cosine_identical(kernel):
     v = {"a": 0.2, "b": 0.8}
     assert kernel.sparse_cosine(v, v) == pytest.approx(1.0, abs=1e-12)
@@ -81,5 +74,5 @@ def test_sparse_cosine_hand_value(kernel):
 
 def test_selected_implementation_is_reported():
     assert IMPLEMENTATION == "python"
-    for name in ("token_counts", "merge_counts", "sparse_cosine"):
+    for name in ("token_counts", "sparse_cosine"):
         assert getattr(textkernel, name) is getattr(_pykernel, name)

@@ -6,8 +6,9 @@ fixture files itself and rebuilds every report table with its own
 grouping, counting, and aggregation code (path-enumeration classifier,
 stdlib quantiles, set arithmetic). Only low-level primitives that have
 their own hand-computed tests are imported from the package:
-canonicalize/extract grammar, boilerplate stripping, token counting,
-cosine, and the publication-date estimator chain.
+canonicalize/extract grammar, the page digest (boilerplate-stripped
+text and metadata date), token counting, cosine, and the
+publication-date estimator chain.
 
 Run once, review the output under tests/data/golden/, commit. The
 acceptance suite compares pipeline output byte-for-byte against these
@@ -33,7 +34,7 @@ from oracles import days_from_civil
 from seedsmith.analytics import estimate_publication_date
 from seedsmith.corpus.fetch import FetchResult
 from seedsmith.extraction import canonicalize, extract_uris, intra_site_source
-from seedsmith.goldstandard import strip_boilerplate
+from seedsmith.pages import digest_page
 from seedsmith.stopwords import STOPWORDS
 from seedsmith.textkernel import sparse_cosine, token_counts
 
@@ -82,7 +83,10 @@ def fetch_result(uri):
 
 def page_text(uri):
     _status, _headers, body = read_fixture(uri)
-    return strip_boilerplate(body)
+    digest = digest_page(body)
+    if digest.text_error is not None:
+        raise ValueError(f"{uri}: {digest.text_error}")
+    return digest.text
 
 
 def load_corpus_raw():
@@ -489,7 +493,8 @@ def build_tables(topics, posts, refs):
         for seed in seeds_for_row(cells, row_key):
             if seed.kind != "html" or not judge.relevant(seed):
                 continue
-            estimate = estimate_publication_date(fetch_result(seed.canonical))
+            page = fetch_result(seed.canonical)
+            estimate = estimate_publication_date(page, digest_page(page.body))
             if estimate is None:
                 continue
             pub = estimate[0]
