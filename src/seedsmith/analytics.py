@@ -1,7 +1,8 @@
 """Collection measures: URI-count distributions, relevance/precision,
 webpage ages, hostname diversity, and overlap with a reference SERP.
 
-Everything here is a pure function over immutable inputs; the reports
+Everything here is a pure function over plain values (texts, term
+weight dicts, counts, dates, hostnames, canonical URIs); the reports
 module assembles these into the exported tables.
 """
 
@@ -15,8 +16,7 @@ from urllib.parse import urlsplit
 
 from . import textkernel
 from .corpus.fetch import FetchResult
-from .extraction import SeedCollection
-from .goldstandard import GoldStandard, TermVector, build_term_vector
+from .goldstandard import GoldStandard, build_term_vector
 from .pages import PageDigest
 
 DEFAULT_RELEVANCE_THRESHOLD = 0.25
@@ -32,17 +32,6 @@ DAYS_PER_YEAR = 365.25
 # ---------------------------------------------------------------------------
 # Relevance and precision
 # ---------------------------------------------------------------------------
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of two term vectors (TermVector or plain term->weight maps).
-
-    Empty vectors yield 0. Invariant under positive rescaling of either
-    side.
-    """
-    wa = a.weights if isinstance(a, TermVector) else a
-    wb = b.weights if isinstance(b, TermVector) else b
-    return textkernel.sparse_cosine(wa, wb)
 
 
 @dataclass(frozen=True)
@@ -64,10 +53,10 @@ def judge_relevance(
     gold standard. Relevance requires the cosine to strictly exceed the
     threshold, so a score exactly at the threshold is non-relevant.
     """
-    vector = build_term_vector(candidate_texts, normalize=True)
-    if vector.is_empty():
+    vector = build_term_vector(candidate_texts)
+    if not vector:
         return RelevanceJudgment(subject, 0.0, False, threshold, empty=True)
-    cos = cosine_similarity(vector, gold.vector)
+    cos = textkernel.sparse_cosine(vector, gold.vector)
     return RelevanceJudgment(subject, cos, cos > threshold, threshold)
 
 
@@ -303,17 +292,15 @@ def age_distribution(samples) -> AgeSummary | None:
 # ---------------------------------------------------------------------------
 
 
-def hostname_diversity(collection, kind: str | None = None) -> float | None:
+def hostname_diversity(hosts) -> float | None:
     """How spread over distinct hosts a collection is, in [0, 1].
 
-    0 means every seed shares one host, 1 means all hosts are distinct:
-    (U - 1) / (N - 1) for N deduped seeds over U hosts. Collections with
+    ``hosts`` holds the hostname of each of the collection's N deduped
+    seeds. 0 means every seed shares one host, 1 means all hosts are
+    distinct: (U - 1) / (N - 1) over U distinct hosts. Collections with
     fewer than two seeds have no meaningful value (None, reported NA).
     """
-    if isinstance(collection, SeedCollection):
-        hosts = [s.hostname for s in collection.of_kind(kind)]
-    else:
-        hosts = list(collection)
+    hosts = list(hosts)
     n = len(hosts)
     if n < 2:
         return None
@@ -322,13 +309,12 @@ def hostname_diversity(collection, kind: str | None = None) -> float | None:
 
 def serp_overlap(reference, candidate) -> float | None:
     """Fraction of candidate seeds also present in the reference (web
-    SERP) collection, over canonical URIs.
+    SERP) collection; both arguments are iterables of canonical URIs.
 
     Measures how discoverable the candidate's seeds were via the
     reference engine. Empty candidates have no value (None/NA).
     """
-    ref = reference.canonical_uris if isinstance(reference, SeedCollection) else set(reference)
-    cand = candidate.canonical_uris if isinstance(candidate, SeedCollection) else set(candidate)
+    cand = set(candidate)
     if not cand:
         return None
-    return len(ref & cand) / len(cand)
+    return len(cand.intersection(reference)) / len(cand)

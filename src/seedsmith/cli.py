@@ -219,10 +219,10 @@ def config_from_args(args) -> RunConfig:
 def _load_corpus(config: RunConfig) -> Corpus:
     corpus = load_corpus(config.corpus)
     if config.topics:
-        topics = json.loads(Path(config.topics).read_text(encoding="utf-8"))
         try:
+            topics = json.loads(Path(config.topics).read_text(encoding="utf-8"))
             corpus.topics = {t["topic_id"]: TopicSpec(**t) for t in topics}
-        except (TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:
             raise CorpusError(f"bad topics file {config.topics}: {exc}") from exc
         corpus.validate()
     return corpus
@@ -248,13 +248,16 @@ def _load_golds(config: RunConfig, corpus: Corpus, fetcher, warnings) -> dict[st
     golds: dict[str, GoldStandard] = {}
     if config.golds:
         for path in sorted(Path(config.golds).glob("gold_*.json")):
-            gold = GoldStandard.from_json(path.read_text(encoding="utf-8"))
+            try:
+                gold = GoldStandard.from_json(path.read_text(encoding="utf-8"))
+            except (GoldStandardError, UnicodeDecodeError) as exc:
+                raise GoldStandardError(f"bad gold standard file {path}: {exc}") from exc
             golds[gold.topic_id] = gold
         return golds
     if not config.refs:
         warnings.append("no --refs or --golds given; relevance tables will be NA")
         return golds
-    refs = json.loads(Path(config.refs).read_text(encoding="utf-8"))
+    refs = _load_refs(Path(config.refs))
     for topic_id in sorted(corpus.topics):
         entry = refs.get(topic_id)
         if entry is None:
@@ -281,6 +284,26 @@ def _load_golds(config: RunConfig, corpus: Corpus, fetcher, warnings) -> dict[st
         for uri, reason in golds[topic_id].failures:
             warnings.append(f"topic {topic_id}: reference {uri} failed: {reason}")
     return golds
+
+
+def _load_refs(path: Path) -> dict:
+    """The refs file: a JSON object mapping each topic id to the URI of a
+    reference-list page or to a list of reference URIs. Anything else
+    raises GoldStandardError naming the file (and the topic)."""
+    try:
+        refs = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise GoldStandardError(f"bad refs file {path}: {exc}") from exc
+    if not isinstance(refs, dict):
+        raise GoldStandardError(f"bad refs file {path}: not a JSON object of topic ids")
+    for topic_id, entry in refs.items():
+        if not isinstance(entry, str) and not (
+            isinstance(entry, list) and all(isinstance(uri, str) for uri in entry)
+        ):
+            raise GoldStandardError(
+                f"bad refs file {path}: topic {topic_id}: not a URI or a list of URIs"
+            )
+    return refs
 
 
 def _write_golds(golds: dict[str, GoldStandard], out_dir: Path) -> None:

@@ -25,13 +25,7 @@ from .model import (
     format_timestamp,
     parse_timestamp,
 )
-from .threads import (
-    FixtureThreadAdapter,
-    ThreadAdapterError,
-    UnsupportedSourceError,
-    expand_thread,
-    moments_query,
-)
+from .threads import FixtureThreadAdapter, ThreadAdapterError, expand_thread
 
 __all__ = [
     "CACHE_ENV",
@@ -52,13 +46,11 @@ __all__ = [
     "ThreadAdapterError",
     "TopicSpec",
     "TransportError",
-    "UnsupportedSourceError",
     "build_corpus",
     "expand_thread",
     "fixture_filename",
     "format_timestamp",
     "load_corpus",
-    "moments_query",
     "parse_timestamp",
     "write_corpus",
     "write_fixture",

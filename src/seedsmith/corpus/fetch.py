@@ -45,6 +45,7 @@ class FetchError(Exception):
     def __init__(self, tag: str, detail: str = ""):
         super().__init__(f"{tag}: {detail}" if detail else tag)
         self.tag = tag
+        self.detail = detail
 
 
 class TransportError(FetchError):
@@ -315,7 +316,7 @@ class Fetcher:
                 )
                 self.request_count += 1
             except TransportError as exc:
-                return self._fail(uri, current, tuple(chain), exc.tag, str(exc))
+                return self._fail(uri, current, tuple(chain), exc.tag, exc.detail)
             if status in (301, 302, 303, 307, 308) and headers.get("location"):
                 target = urljoin(current, headers["location"])
                 if target == current or target in chain or target == uri:

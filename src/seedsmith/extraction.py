@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
-from .corpus.fetch import Fetcher, FetchResult
+from .corpus.fetch import Fetcher
 from .corpus.model import Corpus, Post
 from .segmentation import CellKey, PostGroup
 
@@ -23,7 +23,6 @@ log = logging.getLogger(__name__)
 
 HTML_KIND = "html"
 NON_HTML_KIND = "non_html"
-UNKNOWN_KIND = "unknown"
 
 HTML_MEDIA_TYPES = frozenset({"text/html", "application/xhtml+xml"})
 
@@ -81,7 +80,7 @@ class SeedUri:
     original: str
     canonical: str
     hostname: str
-    kind: str  # html | non_html | unknown
+    kind: str  # html | non_html
     provenance: SeedProvenance
     retrieved_at: datetime
     final: str | None = None  # post-redirect URI, once fetched
@@ -92,32 +91,20 @@ class SeedUri:
 class SeedCollection:
     """Seeds of one (topic, source, vertical, post class) cell.
 
-    ``seeds`` is deduplicated under the active policy and feeds
-    collection-level counts (URI totals, diversity, overlap). A post's
-    link count is a property of the post itself, so ``post_seeds`` keeps
-    every post's own links (deduplicated within the post only) for the
-    per-post measures.
+    ``seeds`` is deduplicated per cell (or across the run with global
+    dedup) and feeds collection-level counts (URI totals, diversity,
+    overlap). A post's link count is a property of the post itself, so
+    ``post_seeds`` keeps every post's own links (deduplicated within the
+    post only) for the per-post measures.
     """
 
     key: CellKey
     seeds: tuple[SeedUri, ...]
-    post_seeds: tuple[SeedUri, ...] | None = None  # defaults to ``seeds``
-    dedup_policy: str = "per-cell"
-
-    def __post_init__(self):
-        if self.post_seeds is None:
-            object.__setattr__(self, "post_seeds", self.seeds)
+    post_seeds: tuple[SeedUri, ...]
 
     @property
     def canonical_uris(self) -> set[str]:
         return {s.canonical for s in self.seeds}
-
-    def of_kind(self, kind: str | None) -> list[SeedUri]:
-        """Deduped seeds filtered by kind; None means all kinds, unknown
-        included."""
-        if kind is None:
-            return list(self.seeds)
-        return [s for s in self.seeds if s.kind == kind]
 
 
 def _trim_trailing_punct(uri: str) -> str:
@@ -190,28 +177,17 @@ def hostname_of(canonical: str) -> str:
     return parts.hostname.lower()
 
 
-def classify_uri_kind(
-    fetch: FetchResult | None = None,
-    *,
-    media_type: str | None = None,
-    uri: str | None = None,
-) -> str:
-    """HTML/non-HTML classification from whatever evidence is at hand.
+def classify_uri_kind(uri: str, media_type: str | None = None) -> str:
+    """HTML/non-HTML classification of ``uri``.
 
     A media type wins when present; otherwise the path extension decides
-    (unlisted extensions count as HTML). With no evidence at all the
-    kind is unknown.
+    (unlisted extensions count as HTML).
     """
-    if fetch is not None:
-        media_type = media_type or fetch.media_type
-        uri = uri or fetch.final_uri
     if media_type:
         base = media_type.split(";")[0].strip().lower()
         return HTML_KIND if base in HTML_MEDIA_TYPES else NON_HTML_KIND
-    if uri:
-        ext = posixpath.splitext(urlsplit(uri).path)[1].lower()
-        return NON_HTML_KIND if ext in NON_HTML_EXTENSIONS else HTML_KIND
-    return UNKNOWN_KIND
+    ext = posixpath.splitext(urlsplit(uri).path)[1].lower()
+    return NON_HTML_KIND if ext in NON_HTML_EXTENSIONS else HTML_KIND
 
 
 def intra_site_source(uri: str) -> str | None:
@@ -287,7 +263,7 @@ def substitute_intra_site(
                     original=link,
                     canonical=canonical,
                     hostname=hostname,
-                    kind=classify_uri_kind(uri=canonical),
+                    kind=classify_uri_kind(canonical),
                     final=None,
                     fetch_status=None,
                 )
@@ -329,7 +305,6 @@ def assemble_collections(
 
     global_seen: set[str] = set()
     collections: dict[CellKey, SeedCollection] = {}
-    policy = "global" if options.global_dedup else "per-cell"
 
     for key in sorted(partition):
         groups = partition[key]
@@ -352,7 +327,7 @@ def assemble_collections(
                         original=raw,
                         canonical=canonical,
                         hostname=hostname,
-                        kind=classify_uri_kind(uri=canonical),
+                        kind=classify_uri_kind(canonical),
                         provenance=SeedProvenance(
                             post_id=post.id,
                             group_id=group.group_id,
@@ -384,9 +359,7 @@ def assemble_collections(
                             continue
                         seen.add(candidate.canonical)
                         seeds.append(candidate)
-        collections[key] = SeedCollection(
-            key=key, seeds=tuple(seeds), post_seeds=tuple(stream), dedup_policy=policy
-        )
+        collections[key] = SeedCollection(key=key, seeds=tuple(seeds), post_seeds=tuple(stream))
     return collections
 
 
@@ -400,7 +373,7 @@ def _fetch_kind(seed: SeedUri, fetcher: Fetcher, strict: bool) -> SeedUri:
         seed,
         final=result.final_uri,
         fetch_status=result.status,
-        kind=classify_uri_kind(result),
+        kind=classify_uri_kind(result.final_uri, result.media_type),
     )
 
 

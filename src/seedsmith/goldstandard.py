@@ -14,13 +14,13 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from urllib.parse import urlsplit
 
 from . import textkernel
 from .corpus.fetch import Fetcher, FetchResult
-from .corpus.model import TopicSpec, format_timestamp
-from .htmltools import Element, HtmlDecodingError, decode_html, find_links, parse_html
+from .corpus.model import TopicSpec, format_timestamp, parse_timestamp
+from .htmltools import Element, HtmlDecodingError, decode_html, parse_html
 from .segmentation import P1AN
 from .stopwords import STOPWORDS, STOPWORDS_VERSION
 
@@ -38,51 +38,24 @@ class GoldStandardError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TermVector:
-    """Sparse term -> weight map with its provenance counts.
-
-    ``term_count`` is the number of kept tokens the weights were built
-    from; a normalized vector's weights sum to 1 (within 1e-9).
-    """
-
-    weights: dict[str, float]
-    term_count: int
-    source_doc_count: int
-    normalized: bool
-
-    def is_empty(self) -> bool:
-        return not self.weights
-
-
-def build_term_vector(texts, normalize: bool = True) -> TermVector:
-    """Accumulate term frequencies over the concatenation of ``texts``.
+def build_term_vector(texts) -> dict[str, float]:
+    """Normalized term frequencies over the concatenation of ``texts``:
+    each weight is tf / total tf, so non-empty weights sum to 1 (within
+    1e-9).
 
     Order-invariant: any permutation of the same texts yields the same
-    vector. With ``normalize`` each weight is tf / total tf. Terms keep
-    their first-seen order, which fixes the summation order of every
-    cosine taken over the vector.
+    weights. Terms keep their first-seen order, which fixes the
+    summation order of every cosine taken over the vector.
     """
     counts = Counter()
-    doc_count = 0
-    for text in texts:
+    for i, text in enumerate(texts):
         found = textkernel.token_counts(text, STOPWORDS, MIN_TOKEN_LEN)
-        if doc_count:
+        if i:
             counts.update(found)
         else:
             counts = found
-        doc_count += 1
     total = sum(counts.values())
-    if normalize and total:
-        weights = {term: n / total for term, n in counts.items()}
-    else:
-        weights = {term: float(n) for term, n in counts.items()}
-    return TermVector(
-        weights=weights,
-        term_count=total,
-        source_doc_count=doc_count,
-        normalized=normalize,
-    )
+    return {term: n / total for term, n in counts.items()}
 
 
 def _looks_like_reference_container(el: Element) -> bool:
@@ -110,7 +83,10 @@ def extract_references(ref_page: FetchResult) -> list[str]:
 
     def external_uris(container: Element) -> list[str]:
         out = []
-        for href, _ in find_links(container):
+        for anchor in container.iter_tag("a"):
+            href = anchor.attrs.get("href")
+            if not href:
+                continue
             href = href.strip()
             if not href.lower().startswith(("http://", "https://")):
                 continue
@@ -139,7 +115,7 @@ def extract_references(ref_page: FetchResult) -> list[str]:
 @dataclass(frozen=True)
 class GoldStandard:
     topic_id: str
-    vector: TermVector
+    vector: dict[str, float]  # build_term_vector's normalized weights
     reference_uris: tuple[str, ...]
     failures: tuple[tuple[str, str], ...]  # (uri, reason)
     built_at: datetime
@@ -154,45 +130,38 @@ class GoldStandard:
             "failures": [{"uri": u, "reason": r} for u, r in self.failures],
             "post_class": self.post_class,
             "stopwords_version": STOPWORDS_VERSION,
-            "weights": {t: self.vector.weights[t] for t in sorted(self.vector.weights)},
+            "weights": {t: self.vector[t] for t in sorted(self.vector)},
         }
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "GoldStandard":
-        from .corpus.model import parse_timestamp
-
-        payload = json.loads(text)
-        weights = dict(payload["weights"])
-        vector = TermVector(
-            weights=weights,
-            term_count=0,  # token totals are not persisted
-            source_doc_count=0,
-            normalized=True,
-        )
-        return cls(
-            topic_id=payload["topic_id"],
-            vector=vector,
-            reference_uris=tuple(payload["reference_uris"]),
-            failures=tuple((f["uri"], f["reason"]) for f in payload["failures"]),
-            built_at=parse_timestamp(payload["built_at"]),
-            post_class=payload.get("post_class", P1AN),
-        )
+        """Read ``to_json``'s output back. Text that is not such a
+        document raises GoldStandardError."""
+        try:
+            payload = json.loads(text)
+            return cls(
+                topic_id=payload["topic_id"],
+                vector=dict(payload["weights"]),
+                reference_uris=tuple(payload["reference_uris"]),
+                failures=tuple((f["uri"], f["reason"]) for f in payload["failures"]),
+                built_at=parse_timestamp(payload["built_at"]),
+                post_class=payload.get("post_class", P1AN),
+            )
+        except KeyError as exc:
+            raise GoldStandardError(f"missing key {exc}") from exc
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise GoldStandardError(f"malformed gold standard: {exc}") from exc
 
 
-def build_gold_standard(
-    topic: TopicSpec,
-    ref_uris,
-    fetcher: Fetcher,
-    clock=None,
-) -> GoldStandard:
+def build_gold_standard(topic: TopicSpec, ref_uris, fetcher: Fetcher) -> GoldStandard:
     """Fetch every reference, take its main-content text from the
     fetcher's page digest, and build one normalized vector over the
     concatenation.
 
     Individual fetch/parse failures are recorded and skipped; if every
-    reference fails, GoldStandardError is raised. ``built_at`` defaults
-    to the newest reference fetch time, so fixture-driven builds are
+    reference fails, GoldStandardError is raised. ``built_at`` is the
+    newest reference fetch time, so fixture-driven builds are
     reproducible.
     """
     ref_uris = list(ref_uris)
@@ -219,13 +188,10 @@ def build_gold_standard(
             f"topic {topic.topic_id}: every reference failed "
             f"({len(failures)} of {len(ref_uris)})"
         )
-    built_at = clock() if clock else (
-        max(fetched_times) if fetched_times else datetime(1970, 1, 1, tzinfo=timezone.utc)
-    )
     return GoldStandard(
         topic_id=topic.topic_id,
-        vector=build_term_vector(texts, normalize=True),
+        vector=build_term_vector(texts),
         reference_uris=tuple(ref_uris),
         failures=tuple(failures),
-        built_at=built_at,
+        built_at=max(fetched_times),
     )

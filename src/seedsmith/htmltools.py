@@ -168,11 +168,6 @@ def decode_html(body: bytes) -> str:
         raise HtmlDecodingError(f"cannot decode document as {encoding}: {exc}") from exc
 
 
-def find_links(root: Element) -> list[tuple[str, Element]]:
-    """All (href, anchor element) pairs in document order."""
-    return [(el.attrs["href"], el) for el in root.iter_tag("a") if el.attrs.get("href")]
-
-
 def absolute_http_links(root: Document) -> list[str]:
     """hrefs of a document's anchors that are absolute http(s) URIs, in
     document order."""

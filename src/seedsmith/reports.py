@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .analytics import (
     serp_overlap,
     uri_count_distribution,
 )
-from .corpus.fetch import Fetcher
+from .corpus.fetch import FetchError, Fetcher
 from .corpus.model import Corpus
 from .extraction import HTML_KIND, NON_HTML_KIND, SEED_CSV_HEADER, seed_rows
 from .goldstandard import GoldStandard
@@ -80,7 +79,6 @@ class SeedTextProvider:
         self.fetcher = fetcher
         self.warnings = warnings
         self._warned: set[str] = set()
-        self._warned_lock = threading.Lock()
 
     def __call__(self, seed) -> str:
         if seed.kind == HTML_KIND:
@@ -99,10 +97,9 @@ class SeedTextProvider:
         return digest.text
 
     def _warn(self, uri, message):
-        with self._warned_lock:
-            if uri in self._warned:
-                return
-            self._warned.add(uri)
+        if uri in self._warned:
+            return
+        self._warned.add(uri)
         log.warning(message)
         if self.warnings is not None:
             self.warnings.append(message)
@@ -249,9 +246,9 @@ def build_tables(
     warnings: list,
 ) -> dict:
     """All report tables as {name: {"header": [...], "rows": [[str]]}}."""
-    provider = SeedTextProvider(corpus, fetcher, warnings)
     if config.jobs > 1:
-        _prefetch_page_texts(provider, collections, config.jobs)
+        _prefetch_page_texts(fetcher, collections, golds, config.jobs)
+    provider = SeedTextProvider(corpus, fetcher, warnings)
     judge = RelevanceIndex(golds, provider, config.threshold)
     observations = collect_observations(collections, judge)
     sources = sorted({key[1] for key in collections})
@@ -316,31 +313,35 @@ def build_tables(
     return tables
 
 
-def _prefetch_page_texts(provider: SeedTextProvider, collections, jobs: int) -> None:
-    """Fetch and digest every HTML seed's page concurrently; the fetcher
-    serializes same-host requests itself. Warnings raised during the
-    parallel phase are re-appended in sorted order so manifests stay
-    deterministic."""
+def _prefetch_page_texts(fetcher: Fetcher, collections, golds, jobs: int) -> None:
+    """Fetch and digest, concurrently, every page the sequential pass
+    will judge: the HTML post seeds of the cells whose topic has a gold
+    standard. The fetcher serializes same-host requests itself.
+
+    This only fills the fetcher's caches, so the run writes what a
+    ``jobs=1`` run writes: nothing is warned about here, and a fetch
+    that fails in strict mode (which caches no failure) is fetched again
+    and raises in the sequential pass, in its order.
+    """
     from concurrent.futures import ThreadPoolExecutor
 
-    uris = sorted(
-        {
-            seed.canonical
-            for collection in collections.values()
-            for seed in collection.seeds
-            if seed.kind == HTML_KIND
-        }
-    )
-    main_warnings = provider.warnings
-    phase: list[str] = []
-    provider.warnings = phase
-    try:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(provider.page_text, uris))
-    finally:
-        provider.warnings = main_warnings
-        if main_warnings is not None:
-            main_warnings.extend(sorted(phase))
+    def fill(uri):
+        try:
+            result = fetcher.dereference(uri)
+        except FetchError:
+            return
+        if result.ok:
+            fetcher.digest(result)
+
+    uris = {
+        seed.canonical
+        for key, collection in collections.items()
+        if key[0] in golds
+        for seed in collection.post_seeds
+        if seed.kind == HTML_KIND
+    }
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(fill, sorted(uris)))
 
 
 def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextProvider, warnings):

@@ -1,8 +1,13 @@
-"""The text kernels: token counting and sparse cosine."""
+"""Hot text kernels: token counting and sparse cosine, in pure Python.
+
+``IMPLEMENTATION`` names the kernel in every run's manifest.
+"""
 
 import math
 import re
 from collections import Counter
+
+IMPLEMENTATION = "python"
 
 # One token = a maximal run of Unicode alphanumerics: \w minus underscore
 # matches exactly the characters str.isalnum() accepts. With a minimum

@@ -396,7 +396,7 @@ def reference_substitute_intra_site(seed, fetcher, depth_limit=3, strict=False, 
                     original=link,
                     canonical=canonical,
                     hostname=hostname,
-                    kind=classify_uri_kind(uri=canonical),
+                    kind=classify_uri_kind(canonical),
                     final=None,
                     fetch_status=None,
                 )

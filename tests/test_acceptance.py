@@ -20,15 +20,15 @@ from oracles import brute_force_classify, classify_result_as_set, distinct_count
 from seedsmith.analytics import (
     MODE_LITERAL,
     MODE_NORMALIZED,
-    cosine_similarity,
     hostname_diversity,
     judge_relevance,
 )
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus import load_corpus, write_corpus
 from seedsmith.extraction import HTML_KIND, NON_HTML_KIND, SeedCollection, SeedProvenance, SeedUri
-from seedsmith.goldstandard import GoldStandard, TermVector
+from seedsmith.goldstandard import GoldStandard
 from seedsmith.segmentation import build_forest, classify_groups
+from seedsmith.textkernel import sparse_cosine
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -99,7 +99,9 @@ def _random_collections(rng):
                             made += 1
                     if made:
                         ks.append(made)
-                collections[key] = SeedCollection(key=key, seeds=tuple(seeds))
+                collections[key] = SeedCollection(
+                    key=key, seeds=tuple(seeds), post_seeds=tuple(seeds)
+                )
                 truth.append((source, post_class, topic, ks))
     return collections, truth
 
@@ -160,12 +162,12 @@ def test_criterion_2_distribution_correctness():
 
 
 def test_criterion_3_relevance_fixtures():
-    got = cosine_similarity({"a": 0.5, "b": 0.5}, {"a": 1.0})
+    got = sparse_cosine({"a": 0.5, "b": 0.5}, {"a": 1.0})
     assert abs(got - 0.7071) <= 1e-4
 
     boundary_gold = GoldStandard(
         topic_id="t1",
-        vector=TermVector({f"term{i:02d}": 1 / 16 for i in range(16)}, 16, 1, True),
+        vector={f"term{i:02d}": 1 / 16 for i in range(16)},
         reference_uris=("https://ref.example/",),
         failures=(),
         built_at=make_post().retrieved_at,
@@ -180,9 +182,9 @@ def test_criterion_3_relevance_fixtures():
         terms = [f"w{i}" for i in range(rng.randint(1, 15))]
         a = {t: rng.uniform(0.01, 3) for t in terms if rng.random() < 0.7} or {"w0": 1.0}
         b = {t: rng.uniform(0.01, 3) for t in terms if rng.random() < 0.7} or {"w1": 1.0}
-        base = cosine_similarity(a, b)
+        base = sparse_cosine(a, b)
         ka, kb = rng.uniform(0.2, 50), rng.uniform(0.2, 50)
-        scaled = cosine_similarity(
+        scaled = sparse_cosine(
             {t: w * ka for t, w in a.items()},
             {t: w * kb for t, w in b.items()},
         )

@@ -13,7 +13,6 @@ from seedsmith.analytics import (
     age_distribution,
     class_average_precision,
     conditional_relevance_by_k,
-    cosine_similarity,
     estimate_publication_date,
     hostname_diversity,
     judge_relevance,
@@ -23,19 +22,16 @@ from seedsmith.analytics import (
 )
 from seedsmith.corpus.fetch import FetchResult
 from seedsmith.extraction import HTML_KIND, SeedCollection, SeedProvenance, SeedUri
-from seedsmith.goldstandard import GoldStandard, TermVector, build_term_vector
+from seedsmith.goldstandard import GoldStandard, build_term_vector
 from seedsmith.pages import digest_page
 from seedsmith.reports import RelevanceIndex, collect_observations
+from seedsmith.textkernel import sparse_cosine
 
 
 def gold_of(weights=None, text=None):
-    if text is not None:
-        vector = build_term_vector([text])
-    else:
-        vector = TermVector(weights, sum(weights.values()), 1, True)
     return GoldStandard(
         topic_id="t1",
-        vector=vector,
+        vector=build_term_vector([text]) if text is not None else weights,
         reference_uris=("https://ref.example/a",),
         failures=(),
         built_at=RETRIEVED,
@@ -45,30 +41,30 @@ def gold_of(weights=None, text=None):
 class TestCosine:
     def test_identical_vectors(self):
         v = {"flood": 0.7, "river": 0.3}
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert sparse_cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_vectors(self):
-        assert cosine_similarity({"a": 1.0}, {"b": 1.0}) == 0.0
+        assert sparse_cosine({"a": 1.0}, {"b": 1.0}) == 0.0
 
     def test_hand_computed(self):
-        got = cosine_similarity({"a": 0.5, "b": 0.5}, {"a": 1.0})
+        got = sparse_cosine({"a": 0.5, "b": 0.5}, {"a": 1.0})
         assert got == pytest.approx(0.7071, abs=1e-4)
 
     def test_empty_vector(self):
-        assert cosine_similarity({}, {"a": 1.0}) == 0.0
+        assert sparse_cosine({}, {"a": 1.0}) == 0.0
 
     def test_accepts_term_vectors(self):
         tv = build_term_vector(["flood river"])
-        assert cosine_similarity(tv, tv) == pytest.approx(1.0)
+        assert sparse_cosine(tv, tv) == pytest.approx(1.0)
 
     def test_scale_invariance_random(self):
         rng = random.Random(5)
         for _ in range(100):
             a = {f"w{i}": rng.uniform(0.01, 5) for i in range(rng.randint(1, 12))}
             b = {f"w{i}": rng.uniform(0.01, 5) for i in range(rng.randint(1, 12))}
-            base = cosine_similarity(a, b)
+            base = sparse_cosine(a, b)
             ka, kb = rng.uniform(0.1, 100), rng.uniform(0.1, 100)
-            scaled = cosine_similarity(
+            scaled = sparse_cosine(
                 {t: w * ka for t, w in a.items()}, {t: w * kb for t, w in b.items()}
             )
             assert scaled == pytest.approx(base, abs=1e-9)
@@ -140,7 +136,7 @@ class TestPostPrecision:
         observes it."""
         key = ("t1", "reddit", "top", "P1A1")
         judge = RelevanceIndex({"t1": self.GOLD}, texts, DEFAULT_RELEVANCE_THRESHOLD)
-        collections = {key: SeedCollection(key=key, seeds=tuple(seeds))}
+        collections = {key: SeedCollection(key=key, seeds=tuple(seeds), post_seeds=tuple(seeds))}
         [observation] = collect_observations(collections, judge)
         return observation.precision[kind]
 
@@ -216,7 +212,7 @@ def collection_of(counts_by_post, topic="t1", source="reddit", vertical="top",
                      post_id=post_id, topic=topic, source=source,
                      vertical=vertical, post_class=post_class)
             )
-    return key, SeedCollection(key=key, seeds=tuple(seeds))
+    return key, SeedCollection(key=key, seeds=tuple(seeds), post_seeds=tuple(seeds))
 
 
 class TestKBins:
@@ -263,7 +259,7 @@ class TestDistribution:
     def test_kind_filter_excludes_other_kinds(self):
         key, coll = collection_of({"a": 2})
         extra = seed("https://files.example/doc.pdf", post_id="a", kind="non_html")
-        coll = SeedCollection(key=key, seeds=coll.seeds + (extra,))
+        coll = SeedCollection(key=key, seeds=coll.seeds + (extra,), post_seeds=coll.seeds + (extra,))
         html_col = distribution_column({key: coll}, source="reddit", scope="P1A1", kind="html")
         assert html_col.probabilities["2"] == 1.0
         all_col = distribution_column({key: coll}, source="reddit", scope="P1A1", kind=None)
@@ -457,24 +453,18 @@ class TestAges:
 
 
 class TestDiversity:
-    def coll(self, hosts):
-        seeds = tuple(
-            seed(f"https://{h}/x{i}", post_id=f"p{i}") for i, h in enumerate(hosts)
-        )
-        return SeedCollection(key=("t1", "reddit", "top", "P1A1"), seeds=seeds)
-
     def test_single_host_zero(self):
-        assert hostname_diversity(self.coll(["www.cnn.com"] * 3)) == 0.0
+        assert hostname_diversity(["www.cnn.com"] * 3) == 0.0
 
     def test_all_distinct_one(self):
-        assert hostname_diversity(self.coll(["a.example", "b.example", "c.example"])) == 1.0
+        assert hostname_diversity(["a.example", "b.example", "c.example"]) == 1.0
 
     def test_intermediate(self):
-        assert hostname_diversity(self.coll(["a.example", "a.example", "b.example"])) == 0.5
+        assert hostname_diversity(["a.example", "a.example", "b.example"]) == 0.5
 
     def test_small_collections_na(self):
-        assert hostname_diversity(self.coll([])) is None
-        assert hostname_diversity(self.coll(["a.example"])) is None
+        assert hostname_diversity([]) is None
+        assert hostname_diversity(["a.example"]) is None
 
     def test_formula_matches_set_size_oracle(self):
         rng = random.Random(23)
@@ -486,28 +476,24 @@ class TestDiversity:
 
 
 class TestOverlap:
-    def coll(self, uris):
-        seeds = tuple(seed(u, post_id=f"p{i}") for i, u in enumerate(uris))
-        return SeedCollection(key=("t1", "google", "all", "P1A1"), seeds=seeds)
-
     def test_disjoint(self):
-        assert serp_overlap(self.coll(["https://a.example/1"]), self.coll(["https://b.example/2"])) == 0.0
+        assert serp_overlap(["https://a.example/1"], ["https://b.example/2"]) == 0.0
 
     def test_subset_is_one(self):
-        reference = self.coll(["https://a.example/1", "https://b.example/2", "https://c.example/3"])
-        candidate = self.coll(["https://a.example/1", "https://b.example/2"])
+        reference = ["https://a.example/1", "https://b.example/2", "https://c.example/3"]
+        candidate = ["https://a.example/1", "https://b.example/2"]
         assert serp_overlap(reference, candidate) == 1.0
 
     def test_partial(self):
-        reference = self.coll(["https://u1.example/", "https://u2.example/"])
-        candidate = self.coll(["https://u2.example/", "https://u3.example/", "https://u4.example/"])
+        reference = ["https://u1.example/", "https://u2.example/"]
+        candidate = ["https://u2.example/", "https://u3.example/", "https://u4.example/"]
         assert serp_overlap(reference, candidate) == pytest.approx(1 / 3)
 
     def test_empty_candidate_na(self):
-        assert serp_overlap(self.coll(["https://a.example/"]), self.coll([])) is None
+        assert serp_overlap(["https://a.example/"], []) is None
 
     def test_self_overlap_is_one(self):
-        c = self.coll(["https://a.example/1", "https://b.example/2"])
+        c = ["https://a.example/1", "https://b.example/2"]
         assert serp_overlap(c, c) == 1.0
 
     def test_invariant_under_recanonicalization(self):

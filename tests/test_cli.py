@@ -6,7 +6,7 @@ import pytest
 from conftest import make_corpus, make_post
 from seedsmith import reports
 from seedsmith.cli import main
-from seedsmith.corpus import write_corpus, write_fixture
+from seedsmith.corpus import load_corpus, write_corpus, write_fixture
 from seedsmith.extraction import HTML_KIND
 
 DATA = Path(__file__).parent / "data"
@@ -91,7 +91,7 @@ class TestRun:
                 rel = path.relative_to(serial)
                 assert (parallel / rel).read_bytes() == path.read_bytes(), rel
 
-    def test_strict_mode_fetch_failure_exits_1(self, tmp_path):
+    def test_strict_mode_fetch_failure_exits_1(self, tmp_path, capsys):
         corpus = make_corpus(
             [make_post(id="r", source="twitter", serp_visible=True,
                        text="https://twitter.com/ghost/status/1")]
@@ -105,6 +105,10 @@ class TestRun:
             "--fixtures", fixtures, "--strict",
         )
         assert code == 1
+        # The error names its tag once, then the transport's detail.
+        assert capsys.readouterr().err.startswith(
+            "error: missing-fixture: no fixture for https://twitter.com/ghost/status/1 ("
+        )
 
     def test_lenient_mode_same_corpus_exits_0(self, tmp_path):
         corpus = make_corpus(
@@ -216,6 +220,87 @@ class TestRun:
         assert seeds == ["https://news.example/final"]
 
 
+class TestJobs:
+    """``--jobs`` changes how a run proceeds, never what it writes. The
+    bundled corpus gains SERP posts linking pages that have no fixture,
+    so the page-reading pass has warnings, and with --strict errors, to
+    order."""
+
+    MISSING = {
+        "eclipse": "https://zzz.example/missing-page",
+        "flood": "https://aaa.example/missing-page",
+    }
+
+    def corpus(self, tmp_path, topics):
+        corpus = load_corpus(DATA / "corpus.jsonl")
+        for topic in topics:
+            post = make_post(id=f"missing-{topic}", topic_id=topic, serp_visible=True,
+                             text=f"see {self.MISSING[topic]}")
+            corpus.posts[post.id] = post
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        return path
+
+    def refs_without_flood(self, tmp_path):
+        refs = json.loads((DATA / "refs.json").read_text())
+        del refs["flood"]
+        path = tmp_path / "refs.json"
+        path.write_text(json.dumps(refs))
+        return path
+
+    def run(self, corpus, refs, out, jobs, *flags):
+        return run_cli("run", "--corpus", corpus, "--fixtures", DATA / "responses",
+                       "--refs", refs, "--out", out, "--jobs", jobs, *flags)
+
+    @pytest.mark.parametrize("all_refs", [True, False], ids=["all-refs", "no-flood-ref"])
+    def test_jobs_2_writes_what_jobs_1_writes(self, tmp_path, all_refs):
+        corpus = self.corpus(tmp_path, ("eclipse", "flood"))
+        refs = DATA / "refs.json" if all_refs else self.refs_without_flood(tmp_path)
+        serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+        assert self.run(corpus, refs, serial, "1") == 0
+        assert self.run(corpus, refs, parallel, "2") == 0
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file())
+        for rel in files:
+            assert (parallel / rel).read_bytes() == (serial / rel).read_bytes(), rel
+        warnings = json.loads((serial / "manifest.json").read_text())["warnings"]
+        assert any(self.MISSING["eclipse"] in w for w in warnings)
+        assert any(self.MISSING["flood"] in w for w in warnings) == all_refs
+
+    def test_strict_exit_code_does_not_depend_on_jobs(self, tmp_path):
+        # Nothing judges the flood page, so no run of any --jobs reads it.
+        corpus = self.corpus(tmp_path, ("flood",))
+        refs = self.refs_without_flood(tmp_path)
+        codes = [self.run(corpus, refs, tmp_path / f"jobs{j}", j, "--strict") for j in ("1", "2")]
+        assert codes == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "command, flag, name, text",
+    [
+        ("run", "--refs", "refs.json", "[]"),
+        ("run", "--refs", "refs.json", '{"flood": 5, "eclipse": [3, null]}'),
+        ("run", "--refs", "refs.json", "{not json"),
+        ("run", "--topics", "topics.json", "[{not json"),
+        ("analyze", "--golds", "golds/gold_flood.json", json.dumps(
+            {"topic_id": "flood", "built_at": "2018-11-06T00:00:00Z", "reference_uris": [],
+             "failures": [], "post_class": "P1An"})),
+    ],
+    ids=["refs-list", "refs-bad-entries", "refs-not-json", "topics-not-json", "gold-no-weights"],
+)
+def test_malformed_input_file_ends_with_one_error_line(tmp_path, capsys, command, flag, name, text):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)
+    value = path.parent if flag == "--golds" else path
+    assert run_cli(*base_args(tmp_path / "out", command), flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 class TestStages:
     def test_segment(self, tmp_path):
         out = tmp_path / "seg"
@@ -300,8 +385,6 @@ class TestStages:
             "--fixtures", fixtures, "--replies", tmp_path / "replies.jsonl",
         )
         assert code == 0
-        from seedsmith.corpus import load_corpus
-
         ingested = load_corpus(out / "corpus.jsonl")
         assert set(ingested.posts) == {"r", "c1", "c2"}
 

@@ -21,7 +21,6 @@ from seedsmith.extraction import (
     ExtractionError,
     HTML_KIND,
     NON_HTML_KIND,
-    UNKNOWN_KIND,
     SeedProvenance,
     SeedUri,
     assemble_collections,
@@ -193,25 +192,24 @@ class TestCanonicalize:
 
 
 class TestClassifyKind:
+    STORY = "https://a.example/story"
+
     def test_media_type_html(self):
-        assert classify_uri_kind(media_type="text/html; charset=utf-8") == HTML_KIND
-        assert classify_uri_kind(media_type="application/xhtml+xml") == HTML_KIND
+        assert classify_uri_kind(self.STORY, "text/html; charset=utf-8") == HTML_KIND
+        assert classify_uri_kind(self.STORY, "application/xhtml+xml") == HTML_KIND
 
     def test_media_type_non_html(self):
-        assert classify_uri_kind(media_type="application/pdf") == NON_HTML_KIND
-        assert classify_uri_kind(media_type="image/png") == NON_HTML_KIND
+        assert classify_uri_kind(self.STORY, "application/pdf") == NON_HTML_KIND
+        assert classify_uri_kind(self.STORY, "image/png") == NON_HTML_KIND
 
     def test_extension_heuristic(self):
-        assert classify_uri_kind(uri="https://a.example/report.pdf") == NON_HTML_KIND
-        assert classify_uri_kind(uri="https://a.example/watch.MP4") == NON_HTML_KIND
-        assert classify_uri_kind(uri="https://a.example/story") == HTML_KIND
-        assert classify_uri_kind(uri="https://a.example/page.html") == HTML_KIND
+        assert classify_uri_kind("https://a.example/report.pdf") == NON_HTML_KIND
+        assert classify_uri_kind("https://a.example/watch.MP4") == NON_HTML_KIND
+        assert classify_uri_kind("https://a.example/story") == HTML_KIND
+        assert classify_uri_kind("https://a.example/page.html") == HTML_KIND
 
     def test_media_type_beats_extension(self):
-        assert classify_uri_kind(media_type="text/html", uri="https://a.example/x.pdf") == HTML_KIND
-
-    def test_no_evidence_is_unknown(self):
-        assert classify_uri_kind() == UNKNOWN_KIND
+        assert classify_uri_kind("https://a.example/x.pdf", "text/html") == HTML_KIND
 
 
 class TestHostname:
@@ -431,7 +429,7 @@ class TestAssemble:
         for collection in collections.values():
             total = len(collection.seeds)
             split = sum(
-                len(collection.of_kind(k)) for k in (HTML_KIND, NON_HTML_KIND, UNKNOWN_KIND)
+                len([s for s in collection.seeds if s.kind == k]) for k in (HTML_KIND, NON_HTML_KIND)
             )
             assert total == split
 
@@ -470,7 +468,6 @@ class TestAssemble:
         globally = self.assemble(corpus, global_dedup=True)
         total = sum(len(c.seeds) for c in globally.values())
         assert total == 1
-        assert all(c.dedup_policy == "global" for c in globally.values())
 
     def test_fetch_kinds_uses_media_type(self, tmp_path):
         write_fixture(tmp_path, "https://a.example/download", 200,

@@ -1,12 +1,7 @@
 import pytest
 
 from conftest import make_post
-from seedsmith.corpus.threads import (
-    FixtureThreadAdapter,
-    UnsupportedSourceError,
-    expand_thread,
-    moments_query,
-)
+from seedsmith.corpus.threads import FixtureThreadAdapter, ThreadAdapterError, expand_thread
 
 
 def chain_replies(root_id, count, author="bob"):
@@ -46,23 +41,29 @@ def test_cycle_terminates_each_id_once():
     assert set(ids) == {"root", "a", "b"}
 
 
+class FailingAdapter(FixtureThreadAdapter):
+    """Replays recorded replies but fails on the posts in ``fail_on``."""
+
+    def __init__(self, posts, fail_on):
+        super().__init__(posts)
+        self.fail_on = fail_on
+
+    def replies(self, post):
+        if post.id in self.fail_on:
+            raise ThreadAdapterError(f"simulated failure expanding {post.id}")
+        return super().replies(post)
+
+
 def test_adapter_failure_yields_partial_with_warning():
     root = make_post(id="root", serp_visible=True)
     a = make_post(id="a", parent_id="root")
     b = make_post(id="b", parent_id="a")
-    adapter = FixtureThreadAdapter([a, b], fail_on={"a"})
+    adapter = FailingAdapter([a, b], fail_on={"a"})
     provenance = []
     thread = expand_thread(root, adapter, reply_limit=500, provenance=provenance)
     assert [p.id for p in thread] == ["root", "a"]
     assert len(provenance) == 1
     assert "stopped at a" in provenance[0]["warning"]
-
-
-def test_unsupported_source_rejected():
-    root = make_post(id="root", serp_visible=True, source="scoopit")
-    adapter = FixtureThreadAdapter([], sources={"reddit"})
-    with pytest.raises(UnsupportedSourceError):
-        expand_thread(root, adapter, reply_limit=5)
 
 
 def test_non_root_post_rejected():
@@ -81,7 +82,3 @@ def test_breadth_first_deterministic_order():
     first = [p.id for p in expand_thread(root, adapter, 500)]
     second = [p.id for p in expand_thread(root, adapter, 500)]
     assert first == second == ["root", "a", "z", "a1"]
-
-
-def test_moments_query_template():
-    assert moments_query("river flood") == "site:twitter.com/i/moments river flood"
