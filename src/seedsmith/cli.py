@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -49,6 +50,10 @@ EXIT_CONFIG = 2
 
 class ConfigError(Exception):
     pass
+
+
+class BundleError(Exception):
+    """A ``report --bundle`` file that is not a saved report bundle."""
 
 
 @dataclass
@@ -286,6 +291,35 @@ def _load_golds(config: RunConfig, corpus: Corpus, fetcher, warnings) -> dict[st
     return golds
 
 
+_TABLE_NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _load_bundle(path: Path) -> dict:
+    """A saved bundle.json: a JSON object with ``manifest`` and
+    ``tables``, an object whose every table has a ``header`` list and a
+    ``rows`` list of lists, under a name fit to be a file name in
+    ``--out``. Anything else raises BundleError naming the file (and the
+    table)."""
+    try:
+        bundle = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise BundleError(f"bad bundle file {path}: {exc}") from exc
+    tables = bundle.get("tables") if isinstance(bundle, dict) else None
+    if not isinstance(tables, dict) or "manifest" not in bundle:
+        raise BundleError(f"bad bundle file {path}: not a JSON object with 'tables' and 'manifest'")
+    for name, table in tables.items():
+        if not _TABLE_NAME_RE.fullmatch(name):
+            raise BundleError(f"bad bundle file {path}: table name {name!r} is not a plain file name")
+        if not (
+            isinstance(table, dict)
+            and isinstance(table.get("header"), list)
+            and isinstance(table.get("rows"), list)
+            and all(isinstance(row, list) for row in table["rows"])
+        ):
+            raise BundleError(f"bad bundle file {path}: table {name}: no 'header' list and 'rows' list of lists")
+    return bundle
+
+
 def _load_refs(path: Path) -> dict:
     """The refs file: a JSON object mapping each topic id to the URI of a
     reference-list page or to a list of reference URIs. Anything else
@@ -420,15 +454,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            bundle = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
-            write_bundle(bundle, args.out, formats=(args.format,))
+            write_bundle(_load_bundle(args.bundle), args.out, formats=(args.format,))
             return EXIT_OK
         stop = "analyze" if args.command == "run" else args.command
         return run_pipeline(config_from_args(args), stop)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, FetchError, ExtractionError, GoldStandardError, OSError) as exc:
+    except (BundleError, CorpusError, FetchError, ExtractionError, GoldStandardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

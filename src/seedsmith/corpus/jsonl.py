@@ -128,17 +128,23 @@ def load_corpus(path) -> Corpus:
     """Load and validate a corpus from a JSONL file.
 
     Raises CorpusFormatError (naming the offending line and field) on
-    malformed records and CorpusIntegrityError on broken references.
+    lines that are not UTF-8 or not JSON and on malformed records, and
+    CorpusIntegrityError on broken references.
     """
     path = Path(path)
     corpus = Corpus()
-    with path.open("r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 are read as lone surrogates, which do not
+    # encode back, so each line is checked on its own and named.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8")
                 record = json.loads(line)
+            except UnicodeEncodeError as exc:
+                raise CorpusFormatError(f"line {line_no}: not UTF-8 text") from exc
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):

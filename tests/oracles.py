@@ -7,11 +7,12 @@ calendar-free day counter instead of datetime arithmetic.
 
 The last section keeps reference copies of code the package has since
 restructured (recursive self-chain growing, the token-by-token term
-counter, the recursive element-tree walks, main-text scoring that walks
-each candidate's subtree again, the page functions and the date chain
-that each parsed a document on their own, recursive intra-site
-substitution, and the per-row rescans of report assembly), for
-differential tests.
+counter, the tree builder on top of ``html.parser`` that ``parse_html``
+used before its own lexer, the recursive element-tree walks, main-text
+scoring that walks each candidate's subtree again, the page functions
+and the date chain that each parsed a document on their own, recursive
+intra-site substitution, and the per-row rescans of report assembly),
+for differential tests.
 """
 
 import json
@@ -19,6 +20,7 @@ import re
 from collections import defaultdict
 from dataclasses import replace
 from datetime import date
+from html.parser import HTMLParser
 
 from seedsmith.analytics import date_from_last_modified, date_from_uri_path
 from seedsmith.extraction import (
@@ -31,12 +33,13 @@ from seedsmith.extraction import (
 )
 from seedsmith.htmltools import (
     NON_CONTENT_TAGS,
+    VOID_TAGS,
+    Document,
     Element,
     HtmlDecodingError,
     absolute_http_links,
     decode_html,
     find_meta,
-    parse_html,
 )
 
 
@@ -186,6 +189,62 @@ def reference_token_counts(text, stopwords=frozenset(), min_len=2):
     return counts
 
 
+class _TreeBuilder(HTMLParser):
+    """Builds the tree and records each element as its start tag arrives:
+    an element is only ever added under an open element, and a closed
+    one never reopens, so start-tag order is document pre-order."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.root = Document("[document]", {})
+        self.elements = self.root.elements
+        self.parents = self.root.parents
+        self.stack = [self.root]
+        self.open_indices = [-1]  # index in elements of each stack entry
+
+    def updatepos(self, i, j):
+        # Line and column numbers are never read; skip counting newlines.
+        return j
+
+    def handle_starttag(self, tag, attrs):
+        element = Element(tag, {k: (v if v is not None else "") for k, v in attrs})
+        self.stack[-1].children.append(element)
+        self.parents.append(self.open_indices[-1])
+        self.elements.append(element)
+        if tag not in VOID_TAGS:
+            self.open_indices.append(len(self.elements) - 1)
+            self.stack.append(element)
+
+    def handle_startendtag(self, tag, attrs):
+        # <tag/> opens and closes at once.
+        self.handle_starttag(tag, attrs)
+        if tag not in VOID_TAGS:
+            self.stack.pop()
+            self.open_indices.pop()
+
+    def handle_endtag(self, tag):
+        # Pop back to the nearest matching open tag; ignore stray closers.
+        for i in range(len(self.stack) - 1, 0, -1):
+            if self.stack[i].tag == tag:
+                del self.stack[i:]
+                del self.open_indices[i:]
+                return
+
+    def handle_data(self, data):
+        if data:
+            self.stack[-1].children.append(data)
+
+
+def reference_parse_html(text):
+    """``parse_html`` as it was: ``html.parser`` driving ``_TreeBuilder``.
+    Raises AssertionError on a ``<![`` section with no name or an
+    unknown one, which ``parse_html`` reads as a bogus comment."""
+    builder = _TreeBuilder()
+    builder.feed(text)
+    builder.close()
+    return builder.root
+
+
 def reference_iter(element):
     """An element and its descendants, recursively, in pre-order."""
     yield element
@@ -239,7 +298,7 @@ def reference_main_container(root):
 def reference_strip_boilerplate(html):
     """Main-content text, parsing the document itself."""
     text = decode_html(html) if isinstance(html, bytes) else html
-    return reference_main_container(parse_html(text)).text(exclude=NON_CONTENT_TAGS)
+    return reference_main_container(reference_parse_html(text)).text(exclude=NON_CONTENT_TAGS)
 
 
 _ISO_DATE_PREFIX_RE = re.compile(r"^\s*(\d{4})-(\d{2})-(\d{2})")
@@ -292,7 +351,7 @@ def _jsonld_published(node):
 def reference_metadata_date(body):
     """Metadata publication date of a document body, parsing it itself."""
     try:
-        root = parse_html(decode_html(body))
+        root = reference_parse_html(decode_html(body))
     except HtmlDecodingError:
         return None
     metas = find_meta(root)
@@ -336,7 +395,7 @@ def reference_metadata_date(body):
 def reference_target_links(body):
     """Absolute http(s) links of a document body, [] if it cannot be read."""
     try:
-        return absolute_http_links(parse_html(decode_html(body)))
+        return absolute_http_links(reference_parse_html(decode_html(body)))
     except ValueError:
         return []
 

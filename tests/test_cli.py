@@ -454,6 +454,42 @@ class TestStages:
             assert parsed == table["rows"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{not", "[]", "{}", '{"tables": [], "manifest": {}}', '{"tables": {"age": 5}, "manifest": {}}',
+     '{"tables": {"age": {"header": ["a"]}}, "manifest": {}}',
+     '{"tables": {"age": {"header": ["a"], "rows": [5]}}, "manifest": {}}',
+     '{"tables": {"../age": {"header": ["a"], "rows": []}}, "manifest": {}}'],
+    ids=["not-json", "list", "empty-object", "tables-not-object", "table-not-object", "table-no-rows",
+         "row-not-list", "table-name-a-path"],
+)
+def test_malformed_bundle_ends_with_one_error_line(tmp_path, capsys, text):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(text)
+    assert run_cli("report", "--bundle", bundle, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad bundle file {bundle}: ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [bundle]
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--replies"])
+@pytest.mark.parametrize("bad_line", [1, 3])
+def test_corpus_not_utf8_ends_with_one_error_line(tmp_path, capsys, flag, bad_line):
+    lines = (DATA / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"".join(lines))
+    args = base_args(tmp_path / "out")
+    if flag == "--corpus":
+        args[args.index("--corpus") + 1] = path
+    else:
+        args += ["--replies", path]
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: line {bad_line}: not UTF-8 text\n"
+
+
 def test_unwritable_output_dir_is_runtime_error(tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("file in the way")

@@ -119,6 +119,12 @@ class TestExtractReferences:
         page = "<html><body><div class='references'><ol><li><a href='https://r.example/x'>x</a></body>"
         assert extract_references(page_result(page)) == ["https://r.example/x"]
 
+    @pytest.mark.parametrize("section", ["<![foo]>", "<![ x"])
+    def test_marked_section_html_parser_rejects_is_skipped(self, section):
+        page = REF_PAGE.replace("<ol>", "<ol>" + section)
+        got = extract_references(page_result(page))
+        assert got == ["https://ref1.example/a", "https://ref2.example/b", "https://ref3.example/c"]
+
     def test_plain_ordered_list_fallback(self):
         page = """
         <html><body><ol>

@@ -348,7 +348,14 @@ def test_too_deep_jsonld_carries_no_date():
 
 
 @pytest.mark.parametrize(
-    "body", [pytest.param(DEEP_NESTING, id="deep-nesting"), pytest.param(DEEP_JSONLD, id="deep-jsonld")]
+    "body",
+    [
+        pytest.param(DEEP_NESTING, id="deep-nesting"),
+        pytest.param(DEEP_JSONLD, id="deep-jsonld"),
+        # Marked sections html.parser rejects with an AssertionError.
+        pytest.param(b"<html><body><![foo]><p>flood water rises</p></body></html>", id="unknown-section"),
+        pytest.param(b"<html><body><p>flood water rises<![ x</p></body></html>", id="nameless-section"),
+    ],
 )
 def test_lenient_run_over_hostile_page_exits_0(tmp_path, body):
     uri = "https://hostile.example/page"
