@@ -49,7 +49,8 @@ _TOPIC_FIELDS = (
 
 
 class CorpusFormatError(CorpusError):
-    """A line in the corpus file is malformed; the message names the line."""
+    """A line in the corpus file is malformed; the message names the file
+    and the line."""
 
 
 def _post_to_record(post: Post) -> dict:
@@ -74,28 +75,28 @@ def _topic_to_record(topic: TopicSpec) -> dict:
     }
 
 
-def _record_to_post(record: dict, line_no: int) -> Post:
+def _record_to_post(record: dict, where: str) -> Post:
     def require(name):
         if name not in record:
-            raise CorpusFormatError(f"line {line_no}: missing field '{name}'")
+            raise CorpusFormatError(f"{where}: missing field '{name}'")
         return record[name]
 
     def timestamp(name, required):
         value = record.get(name)
         if value is None:
             if required:
-                raise CorpusFormatError(f"line {line_no}: missing field '{name}'")
+                raise CorpusFormatError(f"{where}: missing field '{name}'")
             return None
         try:
             return parse_timestamp(value)
         except (ValueError, TypeError) as exc:
             raise CorpusFormatError(
-                f"line {line_no}: field '{name}' is not a valid timestamp: {exc}"
+                f"{where}: field '{name}' is not a valid timestamp: {exc}"
             ) from exc
 
     raw_links = record.get("raw_links", [])
     if not isinstance(raw_links, list):
-        raise CorpusFormatError(f"line {line_no}: field 'raw_links' must be a list")
+        raise CorpusFormatError(f"{where}: field 'raw_links' must be a list")
     try:
         return Post(
             id=require("id"),
@@ -114,22 +115,22 @@ def _record_to_post(record: dict, line_no: int) -> Post:
             platform_uri=record.get("platform_uri"),
         )
     except CorpusError as exc:
-        raise CorpusFormatError(f"line {line_no}: {exc}") from exc
+        raise CorpusFormatError(f"{where}: {exc}") from exc
 
 
-def _record_to_topic(record: dict, line_no: int) -> TopicSpec:
+def _record_to_topic(record: dict, where: str) -> TopicSpec:
     try:
         return TopicSpec(**{k: record.get(k) for k in _TOPIC_FIELDS if k in record})
     except (CorpusError, TypeError) as exc:
-        raise CorpusFormatError(f"line {line_no}: bad topic record: {exc}") from exc
+        raise CorpusFormatError(f"{where}: bad topic record: {exc}") from exc
 
 
 def load_corpus(path) -> Corpus:
     """Load and validate a corpus from a JSONL file.
 
-    Raises CorpusFormatError (naming the offending line and field) on
-    lines that are not UTF-8 or not JSON and on malformed records, and
-    CorpusIntegrityError on broken references.
+    Raises CorpusFormatError (naming the file, the offending line and the
+    field) on lines that are not UTF-8 or not JSON and on malformed
+    records, and CorpusIntegrityError on broken references.
     """
     path = Path(path)
     corpus = Corpus()
@@ -140,37 +141,38 @@ def load_corpus(path) -> Corpus:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {line_no}"
             try:
                 line.encode("utf-8")
                 record = json.loads(line)
             except UnicodeEncodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: not UTF-8 text") from exc
+                raise CorpusFormatError(f"{where}: not UTF-8 text") from exc
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+                raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
-                raise CorpusFormatError(f"line {line_no}: record must be a JSON object")
+                raise CorpusFormatError(f"{where}: record must be a JSON object")
             kind = record.get("kind")
             if line_no == 1:
                 if kind != "topics":
                     raise CorpusFormatError(
-                        "line 1: corpus files must start with a topics record"
+                        f"{where}: corpus files must start with a topics record"
                     )
                 for topic_rec in record.get("topics", []):
-                    topic = _record_to_topic(topic_rec, line_no)
+                    topic = _record_to_topic(topic_rec, where)
                     if topic.topic_id in corpus.topics:
                         raise CorpusFormatError(
-                            f"line 1: duplicate topic id: {topic.topic_id}"
+                            f"{where}: duplicate topic id: {topic.topic_id}"
                         )
                     corpus.topics[topic.topic_id] = topic
                 continue
             if kind != "post":
                 raise CorpusFormatError(
-                    f"line {line_no}: unexpected record kind {kind!r}"
+                    f"{where}: unexpected record kind {kind!r}"
                 )
-            post = _record_to_post(record, line_no)
+            post = _record_to_post(record, where)
             if post.id in corpus.posts:
                 raise CorpusIntegrityError(
-                    f"line {line_no}: duplicate post id: {post.id}"
+                    f"{where}: duplicate post id: {post.id}"
                 )
             corpus.posts[post.id] = post
     corpus.validate()

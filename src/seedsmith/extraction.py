@@ -200,20 +200,43 @@ def intra_site_source(uri: str) -> str | None:
     return None
 
 
+class LinkTable(dict):
+    """Per-run memo of what a raw link string canonicalizes to.
+
+    ``table[raw]`` is ``(canonical, hostname, kind, intra-site source)``,
+    or ``None`` when ``raw`` is not an absolute http(s) URI. Each distinct
+    string is canonicalized once, on its first lookup.
+    """
+
+    def __missing__(self, raw: str) -> tuple[str, str, str, str | None] | None:
+        try:
+            canonical = canonicalize(raw)
+            entry = (canonical, hostname_of(canonical), classify_uri_kind(canonical),
+                     intra_site_source(canonical))
+        except CanonicalizationError:
+            entry = None
+        self[raw] = entry
+        return entry
+
+
 def substitute_intra_site(
     seed: SeedUri,
     fetcher: Fetcher,
     depth_limit: int = 3,
     strict: bool = False,
     warnings: list | None = None,
+    links: LinkTable | None = None,
 ) -> list[SeedUri]:
     """Replace an intra-platform post URI by the seeds its target holds.
 
     Follows nested post links up to ``depth_limit``, visiting each post
     URI once (cycles terminate). A target without outbound links drops
-    the seed; a fetch failure keeps the original (lenient) or raises
-    (strict).
+    the seed; a fetch failure keeps the original (lenient: the result is
+    ``[seed]``, the same object) or raises (strict). ``links`` is the
+    run's link table, if the caller keeps one.
     """
+    if links is None:
+        links = LinkTable()
 
     def warn(message):
         log.warning(message)
@@ -229,8 +252,8 @@ def substitute_intra_site(
             return None
         return fetcher.digest(result).links
 
-    links = links_of(seed.canonical)
-    if links is None:
+    page_links = links_of(seed.canonical)
+    if page_links is None:
         return [seed]
     visited = {seed.canonical}
     out: list[SeedUri] = []
@@ -238,17 +261,16 @@ def substitute_intra_site(
     # (uri, depth, remaining links), so the nesting depth is bounded by
     # ``depth_limit`` alone and not by the interpreter's recursion limit.
     # A nested post that cannot be fetched contributes nothing.
-    stack = [(seed.canonical, 1, iter(links))]
+    stack = [(seed.canonical, 1, iter(page_links))]
     while stack:
         uri, depth, remaining = stack[-1]
         for link in remaining:
-            try:
-                canonical = canonicalize(link)
-                hostname = hostname_of(canonical)
-            except CanonicalizationError:
+            entry = links[link]
+            if entry is None:
                 warn(f"skipping unparseable link {link!r} in {uri}")
                 continue
-            if intra_site_source(canonical) and depth < depth_limit:
+            canonical, hostname, kind, source = entry
+            if source and depth < depth_limit:
                 if canonical in visited:
                     continue
                 visited.add(canonical)
@@ -263,7 +285,7 @@ def substitute_intra_site(
                     original=link,
                     canonical=canonical,
                     hostname=hostname,
-                    kind=classify_uri_kind(canonical),
+                    kind=kind,
                     final=None,
                     fetch_status=None,
                 )
@@ -296,13 +318,24 @@ def assemble_collections(
     Every cell of the partition appears in the result, empty or not.
     Dedup is by canonical URI, first occurrence winning, scoped per cell
     (or across the whole run with ``global_dedup``).
+
+    Each distinct raw link is canonicalized once per call, and each
+    distinct permalink is expanded once per call: an expansion depends
+    only on the permalink's canonical URI, the fetcher and the options,
+    so a repeat visit rebuilds its seeds from the stored targets and
+    repeats the warnings the expansion emitted, in the same place.
     """
+    if warnings is None:
+        warnings = []
 
     def warn(message):
         log.warning(message)
-        if warnings is not None:
-            warnings.append(message)
+        warnings.append(message)
 
+    links = LinkTable()
+    # permalink canonical URI -> (an (original, canonical, hostname, kind)
+    # tuple per target, or None when kept as-is; the warnings it emitted)
+    expansions: dict[str, tuple[tuple | None, tuple[str, ...]]] = {}
     global_seen: set[str] = set()
     collections: dict[CellKey, SeedCollection] = {}
 
@@ -316,38 +349,45 @@ def assemble_collections(
             for post_id in group.post_ids:
                 post = corpus.posts[post_id]
                 post_seen = per_post_seen.setdefault(post.id, set())
+                provenance = SeedProvenance(
+                    post_id=post.id,
+                    group_id=group.group_id,
+                    topic_id=group.topic_id,
+                    source=group.source,
+                    vertical=group.vertical,
+                    post_class=group.post_class,
+                )
                 for raw in extract_uris(post):
-                    try:
-                        canonical = canonicalize(raw)
-                        hostname = hostname_of(canonical)
-                    except CanonicalizationError:
+                    entry = links[raw]
+                    if entry is None:
                         warn(f"post {post.id}: skipping unparseable URI {raw!r}")
                         continue
-                    seed = SeedUri(
-                        original=raw,
-                        canonical=canonical,
-                        hostname=hostname,
-                        kind=classify_uri_kind(canonical),
-                        provenance=SeedProvenance(
-                            post_id=post.id,
-                            group_id=group.group_id,
-                            topic_id=group.topic_id,
-                            source=group.source,
-                            vertical=group.vertical,
-                            post_class=group.post_class,
-                        ),
-                        retrieved_at=post.retrieved_at,
-                    )
-                    if fetcher is not None and intra_site_source(canonical):
+                    canonical, hostname, kind, source = entry
+                    seed = SeedUri(raw, canonical, hostname, kind, provenance, post.retrieved_at)
+                    if fetcher is None or not source:
+                        expanded = [seed]
+                    elif canonical not in expansions:
+                        first = len(warnings)
                         expanded = substitute_intra_site(
                             seed,
                             fetcher,
                             depth_limit=options.depth_limit,
                             strict=options.strict,
                             warnings=warnings,
+                            links=links,
                         )
+                        kept = len(expanded) == 1 and expanded[0] is seed
+                        targets = None if kept else tuple(
+                            (s.original, s.canonical, s.hostname, s.kind) for s in expanded
+                        )
+                        expansions[canonical] = (targets, tuple(warnings[first:]))
                     else:
-                        expanded = [seed]
+                        targets, emitted = expansions[canonical]
+                        for message in emitted:
+                            warn(message)
+                        expanded = [seed] if targets is None else [
+                            SeedUri(*target, provenance, post.retrieved_at) for target in targets
+                        ]
                     for candidate in expanded:
                         if candidate.canonical in post_seen:
                             continue

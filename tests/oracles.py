@@ -11,8 +11,9 @@ counter, the tree builder on top of ``html.parser`` that ``parse_html``
 used before its own lexer, the recursive element-tree walks, main-text
 scoring that walks each candidate's subtree again, the page functions
 and the date chain that each parsed a document on their own, recursive
-intra-site substitution, and the per-row rescans of report assembly),
-for differential tests.
+intra-site substitution, seed assembly that canonicalizes every link
+and substitutes every permalink on each visit, and the per-row rescans
+of report assembly), for differential tests.
 """
 
 import json
@@ -26,8 +27,13 @@ from seedsmith.analytics import date_from_last_modified, date_from_uri_path
 from seedsmith.extraction import (
     CanonicalizationError,
     ExtractionError,
+    SeedCollection,
+    SeedProvenance,
+    SeedUri,
+    _fetch_kind,
     canonicalize,
     classify_uri_kind,
+    extract_uris,
     hostname_of,
     intra_site_source,
 )
@@ -468,6 +474,59 @@ def reference_substitute_intra_site(seed, fetcher, depth_limit=3, strict=False, 
     if not expanded:
         warn(f"intra-site URI {seed.canonical} had no outbound links; seed dropped")
     return expanded
+
+
+def reference_assemble_collections(corpus, partition, fetcher, options, warnings=None):
+    """Seed assembly with no per-run tables: every visit canonicalizes its
+    link and substitutes its permalink again, through the recursive
+    reference substitution. ``options`` is an ``AssembleOptions``."""
+    global_seen = set()
+    collections = {}
+    for key in sorted(partition):
+        seen = global_seen if options.global_dedup else set()
+        per_post_seen = {}
+        seeds = []
+        stream = []
+        for group in partition[key]:
+            for post_id in group.post_ids:
+                post = corpus.posts[post_id]
+                post_seen = per_post_seen.setdefault(post.id, set())
+                for raw in extract_uris(post):
+                    try:
+                        canonical = canonicalize(raw)
+                        hostname = hostname_of(canonical)
+                    except CanonicalizationError:
+                        if warnings is not None:
+                            warnings.append(f"post {post.id}: skipping unparseable URI {raw!r}")
+                        continue
+                    seed = SeedUri(
+                        original=raw,
+                        canonical=canonical,
+                        hostname=hostname,
+                        kind=classify_uri_kind(canonical),
+                        provenance=SeedProvenance(
+                            post.id, group.group_id, group.topic_id, group.source,
+                            group.vertical, group.post_class,
+                        ),
+                        retrieved_at=post.retrieved_at,
+                    )
+                    expanded = [seed]
+                    if fetcher is not None and intra_site_source(canonical):
+                        expanded = reference_substitute_intra_site(
+                            seed, fetcher, options.depth_limit, options.strict, warnings
+                        )
+                    for candidate in expanded:
+                        if candidate.canonical in post_seen:
+                            continue
+                        post_seen.add(candidate.canonical)
+                        if options.fetch_kinds and fetcher is not None:
+                            candidate = _fetch_kind(candidate, fetcher, options.strict)
+                        stream.append(candidate)
+                        if candidate.canonical not in seen:
+                            seen.add(candidate.canonical)
+                            seeds.append(candidate)
+        collections[key] = SeedCollection(key, tuple(seeds), tuple(stream))
+    return collections
 
 
 _MC_MEMBER_CLASSES = ("PnA1", "PnAn")

@@ -478,7 +478,7 @@ def test_malformed_bundle_ends_with_one_error_line(tmp_path, capsys, text):
 def test_corpus_not_utf8_ends_with_one_error_line(tmp_path, capsys, flag, bad_line):
     lines = (DATA / "corpus.jsonl").read_bytes().splitlines(keepends=True)
     lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
-    path = tmp_path / "bad.jsonl"
+    path = tmp_path / f"{flag[2:]}.jsonl"
     path.write_bytes(b"".join(lines))
     args = base_args(tmp_path / "out")
     if flag == "--corpus":
@@ -487,7 +487,7 @@ def test_corpus_not_utf8_ends_with_one_error_line(tmp_path, capsys, flag, bad_li
         args += ["--replies", path]
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
-    assert err == f"error: line {bad_line}: not UTF-8 text\n"
+    assert err == f"error: {path}: line {bad_line}: not UTF-8 text\n"
 
 
 def test_unwritable_output_dir_is_runtime_error(tmp_path):

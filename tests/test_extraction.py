@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post
-from oracles import reference_substitute_intra_site
+from oracles import reference_assemble_collections, reference_substitute_intra_site
 from seedsmith.corpus.fetch import (
     TAG_MISSING_FIXTURE,
     FetchPolicy,
@@ -539,3 +539,113 @@ class TestAssemble:
             for s in c.seeds
         }
         assert got == expected
+
+
+# Permalink pages shared by the posts of TestAssembleTables: served,
+# cyclic (1 <-> 2), a chain nested past small depth limits (3 -> 4 -> 5
+# -> 6), a 404 (7), a missing fixture (8), a page with unparseable links
+# (9), a page without links (10) and one linking only itself (11).
+_P = [f"https://twitter.com/u{i}/status/{i}" for i in range(12)]
+_NEWS = ["https://news.example/a", "https://news.example/b?utm_source=x", "https://files.example/d.pdf"]
+_TABLE_PAGES = {
+    _P[0]: _NEWS,
+    _P[1]: [_P[2], "https://news.example/c"],
+    _P[2]: [_P[1].replace("twitter.com", "TWITTER.com"), _NEWS[0]],
+    _P[3]: [_P[4], _NEWS[1]],
+    _P[4]: [_P[5]],
+    _P[5]: [_P[6], _NEWS[2]],
+    _P[6]: ["https://news.example/deep"],
+    _P[7]: None,
+    _P[9]: ["http://", _NEWS[0], "http://[::1/", _P[0]],
+    _P[10]: [],
+    _P[11]: [_P[11]],
+}
+# Raw forms a post may link: each permalink as written, with a
+# different-case host, with tracking parameters and a fragment (all three
+# canonicalize alike), and with a query that makes it another permalink.
+_POST_LINKS = st.sampled_from(
+    [form for uri in _P for form in (
+        uri,
+        uri.replace("https://twitter.com", "HTTPS://Twitter.COM"),
+        uri + "?utm_source=m#top",
+        uri + "?s=20",
+    )]
+    + _NEWS
+    + ["https://news.example/a?fbclid=1", "http://"]
+)
+_POST_SPECS = st.lists(
+    st.tuples(
+        st.sampled_from(["t1", "t2"]),
+        st.sampled_from(["reddit", "twitter"]),
+        st.booleans(),  # a reply to the latest post of its topic and source
+        st.sampled_from(["alice", "bob"]),
+        st.lists(_POST_LINKS, max_size=4),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _table_corpus(specs):
+    posts = []
+    latest = {}
+    for i, (topic, source, reply, author, links) in enumerate(specs):
+        parent = latest.get((topic, source)) if reply else None
+        post = make_post(
+            id=f"q{i}",
+            topic_id=topic,
+            source=source,
+            author=author,
+            raw_links=tuple(links),
+            parent_id=parent,
+            serp_visible=parent is None,
+        )
+        latest[(topic, source)] = post.id
+        posts.append(post)
+    return make_corpus(posts)
+
+
+class TestAssembleTables:
+    @given(
+        specs=_POST_SPECS,
+        depth_limit=st.integers(0, 4),
+        global_dedup=st.booleans(),
+        fetch_kinds=st.booleans(),
+        strict=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_assembly_without_tables(self, specs, depth_limit, global_dedup, fetch_kinds,
+                                             strict):
+        """Posts in several cells linking the same permalinks get the
+        collections and the full warning list of an assembly that
+        canonicalizes and substitutes again on every visit."""
+        corpus = _table_corpus(specs)
+        partition = partition_corpus(corpus)
+        options = AssembleOptions(depth_limit=depth_limit, fetch_kinds=fetch_kinds,
+                                  global_dedup=global_dedup, strict=strict)
+
+        def run(assemble):
+            fetcher = Fetcher(_PageTransport(_TABLE_PAGES), FAST)
+            warnings = []
+            try:
+                out = assemble(corpus, partition, fetcher, options, warnings=warnings)
+            except ExtractionError as exc:
+                out = str(exc)
+            return out, warnings
+
+        assert run(assemble_collections) == run(reference_assemble_collections)
+
+    def test_tables_do_not_outlive_a_run(self):
+        """Two runs in one process, with fetchers that serve different
+        pages for the same permalink, each get their own fetcher's seeds."""
+        corpus = _table_corpus([("t1", "reddit", False, "alice", [_P[0]])] * 2)
+        partition = partition_corpus(corpus)
+
+        def seeds(pages):
+            fetcher = Fetcher(_PageTransport(pages), FAST)
+            collections = assemble_collections(corpus, partition, fetcher)
+            return [s.canonical for c in collections.values() for s in c.post_seeds]
+
+        assert seeds({_P[0]: ["https://news.example/first"]}) == ["https://news.example/first"] * 2
+        assert seeds({_P[0]: ["https://news.example/second"]}) == ["https://news.example/second"] * 2
+        assert seeds({_P[0]: None}) == [_P[0]] * 2
