@@ -19,7 +19,7 @@ from . import __version__
 from .analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_LITERAL, MODE_NORMALIZED
 from .corpus.fetch import EPOCH, FetchError, FetchPolicy, Fetcher, FixtureTransport, HttpTransport
 from .corpus.jsonl import load_corpus, write_corpus
-from .corpus.model import Corpus, CorpusError, TopicSpec
+from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, TopicSpec
 from .corpus.threads import FixtureThreadAdapter, expand_thread
 from .extraction import (
     SEED_CSV_HEADER,
@@ -227,9 +227,9 @@ def _load_corpus(config: RunConfig) -> Corpus:
         try:
             topics = json.loads(Path(config.topics).read_text(encoding="utf-8"))
             corpus.topics = {t["topic_id"]: TopicSpec(**t) for t in topics}
-        except (ValueError, TypeError, KeyError) as exc:
+            corpus.validate()
+        except (CorpusError, ValueError, TypeError, KeyError) as exc:
             raise CorpusError(f"bad topics file {config.topics}: {exc}") from exc
-        corpus.validate()
     return corpus
 
 
@@ -244,7 +244,10 @@ def _expand_replies(corpus: Corpus, config: RunConfig, replies_path: Path) -> Co
         for post in thread[1:]:
             if post.id not in corpus.posts:
                 corpus.posts[post.id] = post
-    corpus.validate()
+    try:
+        corpus.validate()
+    except CorpusIntegrityError as exc:
+        raise CorpusIntegrityError(f"{replies_path}: {exc}") from exc
     corpus.log("fixture-threads", replies_file=str(replies_path), posts=len(corpus.posts))
     return corpus
 
@@ -296,10 +299,10 @@ _TABLE_NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 def _load_bundle(path: Path) -> dict:
     """A saved bundle.json: a JSON object with ``manifest`` and
-    ``tables``, an object whose every table has a ``header`` list and a
-    ``rows`` list of lists, under a name fit to be a file name in
-    ``--out``. Anything else raises BundleError naming the file (and the
-    table)."""
+    ``tables``, an object whose every table has exactly a ``header``
+    list and a ``rows`` list of lists, all of strings, under a name fit
+    to be a file name in ``--out``: what ``write_bundle`` can write.
+    Anything else raises BundleError naming the file (and the table)."""
     try:
         bundle = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -310,13 +313,15 @@ def _load_bundle(path: Path) -> dict:
     for name, table in tables.items():
         if not _TABLE_NAME_RE.fullmatch(name):
             raise BundleError(f"bad bundle file {path}: table name {name!r} is not a plain file name")
-        if not (
-            isinstance(table, dict)
-            and isinstance(table.get("header"), list)
-            and isinstance(table.get("rows"), list)
-            and all(isinstance(row, list) for row in table["rows"])
-        ):
-            raise BundleError(f"bad bundle file {path}: table {name}: no 'header' list and 'rows' list of lists")
+        bad = f"bad bundle file {path}: table {name}"
+        if not (isinstance(table, dict) and table.keys() == {"header", "rows"}):
+            raise BundleError(f"{bad}: not an object of exactly 'header' and 'rows'")
+        if not isinstance(table["rows"], list):
+            raise BundleError(f"{bad}: 'rows' is not a list")
+        for index, row in enumerate([table["header"], *table["rows"]]):
+            if not (isinstance(row, list) and all(isinstance(cell, str) for cell in row)):
+                where = f"row {index}" if index else "header"
+                raise BundleError(f"{bad}: {where} is not a list of strings")
     return bundle
 
 

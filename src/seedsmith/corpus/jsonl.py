@@ -14,6 +14,7 @@ from .model import (
     Corpus,
     CorpusError,
     CorpusIntegrityError,
+    CorpusValidationError,
     Post,
     TopicSpec,
     format_timestamp,
@@ -114,7 +115,7 @@ def _record_to_post(record: dict, where: str) -> Post:
             created_at=timestamp("created_at", required=False),
             platform_uri=record.get("platform_uri"),
         )
-    except CorpusError as exc:
+    except CorpusValidationError as exc:
         raise CorpusFormatError(f"{where}: {exc}") from exc
 
 
@@ -130,7 +131,8 @@ def load_corpus(path) -> Corpus:
 
     Raises CorpusFormatError (naming the file, the offending line and the
     field) on lines that are not UTF-8 or not JSON and on malformed
-    records, and CorpusIntegrityError on broken references.
+    records, and CorpusIntegrityError (naming the file) on broken
+    references.
     """
     path = Path(path)
     corpus = Corpus()
@@ -175,7 +177,10 @@ def load_corpus(path) -> Corpus:
                     f"{where}: duplicate post id: {post.id}"
                 )
             corpus.posts[post.id] = post
-    corpus.validate()
+    try:
+        corpus.validate()
+    except CorpusIntegrityError as exc:
+        raise CorpusIntegrityError(f"{path}: {exc}") from exc
     return corpus
 
 

@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import __version__, textkernel
@@ -483,13 +484,18 @@ def write_bundle(bundle: dict, out_dir, formats=("csv",)) -> list[Path]:
 
     Every file is ``json.dumps(value, ensure_ascii=False, indent=2,
     sort_keys=True)`` plus a newline. Each top-level value is encoded
-    once and bundle.json is spliced from those texts: the indenting
-    encoder is pure Python, and the tables are most of the bytes.
+    once and bundle.json is spliced from those texts. The tables, most
+    of the bytes, are written by ``_tables_text``, which takes only
+    table-shaped values: the indenting ``json.dumps`` is pure Python,
+    while every cell is already a string.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     created = []
-    texts = {key: _json_text(bundle[key]) for key in sorted(bundle)}
+    texts = {
+        key: _tables_text(bundle[key]) if key == "tables" else _json_text(bundle[key])
+        for key in sorted(bundle)
+    }
 
     path = out_dir / "bundle.json"
     path.write_text(_splice_object(texts) + "\n", encoding="utf-8")
@@ -520,6 +526,43 @@ def write_csv(path: Path, header, rows) -> None:
 
 def _json_text(value) -> str:
     return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
+
+
+def _json_list(items, pad: str, encode) -> str:
+    """``_json_text(items)`` for a list whose items ``encode`` writes,
+    with every line after the first indented by ``pad``."""
+    if not isinstance(items, list):
+        raise TypeError(f"expected a list, got {type(items).__name__}")
+    if not items:
+        return "[]"
+    sep = ",\n  " + pad
+    return "[" + sep[1:] + sep.join(map(encode, items)) + "\n" + pad + "]"
+
+
+def _row_text(row) -> str:
+    return _json_list(row, "      ", encode_basestring)
+
+
+def _tables_text(tables: dict) -> str:
+    """``_json_text(tables)`` for {name: {"header": [str], "rows": [[str]]}}.
+
+    Raises TypeError or ValueError on anything else: ``tables`` or a
+    table that is not a dict, a table with other keys, a header, rows or
+    row that is not a list, or a name or cell that is not a str."""
+    if not isinstance(tables, dict):
+        raise TypeError(f"tables must be a dict, got {type(tables).__name__}")
+    members = []
+    for name in sorted(tables):
+        table = tables[name]
+        if not isinstance(table, dict) or table.keys() != {"header", "rows"}:
+            raise ValueError(f"table {name!r} is not an object of exactly 'header' and 'rows'")
+        members.append(
+            f"  {encode_basestring(name)}: {{\n"
+            f'    "header": {_json_list(table["header"], "    ", encode_basestring)},\n'
+            f'    "rows": {_json_list(table["rows"], "    ", _row_text)}\n'
+            "  }"
+        )
+    return "{\n" + ",\n".join(members) + "\n}" if members else "{}"
 
 
 def _splice_object(texts: dict) -> str:

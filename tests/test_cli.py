@@ -459,9 +459,15 @@ class TestStages:
     ["{not", "[]", "{}", '{"tables": [], "manifest": {}}', '{"tables": {"age": 5}, "manifest": {}}',
      '{"tables": {"age": {"header": ["a"]}}, "manifest": {}}',
      '{"tables": {"age": {"header": ["a"], "rows": [5]}}, "manifest": {}}',
-     '{"tables": {"../age": {"header": ["a"], "rows": []}}, "manifest": {}}'],
+     '{"tables": {"../age": {"header": ["a"], "rows": []}}, "manifest": {}}',
+     '{"tables": {"age": {"header": ["a"], "rows": [], "note": "x"}}, "manifest": {}}',
+     '{"tables": {"age": {"header": ["a", 1], "rows": []}}, "manifest": {}}',
+     '{"tables": {"age": {"header": ["a"], "rows": [["x"], [null]]}}, "manifest": {}}',
+     '{"tables": {"age": {"header": ["a"], "rows": [[["x"]]]}}, "manifest": {}}',
+     '{"tables": {"age": {"header": ["a"], "rows": "x"}}, "manifest": {}}'],
     ids=["not-json", "list", "empty-object", "tables-not-object", "table-not-object", "table-no-rows",
-         "row-not-list", "table-name-a-path"],
+         "row-not-list", "table-name-a-path", "table-extra-key", "header-cell-not-string",
+         "row-cell-not-string", "row-cell-a-list", "rows-not-list"],
 )
 def test_malformed_bundle_ends_with_one_error_line(tmp_path, capsys, text):
     bundle = tmp_path / "bundle.json"
@@ -470,7 +476,91 @@ def test_malformed_bundle_ends_with_one_error_line(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad bundle file {bundle}: ")
     assert len(err.splitlines()) == 1
+    if '"age": {' in text:
+        assert err.startswith(f"error: bad bundle file {bundle}: table age: ")
     assert list(tmp_path.iterdir()) == [bundle]
+
+
+def _appended_post(tmp_path, drop=(), **fields):
+    """Writes bad.jsonl: the bundled corpus plus one post record copied
+    from its line 2 under the id ``zz``, without ``drop`` and with
+    ``fields`` set; returns the file and the new line's number."""
+    lines = (DATA / "corpus.jsonl").read_text().splitlines()
+    record = {**json.loads(lines[1]), "id": "zz", **fields}
+    for key in drop:
+        del record[key]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+    return path, len(lines) + 1
+
+
+def _run_with(tmp_path, flag, path):
+    args = base_args(tmp_path / "out")
+    if flag == "--corpus":
+        args[args.index("--corpus") + 1] = path
+    else:
+        args += ["--replies", path]
+    return run_cli(*args)
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--replies"])
+def test_missing_field_is_named_once(tmp_path, capsys, flag):
+    path, line = _appended_post(tmp_path, drop=("source",))
+    assert _run_with(tmp_path, flag, path) == 1
+    assert capsys.readouterr().err == f"error: {path}: line {line}: missing field 'source'\n"
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--replies"])
+def test_bad_timestamp_is_named_once(tmp_path, capsys, flag):
+    path, line = _appended_post(tmp_path, retrieved_at="yesterday")
+    assert _run_with(tmp_path, flag, path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {line}: field 'retrieved_at' is not a valid timestamp: "
+        "Invalid isoformat string: 'yesterday'\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--replies"])
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"parent_id": "ghost", "serp_visible": False}, "posts with dangling parent_id: zz"),
+     ({"topic_id": "ghost"}, "posts reference unknown topics: ghost")],
+    ids=["dangling-parent", "unknown-topic"],
+)
+def test_integrity_error_names_the_file(tmp_path, capsys, flag, fields, message):
+    path, _line = _appended_post(tmp_path, **fields)
+    assert _run_with(tmp_path, flag, path) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_replies_that_contradict_the_corpus_name_the_replies_file(tmp_path, capsys):
+    # Each file is consistent on its own; only the grown threads are not.
+    roots = make_corpus([make_post(id="r", serp_visible=True)])
+    replies = make_corpus(
+        [make_post(id="r", serp_visible=True, source="twitter"),
+         make_post(id="c1", parent_id="r", source="twitter", author="bob")]
+    )
+    write_corpus(roots, tmp_path / "roots.jsonl")
+    write_corpus(replies, tmp_path / "replies.jsonl")
+    (tmp_path / "responses").mkdir()
+    code = run_cli(
+        "ingest", "--corpus", tmp_path / "roots.jsonl", "--out", tmp_path / "out",
+        "--fixtures", tmp_path / "responses", "--replies", tmp_path / "replies.jsonl",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'replies.jsonl'}: "
+        "post c1: parent r belongs to a different topic or source\n"
+    )
+
+
+def test_topics_file_missing_topic_names_the_topics_file(tmp_path, capsys):
+    topics_path = tmp_path / "topics.json"
+    topics_path.write_text(json.dumps([{"topic_id": "flood", "text_query": "q"}]))
+    assert run_cli(*base_args(tmp_path / "out", "segment"), "--topics", topics_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad topics file {topics_path}: posts reference unknown topics: eclipse, strike\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--corpus", "--replies"])
@@ -480,12 +570,7 @@ def test_corpus_not_utf8_ends_with_one_error_line(tmp_path, capsys, flag, bad_li
     lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
     path = tmp_path / f"{flag[2:]}.jsonl"
     path.write_bytes(b"".join(lines))
-    args = base_args(tmp_path / "out")
-    if flag == "--corpus":
-        args[args.index("--corpus") + 1] = path
-    else:
-        args += ["--replies", path]
-    assert run_cli(*args) == 1
+    assert _run_with(tmp_path, flag, path) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: line {bad_line}: not UTF-8 text\n"
 

@@ -5,11 +5,13 @@ import json
 import random
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post, make_topic
 from oracles import random_reply_tree, reference_observations_for_row, reference_seeds_for_row
+from seedsmith import reports
 from seedsmith.extraction import assemble_collections
 from seedsmith.reports import collect_observations, index_rows, write_bundle
 from seedsmith.segmentation import MC, MC_MEMBER_CLASSES, partition_corpus
@@ -127,3 +129,56 @@ def test_bundle_files_equal_plain_json_encoding_random(tmp_path_factory, rows_by
     tables = {name: {"header": ["h"], "rows": rows} for name, rows in rows_by_name.items()}
     bundle = {"tables": tables, "manifest": {"warnings": list(rows_by_name)}, **extra}
     _check_bundle_files(bundle, tmp_path_factory.mktemp("bundle"))
+
+
+_TRICKY_CHARS = st.sampled_from(
+    ['"', "\\", "/", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+     "\ufeff", "é", "漢", "\U0001f30a", "\U00010000"]
+)
+_TABLE_TEXT = st.text(st.one_of(_TRICKY_CHARS, st.characters()), max_size=8)
+
+
+@given(
+    st.dictionaries(
+        _TABLE_TEXT,
+        st.fixed_dictionaries({
+            "header": st.lists(_TABLE_TEXT, max_size=3),
+            "rows": st.lists(st.lists(_TABLE_TEXT, max_size=3), max_size=4),
+        }),
+        max_size=4,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_tables_text_equals_plain_json_encoding(tables):
+    # Empty tables, empty headers over rows, empty rows and escapes all
+    # come up; the hand-written cases below pin each of them once.
+    assert reports._tables_text(tables) == _expected(tables)[:-1]
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [{}, {"t": {"header": [], "rows": [["a", "b"], []]}}, {"t": {"header": [], "rows": []}},
+     {"\u2028 ü \U0001f30a": {"header": ['"', "\\"], "rows": [[]] * 2 + [["\x00\x1f\u2029"]]}}],
+    ids=["no-tables", "empty-header-and-row", "all-empty", "tricky-name-and-cells"],
+)
+def test_tables_text_equals_plain_json_encoding_cases(tables):
+    assert reports._tables_text(tables) == _expected(tables)[:-1]
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [[], {"t": [["a"]]}, {"t": {"header": ["a"], "rows": [], "note": "x"}}, {"t": {"header": ["a"]}},
+     {"t": {"header": ("a",), "rows": []}}, {"t": {"header": ["a"], "rows": (["x"],)}},
+     {"t": {"header": ["a"], "rows": [("x",)]}}, {"t": {"header": ["a"], "rows": ["x"]}},
+     {"t": {"header": [1], "rows": []}}, {"t": {"header": ["a"], "rows": [["x"], [None]]}},
+     {"t": {"header": ["a"], "rows": [[["x"]]]}}, {1: {"header": ["a"], "rows": []}}],
+    ids=["tables-a-list", "table-a-list", "extra-key", "no-rows", "header-a-tuple", "rows-a-tuple",
+         "row-a-tuple", "row-a-string", "header-cell-int", "row-cell-none", "row-cell-a-list",
+         "name-an-int"],
+)
+def test_tables_text_rejects_what_is_not_a_table(tables, tmp_path):
+    with pytest.raises((TypeError, ValueError)):
+        reports._tables_text(tables)
+    with pytest.raises((TypeError, ValueError)):
+        write_bundle({"tables": tables, "manifest": {}}, tmp_path, formats=("json",))
+    assert list(tmp_path.iterdir()) == []
