@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import __version__
 from .analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_LITERAL, MODE_NORMALIZED
-from .corpus.fetch import EPOCH, FetchError, FetchPolicy, Fetcher, FixtureTransport, HttpTransport
+from .corpus.fetch import (EPOCH, FetchError, FetchPolicy, Fetcher, FixtureTransport, HttpTransport,
+                           RecordingTransport)
 from .corpus.jsonl import load_corpus, write_corpus
 from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, TopicSpec
 from .corpus.threads import FixtureThreadAdapter, expand_thread
@@ -97,19 +98,21 @@ class RunConfig:
                 raise ConfigError("offline mode needs --fixtures DIR")
             if not Path(self.fixtures).is_dir():
                 raise ConfigError(f"fixture directory does not exist: {self.fixtures}")
+        elif self.fixtures is not None and Path(self.fixtures).exists() and not Path(self.fixtures).is_dir():
+            raise ConfigError(f"--fixtures is not a directory: {self.fixtures}")
 
     def selector(self) -> Selector:
         return Selector.of(self.only_topics, self.only_sources, self.only_verticals)
 
     def fetcher(self) -> Fetcher:
-        policy = FetchPolicy(
-            max_redirects=self.max_redirects,
-            politeness_delay=0.0 if self.mode == "offline" else self.politeness_delay,
-            lenient=not self.strict,
-            disk_cache=self.mode == "live",
-        )
+        policy = FetchPolicy(max_redirects=self.max_redirects, lenient=not self.strict)
         if self.mode == "live":
-            return Fetcher(HttpTransport(), policy)
+            # With --fixtures, every exchange is recorded there for an
+            # offline replay; without, nothing is kept on disk.
+            transport = HttpTransport(politeness_delay=self.politeness_delay)
+            if self.fixtures is not None:
+                transport = RecordingTransport(self.fixtures, transport)
+            return Fetcher(transport, policy)
         # A fixture without a Date header is stamped with the epoch, not
         # the wall clock, so that offline bundles are byte-identical.
         return Fetcher(FixtureTransport(self.fixtures), policy, clock=lambda: EPOCH)
@@ -146,7 +149,9 @@ def _add_common(parser):
     parser.add_argument("--out", required=True, type=Path, help="output directory")
     parser.add_argument("--topics", type=Path, help="JSON topics file overriding the corpus topics record")
     parser.add_argument("--mode", choices=("offline", "live"), default="offline")
-    parser.add_argument("--fixtures", type=Path, help="directory of {uri-hash}.response fixtures")
+    parser.add_argument("--fixtures", type=Path,
+                        help="directory of {uri-hash}.response fixtures: replayed offline, "
+                             "recorded into (and replayed from) with --mode live")
     parser.add_argument("--threshold", type=float, default=DEFAULT_RELEVANCE_THRESHOLD,
                         help="relevance threshold (cosine must exceed it)")
     parser.add_argument("--reply-limit", type=int, default=500)

@@ -1,8 +1,6 @@
 """Corpus data model, JSONL persistence, and the polite fetch layer."""
 
 from .fetch import (
-    CACHE_ENV,
-    DEFAULT_CACHE_DIR,
     FetchError,
     FetchPolicy,
     FetchResult,
@@ -28,8 +26,6 @@ from .model import (
 from .threads import FixtureThreadAdapter, ThreadAdapterError, expand_thread
 
 __all__ = [
-    "CACHE_ENV",
-    "DEFAULT_CACHE_DIR",
     "Corpus",
     "CorpusError",
     "CorpusFormatError",

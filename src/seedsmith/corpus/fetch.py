@@ -1,31 +1,32 @@
-"""Polite HTTP fetching with redirects, per-run caching, and offline fixtures.
+"""HTTP fetching with redirects and per-run caching, recorded and
+replayed through one fixture format.
 
-A Transport performs one request/response exchange with no redirect
-handling; the Fetcher layers redirect following, per-host politeness,
-and a request-URI-keyed cache on top, plus one page digest per final
-URI (see ``seedsmith.pages``). The supported, reproducible path is
-FixtureTransport, which serves bit-exact HTTP-message-like files.
+A transport performs one request/response exchange with no redirect
+handling. ``HttpTransport`` reaches a host, waiting between requests to
+one host; ``FixtureTransport`` replays ``{sha256(uri)}.response`` files
+(status line, header lines, blank line, raw body);
+``RecordingTransport`` replays an exchange already in its directory and
+otherwise fetches it live and writes it there, so a replay of the
+directory reproduces the live run. The Fetcher layers redirect
+following and a per-run, request-URI-keyed memory cache on top, plus
+one page digest per final URI (see ``seedsmith.pages``). Nothing else
+is kept on disk.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
+from email.utils import formatdate, parsedate_to_datetime
 from pathlib import Path
 from urllib.parse import urljoin, urlsplit
 
 from ..pages import PageDigest, digest_page
-from .model import format_timestamp, parse_timestamp
-
-CACHE_ENV = "SEEDSMITH_CACHE"
-DEFAULT_CACHE_DIR = ".seedsmith-cache"
 
 # Transport-error tags stored in FetchResult.status (lenient mode).
 TAG_TRANSPORT = "transport-error"
@@ -55,12 +56,7 @@ class TransportError(FetchError):
 @dataclass(frozen=True)
 class FetchPolicy:
     max_redirects: int = 10
-    politeness_delay: float = 1.0  # seconds between requests to one host
-    timeout: float = 30.0
     lenient: bool = True  # errors become tagged results instead of raising
-    user_agent: str = "seedsmith/0.1"
-    disk_cache: bool = True
-    cache_dir: str | None = None  # None -> $SEEDSMITH_CACHE or .seedsmith-cache
 
 
 @dataclass(frozen=True)
@@ -93,23 +89,48 @@ def media_type_of(headers: dict[str, str]) -> str | None:
 class HttpTransport:
     """Live single-exchange transport; redirects are not followed here.
 
-    ``requests`` is imported on first use, so offline runs never load it.
+    Requests to one host start at least ``politeness_delay`` seconds
+    apart, also under concurrency; requests to distinct hosts proceed in
+    parallel. ``requests`` is imported on first use, so offline runs
+    never load it.
     """
 
-    def __init__(self):
+    TIMEOUT = 30.0
+    USER_AGENT = "seedsmith/0.1"
+
+    def __init__(self, politeness_delay: float = 1.0):
         import requests
 
         self._session = requests.Session()
+        self.politeness_delay = politeness_delay
+        self._host_locks: dict[str, threading.Lock] = {}
+        self._host_last: dict[str, float] = {}
+        self._locks_lock = threading.Lock()
 
-    def request(self, uri: str, *, timeout: float, user_agent: str):
+    def _wait_for_host(self, uri: str) -> None:
+        delay = self.politeness_delay
+        if delay <= 0:
+            return
+        host = urlsplit(uri).hostname or ""
+        with self._locks_lock:
+            lock = self._host_locks.setdefault(host, threading.Lock())
+        with lock:
+            last = self._host_last.get(host)
+            now = time.monotonic()
+            if last is not None and now - last < delay:
+                time.sleep(delay - (now - last))
+            self._host_last[host] = time.monotonic()
+
+    def request(self, uri: str):
         import requests
 
+        self._wait_for_host(uri)
         try:
             response = self._session.get(
                 uri,
-                timeout=timeout,
+                timeout=self.TIMEOUT,
                 allow_redirects=False,
-                headers={"User-Agent": user_agent},
+                headers={"User-Agent": self.USER_AGENT},
             )
         except requests.exceptions.Timeout as exc:
             raise TransportError(TAG_TIMEOUT, str(exc)) from exc
@@ -125,40 +146,48 @@ def fixture_filename(uri: str) -> str:
 
 
 def write_fixture(directory, uri: str, status: int, headers: dict, body: bytes, reason: str = "") -> Path:
-    """Write an HTTP-message-like fixture file for ``uri`` and return its path."""
+    """Write an HTTP-message-like fixture file for ``uri`` and return its path.
+
+    Header lines are latin-1, as ``FixtureTransport`` and ``http.client``
+    read them. The file appears whole: it is written under a temporary
+    name unique to the writer and then renamed, so concurrent recorders
+    of one exchange cannot tear it.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     reason = reason or {200: "OK", 301: "Moved Permanently", 302: "Found", 404: "Not Found"}.get(status, "")
     lines = [f"HTTP/1.1 {status} {reason}".rstrip().encode("ascii")]
     for name, value in headers.items():
-        lines.append(f"{name}: {value}".encode("utf-8"))
+        lines.append(f"{name}: {value}".encode("latin-1"))
     message = b"\r\n".join(lines) + b"\r\n\r\n" + body
     path = directory / fixture_filename(uri)
-    path.write_bytes(message)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp.write_bytes(message)
+    tmp.replace(path)
     return path
+
+
+_BLANK_LINE = re.compile(rb"\r?\n\r?\n")
 
 
 class FixtureTransport:
     """Serves requests from a directory of ``{uri-hash}.response`` files.
 
     Each file is an HTTP-like message: status line, header lines, blank
-    line, raw body. Both CRLF and LF separators are accepted.
+    line, raw body. Both CRLF and LF separators are accepted; the head
+    ends at the first blank line of either form.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
 
-    def request(self, uri: str, *, timeout: float, user_agent: str):
+    def request(self, uri: str):
         path = self.directory / fixture_filename(uri)
         if not path.exists():
             raise TransportError(TAG_MISSING_FIXTURE, f"no fixture for {uri} ({path.name})")
         raw = path.read_bytes()
-        for sep in (b"\r\n\r\n", b"\n\n"):
-            if sep in raw:
-                head, body = raw.split(sep, 1)
-                break
-        else:
-            head, body = raw, b""
+        blank = _BLANK_LINE.search(raw)
+        head, body = (raw[:blank.start()], raw[blank.end():]) if blank else (raw, b"")
         head_lines = head.replace(b"\r\n", b"\n").split(b"\n")
         status_line = head_lines[0].decode("latin-1").strip()
         parts = status_line.split(None, 2)
@@ -176,12 +205,34 @@ class FixtureTransport:
         return status, headers, body
 
 
-class Fetcher:
-    """Dereferences URIs with redirects, politeness, and per-run caching.
+class RecordingTransport:
+    """Replays an exchange already recorded in ``directory``; fetches any
+    other through ``live`` and records it there first.
 
-    Safe for concurrent use: requests to distinct hosts may proceed in
-    parallel, same-host requests are serialized by the politeness delay,
-    and the caches tolerate concurrent readers/writers.
+    Every exchange the server answers is recorded: each redirect hop,
+    404s and 5xx alike. A transport failure records nothing. A response
+    without a ``Date`` header is stamped with the time of the fetch. The
+    live run is served the recorded file, so a ``FixtureTransport`` over
+    ``directory`` later replays exactly what the live run saw.
+    """
+
+    def __init__(self, directory, live):
+        self.replay = FixtureTransport(directory)
+        self.live = live
+
+    def request(self, uri: str):
+        if not (self.replay.directory / fixture_filename(uri)).exists():
+            status, headers, body = self.live.request(uri)
+            headers.setdefault("date", formatdate(usegmt=True))
+            write_fixture(self.replay.directory, uri, status, headers, body)
+        return self.replay.request(uri)
+
+
+class Fetcher:
+    """Dereferences URIs with redirects and per-run caching.
+
+    Safe for concurrent use: the caches tolerate concurrent readers and
+    writers, and pacing requests to a host is the transport's concern.
     """
 
     def __init__(self, transport=None, policy: FetchPolicy | None = None, clock=None):
@@ -192,72 +243,7 @@ class Fetcher:
         self._memory_lock = threading.Lock()
         self._digests: dict[str, PageDigest] = {}
         self._digest_lock = threading.Lock()
-        self._host_locks: dict[str, threading.Lock] = {}
-        self._host_last: dict[str, float] = {}
-        self.request_count = 0  # network exchanges performed (cache misses)
-
-    # -- cache ---------------------------------------------------------
-
-    def _cache_dir(self) -> Path | None:
-        if not self.policy.disk_cache:
-            return None
-        raw = self.policy.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE_DIR
-        return Path(raw)
-
-    def _disk_path(self, request_uri: str) -> Path | None:
-        directory = self._cache_dir()
-        if directory is None:
-            return None
-        return directory / (hashlib.sha256(request_uri.encode("utf-8")).hexdigest() + ".json")
-
-    def _load_cached(self, request_uri: str) -> FetchResult | None:
-        with self._memory_lock:
-            hit = self._memory.get(request_uri)
-        if hit is not None:
-            return hit
-        path = self._disk_path(request_uri)
-        if path is None or not path.exists():
-            return None
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            result = FetchResult(
-                request_uri=record["request_uri"],
-                final_uri=record["final_uri"],
-                status=record["status"],
-                media_type=record["media_type"],
-                headers=record["headers"],
-                body=base64.b64decode(record["body_b64"]),
-                fetched_at=parse_timestamp(record["fetched_at"]),
-                redirect_chain=tuple(record["redirect_chain"]),
-            )
-        except (KeyError, ValueError, json.JSONDecodeError):
-            return None  # corrupt cache entries are refetched
-        with self._memory_lock:
-            self._memory[request_uri] = result
-        return result
-
-    def _store(self, result: FetchResult) -> None:
-        with self._memory_lock:
-            self._memory[result.request_uri] = result
-        path = self._disk_path(result.request_uri)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = {
-            "request_uri": result.request_uri,
-            "final_uri": result.final_uri,
-            "status": result.status,
-            "media_type": result.media_type,
-            "headers": result.headers,
-            "body_b64": base64.b64encode(result.body).decode("ascii"),
-            "fetched_at": format_timestamp(result.fetched_at),
-            "redirect_chain": list(result.redirect_chain),
-        }
-        # Unique temp name per writer so concurrent stores of the same
-        # entry cannot tear each other; replace() is atomic.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(record), encoding="utf-8")
-        tmp.replace(path)
+        self.request_count = 0  # transport exchanges performed (cache misses)
 
     def digest(self, result: FetchResult) -> PageDigest:
         """The digest of a successfully fetched document, built once per
@@ -272,48 +258,30 @@ class Fetcher:
                 found = self._digests[result.final_uri] = digest_page(result.body)
         return found
 
-    # -- politeness ----------------------------------------------------
-
-    def _wait_for_host(self, uri: str) -> None:
-        delay = self.policy.politeness_delay
-        if delay <= 0:
-            return
-        host = urlsplit(uri).hostname or ""
-        with self._memory_lock:
-            lock = self._host_locks.setdefault(host, threading.Lock())
-        with lock:
-            last = self._host_last.get(host)
-            now = time.monotonic()
-            if last is not None and now - last < delay:
-                time.sleep(delay - (now - last))
-            self._host_last[host] = time.monotonic()
-
-    # -- fetching ------------------------------------------------------
-
     def dereference(self, uri: str) -> FetchResult:
         """Fetch ``uri``, following redirects up to the policy limit.
 
         In lenient mode transport failures come back as results whose
         status is an error tag; in strict mode they raise FetchError.
+        Results, failures included, are kept in memory for the run.
         """
+        with self._memory_lock:
+            result = self._memory.get(uri)
+        if result is None:
+            result = self._fetch(uri)
+            with self._memory_lock:
+                self._memory[uri] = result
+        return result
+
+    def _fetch(self, uri: str) -> FetchResult:
         parts = urlsplit(uri)
         if parts.scheme not in ("http", "https") or not parts.netloc:
             return self._fail(uri, uri, (), TAG_INVALID_URI, f"not an absolute http(s) URI: {uri}")
-        cached = self._load_cached(uri)
-        if cached is not None:
-            return cached
-
         chain: list[str] = []
         current = uri
-        final_status: int | None = None
-        headers: dict[str, str] = {}
-        body = b""
         while True:
-            self._wait_for_host(current)
             try:
-                status, headers, body = self.transport.request(
-                    current, timeout=self.policy.timeout, user_agent=self.policy.user_agent
-                )
+                status, headers, body = self.transport.request(current)
                 self.request_count += 1
             except TransportError as exc:
                 return self._fail(uri, current, tuple(chain), exc.tag, exc.detail)
@@ -327,25 +295,21 @@ class Fetcher:
                                       f"more than {self.policy.max_redirects} redirects")
                 current = target
                 continue
-            final_status = status
-            break
-
-        result = FetchResult(
-            request_uri=uri,
-            final_uri=current,
-            status=final_status,
-            media_type=media_type_of(headers),
-            headers=headers,
-            body=body,
-            fetched_at=self._fetched_at(headers),
-            redirect_chain=tuple(chain),
-        )
-        self._store(result)
-        return result
+            return FetchResult(
+                request_uri=uri,
+                final_uri=current,
+                status=status,
+                media_type=media_type_of(headers),
+                headers=headers,
+                body=body,
+                fetched_at=self._fetched_at(headers),
+                redirect_chain=tuple(chain),
+            )
 
     def _fetched_at(self, headers: dict[str, str]) -> datetime:
         # Prefer the response Date header so fixture-served fetches are
-        # reproducible run to run.
+        # reproducible run to run; a date that does not parse, or lies
+        # beyond the datetime range in UTC, falls back to the clock.
         raw = headers.get("date")
         if raw:
             try:
@@ -353,14 +317,14 @@ class Fetcher:
                 if dt.tzinfo is None:
                     dt = dt.replace(tzinfo=timezone.utc)
                 return dt.astimezone(timezone.utc)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 pass
         return self._clock()
 
     def _fail(self, request_uri, final_uri, chain, tag, detail) -> FetchResult:
         if not self.policy.lenient:
             raise FetchError(tag, detail)
-        result = FetchResult(
+        return FetchResult(
             request_uri=request_uri,
             final_uri=final_uri,
             status=tag,
@@ -370,7 +334,3 @@ class Fetcher:
             fetched_at=EPOCH,
             redirect_chain=chain,
         )
-        # Failures are cached in memory only, so a later run may retry.
-        with self._memory_lock:
-            self._memory[request_uri] = result
-        return result

@@ -9,7 +9,6 @@ from conftest import make_corpus, make_post
 from oracles import reference_assemble_collections, reference_substitute_intra_site
 from seedsmith.corpus.fetch import (
     TAG_MISSING_FIXTURE,
-    FetchPolicy,
     Fetcher,
     FixtureTransport,
     TransportError,
@@ -32,8 +31,6 @@ from seedsmith.extraction import (
     substitute_intra_site,
 )
 from seedsmith.segmentation import partition_corpus
-
-FAST = FetchPolicy(politeness_delay=0.0, disk_cache=False)
 
 
 class TestExtractUris:
@@ -273,7 +270,7 @@ class _PageTransport:
     def __init__(self, pages):
         self.pages = pages
 
-    def request(self, uri, *, timeout, user_agent):
+    def request(self, uri):
         if uri not in self.pages:
             raise TransportError(TAG_MISSING_FIXTURE, f"no fixture for {uri}")
         links = self.pages[uri]
@@ -310,7 +307,7 @@ class TestSubstitute:
         in the order, and the warnings of the recursive expansion."""
 
         def run(substitute):
-            fetcher = Fetcher(_PageTransport(pages), FAST)
+            fetcher = Fetcher(_PageTransport(pages))
             warnings = []
             try:
                 out = substitute(make_seed(_PERMALINKS[0]), fetcher, depth_limit=depth_limit,
@@ -325,7 +322,7 @@ class TestSubstitute:
         uri = "https://twitter.com/bob/status/1"
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"},
                       tweet_page("https://news.example/story"))
-        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        fetcher = Fetcher(FixtureTransport(tmp_path))
         out = substitute_intra_site(make_seed(uri), fetcher)
         assert [s.canonical for s in out] == ["https://news.example/story"]
         assert out[0].provenance.post_id == "p1"
@@ -334,7 +331,7 @@ class TestSubstitute:
         uri = "https://twitter.com/bob/status/1"
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"},
                       tweet_page("http://[::1]:8080/a"))
-        out = substitute_intra_site(make_seed(uri), Fetcher(FixtureTransport(tmp_path), FAST))
+        out = substitute_intra_site(make_seed(uri), Fetcher(FixtureTransport(tmp_path)))
         assert [(s.canonical, s.hostname) for s in out] == [("http://[::1]:8080/a", "::1")]
 
     def test_chain_resolved_to_depth(self, tmp_path):
@@ -345,14 +342,14 @@ class TestSubstitute:
         write_fixture(tmp_path, b, 200, {"Content-Type": "text/html"}, tweet_page(c))
         write_fixture(tmp_path, c, 200, {"Content-Type": "text/html"},
                       tweet_page("https://news.example/final"))
-        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        fetcher = Fetcher(FixtureTransport(tmp_path))
         out = substitute_intra_site(make_seed(a), fetcher, depth_limit=3)
         assert [s.canonical for s in out] == ["https://news.example/final"]
 
     def test_self_reference_terminates_empty(self, tmp_path):
         uri = "https://twitter.com/a/status/1"
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"}, tweet_page(uri))
-        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        fetcher = Fetcher(FixtureTransport(tmp_path))
         warnings = []
         out = substitute_intra_site(make_seed(uri), fetcher, warnings=warnings)
         assert out == []
@@ -364,13 +361,13 @@ class TestSubstitute:
         write_fixture(tmp_path, a, 200, {"Content-Type": "text/html"}, tweet_page(b))
         write_fixture(tmp_path, b, 200, {"Content-Type": "text/html"},
                       tweet_page(a, "https://news.example/x"))
-        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        fetcher = Fetcher(FixtureTransport(tmp_path))
         out = substitute_intra_site(make_seed(a), fetcher, depth_limit=5)
         assert [s.canonical for s in out] == ["https://news.example/x"]
 
     def test_fetch_failure_lenient_keeps_original(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
-        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        fetcher = Fetcher(FixtureTransport(tmp_path))
         seed = make_seed("https://twitter.com/a/status/404")
         warnings = []
         out = substitute_intra_site(seed, fetcher, warnings=warnings)
@@ -379,7 +376,7 @@ class TestSubstitute:
 
     def test_fetch_failure_strict_raises(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
-        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        fetcher = Fetcher(FixtureTransport(tmp_path))
         with pytest.raises(ExtractionError):
             substitute_intra_site(make_seed("https://twitter.com/a/status/404"), fetcher, strict=True)
 
@@ -476,7 +473,7 @@ class TestAssemble:
             [make_post(id="r", serp_visible=True, text="https://a.example/download")]
         )
         partition = partition_corpus(corpus)
-        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        fetcher = Fetcher(FixtureTransport(tmp_path))
         collections = assemble_collections(
             corpus, partition, fetcher,
             AssembleOptions(fetch_kinds=True),
@@ -625,7 +622,7 @@ class TestAssembleTables:
                                   global_dedup=global_dedup, strict=strict)
 
         def run(assemble):
-            fetcher = Fetcher(_PageTransport(_TABLE_PAGES), FAST)
+            fetcher = Fetcher(_PageTransport(_TABLE_PAGES))
             warnings = []
             try:
                 out = assemble(corpus, partition, fetcher, options, warnings=warnings)
@@ -642,7 +639,7 @@ class TestAssembleTables:
         partition = partition_corpus(corpus)
 
         def seeds(pages):
-            fetcher = Fetcher(_PageTransport(pages), FAST)
+            fetcher = Fetcher(_PageTransport(pages))
             collections = assemble_collections(corpus, partition, fetcher)
             return [s.canonical for c in collections.values() for s in c.post_seeds]
 

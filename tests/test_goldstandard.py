@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic
-from seedsmith.corpus.fetch import FetchPolicy, Fetcher, FixtureTransport, write_fixture
+from seedsmith.corpus.fetch import Fetcher, FixtureTransport, write_fixture
 from seedsmith.goldstandard import (
     GoldStandard,
     GoldStandardError,
@@ -17,8 +17,6 @@ from seedsmith.goldstandard import (
 from seedsmith.htmltools import absolute_http_links, parse_html
 from seedsmith.pages import digest_page
 from seedsmith.stopwords import STOPWORDS
-
-FAST = FetchPolicy(politeness_delay=0.0, disk_cache=False)
 
 
 def page_result(body, uri="https://encyclo.example/wiki/Flood", tmp_path=None):
@@ -192,7 +190,7 @@ class TestBuildGoldStandard:
     DATE = {"Date": "Tue, 06 Nov 2018 00:00:00 GMT", "Content-Type": "text/html"}
 
     def fetcher(self, tmp_path):
-        return Fetcher(FixtureTransport(tmp_path), FAST)
+        return Fetcher(FixtureTransport(tmp_path))
 
     def test_hand_computed_vector_over_concatenation(self, tmp_path):
         write_fixture(tmp_path, "https://ref1.example/a", 200, self.DATE, ref_doc("flood river flood"))

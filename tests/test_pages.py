@@ -25,14 +25,13 @@ from seedsmith.analytics import estimate_publication_date
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus import fetch as fetch_module
 from seedsmith.corpus import write_corpus
-from seedsmith.corpus.fetch import FetchPolicy, Fetcher, FetchResult, FixtureTransport, write_fixture
+from seedsmith.corpus.fetch import Fetcher, FetchResult, FixtureTransport, write_fixture
 from seedsmith.htmltools import NON_CONTENT_TAGS, Document, Element, decode_html, parse_html
 from seedsmith.pages import PageDigest, _jsonld_published, digest_page, main_text
 from seedsmith.reports import SeedTextProvider
 
 DATA = Path(__file__).parent / "data"
 RESPONSES = DATA / "responses"
-FAST = FetchPolicy(politeness_delay=0.0, disk_cache=False)
 
 
 def fixture_bodies():
@@ -98,7 +97,7 @@ class TestDigestMatchesPerUseParsing:
         warnings = []
         provider = SeedTextProvider(
             make_corpus([make_post(id="p1", serp_visible=True)]),
-            Fetcher(FixtureTransport(tmp_path), FAST),
+            Fetcher(FixtureTransport(tmp_path)),
             warnings,
         )
         outcome, want = _outcome(reference_strip_boilerplate, body)
@@ -122,7 +121,7 @@ class TestFetcherDigests:
                       {"Content-Type": "text/html"}, b"<p>hello <a href='https://b.example/'>b</a></p>")
         calls = []
         monkeypatch.setattr(fetch_module, "digest_page", lambda body: calls.append(body) or digest_page(body))
-        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        fetcher = Fetcher(FixtureTransport(tmp_path))
         first = fetcher.digest(fetcher.dereference("https://a.example/old"))
         second = fetcher.digest(fetcher.dereference("https://a.example/page"))
         assert first is second
@@ -135,7 +134,7 @@ class TestFetcherDigests:
             write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"}, f"<p>{uri}</p>".encode())
         parsed = []
         monkeypatch.setattr(fetch_module, "digest_page", lambda body: parsed.append(body) or digest_page(body))
-        fetcher = Fetcher(FixtureTransport(tmp_path), FAST)
+        fetcher = Fetcher(FixtureTransport(tmp_path))
         results = [fetcher.dereference(uri) for uri in uris]
         seen = [[] for _ in range(8)]
 
@@ -166,7 +165,7 @@ class TestFetcherDigests:
         """Dating a page from the fetcher's digest gives what the chain
         of per-use steps (metadata from a fresh parse, then URI path,
         then Last-Modified) gives."""
-        fetcher = Fetcher(FixtureTransport(RESPONSES), FAST)
+        fetcher = Fetcher(FixtureTransport(RESPONSES))
         for uri in ("https://x.example/story", "https://x.example/2016/01/05/story"):
             for headers in ({}, {"last-modified": "Fri, 08 Aug 2014 12:00:00 GMT"}):
                 result = FetchResult(uri, uri, 200, "text/html", headers, body,
@@ -181,7 +180,7 @@ class TestSeedTextProvider:
         write_fixture(tmp_path, "https://a.example/plain", 200, {"Content-Type": "text/html"}, b"no tags")
         warnings = []
         post = make_post(id="p1", serp_visible=True)
-        provider = SeedTextProvider(make_corpus([post]), Fetcher(FixtureTransport(tmp_path), FAST), warnings)
+        provider = SeedTextProvider(make_corpus([post]), Fetcher(FixtureTransport(tmp_path)), warnings)
         for uri in ("https://a.example/plain", "https://a.example/missing") * 2:
             assert provider.page_text(uri) == ""
         assert len(warnings) == 2
@@ -212,8 +211,8 @@ def _record_html_pages(monkeypatch):
     original = FixtureTransport.request
     pages = set()
 
-    def recording(self, uri, **kwargs):
-        status, headers, body = original(self, uri, **kwargs)
+    def recording(self, uri):
+        status, headers, body = original(self, uri)
         if status == 200 and headers.get("content-type", "").startswith("text/html"):
             pages.add(uri)
         return status, headers, body
