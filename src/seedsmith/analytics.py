@@ -186,7 +186,7 @@ def date_from_last_modified(fetch: FetchResult) -> date | None:
         return None
     try:
         return parsedate_to_datetime(raw).date()
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
 
 

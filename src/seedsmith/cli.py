@@ -37,6 +37,7 @@ from .reports import (
     ReportConfig,
     build_manifest,
     build_tables,
+    check_tables,
     fmt,
     partition_rows,
     write_bundle,
@@ -304,9 +305,8 @@ _TABLE_NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 def _load_bundle(path: Path) -> dict:
     """A saved bundle.json: a JSON object with ``manifest`` and
-    ``tables``, an object whose every table has exactly a ``header``
-    list and a ``rows`` list of lists, all of strings, under a name fit
-    to be a file name in ``--out``: what ``write_bundle`` can write.
+    ``tables``, whose tables pass ``reports.check_tables`` under names
+    fit to be file names in ``--out``: what ``write_bundle`` can write.
     Anything else raises BundleError naming the file (and the table)."""
     try:
         bundle = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -315,18 +315,13 @@ def _load_bundle(path: Path) -> dict:
     tables = bundle.get("tables") if isinstance(bundle, dict) else None
     if not isinstance(tables, dict) or "manifest" not in bundle:
         raise BundleError(f"bad bundle file {path}: not a JSON object with 'tables' and 'manifest'")
-    for name, table in tables.items():
+    for name in tables:
         if not _TABLE_NAME_RE.fullmatch(name):
             raise BundleError(f"bad bundle file {path}: table name {name!r} is not a plain file name")
-        bad = f"bad bundle file {path}: table {name}"
-        if not (isinstance(table, dict) and table.keys() == {"header", "rows"}):
-            raise BundleError(f"{bad}: not an object of exactly 'header' and 'rows'")
-        if not isinstance(table["rows"], list):
-            raise BundleError(f"{bad}: 'rows' is not a list")
-        for index, row in enumerate([table["header"], *table["rows"]]):
-            if not (isinstance(row, list) and all(isinstance(cell, str) for cell in row)):
-                where = f"row {index}" if index else "header"
-                raise BundleError(f"{bad}: {where} is not a list of strings")
+    try:
+        check_tables(tables)
+    except ValueError as exc:
+        raise BundleError(f"bad bundle file {path}: {exc}") from exc
     return bundle
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import ExitStack
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -475,45 +476,81 @@ def build_manifest(config_echo: dict, warnings, counts: dict) -> dict:
     }
 
 
+def check_tables(tables) -> None:
+    """Raises ValueError unless ``tables`` is what ``write_bundle``
+    writes: {str name: {"header": [str], "rows": [[str]]}}. The message
+    names the table."""
+    if not isinstance(tables, dict):
+        raise ValueError(f"tables is not an object, got {type(tables).__name__}")
+    for name, table in tables.items():
+        if not isinstance(name, str):
+            raise ValueError(f"table name {name!r} is not a string")
+        bad = f"table {name}"
+        if not (isinstance(table, dict) and table.keys() == {"header", "rows"}):
+            raise ValueError(f"{bad}: not an object of exactly 'header' and 'rows'")
+        if not isinstance(table["rows"], list):
+            raise ValueError(f"{bad}: 'rows' is not a list")
+        for index, row in enumerate([table["header"], *table["rows"]]):
+            if not (isinstance(row, list) and all(isinstance(cell, str) for cell in row)):
+                where = f"row {index}" if index else "header"
+                raise ValueError(f"{bad}: {where} is not a list of strings")
+
+
 def write_bundle(bundle: dict, out_dir, formats=("csv",)) -> list[Path]:
     """Write the report bundle; returns the created file paths.
 
-    ``bundle`` is {"tables": ..., "manifest": ...}. CSV emission writes
-    one file per table plus manifest.json and bundle.json; JSON emission
-    writes report.json carrying the same values.
+    ``bundle`` is {"tables": ..., "manifest": ...}, written to bundle.json
+    and manifest.json; "csv" in ``formats`` adds one file per table, and
+    "json" adds report.json, the tables alone.
 
-    Every file is ``json.dumps(value, ensure_ascii=False, indent=2,
-    sort_keys=True)`` plus a newline. Each top-level value is encoded
-    once and bundle.json is spliced from those texts. The tables, most
-    of the bytes, are written by ``_tables_text``, which takes only
-    table-shaped values: the indenting ``json.dumps`` is pure Python,
-    while every cell is already a string.
+    Every JSON file is ``json.dumps(value, ensure_ascii=False, indent=2,
+    sort_keys=True)`` plus a newline. The tables go one at a time: each
+    table's text, its cells passed straight through ``encode_basestring``,
+    is built once, written to report.json and, indented once more, to
+    bundle.json, and dropped, so memory holds one table's text. Other
+    top-level values go through ``json.dumps``. A value that is not
+    table-shaped fails ``check_tables`` before any file is written.
     """
+    tables = bundle["tables"]
+    check_tables(tables)
+    texts = {key: _json_text(value) for key, value in bundle.items() if key != "tables"}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    created = []
-    texts = {
-        key: _tables_text(bundle[key]) if key == "tables" else _json_text(bundle[key])
-        for key in sorted(bundle)
-    }
+    created = [out_dir / "manifest.json", out_dir / "bundle.json"]
+    created[0].write_text(texts["manifest"] + "\n", encoding="utf-8")
+    with ExitStack() as files:
+        whole = files.enter_context(created[1].open("wb"))
+        report = None
+        if "json" in formats:
+            created.append(out_dir / "report.json")
+            report = files.enter_context(created[-1].open("wb"))
 
-    path = out_dir / "bundle.json"
-    path.write_text(_splice_object(texts) + "\n", encoding="utf-8")
-    created.append(path)
-    path = out_dir / "manifest.json"
-    path.write_text(texts["manifest"] + "\n", encoding="utf-8")
-    created.append(path)
+        def put(text: bytes) -> None:
+            # bundle.json holds the tables text one level deeper. Exact
+            # because JSON escapes every newline inside a string.
+            if report is not None:
+                report.write(text)
+            whole.write(text.replace(b"\n", b"\n  "))
 
-    if "csv" in formats:
-        for name in sorted(bundle["tables"]):
-            table = bundle["tables"][name]
-            path = out_dir / f"{name}.csv"
-            write_csv(path, table["header"], table["rows"])
-            created.append(path)
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(texts["tables"] + "\n", encoding="utf-8")
-        created.append(path)
+        lead = "{"
+        for key in sorted(bundle):
+            whole.write(f"{lead}\n  {encode_basestring(key)}: ".encode())
+            lead = ","
+            if key != "tables":
+                whole.write(texts[key].replace("\n", "\n  ").encode())
+                continue
+            separator = b"{\n"
+            for name in sorted(tables):
+                put(separator)
+                separator = b",\n"
+                put(_table_text(name, tables[name]).encode())
+                if "csv" in formats:
+                    created.append(out_dir / f"{name}.csv")
+                    write_csv(created[-1], tables[name]["header"], tables[name]["rows"])
+            put(b"\n}" if tables else b"{}")
+        whole.write(b"\n}\n")
+        if report is not None:
+            report.write(b"\n")
     return created
 
 
@@ -531,8 +568,6 @@ def _json_text(value) -> str:
 def _json_list(items, pad: str, encode) -> str:
     """``_json_text(items)`` for a list whose items ``encode`` writes,
     with every line after the first indented by ``pad``."""
-    if not isinstance(items, list):
-        raise TypeError(f"expected a list, got {type(items).__name__}")
     if not items:
         return "[]"
     sep = ",\n  " + pad
@@ -543,36 +578,12 @@ def _row_text(row) -> str:
     return _json_list(row, "      ", encode_basestring)
 
 
-def _tables_text(tables: dict) -> str:
-    """``_json_text(tables)`` for {name: {"header": [str], "rows": [[str]]}}.
-
-    Raises TypeError or ValueError on anything else: ``tables`` or a
-    table that is not a dict, a table with other keys, a header, rows or
-    row that is not a list, or a name or cell that is not a str."""
-    if not isinstance(tables, dict):
-        raise TypeError(f"tables must be a dict, got {type(tables).__name__}")
-    members = []
-    for name in sorted(tables):
-        table = tables[name]
-        if not isinstance(table, dict) or table.keys() != {"header", "rows"}:
-            raise ValueError(f"table {name!r} is not an object of exactly 'header' and 'rows'")
-        members.append(
-            f"  {encode_basestring(name)}: {{\n"
-            f'    "header": {_json_list(table["header"], "    ", encode_basestring)},\n'
-            f'    "rows": {_json_list(table["rows"], "    ", _row_text)}\n'
-            "  }"
-        )
-    return "{\n" + ",\n".join(members) + "\n}" if members else "{}"
-
-
-def _splice_object(texts: dict) -> str:
-    """``_json_text`` of an object whose members' texts are ``texts``, in
-    key order. Exact because JSON escapes every newline inside a string,
-    so each newline of a member's text starts one of its lines."""
-    if not texts:
-        return "{}"
-    members = (
-        f"  {json.dumps(key, ensure_ascii=False)}: " + text.replace("\n", "\n  ")
-        for key, text in texts.items()
+def _table_text(name: str, table: dict) -> str:
+    """The member ``name`` of ``_json_text(tables)``, from its indent to
+    its closing brace, for a table that ``check_tables`` passed."""
+    return (
+        f"  {encode_basestring(name)}: {{\n"
+        f'    "header": {_json_list(table["header"], "    ", encode_basestring)},\n'
+        f'    "rows": {_json_list(table["rows"], "    ", _row_text)}\n'
+        "  }"
     )
-    return "{\n" + ",\n".join(members) + "\n}"

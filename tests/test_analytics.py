@@ -368,6 +368,13 @@ class TestPublicationDate:
         )
         assert got == (date(2014, 8, 8), "last-modified")
 
+    @pytest.mark.parametrize(
+        "value", ["not a date", "Fri, 31 Dec 99999999999999999999 23:59:59 GMT"],
+        ids=["unparsable", "year-overflows"],
+    )
+    def test_unusable_last_modified_gives_no_estimate(self, value):
+        assert estimate(fetch_result(b"<html></html>", headers={"Last-Modified": value})) is None
+
     def test_bare_page_has_no_estimate(self):
         assert estimate(fetch_result(b"<html><body>x</body></html>")) is None
 

@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -123,6 +125,17 @@ class TestRun:
         assert run_cli("run", "--corpus", corpus_path, "--out", out, "--fixtures", fixtures) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert any("not resolvable" in w for w in manifest["warnings"])
+
+    def test_overflowing_last_modified_does_not_stop_a_lenient_run(self, tmp_path):
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        [path] = [p for p in fixtures.iterdir() if b"\nLast-Modified: " in p.read_bytes()]
+        huge = b"Last-Modified: Fri, 31 Dec 99999999999999999999 23:59:59 GMT"
+        path.write_bytes(re.sub(rb"Last-Modified: [^\r\n]*", huge, path.read_bytes(), count=1))
+        out = tmp_path / "out"
+        assert run_cli("run", "--corpus", DATA / "corpus.jsonl", "--fixtures", fixtures,
+                       "--refs", DATA / "refs.json", "--out", out) == 0
+        assert (out / "age.csv").exists()
 
     def test_postdates_warning_once_per_seed(self, tmp_path):
         out = tmp_path / "out"

@@ -3,6 +3,7 @@ and bundle files against the plain JSON encoding of their values."""
 
 import json
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -94,9 +95,9 @@ def _expected(value):
 def _check_bundle_files(bundle, out):
     # Only the JSON files are under test; table names need not be file names.
     write_bundle(bundle, out, formats=("json",))
-    assert (out / "bundle.json").read_text(encoding="utf-8") == _expected(bundle)
-    assert (out / "report.json").read_text(encoding="utf-8") == _expected(bundle["tables"])
-    assert (out / "manifest.json").read_text(encoding="utf-8") == _expected(bundle["manifest"])
+    assert (out / "bundle.json").read_bytes() == _expected(bundle).encode()
+    assert (out / "report.json").read_bytes() == _expected(bundle["tables"]).encode()
+    assert (out / "manifest.json").read_bytes() == _expected(bundle["manifest"]).encode()
 
 
 def test_bundle_files_equal_plain_json_encoding(tmp_path):
@@ -111,6 +112,24 @@ def test_bundle_files_equal_plain_json_encoding(tmp_path):
     }
     _check_bundle_files(bundle, tmp_path / "out")
     _check_bundle_files({**bundle, "tables": {}}, tmp_path / "no-tables")
+    around = {"aaa": [1, {"b": None}], "note": "x\ny", "zzz": {"last": [True, 0.5]}}
+    _check_bundle_files({**bundle, **around}, tmp_path / "keys-around-tables")
+    _check_bundle_files({**bundle, **around, "tables": {}}, tmp_path / "keys-around-no-tables")
+
+
+def test_csv_write_keeps_bundle_json_exact(tmp_path):
+    tables = {
+        "a_first": {"header": ["x", "y"], "rows": [["1", 'say "hi"'], ["two\nlines", ""]]},
+        "b-second": {"header": ["only"], "rows": []},
+    }
+    bundle = {"aaa": None, "tables": tables, "manifest": {"counts": {}}, "zzz": ["after"]}
+    created = write_bundle(bundle, tmp_path, formats=("csv",))
+    assert (tmp_path / "bundle.json").read_bytes() == _expected(bundle).encode()
+    assert (tmp_path / "manifest.json").read_bytes() == _expected(bundle["manifest"]).encode()
+    assert (tmp_path / "a_first.csv").read_bytes() == b'x,y\n1,"say ""hi"""\n"two\nlines",\n'
+    assert (tmp_path / "b-second.csv").read_bytes() == b"only\n"
+    assert sorted(created) == sorted(tmp_path.iterdir())
+    assert not (tmp_path / "report.json").exists()
 
 
 @given(
@@ -135,7 +154,8 @@ _TRICKY_CHARS = st.sampled_from(
     ['"', "\\", "/", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
      "\ufeff", "é", "漢", "\U0001f30a", "\U00010000"]
 )
-_TABLE_TEXT = st.text(st.one_of(_TRICKY_CHARS, st.characters()), max_size=8)
+# A UTF-8 file cannot hold a lone surrogate, so none is drawn.
+_TABLE_TEXT = st.text(st.one_of(_TRICKY_CHARS, st.characters(codec="utf-8")), max_size=8)
 
 
 @given(
@@ -149,10 +169,10 @@ _TABLE_TEXT = st.text(st.one_of(_TRICKY_CHARS, st.characters()), max_size=8)
     )
 )
 @settings(max_examples=300, deadline=None)
-def test_tables_text_equals_plain_json_encoding(tables):
+def test_tables_text_equals_plain_json_encoding(tmp_path_factory, tables):
     # Empty tables, empty headers over rows, empty rows and escapes all
     # come up; the hand-written cases below pin each of them once.
-    assert reports._tables_text(tables) == _expected(tables)[:-1]
+    _check_bundle_files({"tables": tables, "manifest": {}}, tmp_path_factory.mktemp("tables"))
 
 
 @pytest.mark.parametrize(
@@ -161,8 +181,8 @@ def test_tables_text_equals_plain_json_encoding(tables):
      {"\u2028 ü \U0001f30a": {"header": ['"', "\\"], "rows": [[]] * 2 + [["\x00\x1f\u2029"]]}}],
     ids=["no-tables", "empty-header-and-row", "all-empty", "tricky-name-and-cells"],
 )
-def test_tables_text_equals_plain_json_encoding_cases(tables):
-    assert reports._tables_text(tables) == _expected(tables)[:-1]
+def test_tables_text_equals_plain_json_encoding_cases(tables, tmp_path):
+    _check_bundle_files({"tables": tables, "manifest": {}}, tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -177,8 +197,32 @@ def test_tables_text_equals_plain_json_encoding_cases(tables):
          "name-an-int"],
 )
 def test_tables_text_rejects_what_is_not_a_table(tables, tmp_path):
-    with pytest.raises((TypeError, ValueError)):
-        reports._tables_text(tables)
-    with pytest.raises((TypeError, ValueError)):
-        write_bundle({"tables": tables, "manifest": {}}, tmp_path, formats=("json",))
+    with pytest.raises(ValueError):
+        reports.check_tables(tables)
+    for formats in (("json",), ("csv",)):
+        with pytest.raises(ValueError):
+            write_bundle({"tables": tables, "manifest": {}}, tmp_path, formats=formats)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_stage_holds_one_table_at_a_time(tmp_path):
+    # Eight tables of about 1 MB of JSON text each. Written one at a time,
+    # fewer than three copies of one table's text are alive at once;
+    # joining the tables text before writing holds all eight at least once.
+    cells = ["cell-" + "x" * 10] * 7
+    tables = {
+        f"t{n}": {"header": [f"h{i}" for i in range(8)],
+                  "rows": [[f"{n}-{i:08d}", *cells] for i in range(5000)]}
+        for n in range(8)
+    }
+    largest = max(len(_expected(table)) for table in tables.values())
+    assert largest > 900_000
+    bundle = {"tables": tables, "manifest": {"counts": {}}}
+    tracemalloc.start()
+    try:
+        write_bundle(bundle, tmp_path, formats=("csv", "json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * largest
+    assert (tmp_path / "bundle.json").read_bytes() == _expected(bundle).encode()
