@@ -19,7 +19,7 @@ from . import __version__
 from .analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_LITERAL, MODE_NORMALIZED
 from .corpus.fetch import (EPOCH, FetchError, FetchPolicy, Fetcher, FixtureTransport, HttpTransport,
                            RecordingTransport)
-from .corpus.jsonl import load_corpus, write_corpus
+from .corpus.jsonl import check_encodable, load_corpus, write_corpus
 from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, TopicSpec
 from .corpus.threads import FixtureThreadAdapter, expand_thread
 from .extraction import (
@@ -309,7 +309,8 @@ def _load_bundle(path: Path) -> dict:
     fit to be file names in ``--out``: what ``write_bundle`` can write.
     Anything else raises BundleError naming the file (and the table)."""
     try:
-        bundle = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        bundle = json.loads(text)
     except ValueError as exc:
         raise BundleError(f"bad bundle file {path}: {exc}") from exc
     tables = bundle.get("tables") if isinstance(bundle, dict) else None
@@ -320,6 +321,8 @@ def _load_bundle(path: Path) -> dict:
             raise BundleError(f"bad bundle file {path}: table name {name!r} is not a plain file name")
     try:
         check_tables(tables)
+        if "\\u" in text:  # only an escape can name a lone surrogate
+            check_encodable(bundle)
     except ValueError as exc:
         raise BundleError(f"bad bundle file {path}: {exc}") from exc
     return bundle
@@ -342,6 +345,10 @@ def _load_refs(path: Path) -> dict:
             raise GoldStandardError(
                 f"bad refs file {path}: topic {topic_id}: not a URI or a list of URIs"
             )
+        try:
+            check_encodable([topic_id, entry])
+        except ValueError as exc:
+            raise GoldStandardError(f"bad refs file {path}: topic {topic_id!r}: {exc}") from exc
     return refs
 
 

@@ -250,7 +250,7 @@ class Fetcher:
         final URI (requests redirected to one page share its digest).
 
         A page is digested under a lock, so concurrent callers never
-        parse it twice; parsing holds the GIL throughout anyway.
+        digest it twice; digesting holds the GIL throughout anyway.
         """
         with self._digest_lock:
             found = self._digests.get(result.final_uri)

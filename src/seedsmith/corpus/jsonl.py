@@ -54,6 +54,15 @@ class CorpusFormatError(CorpusError):
     and the line."""
 
 
+def check_encodable(value) -> None:
+    """Raise ValueError if a decoded JSON value holds a lone surrogate,
+    which a \\u escape can name but no UTF-8 text can hold."""
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError("a string holds a lone surrogate, which is not UTF-8 text") from exc
+
+
 def _post_to_record(post: Post) -> dict:
     record = {"kind": "post"}
     for name in _POST_FIELDS:
@@ -147,10 +156,14 @@ def load_corpus(path) -> Corpus:
             try:
                 line.encode("utf-8")
                 record = json.loads(line)
+                if "\\u" in line:  # only an escape can name a lone surrogate
+                    check_encodable(record)
             except UnicodeEncodeError as exc:
                 raise CorpusFormatError(f"{where}: not UTF-8 text") from exc
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
+            except ValueError as exc:
+                raise CorpusFormatError(f"{where}: {exc}") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{where}: record must be a JSON object")
             kind = record.get("kind")

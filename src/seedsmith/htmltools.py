@@ -1,14 +1,15 @@
 """Small lenient HTML layer: one purpose-built lexer and a minimal tree.
 
-``parse_html`` reads a page in one regex-driven pass and builds a
-minimal element tree that tolerates unclosed and stray tags, listing
-its elements in document order as it goes: enough for anchor/meta
-extraction and main-content text recovery. Its tokens are those of the
-standard library's ``HTMLParser`` with ``convert_charrefs=True``, with
-one exception: a ``<![`` marked section with no name, or one that
+The lexer reads a page in one regex-driven pass. Its tokens are those of
+the standard library's ``HTMLParser`` with ``convert_charrefs=True``,
+with one exception: a ``<![`` marked section with no name, or one that
 parser does not know, is a bogus comment up to the next ">" instead of
-an ``AssertionError``. Not a general DOM: no entity-reference table
-beyond the stdlib's, no CSS.
+an ``AssertionError``. ``pages.digest_page`` runs the lexer over every
+fetched page and builds no tree. ``parse_html`` builds a minimal element
+tree that tolerates unclosed and stray tags, listing its elements in
+document order as it goes: enough for the reference-list pages that
+``goldstandard.extract_references`` searches, one per topic. Not a
+general DOM: no entity-reference table beyond the stdlib's, no CSS.
 """
 
 from __future__ import annotations
@@ -68,46 +69,29 @@ class Element:
             if el.tag == tag:
                 yield el
 
-    def text(self, exclude=NON_CONTENT_TAGS) -> str:
-        """Whitespace-collapsed text of the subtree, skipping ``exclude`` tags."""
-        parts: list[str] = []
-        stack = [iter(self.children)]
-        while stack:
-            for child in stack[-1]:
-                if isinstance(child, str):
-                    parts.append(child)
-                elif child.tag not in exclude:
-                    stack.append(iter(child.children))
-                    break
-            else:
-                stack.pop()
-        return " ".join(" ".join(parts).split())
-
 
 @dataclass(slots=True, eq=False, repr=False)
 class Document(Element):
     """Root of a parsed page, with every element below it listed once.
 
     ``elements`` is in document order, the pre-order ``iter`` yields
-    after the root itself; ``parents[i]`` is the index in ``elements``
-    of ``elements[i]``'s parent, -1 for a child of the root. The root is
-    kept out of its own list, so a tree holds no reference cycle and is
-    freed as soon as it is dropped.
+    after the root itself. The root is kept out of its own list, so a
+    tree holds no reference cycle and is freed as soon as it is dropped.
     """
 
     elements: list = field(default_factory=list)  # Element
-    parents: list = field(default_factory=list)  # int
 
 
 # The lexer reads what the standard library's HTMLParser (Python 3.11)
-# reads when fed the whole text at once with convert_charrefs=True. A
-# plain start or end tag, which is most of any page, is read by one
-# pattern; anything else by a step-for-step port of HTMLParser's rules,
-# whose patterns follow unchanged. Where _PLAIN_TAG matches, the port
-# reads the same tag: its separators, names and values are narrower
-# than the port's, each stops only where the port's stops or where the
-# pattern then fails, and the tag name is taken whole, never shortened
-# by backtracking.
+# reads when fed the whole text at once with convert_charrefs=True:
+# ``_markup_token`` is a step-for-step port of HTMLParser's rules, whose
+# patterns follow unchanged. ``pages.digest_page`` reads a plain start or
+# end tag, which is most of any page, by one pattern before it falls back
+# to the port; ``parse_html`` reads every tag by the port. Where
+# _PLAIN_TAG matches, the port reads the same tag: its separators, names
+# and values are narrower than the port's, each stops only where the
+# port's stops or where the pattern then fails, and the tag name is
+# taken whole, never shortened by backtracking.
 _PLAIN_TAG = re.compile(
     r"""<(?:
       ([a-zA-Z][^\t\n\r\f />\x00]*)(?![^\t\n\r\f />\x00])  # start tag name
@@ -172,14 +156,10 @@ def parse_html(text: str) -> Document:
     """
     root = Document("[document]", {})
     elements = root.elements
-    parents = root.parents
     stack = [root]  # open elements, innermost last
-    indices = [-1]  # index in elements of each stack entry
     open_count = {}  # open elements per tag name
     kids = root.children  # children of the innermost open element
-    parent = -1
     find = text.find
-    match_tag = _PLAIN_TAG.match
     n = len(text)
     i = 0
     while i < n:
@@ -194,45 +174,26 @@ def parse_html(text: str) -> Document:
                 kids.append(data)
             if j == n:
                 break
-        m = match_tag(text, j)
-        if m is not None:
-            i = m.end()
-            name, attr_text, slash, end_name = m.groups()
-            if end_name is None:
-                tag = name.lower()
-                attrs = {}
-                if attr_text:
-                    for key, double, single, bare in _PLAIN_ATTR.findall(attr_text):
-                        value = double or single or bare
-                        attrs[key.lower()] = unescape(value) if "&" in value else value
-                closed = slash == "/"
-            else:
-                tag = end_name.lower()
-                attrs = None
-        else:
-            i, token = _markup_token(text, j)
-            if token is None:
-                continue
-            if type(token) is str:
-                if token:
-                    kids.append(token)
-                continue
-            tag, attrs, closed = token
+        i, token = _markup_token(text, j)
+        if token is None:
+            continue
+        if type(token) is str:
+            if token:
+                kids.append(token)
+            continue
+        tag, attrs, closed = token
         if attrs is None:
             # End tag: pop back to the nearest open element of its name.
             if open_count.get(tag):
                 while True:
                     el = stack.pop()
-                    indices.pop()
                     open_count[el.tag] -= 1
                     if el.tag == tag:
                         break
                 kids = stack[-1].children
-                parent = indices[-1]
             continue
         element = Element(tag, attrs)
         kids.append(element)
-        parents.append(parent)
         elements.append(element)
         if closed or tag in VOID_TAGS:
             continue
@@ -247,8 +208,6 @@ def parse_html(text: str) -> Document:
             i = m.end()
             continue
         stack.append(element)
-        parent = len(elements) - 1
-        indices.append(parent)
         open_count[tag] = open_count.get(tag, 0) + 1
         kids = element.children
     return root
@@ -394,22 +353,3 @@ def decode_html(body: bytes) -> str:
         return body.decode(encoding)
     except (UnicodeDecodeError, LookupError) as exc:
         raise HtmlDecodingError(f"cannot decode document as {encoding}: {exc}") from exc
-
-
-def absolute_http_links(root: Document) -> list[str]:
-    """hrefs of a document's anchors that are absolute http(s) URIs, in
-    document order."""
-    out = []
-    for el in root.elements:
-        if el.tag == "a" and el.attrs.get("href"):
-            href = el.attrs["href"].strip()
-            if href.lower().startswith(("http://", "https://")):
-                out.append(href)
-    return out
-
-
-def find_meta(root: Document) -> list[dict[str, str]]:
-    """Attribute dicts of every meta tag of a document, keys lowercased."""
-    return [
-        {k.lower(): v for k, v in el.attrs.items()} for el in root.elements if el.tag == "meta"
-    ]

@@ -9,7 +9,8 @@ The last section keeps reference copies of code the package has since
 restructured (recursive self-chain growing, the token-by-token term
 counter, the tree builder on top of ``html.parser`` that ``parse_html``
 used before its own lexer, the recursive element-tree walks, main-text
-scoring that walks each candidate's subtree again, the page functions
+scoring that walks each candidate's subtree again, the page digest read
+from an element tree before it became one lexer pass, the page functions
 and the date chain that each parsed a document on their own, recursive
 intra-site substitution, seed assembly that canonicalizes every link
 and substitutes every permalink on each visit, and the per-row rescans
@@ -43,10 +44,10 @@ from seedsmith.htmltools import (
     Document,
     Element,
     HtmlDecodingError,
-    absolute_http_links,
     decode_html,
-    find_meta,
+    parse_html,
 )
+from seedsmith.pages import PageDigest
 
 
 def brute_force_classify(posts, mc_exclude_root=False):
@@ -204,9 +205,7 @@ class _TreeBuilder(HTMLParser):
         super().__init__(convert_charrefs=True)
         self.root = Document("[document]", {})
         self.elements = self.root.elements
-        self.parents = self.root.parents
         self.stack = [self.root]
-        self.open_indices = [-1]  # index in elements of each stack entry
 
     def updatepos(self, i, j):
         # Line and column numbers are never read; skip counting newlines.
@@ -215,10 +214,8 @@ class _TreeBuilder(HTMLParser):
     def handle_starttag(self, tag, attrs):
         element = Element(tag, {k: (v if v is not None else "") for k, v in attrs})
         self.stack[-1].children.append(element)
-        self.parents.append(self.open_indices[-1])
         self.elements.append(element)
         if tag not in VOID_TAGS:
-            self.open_indices.append(len(self.elements) - 1)
             self.stack.append(element)
 
     def handle_startendtag(self, tag, attrs):
@@ -226,14 +223,12 @@ class _TreeBuilder(HTMLParser):
         self.handle_starttag(tag, attrs)
         if tag not in VOID_TAGS:
             self.stack.pop()
-            self.open_indices.pop()
 
     def handle_endtag(self, tag):
         # Pop back to the nearest matching open tag; ignore stray closers.
         for i in range(len(self.stack) - 1, 0, -1):
             if self.stack[i].tag == tag:
                 del self.stack[i:]
-                del self.open_indices[i:]
                 return
 
     def handle_data(self, data):
@@ -288,8 +283,8 @@ def reference_main_container(root):
         candidates = [root]
 
     def score(el):
-        full = el.text(exclude=NON_CONTENT_TAGS)
-        link_text = " ".join(a.text(exclude=NON_CONTENT_TAGS) for a in el.iter_tag("a"))
+        full = reference_text(el)
+        link_text = " ".join(reference_text(a) for a in el.iter_tag("a"))
         return len(full) - len(link_text)
 
     best = None
@@ -301,10 +296,49 @@ def reference_main_container(root):
     return best
 
 
+def reference_main_text(root):
+    """The text of ``reference_main_container(root)``."""
+    return reference_text(reference_main_container(root))
+
+
+def reference_main_text_bottom_up(root):
+    """``reference_main_text`` for pages too deep to walk again for each
+    candidate: every element's text, anchor texts and size are built once
+    from its children's, bottom up, and the best candidate is taken by the
+    same key."""
+    order = list(root.iter())  # pre-order, the root first
+    if len(order) == 1:
+        raise ValueError("input does not look like an HTML document (no tags found)")
+    text, anchors, size = {}, {}, {}
+    for el in reversed(order):
+        parts, links, count = [], [], 0
+        for child in el.children:
+            if isinstance(child, str):
+                parts.append(child)
+                continue
+            if child.tag not in NON_CONTENT_TAGS:
+                parts.append(text[id(child)])
+            links.extend(anchors[id(child)])
+            count += size[id(child)] + 1
+        text[id(el)] = " ".join(" ".join(parts).split())
+        anchors[id(el)] = [text[id(el)]] + links if el.tag == "a" else links
+        size[id(el)] = count
+
+    def key(candidate):
+        index, el = candidate
+        return len(text[id(el)]) - len(" ".join(anchors[id(el)])), -size[id(el)], -index
+
+    candidates = [
+        (i, el) for i, el in enumerate(order)
+        if el.tag in ("article", "main", "body", "section", "div", "td")
+    ]
+    return text[id(max(candidates or [(0, root)], key=key)[1])]
+
+
 def reference_strip_boilerplate(html):
     """Main-content text, parsing the document itself."""
     text = decode_html(html) if isinstance(html, bytes) else html
-    return reference_main_container(reference_parse_html(text)).text(exclude=NON_CONTENT_TAGS)
+    return reference_main_text(reference_parse_html(text))
 
 
 _ISO_DATE_PREFIX_RE = re.compile(r"^\s*(\d{4})-(\d{2})-(\d{2})")
@@ -360,7 +394,13 @@ def reference_metadata_date(body):
         root = reference_parse_html(decode_html(body))
     except HtmlDecodingError:
         return None
-    metas = find_meta(root)
+    return reference_tree_date(root)
+
+
+def reference_tree_date(root):
+    """Metadata publication date of a parsed document, searching its tree
+    once per kind of element."""
+    metas = [el.attrs for el in root.iter_tag("meta")]
 
     for wanted in _META_PROPERTY_FIELDS:
         for meta in metas:
@@ -384,7 +424,8 @@ def reference_metadata_date(body):
         raw = "".join(c for c in el.children if isinstance(c, str))
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
+            # Too deep for the decoder: treated as carrying no date.
             continue
         found = _parse_iso_date(_jsonld_published(payload))
         if found:
@@ -398,12 +439,38 @@ def reference_metadata_date(body):
     return None
 
 
+def reference_links(root):
+    """hrefs of a parsed document's anchors that are absolute http(s)
+    URIs, in document order."""
+    out = []
+    for el in root.iter_tag("a"):
+        href = el.attrs.get("href", "").strip()
+        if href.lower().startswith(("http://", "https://")):
+            out.append(href)
+    return out
+
+
 def reference_target_links(body):
     """Absolute http(s) links of a document body, [] if it cannot be read."""
     try:
-        return absolute_http_links(reference_parse_html(decode_html(body)))
+        return reference_links(reference_parse_html(decode_html(body)))
     except ValueError:
         return []
+
+
+def reference_digest(body, main_text=reference_main_text):
+    """``digest_page(body)`` read the tree way: ``parse_html`` builds the
+    element tree, and the main text (``main_text`` of the tree), the
+    metadata date and the links are read from it by the reference walks."""
+    try:
+        root = parse_html(decode_html(body))
+    except ValueError as exc:
+        return PageDigest("", str(exc), None, ())
+    try:
+        text, error = main_text(root), None
+    except ValueError as exc:
+        text, error = "", str(exc)
+    return PageDigest(text, error, reference_tree_date(root), tuple(reference_links(root)))
 
 
 def reference_publication_date(fetch):

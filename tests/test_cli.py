@@ -477,10 +477,13 @@ class TestStages:
      '{"tables": {"age": {"header": ["a", 1], "rows": []}}, "manifest": {}}',
      '{"tables": {"age": {"header": ["a"], "rows": [["x"], [null]]}}, "manifest": {}}',
      '{"tables": {"age": {"header": ["a"], "rows": [[["x"]]]}}, "manifest": {}}',
-     '{"tables": {"age": {"header": ["a"], "rows": "x"}}, "manifest": {}}'],
+     '{"tables": {"age": {"header": ["a"], "rows": "x"}}, "manifest": {}}',
+     '{"tables": {"t": {"header": ["a"], "rows": [["\\ud800"]]}}, "manifest": {}}',
+     '{"tables": {}, "manifest": {"warnings": ["x\\udfff"]}}'],
     ids=["not-json", "list", "empty-object", "tables-not-object", "table-not-object", "table-no-rows",
          "row-not-list", "table-name-a-path", "table-extra-key", "header-cell-not-string",
-         "row-cell-not-string", "row-cell-a-list", "rows-not-list"],
+         "row-cell-not-string", "row-cell-a-list", "rows-not-list", "cell-lone-surrogate",
+         "manifest-lone-surrogate"],
 )
 def test_malformed_bundle_ends_with_one_error_line(tmp_path, capsys, text):
     bundle = tmp_path / "bundle.json"
@@ -489,6 +492,8 @@ def test_malformed_bundle_ends_with_one_error_line(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad bundle file {bundle}: ")
     assert len(err.splitlines()) == 1
+    if "\\u" in text:
+        assert err.endswith(": a string holds a lone surrogate, which is not UTF-8 text\n")
     if '"age": {' in text:
         assert err.startswith(f"error: bad bundle file {bundle}: table age: ")
     assert list(tmp_path.iterdir()) == [bundle]
@@ -599,3 +604,24 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--replies"])
+def test_lone_surrogate_in_corpus_is_named_once(tmp_path, capsys, flag):
+    # json.dumps writes the surrogate as a \ud800 escape, which decodes
+    # to a string no UTF-8 file can hold.
+    path, line = _appended_post(tmp_path, text="see https://news.example/x\ud800y")
+    assert _run_with(tmp_path, flag, path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {line}: a string holds a lone surrogate, which is not UTF-8 text\n"
+    )
+
+
+def test_lone_surrogate_in_refs_names_the_topic(tmp_path, capsys):
+    refs = tmp_path / "refs.json"
+    refs.write_text(json.dumps({"flood": "https://encyclo.example/wiki/Riverbend\ud800_flood"}))
+    assert run_cli(*base_args(tmp_path / "out"), "--refs", refs) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad refs file {refs}: topic 'flood': "
+        "a string holds a lone surrogate, which is not UTF-8 text\n"
+    )

@@ -14,7 +14,6 @@ from seedsmith.goldstandard import (
     build_term_vector,
     extract_references,
 )
-from seedsmith.htmltools import absolute_http_links, parse_html
 from seedsmith.pages import digest_page
 from seedsmith.stopwords import STOPWORDS
 
@@ -35,12 +34,11 @@ def page_result(body, uri="https://encyclo.example/wiki/Flood", tmp_path=None):
 
 class TestHtmlTools:
     def test_lenient_parse_recovers_from_unclosed_tags(self):
-        root = parse_html("<div><p>one<p>two<a href='https://a.example/x'>x</div>")
-        assert absolute_http_links(root) == ["https://a.example/x"]
+        digest = digest_page(b"<div><p>one<p>two<a href='https://a.example/x'>x</div>")
+        assert digest.links == ("https://a.example/x",)
 
     def test_stray_end_tags_ignored(self):
-        root = parse_html("</div><p>ok</p></span>")
-        assert root.text() == "ok"
+        assert digest_page(b"</div><p>ok</p></span>").text == "ok"
 
 
 class TestStripBoilerplate:

@@ -2,13 +2,16 @@
 
 ``oracles.reference_parse_html`` drives the standard library's
 ``html.parser`` with the old tree builder. Both must build the same
-``Document``: the same elements with the same attributes in order, the
-same children (text split into the same chunks) and the same parent
-indices. The one deliberate difference is a ``<![`` marked section with
-no name or an unknown one: ``html.parser`` raises ``AssertionError``,
-``parse_html`` reads it as a bogus comment up to the next ">". Where the
-oracle raises, the expected tree is the oracle's with exactly that rule
-put in.
+``Document``: the same elements with the same attributes in order, and
+the same children (text split into the same chunks). The one deliberate
+difference is a ``<![`` marked section with no name or an unknown one:
+``html.parser`` raises ``AssertionError``, ``parse_html`` reads it as a
+bogus comment up to the next ">". Where the oracle raises, the expected
+tree is the oracle's with exactly that rule put in.
+
+``digest_page`` runs the same lexer without building a tree; on the
+same inputs it must read what ``oracles.reference_digest`` reads from
+the ``parse_html`` tree.
 """
 
 import time
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _TreeBuilder, reference_parse_html
+from oracles import _TreeBuilder, reference_digest, reference_parse_html
 from seedsmith.htmltools import decode_html, parse_html
 from seedsmith.pages import PageDigest, digest_page
 from test_pages import EDGE_PAGES, fixture_bodies
@@ -42,11 +45,7 @@ def shape(doc):
     def children(el):
         return [c if isinstance(c, str) else index[id(c)] for c in el.children]
 
-    return (
-        children(doc),
-        doc.parents,
-        [(el.tag, list(el.attrs.items()), children(el)) for el in doc.elements],
-    )
+    return children(doc), [(el.tag, list(el.attrs.items()), children(el)) for el in doc.elements]
 
 
 def expected_shape(text):
@@ -131,10 +130,11 @@ MUST_MATCH = {
 )
 def test_must_match_list(text):
     assert_same_tree(text)
+    assert digest_page(text) == reference_digest(text)
 
 
 def test_split_and_dropped_text():
-    # "a<" is two chunks, and main_text joins chunks with spaces.
+    # "a<" is two chunks, and a digest joins chunks with spaces.
     assert parse_html("a<").children == ["a", "<"]
     # The raw text of a script left open at the end is dropped.
     doc = parse_html("<p>x</p><script>var y;")
@@ -164,6 +164,7 @@ _SOUP_ATOMS = [t for cases in MUST_MATCH.values() for t in cases] + [
 @settings(max_examples=500, deadline=None)
 def test_tag_soup(text):
     assert_same_tree(text)
+    assert digest_page(text) == reference_digest(text)
 
 
 @pytest.mark.parametrize("workload", ["news-pages", "threads"])
@@ -176,6 +177,7 @@ def test_benchmark_world_pages(workload, tmp_path, monkeypatch):
         head, _, body = path.read_bytes().partition(b"\r\n\r\n")
         if b"text/html" in head.lower():
             assert_same_tree(decode_html(body))
+            assert digest_page(body) == reference_digest(body)
             pages += 1
     assert pages == world.html_pages
 

@@ -1,6 +1,7 @@
-"""Page digests: one parse per fetched page, same results as parsing per use."""
+"""Page digests: one lexer pass per fetched page, same results as parsing
+per use and as reading an element tree."""
 
-import re
+import json
 import sys
 import threading
 from datetime import date, datetime, timezone
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_corpus, make_post
 from oracles import (
+    reference_digest,
     reference_iter,
+    reference_main_text_bottom_up,
     reference_metadata_date,
     reference_publication_date,
     reference_strip_boilerplate,
     reference_target_links,
-    reference_text,
 )
 from seedsmith import htmltools
 from seedsmith.analytics import estimate_publication_date
@@ -26,8 +28,8 @@ from seedsmith.cli import main as cli_main
 from seedsmith.corpus import fetch as fetch_module
 from seedsmith.corpus import write_corpus
 from seedsmith.corpus.fetch import Fetcher, FetchResult, FixtureTransport, write_fixture
-from seedsmith.htmltools import NON_CONTENT_TAGS, Document, Element, decode_html, parse_html
-from seedsmith.pages import PageDigest, _jsonld_published, digest_page, main_text
+from seedsmith.htmltools import Document, Element, decode_html, parse_html
+from seedsmith.pages import PageDigest, _jsonld_published, digest_page
 from seedsmith.reports import SeedTextProvider
 
 DATA = Path(__file__).parent / "data"
@@ -188,14 +190,14 @@ class TestSeedTextProvider:
         assert warnings[1].startswith("seed https://a.example/missing not fetchable (missing-fixture)")
 
 
-def _count_parses(monkeypatch):
-    """Count parse_html calls wherever a seedsmith module binds it."""
-    original = htmltools.parse_html
+def _count_calls(monkeypatch, original):
+    """Record the first argument of every call to ``original`` wherever a
+    seedsmith module binds it."""
     calls = []
 
-    def counting(text):
-        calls.append(text)
-        return original(text)
+    def counting(arg):
+        calls.append(arg)
+        return original(arg)
 
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "seedsmith" or name.startswith("seedsmith.")):
@@ -207,14 +209,15 @@ def _count_parses(monkeypatch):
 
 
 def _record_html_pages(monkeypatch):
-    """URIs answered 200 with an HTML media type by the fixture transport."""
+    """Body of each URI answered 200 with an HTML media type by the
+    fixture transport."""
     original = FixtureTransport.request
-    pages = set()
+    pages = {}
 
     def recording(self, uri):
         status, headers, body = original(self, uri)
         if status == 200 and headers.get("content-type", "").startswith("text/html"):
-            pages.add(uri)
+            pages[uri] = body
         return status, headers, body
 
     monkeypatch.setattr(FixtureTransport, "request", recording)
@@ -223,15 +226,26 @@ def _record_html_pages(monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_fixture_run_parses_each_html_page_once(tmp_path, monkeypatch, jobs):
-    calls = _count_parses(monkeypatch)
+    """Each HTML page is read once: a page the measures read gets one
+    ``digest_page`` pass, and only a reference-list page is parsed into
+    an element tree."""
+    digested = _count_calls(monkeypatch, digest_page)
+    parsed = _count_calls(monkeypatch, htmltools.parse_html)
     pages = _record_html_pages(monkeypatch)
     code = cli_main(
         ["run", "--corpus", str(DATA / "corpus.jsonl"), "--out", str(tmp_path / "out"),
          "--fixtures", str(RESPONSES), "--refs", str(DATA / "refs.json"), "--jobs", jobs]
     )
     assert code == 0
-    assert pages
-    assert len(calls) == len(pages)
+    uri_of = {body: uri for uri, body in pages.items()}
+    assert len(uri_of) == len(pages)
+    digested_uris = [uri_of[body] for body in digested]
+    assert len(set(digested_uris)) == len(digested_uris)
+    refs = json.loads((DATA / "refs.json").read_text())
+    reference_pages = {entry for entry in refs.values() if isinstance(entry, str)}
+    assert reference_pages
+    assert sorted(parsed) == sorted(decode_html(pages[uri]) for uri in reference_pages)
+    assert set(digested_uris) == set(pages) - reference_pages
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +258,6 @@ def _assert_walks_match_reference(root):
     want = list(reference_iter(root))
     assert len(got) == len(want)
     assert all(a is b for a, b in zip(got, want))
-    for el in got:
-        assert el.text() == reference_text(el)
-        assert el.text(exclude=frozenset()) == reference_text(el, frozenset())
 
 
 def _fixture_markup():
@@ -334,6 +345,8 @@ DEEP_JSONLD = (
     b'<html><head><script type="application/ld+json">' + b"[" * 5000 + b"]" * 5000
     + b'</script><meta name="date" content="2014-03-04"></head><body><p>shallow text</p></body></html>'
 )
+VERY_DEEP = (b"<html><body>" + b"<div>" * 20_000 + b"<p>deep <a href='https://a.example/'>text</a></p>"
+             + b"</div>" * 20_000 + b"<nav>menu</nav></body></html>")
 
 
 def test_deep_nesting_digest():
@@ -387,64 +400,38 @@ def test_too_deep_page_reprs_and_compares_shallowly():
 
 
 def test_very_deep_page_digests_to_its_text():
-    depth = 20_000
-    body = (b"<html><body>" + b"<div>" * depth + b"<p>deep <a href='https://a.example/'>text</a></p>"
-            + b"</div>" * depth + b"<nav>menu</nav></body></html>")
-    assert digest_page(body) == PageDigest("deep text", None, None, ("https://a.example/",))
+    assert digest_page(VERY_DEEP) == PageDigest("deep text", None, None, ("https://a.example/",))
+
+
+@pytest.mark.parametrize(
+    "body", [pytest.param(DEEP_NESTING, id="deep-nesting"), pytest.param(VERY_DEEP, id="very-deep")]
+)
+def test_deep_page_digest_matches_tree_path(body):
+    # Too deep for the reference that walks every candidate again.
+    assert digest_page(body) == reference_digest(body, reference_main_text_bottom_up)
 
 
 # ---------------------------------------------------------------------------
-# Document order and the one-pass main-text scorer
+# The one-pass digest against the element-tree path
 # ---------------------------------------------------------------------------
 
 
 def _assert_document_order(root):
-    """``elements`` is the pre-order walk after the root, and ``parents``
-    holds each element's parent index (-1 under the root)."""
+    """``elements`` is the pre-order walk after the root."""
     assert isinstance(root, Document)
     walk = list(root.iter())
     assert len(root.elements) == len(walk) - 1
     assert all(a is b for a, b in zip(root.elements, walk[1:]))
-    index = {id(el): i for i, el in enumerate(root.elements)}
-    index[id(root)] = -1
-    want = [None] * len(root.elements)
-    for el in walk:
-        for child in el.children:
-            if isinstance(child, Element):
-                want[index[id(child)]] = index[id(el)]
-    assert root.parents == want
-
-
-def _main_text_with_text_calls(root):
-    """``main_text(root)`` and the elements it called ``Element.text`` on."""
-    calls = []
-    original = Element.text
-
-    def spy(self, exclude=NON_CONTENT_TAGS):
-        calls.append(self)
-        return original(self, exclude)
-
-    Element.text = spy
-    try:
-        return main_text(root), calls
-    finally:
-        Element.text = original
 
 
 def _assert_scorer_matches_reference(markup):
-    root = parse_html(markup)
-    _assert_document_order(root)
-    try:
-        winner = oracles.reference_main_container(root)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            main_text(root)
-        return
-    want = winner.text(exclude=NON_CONTENT_TAGS)
-    text, calls = _main_text_with_text_calls(root)
-    assert text == want
-    assert len(calls) == 1
-    assert calls[0] is winner
+    """``digest_page`` reads what ``parse_html`` and the reference walks
+    read, and the bottom-up reference agrees with the one that walks each
+    candidate again."""
+    _assert_document_order(parse_html(decode_html(markup)))
+    want = reference_digest(markup)
+    assert digest_page(markup) == want
+    assert reference_digest(markup, reference_main_text_bottom_up) == want
 
 
 def test_scorer_matches_reference_on_fixture_pages():
@@ -457,10 +444,11 @@ def test_scorer_matches_reference_on_fixture_pages():
 @pytest.mark.parametrize("body", EDGE_PAGES + [pytest.param(DEEP_JSONLD, id="deep-jsonld")])
 def test_scorer_matches_reference_on_edge_pages(body):
     try:
-        markup = decode_html(body)
+        decode_html(body)
     except ValueError:
+        assert digest_page(body) == reference_digest(body)
         return
-    _assert_scorer_matches_reference(markup)
+    _assert_scorer_matches_reference(body)
 
 
 # Nested anchors, empty anchors, anchors under nav and other excluded
@@ -482,7 +470,7 @@ _TIED_BLOCKS = st.tuples(
 ).map(lambda t: t[0] + t[1] * t[2] + t[3])
 
 
-@given(st.one_of(_SCORER_SOUP, _TIED_BLOCKS))
+@given(st.one_of(_SCORER_SOUP, _TIED_BLOCKS, _MARKUP))
 @settings(max_examples=400, deadline=None)
 def test_scorer_matches_reference_on_tag_soup(markup):
     _assert_scorer_matches_reference(markup)
@@ -492,11 +480,15 @@ def test_scorer_breaks_ties_on_element_count_then_order():
     tied = "<div>same <b>x</b></div><div>same <i>x</i></div>"
     _assert_scorer_matches_reference(tied)
     root = parse_html(tied)
-    assert _main_text_with_text_calls(root)[1][0] is root.elements[0]
+    assert oracles.reference_main_container(root) is root.elements[0]
+    # The same blocks with texts told apart: the earlier one wins a tie,
+    # and the one with fewer elements wins an equal score.
+    assert digest_page("<div>same <b>x</b></div><div>same <i>y</i></div>").text == "same x"
     fewer = "<div>same <b><i>x</i></b></div><div>same <b>x</b></div>"
-    root = parse_html(fewer)
-    assert _main_text_with_text_calls(root)[1][0] is root.elements[3]
     _assert_scorer_matches_reference(fewer)
+    root = parse_html(fewer)
+    assert oracles.reference_main_container(root) is root.elements[3]
+    assert digest_page("<div>same <b><i>x</i></b></div><div>same <b>y</b></div>").text == "same y"
 
 
 def test_scorer_subtracts_anchors_under_excluded_tags():
@@ -504,4 +496,4 @@ def test_scorer_subtracts_anchors_under_excluded_tags():
     # counts against the container holding it.
     markup = "<div><nav><a href='https://x.example/'>a long link text</a></nav>abc</div><div>ab</div>"
     _assert_scorer_matches_reference(markup)
-    assert main_text(parse_html(markup)) == "ab"
+    assert digest_page(markup).text == "ab"
