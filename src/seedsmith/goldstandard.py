@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from urllib.parse import urlsplit
@@ -20,7 +20,7 @@ from urllib.parse import urlsplit
 from . import textkernel
 from .corpus.fetch import Fetcher, FetchResult
 from .corpus.model import TopicSpec, format_timestamp, parse_timestamp
-from .htmltools import Element, HtmlDecodingError, decode_html, parse_html
+from .htmltools import _RAW_TEXT_END, VOID_TAGS, HtmlDecodingError, _markup_token, decode_html
 from .segmentation import P1AN
 from .stopwords import STOPWORDS, STOPWORDS_VERSION
 
@@ -58,58 +58,93 @@ def build_term_vector(texts) -> dict[str, float]:
     return {term: n / total for term, n in counts.items()}
 
 
-def _looks_like_reference_container(el: Element) -> bool:
-    attrs = " ".join(
-        filter(None, (el.attrs.get("id"), el.attrs.get("class"), el.attrs.get("role")))
-    )
+def _looks_like_reference_container(attrs: dict[str, str]) -> bool:
+    attrs = " ".join(filter(None, (attrs.get("id"), attrs.get("class"), attrs.get("role"))))
     return bool(attrs and _REFERENCE_MARKER_RE.search(attrs))
 
 
 def extract_references(ref_page: FetchResult) -> list[str]:
     """External citation URIs from a reference-list page, document order.
 
-    Looks for containers marked as reference/citation lists (by id or
-    class), falling back to ordered lists that hold off-site anchors.
-    Same-host and relative links are treated as intra-wiki navigation
-    and excluded. Returns [] with a warning when nothing looks like a
-    references section.
+    Looks for containers marked as reference/citation lists (by id,
+    class or role), falling back to ordered lists that hold off-site
+    anchors. Same-host and relative links are treated as intra-wiki
+    navigation and excluded, and so is an href that does not split as a
+    URI. Returns [] with a warning when nothing looks like a references
+    section, and [] alone when the marked containers hold no citation.
+
+    One pass over the lexer's tags, building no tree. The anchors of
+    every container, deduplicated in document order, are the anchors
+    inside any container or marked themselves. An end tag closes back to
+    the nearest open element of its name; void elements, ``<tag/>`` and
+    the raw text of ``script`` and ``style`` hold no anchor.
     """
     try:
-        root = parse_html(decode_html(ref_page.body))
+        text = decode_html(ref_page.body)
     except HtmlDecodingError:
         log.warning("reference page %s is not decodable", ref_page.final_uri)
         return []
     page_host = (urlsplit(ref_page.final_uri).hostname or "").lower()
-
-    def external_uris(container: Element) -> list[str]:
-        out = []
-        for anchor in container.iter_tag("a"):
-            href = anchor.attrs.get("href")
-            if not href:
-                continue
-            href = href.strip()
-            if not href.lower().startswith(("http://", "https://")):
-                continue
-            host = (urlsplit(href).hostname or "").lower()
-            if host and host != page_host:
-                out.append(href)
-        return out
-
-    containers = [el for el in root.elements if _looks_like_reference_container(el)]
-    if not containers:
-        containers = [el for el in root.elements if el.tag == "ol" and external_uris(el)]
-    if not containers:
-        log.warning("no references section found in %s", ref_page.final_uri)
-        return []
-
-    seen = set()
-    uris = []
-    for container in containers:
-        for uri in external_uris(container):
-            if uri not in seen:
-                seen.add(uri)
-                uris.append(uri)
-    return uris
+    marked_uris = []  # external anchors inside a marked container
+    ol_uris = []  # external anchors inside an ol
+    any_marked = False
+    # Open elements, innermost last, each as (tag, inside a marked
+    # container, inside an ol); the base entry is the document's.
+    stack = [(None, False, False)]
+    in_marked = in_ol = False
+    open_count = defaultdict(int)
+    find = text.find
+    i = 0
+    while True:
+        j = find("<", i)
+        if j < 0:
+            break
+        i, token = _markup_token(text, j)
+        if token is None or type(token) is str:
+            continue
+        tag, attrs, closed = token
+        if attrs is None:
+            if open_count[tag]:
+                while True:
+                    closing = stack.pop()[0]
+                    open_count[closing] -= 1
+                    if closing == tag:
+                        break
+                in_marked, in_ol = stack[-1][1:]
+            continue
+        marked = in_marked or _looks_like_reference_container(attrs)
+        any_marked = any_marked or marked
+        if tag == "a" and (marked or in_ol):
+            href = attrs.get("href", "").strip()
+            if href.lower().startswith(("http://", "https://")):
+                try:
+                    host = (urlsplit(href).hostname or "").lower()
+                except ValueError:
+                    host = ""
+                if host and host != page_host:
+                    if marked:
+                        marked_uris.append(href)
+                    if in_ol:
+                        ol_uris.append(href)
+        if closed or tag in VOID_TAGS:
+            continue
+        raw_end = _RAW_TEXT_END.get(tag)
+        if raw_end is not None:
+            m = raw_end.search(text, i)
+            if m is None:
+                break
+            i = m.end()
+            continue
+        in_ol = in_ol or tag == "ol"
+        in_marked = marked
+        stack.append((tag, in_marked, in_ol))
+        open_count[tag] += 1
+    if any_marked:
+        return list(dict.fromkeys(marked_uris))
+    if ol_uris:
+        return list(dict.fromkeys(ol_uris))
+    log.warning("no references section found in %s", ref_page.final_uri)
+    return []
 
 
 @dataclass(frozen=True)

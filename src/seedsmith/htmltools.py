@@ -1,21 +1,18 @@
-"""Small lenient HTML layer: one purpose-built lexer and a minimal tree.
+"""Small lenient HTML layer: charset decoding and one purpose-built lexer.
 
 The lexer reads a page in one regex-driven pass. Its tokens are those of
 the standard library's ``HTMLParser`` with ``convert_charrefs=True``,
 with one exception: a ``<![`` marked section with no name, or one that
 parser does not know, is a bogus comment up to the next ">" instead of
 an ``AssertionError``. ``pages.digest_page`` runs the lexer over every
-fetched page and builds no tree. ``parse_html`` builds a minimal element
-tree that tolerates unclosed and stray tags, listing its elements in
-document order as it goes: enough for the reference-list pages that
-``goldstandard.extract_references`` searches, one per topic. Not a
-general DOM: no entity-reference table beyond the stdlib's, no CSS.
+fetched page, and ``goldstandard.extract_references`` over each
+reference-list page; neither builds an element tree. Not a general DOM:
+no entity-reference table beyond the stdlib's, no CSS.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from html import unescape
 
 VOID_TAGS = frozenset(
@@ -37,61 +34,16 @@ class HtmlDecodingError(ValueError):
     """Input bytes could not be decoded; the message names the encoding."""
 
 
-@dataclass(slots=True, eq=False, repr=False)
-class Element:
-    """One element of a parsed page. Elements compare by identity, and
-    ``repr`` shows one level only, so neither recurses into a deep tree."""
-
-    tag: str
-    attrs: dict[str, str]
-    children: list = field(default_factory=list)  # Element | str
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.tag!r}, {self.attrs!r}, children={len(self.children)})"
-
-    def iter(self):
-        """Yield this element and all descendants, depth-first in document
-        order. A stack of child iterators stands in for recursion, so
-        nesting depth is not bounded by the recursion limit."""
-        yield self
-        stack = [iter(self.children)]
-        while stack:
-            for child in stack[-1]:
-                if isinstance(child, Element):
-                    yield child
-                    stack.append(iter(child.children))
-                    break
-            else:
-                stack.pop()
-
-    def iter_tag(self, tag: str):
-        for el in self.iter():
-            if el.tag == tag:
-                yield el
-
-
-@dataclass(slots=True, eq=False, repr=False)
-class Document(Element):
-    """Root of a parsed page, with every element below it listed once.
-
-    ``elements`` is in document order, the pre-order ``iter`` yields
-    after the root itself. The root is kept out of its own list, so a
-    tree holds no reference cycle and is freed as soon as it is dropped.
-    """
-
-    elements: list = field(default_factory=list)  # Element
-
-
 # The lexer reads what the standard library's HTMLParser (Python 3.11)
 # reads when fed the whole text at once with convert_charrefs=True:
 # ``_markup_token`` is a step-for-step port of HTMLParser's rules, whose
 # patterns follow unchanged. ``pages.digest_page`` reads a plain start or
 # end tag, which is most of any page, by one pattern before it falls back
-# to the port; ``parse_html`` reads every tag by the port. Where
-# _PLAIN_TAG matches, the port reads the same tag: its separators, names
-# and values are narrower than the port's, each stops only where the
-# port's stops or where the pattern then fails, and the tag name is
-# taken whole, never shortened by backtracking.
+# to the port; ``goldstandard.extract_references`` reads every tag by
+# the port. Where _PLAIN_TAG matches, the port reads the same tag: its
+# separators, names and values are narrower than the port's, each stops
+# only where the port's stops or where the pattern then fails, and the
+# tag name is taken whole, never shortened by backtracking.
 _PLAIN_TAG = re.compile(
     r"""<(?:
       ([a-zA-Z][^\t\n\r\f />\x00]*)(?![^\t\n\r\f />\x00])  # start tag name
@@ -144,78 +96,10 @@ _RAW_TEXT_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I) for tag in ("script
 _NAME_OR_SLASH = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ=/")
 
 
-def parse_html(text: str) -> Document:
-    """Parse HTML text into an element tree, tolerating malformed markup.
-
-    One pass over the text: text between two tags becomes one child
-    string, with character references converted; a start tag adds an
-    element under the innermost open one; an end tag closes back to the
-    nearest open element of its name and is ignored when none is open.
-    Void elements and ``<tag/>`` never stay open. ``script`` and
-    ``style`` hold their raw text, dropped if their end tag never comes.
-    """
-    root = Document("[document]", {})
-    elements = root.elements
-    stack = [root]  # open elements, innermost last
-    open_count = {}  # open elements per tag name
-    kids = root.children  # children of the innermost open element
-    find = text.find
-    n = len(text)
-    i = 0
-    while i < n:
-        j = find("<", i)
-        if j < 0:
-            j = n
-        if i < j:
-            data = text[i:j]
-            if "&" in data:
-                data = unescape(data)
-            if data:
-                kids.append(data)
-            if j == n:
-                break
-        i, token = _markup_token(text, j)
-        if token is None:
-            continue
-        if type(token) is str:
-            if token:
-                kids.append(token)
-            continue
-        tag, attrs, closed = token
-        if attrs is None:
-            # End tag: pop back to the nearest open element of its name.
-            if open_count.get(tag):
-                while True:
-                    el = stack.pop()
-                    open_count[el.tag] -= 1
-                    if el.tag == tag:
-                        break
-                kids = stack[-1].children
-            continue
-        element = Element(tag, attrs)
-        kids.append(element)
-        elements.append(element)
-        if closed or tag in VOID_TAGS:
-            continue
-        raw_end = _RAW_TEXT_END.get(tag)
-        if raw_end is not None:
-            # Only its raw text goes inside, so it is never pushed.
-            m = raw_end.search(text, i)
-            if m is None:
-                break
-            if m.start() > i:
-                element.children.append(text[i : m.start()])
-            i = m.end()
-            continue
-        stack.append(element)
-        open_count[tag] = open_count.get(tag, 0) + 1
-        kids = element.children
-    return root
-
-
 def _markup_token(text: str, i: int):
-    """Read the markup starting ``text[i] == "<"`` that ``_PLAIN_TAG``
-    does not match. Returns ``(end, token)``: token is None for markup
+    """Read the markup starting ``text[i] == "<"``, by the port of
+    HTMLParser's rules (``digest_page`` calls it only where
+    ``_PLAIN_TAG`` does not match). Returns ``(end, token)``: token is None for markup
     that adds nothing (comments, declarations, processing instructions),
     a string for text, or ``(tag, attrs, closed)`` for a tag, where
     attrs is None for an end tag and closed is true for ``<tag/>``.

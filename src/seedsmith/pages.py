@@ -82,10 +82,10 @@ def digest_page(body) -> PageDigest:
     by spaces. Ties go to the container with fewer elements, then to the
     earlier one. Whitespace is collapsed.
 
-    The tokens, and the rule that an end tag closes back to the nearest
-    open element of its name, are those of ``htmltools.parse_html``, but
-    each element is scored as it closes, from sums its descendants added
-    to its frame, and no tree is built.
+    The tokens are those of ``htmltools._markup_token``, and an end tag
+    closes back to the nearest open element of its name. Each element is
+    scored as it closes, from sums its descendants added to its frame,
+    and no tree is built.
     """
     try:
         text = decode_html(body)

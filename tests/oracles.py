@@ -7,22 +7,27 @@ calendar-free day counter instead of datetime arithmetic.
 
 The last section keeps reference copies of code the package has since
 restructured (recursive self-chain growing, the token-by-token term
-counter, the tree builder on top of ``html.parser`` that ``parse_html``
-used before its own lexer, the recursive element-tree walks, main-text
-scoring that walks each candidate's subtree again, the page digest read
-from an element tree before it became one lexer pass, the page functions
-and the date chain that each parsed a document on their own, recursive
-intra-site substitution, seed assembly that canonicalizes every link
-and substitutes every permalink on each visit, and the per-row rescans
-of report assembly), for differential tests.
+counter, the tree builder on top of ``html.parser`` that the package
+used before its own lexer, the element tree the package built from that
+lexer's tokens, the recursive element-tree walks, main-text scoring that
+walks each candidate's subtree again, the page digest read from an
+element tree before it became one lexer pass, reference extraction that
+searched the tree for containers, the page functions and the date chain
+that each parsed a document on their own, recursive intra-site
+substitution, seed assembly that canonicalizes every link and
+substitutes every permalink on each visit, and the per-row rescans of
+report assembly), for differential tests.
 """
 
 import json
+import logging
 import re
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from datetime import date
+from html import unescape
 from html.parser import HTMLParser
+from urllib.parse import urlsplit
 
 from seedsmith.analytics import date_from_last_modified, date_from_uri_path
 from seedsmith.extraction import (
@@ -38,16 +43,18 @@ from seedsmith.extraction import (
     hostname_of,
     intra_site_source,
 )
+from seedsmith.goldstandard import _REFERENCE_MARKER_RE
 from seedsmith.htmltools import (
+    _RAW_TEXT_END,
     NON_CONTENT_TAGS,
     VOID_TAGS,
-    Document,
-    Element,
     HtmlDecodingError,
+    _markup_token,
     decode_html,
-    parse_html,
 )
 from seedsmith.pages import PageDigest
+
+log = logging.getLogger(__name__)
 
 
 def brute_force_classify(posts, mc_exclude_root=False):
@@ -196,6 +203,51 @@ def reference_token_counts(text, stopwords=frozenset(), min_len=2):
     return counts
 
 
+@dataclass(slots=True, eq=False, repr=False)
+class Element:
+    """One element of a parsed page. Elements compare by identity, and
+    ``repr`` shows one level only, so neither recurses into a deep tree."""
+
+    tag: str
+    attrs: dict[str, str]
+    children: list = field(default_factory=list)  # Element | str
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.tag!r}, {self.attrs!r}, children={len(self.children)})"
+
+    def iter(self):
+        """Yield this element and all descendants, depth-first in document
+        order. A stack of child iterators stands in for recursion, so
+        nesting depth is not bounded by the recursion limit."""
+        yield self
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Element):
+                    yield child
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
+
+    def iter_tag(self, tag: str):
+        for el in self.iter():
+            if el.tag == tag:
+                yield el
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class Document(Element):
+    """Root of a parsed page, with every element below it listed once.
+
+    ``elements`` is in document order, the pre-order ``iter`` yields
+    after the root itself. The root is kept out of its own list, so a
+    tree holds no reference cycle and is freed as soon as it is dropped.
+    """
+
+    elements: list = field(default_factory=list)  # Element
+
+
 class _TreeBuilder(HTMLParser):
     """Builds the tree and records each element as its start tag arrives:
     an element is only ever added under an open element, and a closed
@@ -237,13 +289,102 @@ class _TreeBuilder(HTMLParser):
 
 
 def reference_parse_html(text):
-    """``parse_html`` as it was: ``html.parser`` driving ``_TreeBuilder``.
-    Raises AssertionError on a ``<![`` section with no name or an
-    unknown one, which ``parse_html`` reads as a bogus comment."""
+    """The tree as it was first built: ``html.parser`` driving
+    ``_TreeBuilder``. Raises AssertionError on a ``<![`` section with no
+    name or an unknown one, which the package's lexer reads as a bogus
+    comment."""
     builder = _TreeBuilder()
     builder.feed(text)
     builder.close()
     return builder.root
+
+
+def lexer_tree(text):
+    """The tree ``_TreeBuilder`` builds from the package's lexer tokens:
+    text between two tags is one chunk with its character references
+    converted, ``script`` and ``style`` hold their raw text, dropped with
+    the rest of the input if their end tag never comes."""
+    builder = _TreeBuilder()
+    find = text.find
+    n = len(text)
+    i = 0
+    while i < n:
+        j = find("<", i)
+        if j < 0:
+            j = n
+        if i < j:
+            builder.handle_data(unescape(text[i:j]))
+        if j == n:
+            break
+        i, token = _markup_token(text, j)
+        if type(token) is not tuple:
+            if token is not None:
+                builder.handle_data(token)
+            continue
+        tag, attrs, closed = token
+        if attrs is None:
+            builder.handle_endtag(tag)
+        elif closed:
+            builder.handle_startendtag(tag, attrs.items())
+        else:
+            builder.handle_starttag(tag, attrs.items())
+            if tag in _RAW_TEXT_END:
+                m = _RAW_TEXT_END[tag].search(text, i)
+                if m is None:
+                    break
+                builder.handle_data(text[i : m.start()])
+                builder.handle_endtag(tag)
+                i = m.end()
+    return builder.root
+
+
+def _looks_like_reference_container(el):
+    attrs = " ".join(
+        filter(None, (el.attrs.get("id"), el.attrs.get("class"), el.attrs.get("role")))
+    )
+    return bool(attrs and _REFERENCE_MARKER_RE.search(attrs))
+
+
+def reference_extract_references(body, final_uri):
+    """``goldstandard.extract_references`` as it was: it searches the
+    element tree for marked containers, then for ordered lists that hold
+    an off-site anchor, and takes each container's anchors in turn."""
+    try:
+        root = lexer_tree(decode_html(body))
+    except HtmlDecodingError:
+        log.warning("reference page %s is not decodable", final_uri)
+        return []
+    page_host = (urlsplit(final_uri).hostname or "").lower()
+
+    def external_uris(container):
+        out = []
+        for anchor in container.iter_tag("a"):
+            href = anchor.attrs.get("href")
+            if not href:
+                continue
+            href = href.strip()
+            if not href.lower().startswith(("http://", "https://")):
+                continue
+            host = (urlsplit(href).hostname or "").lower()
+            if host and host != page_host:
+                out.append(href)
+        return out
+
+    containers = [el for el in root.elements if _looks_like_reference_container(el)]
+    if not containers:
+        containers = [el for el in root.elements if el.tag == "ol" and external_uris(el)]
+    if not containers:
+        log.warning("no references section found in %s", final_uri)
+        return []
+
+    seen = set()
+    uris = []
+    for container in containers:
+        for uri in external_uris(container):
+            if uri not in seen:
+                seen.add(uri)
+                uris.append(uri)
+    return uris
 
 
 def reference_iter(element):
@@ -459,11 +600,11 @@ def reference_target_links(body):
 
 
 def reference_digest(body, main_text=reference_main_text):
-    """``digest_page(body)`` read the tree way: ``parse_html`` builds the
+    """``digest_page(body)`` read the tree way: ``lexer_tree`` builds the
     element tree, and the main text (``main_text`` of the tree), the
     metadata date and the links are read from it by the reference walks."""
     try:
-        root = parse_html(decode_html(body))
+        root = lexer_tree(decode_html(body))
     except ValueError as exc:
         return PageDigest("", str(exc), None, ())
     try:

@@ -137,6 +137,21 @@ class TestRun:
                        "--refs", DATA / "refs.json", "--out", out) == 0
         assert (out / "age.csv").exists()
 
+    def test_malformed_citation_href_does_not_stop_a_lenient_run(self, tmp_path):
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        [path] = [p for p in fixtures.iterdir()
+                  if b"<title>Riverbend flood</title>" in p.read_bytes()]
+        bad = b'<li><a href="http://[bad/x">bad</a></li>'
+        path.write_bytes(path.read_bytes().replace(b"<ol>\n", b"<ol>\n" + bad, 1))
+        out = tmp_path / "out"
+        assert run_cli("run", "--corpus", DATA / "corpus.jsonl", "--fixtures", fixtures,
+                       "--refs", DATA / "refs.json", "--out", out) == 0
+        gold = json.loads((out / "golds" / "gold_flood.json").read_text())
+        assert gold["reference_uris"] == [
+            f"https://refdocs.example/flood-src-{i}" for i in (1, 2, 3)
+        ]
+
     def test_postdates_warning_once_per_seed(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli(*base_args(out), "--refs", DATA / "refs.json") == 0

@@ -1,4 +1,6 @@
+import json
 import logging
+import time
 from datetime import datetime, timezone
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic
+from oracles import reference_digest, reference_extract_references
 from seedsmith.corpus.fetch import Fetcher, FixtureTransport, write_fixture
 from seedsmith.goldstandard import (
     GoldStandard,
@@ -16,6 +19,8 @@ from seedsmith.goldstandard import (
 )
 from seedsmith.pages import digest_page
 from seedsmith.stopwords import STOPWORDS
+from test_pages import fixture_bodies
+from test_pipebench_view import PIPEBENCH, load
 
 
 def page_result(body, uri="https://encyclo.example/wiki/Flood", tmp_path=None):
@@ -34,11 +39,15 @@ def page_result(body, uri="https://encyclo.example/wiki/Flood", tmp_path=None):
 
 class TestHtmlTools:
     def test_lenient_parse_recovers_from_unclosed_tags(self):
-        digest = digest_page(b"<div><p>one<p>two<a href='https://a.example/x'>x</div>")
+        body = b"<div><p>one<p>two<a href='https://a.example/x'>x</div>"
+        digest = digest_page(body)
         assert digest.links == ("https://a.example/x",)
+        assert digest == reference_digest(body)
 
     def test_stray_end_tags_ignored(self):
-        assert digest_page(b"</div><p>ok</p></span>").text == "ok"
+        body = b"</div><p>ok</p></span>"
+        assert digest_page(body).text == "ok"
+        assert digest_page(body) == reference_digest(body)
 
 
 class TestStripBoilerplate:
@@ -132,6 +141,87 @@ class TestExtractReferences:
             "https://r1.example/a",
             "https://r2.example/b",
         ]
+
+
+def logged(logger_name, fn, *args):
+    """``fn(*args)`` and the messages it logs to ``logger_name``."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        return fn(*args), [r.getMessage() for r in records]
+    finally:
+        logger.removeHandler(handler)
+
+
+def assert_references_match_tree(body, uri="https://encyclo.example/wiki/Flood"):
+    body = body if isinstance(body, bytes) else body.encode("utf-8")
+    got = logged("seedsmith.goldstandard", extract_references, page_result(body, uri))
+    assert got == logged("oracles", reference_extract_references, body, uri), body
+
+
+class TestReferencesMatchTree:
+    """The one-pass reference reader against today's tree search
+    (``oracles.reference_extract_references``): the same URIs and the
+    same warnings."""
+
+    # Nested and sibling containers, nested ols and <ol/>, marked anchors
+    # and void tags; same-host, relative, repeated and padded hrefs;
+    # unclosed tags, stray closers, raw text and a script never closed.
+    _ATOMS = [
+        "<div>", "</div>", "<ol>", "</ol>", "<ol/>", "<ul>", "</ul>", "<li>", "</li>", "<p>", "</p>",
+        "</span>", "</li></ol>", "<td>", "</td>",
+        "<div class='references'>", "<section id='Sources'>", "</section>",
+        "<ul role='doc-bibliography'>", "<span class='footnotes'>", "</span>",
+        "<br class='sources'>", "<img class='reflist' src=x>", "<ol class='citations'>",
+        "<a href='https://r1.example/a'>", "<a href=' https://r2.example/b '>",
+        "<a href='HTTP://R3.example/c'>", "<a href='https://encyclo.example/wiki/Same'>",
+        "<a href='/wiki/Relative'>", "<a href='mailto:x@y.example'>", "<a href=''>", "<a>",
+        "<a class='references' href='https://r4.example/d'>", "<a href='https://r1.example/a'/>",
+        "</a>", "<script>", "<script>var a = '<a href=https://r5.example/e>';</script>", "</script>",
+        "<style>a{}</style>", "<![foo]>", "<!-- <ol> -->", "words ", "<", "&amp;",
+    ]
+    _SOUP = st.lists(st.sampled_from(_ATOMS), max_size=40).map("".join)
+
+    @given(_SOUP, st.sampled_from(["https://encyclo.example/wiki/Flood", "https://r1.example/"]))
+    @settings(max_examples=600, deadline=None)
+    def test_tag_soup(self, markup, uri):
+        assert_references_match_tree(markup, uri)
+
+    @pytest.mark.parametrize("body", fixture_bodies())
+    def test_fixture_pages(self, body):
+        for uri in ("https://encyclo.example/wiki/Flood", "https://refdocs.example/"):
+            assert_references_match_tree(body, uri)
+
+    def test_benchmark_world_reference_pages(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PIPEBENCH))
+        world = load("worlds", monkeypatch).make_world("news-pages", 1, tmp_path)
+        fetcher = Fetcher(FixtureTransport(world.fixtures))
+        pages = [fetcher.dereference(entry)
+                 for entry in json.loads(world.refs.read_text()).values() if isinstance(entry, str)]
+        assert pages
+        for page in pages:
+            assert extract_references(page)
+            assert_references_match_tree(page.body, page.final_uri)
+
+    def test_marked_container_without_citations_is_empty_without_warning(self):
+        page = "<ol><li><a href='https://r1.example/a'>a</a></li></ol><br class='sources'>"
+        got = logged("seedsmith.goldstandard", extract_references, page_result(page))
+        assert got == ([], [])
+        assert_references_match_tree(page)
+
+    def test_stray_closers_and_deep_nesting_cost_linear_time(self):
+        depth = 20_000
+        anchor = "<a href='https://r.example/x'>x</a>"
+        stray = "<div class='references'>" + "<div>" * depth + anchor + "</span>" * depth
+        deep = "<ol><li>" * depth + anchor + "</li></ol>" * depth
+        for page in (stray, deep):
+            start = time.perf_counter()
+            uris = extract_references(page_result(page))
+            assert time.perf_counter() - start < 2
+            assert uris == ["https://r.example/x"]
 
 
 class TestTermVector:

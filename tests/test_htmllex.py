@@ -1,17 +1,19 @@
-"""The lexer behind ``parse_html`` against the tree builder it replaced.
+"""The package's lexer against the tree builder it replaced.
 
 ``oracles.reference_parse_html`` drives the standard library's
-``html.parser`` with the old tree builder. Both must build the same
-``Document``: the same elements with the same attributes in order, and
-the same children (text split into the same chunks). The one deliberate
-difference is a ``<![`` marked section with no name or an unknown one:
-``html.parser`` raises ``AssertionError``, ``parse_html`` reads it as a
-bogus comment up to the next ">". Where the oracle raises, the expected
-tree is the oracle's with exactly that rule put in.
+``html.parser`` with the old tree builder; ``oracles.lexer_tree`` feeds
+the same builder the tokens of ``htmltools._markup_token``, the lexer
+every page is read by. Both must build the same ``Document``: the same
+elements with the same attributes in order, and the same children (text
+split into the same chunks). The one deliberate difference is a ``<![``
+marked section with no name or an unknown one: ``html.parser`` raises
+``AssertionError``, the lexer reads it as a bogus comment up to the next
+">". Where the oracle raises, the expected tree is the oracle's with
+exactly that rule put in.
 
-``digest_page`` runs the same lexer without building a tree; on the
-same inputs it must read what ``oracles.reference_digest`` reads from
-the ``parse_html`` tree.
+``digest_page`` runs the lexer without building a tree; on the same
+inputs it must read what ``oracles.reference_digest`` reads from the
+``lexer_tree`` tree.
 """
 
 import time
@@ -20,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _TreeBuilder, reference_digest, reference_parse_html
-from seedsmith.htmltools import decode_html, parse_html
+from oracles import _TreeBuilder, lexer_tree, reference_digest, reference_parse_html
+from seedsmith.htmltools import decode_html
 from seedsmith.pages import PageDigest, digest_page
 from test_pages import EDGE_PAGES, fixture_bodies
 from test_pipebench_view import PIPEBENCH, load
@@ -60,7 +62,7 @@ def expected_shape(text):
 
 
 def assert_same_tree(text):
-    assert shape(parse_html(text)) == expected_shape(text), repr(text)
+    assert shape(lexer_tree(text)) == expected_shape(text), repr(text)
 
 
 @pytest.mark.parametrize("body", fixture_bodies() + EDGE_PAGES)
@@ -135,12 +137,12 @@ def test_must_match_list(text):
 
 def test_split_and_dropped_text():
     # "a<" is two chunks, and a digest joins chunks with spaces.
-    assert parse_html("a<").children == ["a", "<"]
+    assert lexer_tree("a<").children == ["a", "<"]
     # The raw text of a script left open at the end is dropped.
-    doc = parse_html("<p>x</p><script>var y;")
+    doc = lexer_tree("<p>x</p><script>var y;")
     assert [el.children for el in doc.elements][1:] == [[]]
     # Between two tags, text is one chunk with its references converted.
-    assert parse_html("<p>a &amp; b&lt;c</p>").elements[0].children == ["a & b<c"]
+    assert lexer_tree("<p>a &amp; b&lt;c</p>").elements[0].children == ["a & b<c"]
 
 
 @pytest.mark.parametrize(
@@ -150,7 +152,7 @@ def test_split_and_dropped_text():
 def test_rejected_marked_section_is_a_bogus_comment(text, children):
     with pytest.raises(AssertionError):
         reference_parse_html(text)
-    assert parse_html(text).children[: len(children)] == children
+    assert lexer_tree(text).children[: len(children)] == children
 
 
 _SOUP_ATOMS = [t for cases in MUST_MATCH.values() for t in cases] + [

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_corpus, make_post
 from oracles import (
+    Document,
+    Element,
+    lexer_tree,
     reference_digest,
     reference_iter,
     reference_main_text_bottom_up,
@@ -22,13 +25,13 @@ from oracles import (
     reference_strip_boilerplate,
     reference_target_links,
 )
-from seedsmith import htmltools
+from seedsmith import goldstandard
 from seedsmith.analytics import estimate_publication_date
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus import fetch as fetch_module
 from seedsmith.corpus import write_corpus
 from seedsmith.corpus.fetch import Fetcher, FetchResult, FixtureTransport, write_fixture
-from seedsmith.htmltools import Document, Element, decode_html, parse_html
+from seedsmith.htmltools import decode_html
 from seedsmith.pages import PageDigest, _jsonld_published, digest_page
 from seedsmith.reports import SeedTextProvider
 
@@ -226,11 +229,11 @@ def _record_html_pages(monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_fixture_run_parses_each_html_page_once(tmp_path, monkeypatch, jobs):
-    """Each HTML page is read once: a page the measures read gets one
-    ``digest_page`` pass, and only a reference-list page is parsed into
-    an element tree."""
+    """Each HTML page is read once, by exactly one of the two readers: a
+    page the measures read gets one ``digest_page`` pass, and a
+    reference-list page one ``extract_references`` pass."""
     digested = _count_calls(monkeypatch, digest_page)
-    parsed = _count_calls(monkeypatch, htmltools.parse_html)
+    searched = _count_calls(monkeypatch, goldstandard.extract_references)
     pages = _record_html_pages(monkeypatch)
     code = cli_main(
         ["run", "--corpus", str(DATA / "corpus.jsonl"), "--out", str(tmp_path / "out"),
@@ -244,7 +247,7 @@ def test_fixture_run_parses_each_html_page_once(tmp_path, monkeypatch, jobs):
     refs = json.loads((DATA / "refs.json").read_text())
     reference_pages = {entry for entry in refs.values() if isinstance(entry, str)}
     assert reference_pages
-    assert sorted(parsed) == sorted(decode_html(pages[uri]) for uri in reference_pages)
+    assert sorted(page.body for page in searched) == sorted(pages[uri] for uri in reference_pages)
     assert set(digested_uris) == set(pages) - reference_pages
 
 
@@ -275,7 +278,7 @@ def test_walks_match_recursive_reference_on_fixture_pages():
     pages = _fixture_markup()
     assert pages
     for markup in pages:
-        _assert_walks_match_reference(parse_html(markup))
+        _assert_walks_match_reference(lexer_tree(markup))
 
 
 _TAGS = ("div", "p", "a", "span", "script", "nav", "article")
@@ -308,7 +311,7 @@ def test_walks_match_recursive_reference_on_generated_trees(root):
 @given(_MARKUP)
 @settings(max_examples=200, deadline=None)
 def test_walks_match_recursive_reference_on_tag_soup(markup):
-    _assert_walks_match_reference(parse_html(markup))
+    _assert_walks_match_reference(lexer_tree(markup))
 
 
 _JSONLD = st.recursive(
@@ -389,8 +392,8 @@ def test_lenient_run_over_hostile_page_exits_0(tmp_path, body):
 
 
 def test_too_deep_page_reprs_and_compares_shallowly():
-    first = parse_html(DEEP_NESTING.decode())
-    second = parse_html(DEEP_NESTING.decode())
+    first = lexer_tree(DEEP_NESTING.decode())
+    second = lexer_tree(DEEP_NESTING.decode())
     assert first == first
     assert first != second
     assert first.elements[0] != second.elements[0]
@@ -425,10 +428,10 @@ def _assert_document_order(root):
 
 
 def _assert_scorer_matches_reference(markup):
-    """``digest_page`` reads what ``parse_html`` and the reference walks
-    read, and the bottom-up reference agrees with the one that walks each
+    """``digest_page`` reads what the reference walks read from the
+    ``lexer_tree`` tree, and the bottom-up reference agrees with the one that walks each
     candidate again."""
-    _assert_document_order(parse_html(decode_html(markup)))
+    _assert_document_order(lexer_tree(decode_html(markup)))
     want = reference_digest(markup)
     assert digest_page(markup) == want
     assert reference_digest(markup, reference_main_text_bottom_up) == want
@@ -479,14 +482,14 @@ def test_scorer_matches_reference_on_tag_soup(markup):
 def test_scorer_breaks_ties_on_element_count_then_order():
     tied = "<div>same <b>x</b></div><div>same <i>x</i></div>"
     _assert_scorer_matches_reference(tied)
-    root = parse_html(tied)
+    root = lexer_tree(tied)
     assert oracles.reference_main_container(root) is root.elements[0]
     # The same blocks with texts told apart: the earlier one wins a tie,
     # and the one with fewer elements wins an equal score.
     assert digest_page("<div>same <b>x</b></div><div>same <i>y</i></div>").text == "same x"
     fewer = "<div>same <b><i>x</i></b></div><div>same <b>x</b></div>"
     _assert_scorer_matches_reference(fewer)
-    root = parse_html(fewer)
+    root = lexer_tree(fewer)
     assert oracles.reference_main_container(root) is root.elements[3]
     assert digest_page("<div>same <b><i>x</i></b></div><div>same <b>y</b></div>").text == "same y"
 

@@ -13,8 +13,9 @@ PIPEBENCH = Path(__file__).parents[1] / "pipebench"
 
 # Layers whose function the program no longer has; their metrics read 0
 # until the benchmark stops tracing them. ``strip_boilerplate`` went when
-# every reader of a page moved to the fetcher's page digest.
-KNOWN_ABSENT = {"goldstandard.strip"}
+# every reader of a page moved to the fetcher's page digest, and
+# ``parse_html`` when reference lists came to be read in one lexer pass.
+KNOWN_ABSENT = {"goldstandard.strip", "htmltools.parse"}
 
 
 def load(name, monkeypatch):
