@@ -131,32 +131,19 @@ def uri_count_distribution(post_counts, mode: str = MODE_NORMALIZED) -> dict[str
     }
 
 
-@dataclass(frozen=True)
-class KBinPrecision:
-    bin: str
-    average: float | None  # None means NA (empty cell)
-    post_count: int
-
-
-def conditional_relevance_by_k(post_stats) -> dict[str, KBinPrecision]:
+def conditional_relevance_by_k(post_stats) -> dict[str, PrecisionSummary | None]:
     """Mean per-post precision grouped by the post's URI-count bin.
 
     ``post_stats`` is an iterable of (k, precision) pairs, one per
-    link-bearing post occurrence. Bins nobody fell in come back as NA.
+    link-bearing post occurrence. Each bin is summarized as
+    ``class_average_precision`` summarizes a collection; a bin nobody
+    fell in is None, which reports render as NA.
     """
     buckets: dict[str, list[float]] = {label: [] for label in K_BINS}
     for k, precision in post_stats:
-        if precision is None:
-            continue
-        buckets[k_bin(k)].append(precision)
-    out = {}
-    for label in K_BINS:
-        values = buckets[label]
-        if values:
-            out[label] = KBinPrecision(label, sum(values) / len(values), len(values))
-        else:
-            out[label] = KBinPrecision(label, None, 0)
-    return out
+        if precision is not None:
+            buckets[k_bin(k)].append(precision)
+    return {label: class_average_precision(buckets[label]) for label in K_BINS}
 
 
 # ---------------------------------------------------------------------------

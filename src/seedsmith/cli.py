@@ -20,8 +20,8 @@ from .analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_LITERAL, MODE_NORMALIZE
 from .corpus.fetch import (EPOCH, FetchError, FetchPolicy, Fetcher, FixtureTransport, HttpTransport,
                            RecordingTransport)
 from .corpus.jsonl import check_encodable, load_corpus, write_corpus
-from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, TopicSpec
-from .corpus.threads import FixtureThreadAdapter, expand_thread
+from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, Post, TopicSpec
+from .corpus.threads import expand_thread
 from .extraction import (
     SEED_CSV_HEADER,
     AssembleOptions,
@@ -94,6 +94,13 @@ class RunConfig:
             raise ConfigError(f"--mode must be offline or live, got {self.mode!r}")
         if self.dist_mode not in (MODE_NORMALIZED, MODE_LITERAL):
             raise ConfigError(f"--dist-mode must be normalized or literal, got {self.dist_mode!r}")
+
+    def selector(self) -> Selector:
+        return Selector.of(self.only_topics, self.only_sources, self.only_verticals)
+
+    def fetcher(self) -> Fetcher:
+        """The run's fetcher. ``--fixtures`` is checked here, not in
+        ``validate``, because only the stages that fetch need it."""
         if self.mode == "offline":
             if self.fixtures is None:
                 raise ConfigError("offline mode needs --fixtures DIR")
@@ -101,11 +108,6 @@ class RunConfig:
                 raise ConfigError(f"fixture directory does not exist: {self.fixtures}")
         elif self.fixtures is not None and Path(self.fixtures).exists() and not Path(self.fixtures).is_dir():
             raise ConfigError(f"--fixtures is not a directory: {self.fixtures}")
-
-    def selector(self) -> Selector:
-        return Selector.of(self.only_topics, self.only_sources, self.only_verticals)
-
-    def fetcher(self) -> Fetcher:
         policy = FetchPolicy(max_redirects=self.max_redirects, lenient=not self.strict)
         if self.mode == "live":
             # With --fixtures, every exchange is recorded there for an
@@ -241,20 +243,20 @@ def _load_corpus(config: RunConfig) -> Corpus:
 
 def _expand_replies(corpus: Corpus, config: RunConfig, replies_path: Path) -> Corpus:
     """Grow SERP-visible posts into threads using recorded replies."""
-    recorded = load_corpus(replies_path)
-    adapter = FixtureThreadAdapter(recorded.posts.values())
+    replies: dict[str, list[Post]] = {}
+    for post in load_corpus(replies_path).posts.values():
+        if post.parent_id is not None:
+            replies.setdefault(post.parent_id, []).append(post)
     for root in sorted(corpus.posts.values(), key=lambda p: p.id):
         if not root.serp_visible:
             continue
-        thread = expand_thread(root, adapter, config.reply_limit, provenance=corpus.provenance)
-        for post in thread[1:]:
+        for post in expand_thread(root, replies, config.reply_limit)[1:]:
             if post.id not in corpus.posts:
                 corpus.posts[post.id] = post
     try:
         corpus.validate()
     except CorpusIntegrityError as exc:
         raise CorpusIntegrityError(f"{replies_path}: {exc}") from exc
-    corpus.log("fixture-threads", replies_file=str(replies_path), posts=len(corpus.posts))
     return corpus
 
 
@@ -370,8 +372,12 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
     segment -> extract -> goldstd -> analyze, which writes the report
     bundle with its manifest. Gold standards read only the corpus, so a
     run stopped at goldstd skips segmentation and extraction and fetches
-    no permalinks. A stopped run prints its warnings to stderr; a full
-    run keeps them in the manifest.
+    no permalinks.
+
+    Each warning is appended to the run's one list and reported nowhere
+    else: a stopped run prints each entry once as ``warning: ...`` on
+    stderr, a full run writes them only to ``manifest.json``, and a
+    failed run raises for ``main`` to print as one ``error:`` line.
     """
     if stop not in STAGES:
         raise ValueError(f"unknown stage {stop!r}; expected one of {STAGES}")

@@ -23,7 +23,7 @@ from .model import (
     format_timestamp,
     parse_timestamp,
 )
-from .threads import FixtureThreadAdapter, ThreadAdapterError, expand_thread
+from .threads import expand_thread
 
 __all__ = [
     "Corpus",
@@ -35,11 +35,9 @@ __all__ = [
     "FetchPolicy",
     "FetchResult",
     "Fetcher",
-    "FixtureThreadAdapter",
     "FixtureTransport",
     "HttpTransport",
     "Post",
-    "ThreadAdapterError",
     "TopicSpec",
     "TransportError",
     "build_corpus",

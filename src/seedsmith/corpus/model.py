@@ -112,22 +112,12 @@ class TopicSpec:
             )
 
 
-@dataclass(eq=False)
+@dataclass
 class Corpus:
-    """An id-keyed set of posts plus their topics.
-
-    Equality compares posts and topics only; ``provenance`` is an
-    ingestion log and is not part of the persisted data model.
-    """
+    """An id-keyed set of posts plus their topics."""
 
     posts: dict[str, Post] = field(default_factory=dict)
     topics: dict[str, TopicSpec] = field(default_factory=dict)
-    provenance: list[dict] = field(default_factory=list)
-
-    def __eq__(self, other):
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return self.posts == other.posts and self.topics == other.topics
 
     def __len__(self):
         return len(self.posts)
@@ -164,16 +154,10 @@ class Corpus:
             raise CorpusIntegrityError(f"duplicate post id: {post.id}")
         self.posts[post.id] = post
 
-    def log(self, adapter: str, **details) -> None:
-        """Append an ingestion-log entry."""
-        entry = {"adapter": adapter}
-        entry.update(details)
-        self.provenance.append(entry)
 
-
-def build_corpus(posts, topics, provenance=None) -> Corpus:
+def build_corpus(posts, topics) -> Corpus:
     """Assemble and validate a corpus from iterables of posts and topics."""
-    corpus = Corpus(provenance=list(provenance or []))
+    corpus = Corpus()
     for topic in topics:
         if topic.topic_id in corpus.topics:
             raise CorpusIntegrityError(f"duplicate topic id: {topic.topic_id}")

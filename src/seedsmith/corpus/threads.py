@@ -1,16 +1,13 @@
-"""Reply-thread expansion behind a thread adapter.
+"""Reply-thread expansion from recorded replies.
 
-An adapter is any object with a ``replies(post)`` method that returns
-the post's direct replies and raises ThreadAdapterError when it cannot;
-``expand_thread`` grows a SERP-visible root breadth-first through it.
-The one adapter here, FixtureThreadAdapter, replays recorded replies,
-so runs are reproducible; live platform adapters are out of scope.
+``expand_thread`` grows a SERP-visible root breadth-first through the
+recorded replies, grouped by the id of the post they reply to, so runs
+are reproducible; live platform threads are out of scope.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from datetime import datetime, timezone
 
 from .model import Post
@@ -18,39 +15,16 @@ from .model import Post
 _MIN_TS = datetime.min.replace(tzinfo=timezone.utc)
 
 
-class ThreadAdapterError(Exception):
-    """An adapter failed to produce replies for a post."""
-
-
-class FixtureThreadAdapter:
-    """Serves replies from an in-memory set of recorded posts.
-
-    ``posts`` is any iterable of Post; children are keyed by parent_id.
-    """
-
-    name = "fixture-threads"
-
-    def __init__(self, posts):
-        self._children: dict[str, list[Post]] = {}
-        for post in posts:
-            if post.parent_id is not None:
-                self._children.setdefault(post.parent_id, []).append(post)
-
-    def replies(self, post: Post) -> list[Post]:
-        return list(self._children.get(post.id, []))
-
-
 def _reply_order(post: Post):
     return (post.created_at or _MIN_TS, post.id)
 
 
-def expand_thread(root: Post, adapter, reply_limit: int, provenance=None) -> list[Post]:
+def expand_thread(root: Post, replies: dict[str, list[Post]], reply_limit: int) -> list[Post]:
     """Collect ``root`` plus up to ``reply_limit`` descendants, breadth-first.
 
+    ``replies`` maps a post id to the recorded replies to that post.
     Replies are visited in (created_at, id) order, each id emitted at most
-    once (cycles in the reply graph terminate). An adapter failure midway
-    returns the partial thread and appends a warning entry to
-    ``provenance`` when given.
+    once (cycles in the reply graph terminate).
     """
     if not root.serp_visible:
         raise ValueError(f"thread root {root.id} is not a SERP-visible post")
@@ -62,23 +36,9 @@ def expand_thread(root: Post, adapter, reply_limit: int, provenance=None) -> lis
     queue = deque([root])
     while queue and len(out) < reply_limit + 1:
         node = queue.popleft()
-        try:
-            children = sorted(adapter.replies(node), key=_reply_order)
-        except ThreadAdapterError as exc:
-            if provenance is not None:
-                provenance.append(
-                    {
-                        "adapter": getattr(adapter, "name", "thread-adapter"),
-                        "warning": f"expansion of {root.id} stopped at {node.id}: {exc}",
-                        "partial_count": len(out),
-                    }
-                )
-            break
-        for child in children:
+        for child in sorted(replies.get(node.id, ()), key=_reply_order):
             if child.id in seen:
                 continue
-            if child.parent_id is None:
-                child = replace(child, parent_id=node.id)
             seen.add(child.id)
             out.append(child)
             queue.append(child)

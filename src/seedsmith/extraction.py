@@ -8,7 +8,6 @@ collections with full provenance.
 
 from __future__ import annotations
 
-import logging
 import posixpath
 import re
 from dataclasses import dataclass, replace
@@ -18,8 +17,6 @@ from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 from .corpus.fetch import Fetcher
 from .corpus.model import Corpus, Post
 from .segmentation import CellKey, PostGroup
-
-log = logging.getLogger(__name__)
 
 HTML_KIND = "html"
 NON_HTML_KIND = "non_html"
@@ -237,18 +234,15 @@ def substitute_intra_site(
     """
     if links is None:
         links = LinkTable()
-
-    def warn(message):
-        log.warning(message)
-        if warnings is not None:
-            warnings.append(message)
+    if warnings is None:
+        warnings = []
 
     def links_of(uri: str) -> tuple[str, ...] | None:
         result = fetcher.dereference(uri)
         if result.failed or not result.ok:
             if strict:
                 raise ExtractionError(f"cannot resolve intra-site URI {uri}: {result.status}")
-            warn(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
+            warnings.append(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
             return None
         return fetcher.digest(result).links
 
@@ -267,7 +261,7 @@ def substitute_intra_site(
         for link in remaining:
             entry = links[link]
             if entry is None:
-                warn(f"skipping unparseable link {link!r} in {uri}")
+                warnings.append(f"skipping unparseable link {link!r} in {uri}")
                 continue
             canonical, hostname, kind, source = entry
             if source and depth < depth_limit:
@@ -293,7 +287,7 @@ def substitute_intra_site(
         else:
             stack.pop()
     if not out:
-        warn(f"intra-site URI {seed.canonical} had no outbound links; seed dropped")
+        warnings.append(f"intra-site URI {seed.canonical} had no outbound links; seed dropped")
     return out
 
 
@@ -327,11 +321,6 @@ def assemble_collections(
     """
     if warnings is None:
         warnings = []
-
-    def warn(message):
-        log.warning(message)
-        warnings.append(message)
-
     links = LinkTable()
     # permalink canonical URI -> (an (original, canonical, hostname, kind)
     # tuple per target, or None when kept as-is; the warnings it emitted)
@@ -360,7 +349,7 @@ def assemble_collections(
                 for raw in extract_uris(post):
                     entry = links[raw]
                     if entry is None:
-                        warn(f"post {post.id}: skipping unparseable URI {raw!r}")
+                        warnings.append(f"post {post.id}: skipping unparseable URI {raw!r}")
                         continue
                     canonical, hostname, kind, source = entry
                     seed = SeedUri(raw, canonical, hostname, kind, provenance, post.retrieved_at)
@@ -383,8 +372,7 @@ def assemble_collections(
                         expansions[canonical] = (targets, tuple(warnings[first:]))
                     else:
                         targets, emitted = expansions[canonical]
-                        for message in emitted:
-                            warn(message)
+                        warnings.extend(emitted)
                         expanded = [seed] if targets is None else [
                             SeedUri(*target, provenance, post.retrieved_at) for target in targets
                         ]

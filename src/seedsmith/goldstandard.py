@@ -10,7 +10,6 @@ P1An post-class label.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -23,8 +22,6 @@ from .corpus.model import TopicSpec, format_timestamp, parse_timestamp
 from .htmltools import _RAW_TEXT_END, VOID_TAGS, HtmlDecodingError, _markup_token, decode_html
 from .segmentation import P1AN
 from .stopwords import STOPWORDS, STOPWORDS_VERSION
-
-log = logging.getLogger(__name__)
 
 MIN_TOKEN_LEN = 2
 
@@ -70,8 +67,10 @@ def extract_references(ref_page: FetchResult) -> list[str]:
     class or role), falling back to ordered lists that hold off-site
     anchors. Same-host and relative links are treated as intra-wiki
     navigation and excluded, and so is an href that does not split as a
-    URI. Returns [] with a warning when nothing looks like a references
-    section, and [] alone when the marked containers hold no citation.
+    URI. Returns [] for a page that does not decode, that has nothing
+    that looks like a references section, or whose marked containers
+    hold no citation; it warns about none of these, because the caller
+    records every empty result in the run's warnings.
 
     One pass over the lexer's tags, building no tree. The anchors of
     every container, deduplicated in document order, are the anchors
@@ -82,7 +81,6 @@ def extract_references(ref_page: FetchResult) -> list[str]:
     try:
         text = decode_html(ref_page.body)
     except HtmlDecodingError:
-        log.warning("reference page %s is not decodable", ref_page.final_uri)
         return []
     page_host = (urlsplit(ref_page.final_uri).hostname or "").lower()
     marked_uris = []  # external anchors inside a marked container
@@ -139,12 +137,7 @@ def extract_references(ref_page: FetchResult) -> list[str]:
         in_marked = marked
         stack.append((tag, in_marked, in_ol))
         open_count[tag] += 1
-    if any_marked:
-        return list(dict.fromkeys(marked_uris))
-    if ol_uris:
-        return list(dict.fromkeys(ol_uris))
-    log.warning("no references section found in %s", ref_page.final_uri)
-    return []
+    return list(dict.fromkeys(marked_uris if any_marked else ol_uris))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ none reads the body again.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ from .htmltools import (
     _markup_token,
     decode_html,
 )
-
-log = logging.getLogger(__name__)
 
 _CONTENT_CANDIDATE_TAGS = frozenset(("article", "main", "body", "section", "div", "td"))
 # The only tags whose attributes a digest reads.
@@ -211,8 +208,6 @@ def digest_page(body) -> PageDigest:
         return PageDigest("", "input does not look like an HTML document (no tags found)", None, ())
     first, last, depth = best
     content = " ".join([c for c, f in zip(chunks[first:last], fences[first:last]) if f <= depth])
-    if not content:
-        log.warning("document contained no main-content text after boilerplate removal")
     dates = filter(None, map(_parse_iso_date, _date_values(metas, times, payloads)))
     return PageDigest(content, None, next(dates, None), tuple(links))
 

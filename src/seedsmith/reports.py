@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from contextlib import ExitStack
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -36,8 +35,6 @@ from .extraction import HTML_KIND, NON_HTML_KIND, SEED_CSV_HEADER, seed_rows
 from .goldstandard import GoldStandard
 from .segmentation import MC, MC_MEMBER_CLASSES, partition_counts
 from .stopwords import STOPWORDS_VERSION
-
-log = logging.getLogger(__name__)
 
 NA = "NA"
 KIND_FILTERS = (("all", None), ("html", HTML_KIND), ("non_html", NON_HTML_KIND))
@@ -76,7 +73,7 @@ class SeedTextProvider:
     text is warned about once per canonical URI.
     """
 
-    def __init__(self, corpus: Corpus, fetcher: Fetcher, warnings=None):
+    def __init__(self, corpus: Corpus, fetcher: Fetcher, warnings: list):
         self.corpus = corpus
         self.fetcher = fetcher
         self.warnings = warnings
@@ -99,11 +96,8 @@ class SeedTextProvider:
         return digest.text
 
     def _warn(self, uri, message):
-        if uri in self._warned:
-            return
-        self._warned.add(uri)
-        log.warning(message)
-        if self.warnings is not None:
+        if uri not in self._warned:
+            self._warned.add(uri)
             self.warnings.append(message)
 
 
@@ -279,10 +273,8 @@ def build_tables(
                         [bin_label, source, scope, fmt(probabilities.get(bin_label)),
                          config.dist_mode]
                     )
-                    cell = by_bin[bin_label]
                     by_k_rows.append(
-                        [bin_label, source, scope, fmt(cell.average), fmt(cell.post_count),
-                         kind_name]
+                        [bin_label, source, scope, *_precision_cells(by_bin[bin_label]), kind_name]
                     )
         tables[f"distribution_{kind_name}"] = _table(
             ("bin", "source", "class", "probability", "mode"), distribution_rows
@@ -296,14 +288,7 @@ def build_tables(
         for row_key in rows_index.keys:
             obs = [o for o in rows_index.observations[row_key] if o.k[kind_name] >= 1]
             summary = class_average_precision(o.precision[kind_name] for o in obs)
-            topic, source, vertical, post_class = row_key
-            if summary is None:
-                rows.append([topic, source, vertical, post_class, NA, "0", kind_name])
-            else:
-                rows.append(
-                    [topic, source, vertical, post_class,
-                     fmt(summary.average), fmt(summary.post_count), kind_name]
-                )
+            rows.append([*row_key, *_precision_cells(summary), kind_name])
         tables[f"precision_{kind_name}"] = _table(
             ("topic", "source", "vertical", "class", "avg_precision", "post_count", "kind"),
             rows,
@@ -313,6 +298,14 @@ def build_tables(
     tables["diversity"] = _diversity_table(rows_index)
     tables["overlap"] = _overlap_table(collections, rows_index, config.reference_source)
     return tables
+
+
+def _precision_cells(summary) -> tuple[str, str]:
+    """The average and post-count cells of a precision summary; an empty
+    one (None) reads NA with a count of 0."""
+    if summary is None:
+        return NA, "0"
+    return fmt(summary.average), fmt(summary.post_count)
 
 
 def _prefetch_page_texts(fetcher: Fetcher, collections, golds, jobs: int) -> None:

@@ -20,7 +20,6 @@ report assembly), for differential tests.
 """
 
 import json
-import logging
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -53,8 +52,6 @@ from seedsmith.htmltools import (
     decode_html,
 )
 from seedsmith.pages import PageDigest
-
-log = logging.getLogger(__name__)
 
 
 def brute_force_classify(posts, mc_exclude_root=False):
@@ -352,7 +349,6 @@ def reference_extract_references(body, final_uri):
     try:
         root = lexer_tree(decode_html(body))
     except HtmlDecodingError:
-        log.warning("reference page %s is not decodable", final_uri)
         return []
     page_host = (urlsplit(final_uri).hostname or "").lower()
 
@@ -374,7 +370,6 @@ def reference_extract_references(body, final_uri):
     if not containers:
         containers = [el for el in root.elements if el.tag == "ol" and external_uris(el)]
     if not containers:
-        log.warning("no references section found in %s", final_uri)
         return []
 
     seen = set()

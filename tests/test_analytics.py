@@ -314,8 +314,7 @@ class TestConditionalRelevance:
 
     def test_empty_bin_is_na(self):
         table = conditional_relevance_by_k([(1, 1.0)])
-        assert table["5+"].average is None
-        assert table["5+"].post_count == 0
+        assert table["5+"] is None
 
 
 def fetch_result(body=b"", uri="https://news.example/story", headers=None):

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -416,6 +419,17 @@ class TestStages:
         ingested = load_corpus(out / "corpus.jsonl")
         assert set(ingested.posts) == {"r", "c1", "c2"}
 
+    def test_ingest_and_segment_need_no_fixtures(self, tmp_path, capsys):
+        # Neither stage fetches; a stage that does still asks for them.
+        for command in ("ingest", "segment"):
+            assert run_cli(command, "--corpus", DATA / "corpus.jsonl", "--out", tmp_path / command) == 0
+        assert (tmp_path / "ingest" / "corpus.jsonl").exists()
+        assert (tmp_path / "segment" / "partition.csv").exists()
+        capsys.readouterr()
+        assert run_cli("extract", "--corpus", DATA / "corpus.jsonl", "--out", tmp_path / "ext") == 2
+        assert capsys.readouterr().err == "error: offline mode needs --fixtures DIR\n"
+        assert not (tmp_path / "ext").exists()
+
     def test_analyze_with_prebuilt_golds(self, tmp_path):
         gold_dir = tmp_path / "golds"
         assert run_cli(*base_args(gold_dir, "goldstd"), "--refs", DATA / "refs.json") == 0
@@ -525,6 +539,40 @@ def _appended_post(tmp_path, drop=(), **fields):
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
     return path, len(lines) + 1
+
+
+def _cli_subprocess(*args):
+    """``seedsmith`` in a fresh interpreter: its stderr is all the program
+    prints there, with no handler of the test runner's in between."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "seedsmith.cli", *map(str, args)], env=env, capture_output=True, text=True
+    )
+
+
+def test_each_warning_goes_to_the_runs_list_once(tmp_path):
+    path, _line = _appended_post(
+        tmp_path, raw_links=["http://[bad/x"], text="see https://www.reddit.com/r/x/comments/abc1"
+    )
+    extracted = [
+        "post zz: skipping unparseable URI 'http://[bad/x'",
+        "intra-site URI https://www.reddit.com/r/x/comments/abc1 not resolvable (missing-fixture); kept as-is",
+    ]
+    args = ["--corpus", path, "--fixtures", DATA / "responses"]
+    stopped = _cli_subprocess("extract", *args, "--out", tmp_path / "ext")
+    assert stopped.returncode == 0
+    assert stopped.stderr == "".join(f"warning: {w}\n" for w in extracted)
+
+    out = tmp_path / "out"
+    full = _cli_subprocess("run", *args, "--refs", DATA / "refs.json", "--out", out)
+    assert (full.returncode, full.stderr) == (0, "")
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == [
+        *extracted,
+        "seed https://www.reddit.com/r/x/comments/abc1 not fetchable (missing-fixture); judged on empty text",
+        "seed https://transit-news.example/strike-outlook: publication estimate 2019-01-01 postdates "
+        "retrieval; excluded from age aggregates",
+    ]
 
 
 def _run_with(tmp_path, flag, path):

@@ -412,8 +412,11 @@ class TestRecordReplay:
 
 
 def test_cli_import_leaves_requests_unloaded():
+    """Importing the CLI loads neither ``requests`` nor ``logging``: the
+    program fetches with the standard library and reports its warnings
+    only through the run's list."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, seedsmith.cli; print('requests' in sys.modules)"
+    probe = "import sys, seedsmith.cli; print([m in sys.modules for m in ('requests', 'logging')])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
