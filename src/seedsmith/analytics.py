@@ -195,34 +195,12 @@ def estimate_publication_date(fetch: FetchResult, digest: PageDigest):
     return None
 
 
-@dataclass(frozen=True)
-class AgeSample:
-    seed_id: str
-    publication_date: date
-    estimator: str
-    retrieved_at: datetime
-    age_days: float
-    flagged: bool  # estimate postdates retrieval; excluded from aggregates
-
-
-def make_age_sample(seed_id, publication_date, estimator, retrieved_at) -> AgeSample:
-    """Age = retrieval time minus publication date, in days. Negative ages
-    (estimator noise) are flagged."""
-    published = datetime(
-        publication_date.year,
-        publication_date.month,
-        publication_date.day,
-        tzinfo=timezone.utc,
-    )
-    age_days = (retrieved_at - published) / timedelta(days=1)
-    return AgeSample(
-        seed_id=seed_id,
-        publication_date=publication_date,
-        estimator=estimator,
-        retrieved_at=retrieved_at,
-        age_days=age_days,
-        flagged=age_days < 0,
-    )
+def age_days(published: date, retrieved_at: datetime) -> float:
+    """Age of a page in days: retrieval time minus the publication date,
+    taken as midnight UTC. Negative when the estimate postdates the
+    retrieval (estimator noise)."""
+    midnight = datetime(published.year, published.month, published.day, tzinfo=timezone.utc)
+    return (retrieved_at - midnight) / timedelta(days=1)
 
 
 def _quantile(values, q: float) -> float:
@@ -249,13 +227,15 @@ class AgeSummary:
     ecdf: tuple[tuple[float, float], ...]  # (age_years, fraction <=)
 
 
-def age_distribution(samples) -> AgeSummary | None:
-    """Five-number summary plus ECDF of non-flagged sample ages, in years.
+def age_distribution(days) -> AgeSummary | None:
+    """Five-number summary plus ECDF of page ages, read in days and
+    reported in years. Negative ages (estimates that postdate retrieval)
+    are left out.
 
-    Quartiles use linear interpolation. Returns None (NA) when every
-    sample is flagged.
+    Quartiles use linear interpolation. Returns None (NA) when no age is
+    left.
     """
-    ages = sorted(s.age_days / DAYS_PER_YEAR for s in samples if not s.flagged)
+    ages = sorted(d / DAYS_PER_YEAR for d in days if d >= 0)
     if not ages:
         return None
     n = len(ages)

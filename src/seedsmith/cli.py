@@ -281,7 +281,7 @@ def _load_golds(config: RunConfig, corpus: Corpus, fetcher, warnings) -> dict[st
             continue
         if isinstance(entry, str):
             page = fetcher.dereference(entry)
-            if page.failed or not page.ok:
+            if not page.ok:
                 warnings.append(f"topic {topic_id}: reference page {entry} not fetchable ({page.status})")
                 continue
             ref_uris = extract_references(page)
@@ -375,9 +375,10 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
     no permalinks.
 
     Each warning is appended to the run's one list and reported nowhere
-    else: a stopped run prints each entry once as ``warning: ...`` on
-    stderr, a full run writes them only to ``manifest.json``, and a
-    failed run raises for ``main`` to print as one ``error:`` line.
+    else. Both places that report the list, a stopped run's stderr (as
+    ``warning: ...``) and a full run's ``manifest.json``, list each
+    distinct warning once, in the order it was first raised. A failed
+    run raises for ``main`` to print as one ``error:`` line.
     """
     if stop not in STAGES:
         raise ValueError(f"unknown stage {stop!r}; expected one of {STAGES}")
@@ -457,14 +458,20 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
     }
     bundle = {
         "tables": tables,
-        "manifest": build_manifest(config.echo(), warnings, counts),
+        "manifest": build_manifest(config.echo(), _distinct(warnings), counts),
     }
     write_bundle(bundle, out, formats=("csv", "json"))
     return EXIT_OK
 
 
+def _distinct(warnings) -> list[str]:
+    """The run's warnings as reported: each distinct one once, in the
+    order it was first raised."""
+    return list(dict.fromkeys(warnings))
+
+
 def _print_warnings(warnings) -> None:
-    for warning in warnings:
+    for warning in _distinct(warnings):
         print(f"warning: {warning}", file=sys.stderr)
 
 

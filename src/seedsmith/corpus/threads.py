@@ -15,7 +15,9 @@ from .model import Post
 _MIN_TS = datetime.min.replace(tzinfo=timezone.utc)
 
 
-def _reply_order(post: Post):
+def reply_order(post: Post):
+    """The (created_at, id) order replies are visited in; a post without
+    created_at comes first."""
     return (post.created_at or _MIN_TS, post.id)
 
 
@@ -36,7 +38,7 @@ def expand_thread(root: Post, replies: dict[str, list[Post]], reply_limit: int) 
     queue = deque([root])
     while queue and len(out) < reply_limit + 1:
         node = queue.popleft()
-        for child in sorted(replies.get(node.id, ()), key=_reply_order):
+        for child in sorted(replies.get(node.id, ()), key=reply_order):
             if child.id in seen:
                 continue
             seen.add(child.id)

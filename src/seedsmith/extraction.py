@@ -217,20 +217,21 @@ class LinkTable(dict):
 
 
 def substitute_intra_site(
-    seed: SeedUri,
+    permalink: str,
     fetcher: Fetcher,
     depth_limit: int = 3,
     strict: bool = False,
     warnings: list | None = None,
     links: LinkTable | None = None,
-) -> list[SeedUri]:
-    """Replace an intra-platform post URI by the seeds its target holds.
+) -> tuple[tuple[str, str, str, str], ...] | None:
+    """The seeds an intra-platform post URI stands for: the links its
+    target holds, as (original, canonical, hostname, kind) tuples.
 
-    Follows nested post links up to ``depth_limit``, visiting each post
-    URI once (cycles terminate). A target without outbound links drops
-    the seed; a fetch failure keeps the original (lenient: the result is
-    ``[seed]``, the same object) or raises (strict). ``links`` is the
-    run's link table, if the caller keeps one.
+    ``permalink`` is a canonical URI. Follows nested post links up to
+    ``depth_limit``, visiting each post URI once (cycles terminate). A
+    target without outbound links gives ``()``; a fetch failure keeps the
+    permalink as-is (lenient: the result is ``None``) or raises (strict).
+    ``links`` is the run's link table, if the caller keeps one.
     """
     if links is None:
         links = LinkTable()
@@ -239,23 +240,23 @@ def substitute_intra_site(
 
     def links_of(uri: str) -> tuple[str, ...] | None:
         result = fetcher.dereference(uri)
-        if result.failed or not result.ok:
+        if not result.ok:
             if strict:
                 raise ExtractionError(f"cannot resolve intra-site URI {uri}: {result.status}")
             warnings.append(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
             return None
         return fetcher.digest(result).links
 
-    page_links = links_of(seed.canonical)
+    page_links = links_of(permalink)
     if page_links is None:
-        return [seed]
-    visited = {seed.canonical}
-    out: list[SeedUri] = []
+        return None
+    visited = {permalink}
+    out: list[tuple[str, str, str, str]] = []
     # Depth-first over nested post links with an explicit stack of
     # (uri, depth, remaining links), so the nesting depth is bounded by
     # ``depth_limit`` alone and not by the interpreter's recursion limit.
     # A nested post that cannot be fetched contributes nothing.
-    stack = [(seed.canonical, 1, iter(page_links))]
+    stack = [(permalink, 1, iter(page_links))]
     while stack:
         uri, depth, remaining = stack[-1]
         for link in remaining:
@@ -273,22 +274,12 @@ def substitute_intra_site(
                     stack.append((canonical, depth + 1, iter(nested)))
                     break
                 continue
-            out.append(
-                replace(
-                    seed,
-                    original=link,
-                    canonical=canonical,
-                    hostname=hostname,
-                    kind=kind,
-                    final=None,
-                    fetch_status=None,
-                )
-            )
+            out.append((link, canonical, hostname, kind))
         else:
             stack.pop()
     if not out:
-        warnings.append(f"intra-site URI {seed.canonical} had no outbound links; seed dropped")
-    return out
+        warnings.append(f"intra-site URI {permalink} had no outbound links; seed dropped")
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -316,15 +307,15 @@ def assemble_collections(
     Each distinct raw link is canonicalized once per call, and each
     distinct permalink is expanded once per call: an expansion depends
     only on the permalink's canonical URI, the fetcher and the options,
-    so a repeat visit rebuilds its seeds from the stored targets and
-    repeats the warnings the expansion emitted, in the same place.
+    so every visit builds its seeds from the stored targets, and the
+    expansion's warnings are raised once, on the first visit.
     """
     if warnings is None:
         warnings = []
     links = LinkTable()
-    # permalink canonical URI -> (an (original, canonical, hostname, kind)
-    # tuple per target, or None when kept as-is; the warnings it emitted)
-    expansions: dict[str, tuple[tuple | None, tuple[str, ...]]] = {}
+    # permalink canonical URI -> substitute_intra_site's targets, or None
+    # when the permalink is kept as-is
+    expansions: dict[str, tuple | None] = {}
     global_seen: set[str] = set()
     collections: dict[CellKey, SeedCollection] = {}
 
@@ -352,41 +343,32 @@ def assemble_collections(
                         warnings.append(f"post {post.id}: skipping unparseable URI {raw!r}")
                         continue
                     canonical, hostname, kind, source = entry
-                    seed = SeedUri(raw, canonical, hostname, kind, provenance, post.retrieved_at)
-                    if fetcher is None or not source:
-                        expanded = [seed]
-                    elif canonical not in expansions:
-                        first = len(warnings)
-                        expanded = substitute_intra_site(
-                            seed,
-                            fetcher,
-                            depth_limit=options.depth_limit,
-                            strict=options.strict,
-                            warnings=warnings,
-                            links=links,
-                        )
-                        kept = len(expanded) == 1 and expanded[0] is seed
-                        targets = None if kept else tuple(
-                            (s.original, s.canonical, s.hostname, s.kind) for s in expanded
-                        )
-                        expansions[canonical] = (targets, tuple(warnings[first:]))
-                    else:
-                        targets, emitted = expansions[canonical]
-                        warnings.extend(emitted)
-                        expanded = [seed] if targets is None else [
-                            SeedUri(*target, provenance, post.retrieved_at) for target in targets
-                        ]
-                    for candidate in expanded:
-                        if candidate.canonical in post_seen:
+                    targets = None
+                    if fetcher is not None and source:
+                        if canonical not in expansions:
+                            expansions[canonical] = substitute_intra_site(
+                                canonical,
+                                fetcher,
+                                depth_limit=options.depth_limit,
+                                strict=options.strict,
+                                warnings=warnings,
+                                links=links,
+                            )
+                        targets = expansions[canonical]
+                    if targets is None:  # not a permalink, or one kept as-is
+                        targets = ((raw, canonical, hostname, kind),)
+                    for target in targets:
+                        if target[1] in post_seen:
                             continue
-                        post_seen.add(candidate.canonical)
+                        post_seen.add(target[1])
+                        seed = SeedUri(*target, provenance, post.retrieved_at)
                         if options.fetch_kinds and fetcher is not None:
-                            candidate = _fetch_kind(candidate, fetcher, options.strict)
-                        stream.append(candidate)
-                        if candidate.canonical in seen:
+                            seed = _fetch_kind(seed, fetcher, options.strict)
+                        stream.append(seed)
+                        if seed.canonical in seen:
                             continue
-                        seen.add(candidate.canonical)
-                        seeds.append(candidate)
+                        seen.add(seed.canonical)
+                        seeds.append(seed)
         collections[key] = SeedCollection(key=key, seeds=tuple(seeds), post_seeds=tuple(stream))
     return collections
 

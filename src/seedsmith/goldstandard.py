@@ -201,7 +201,7 @@ def build_gold_standard(topic: TopicSpec, ref_uris, fetcher: Fetcher) -> GoldSta
     fetched_times = []
     for uri in ref_uris:
         result = fetcher.dereference(uri)
-        if result.failed or not result.ok:
+        if not result.ok:
             failures.append((uri, str(result.status)))
             continue
         fetched_times.append(result.fetched_at)

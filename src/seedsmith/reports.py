@@ -19,13 +19,13 @@ from .analytics import (
     DEFAULT_RELEVANCE_THRESHOLD,
     K_BINS,
     MODE_NORMALIZED,
+    age_days,
     age_distribution,
     class_average_precision,
     conditional_relevance_by_k,
     estimate_publication_date,
     hostname_diversity,
     judge_relevance,
-    make_age_sample,
     serp_overlap,
     uri_count_distribution,
 )
@@ -70,14 +70,14 @@ class SeedTextProvider:
     HTML seeds are judged on the main-content text of their dereferenced
     document, read from the fetcher's page digest; everything else on
     the text of the post that embedded the URI. A page that yields no
-    text is warned about once per canonical URI.
+    text adds a warning each time it is read; the run reports each
+    distinct warning once.
     """
 
     def __init__(self, corpus: Corpus, fetcher: Fetcher, warnings: list):
         self.corpus = corpus
         self.fetcher = fetcher
         self.warnings = warnings
-        self._warned: set[str] = set()
 
     def __call__(self, seed) -> str:
         if seed.kind == HTML_KIND:
@@ -87,18 +87,13 @@ class SeedTextProvider:
 
     def page_text(self, uri: str) -> str:
         result = self.fetcher.dereference(uri)
-        if result.failed or not result.ok:
-            self._warn(uri, f"seed {uri} not fetchable ({result.status}); judged on empty text")
+        if not result.ok:
+            self.warnings.append(f"seed {uri} not fetchable ({result.status}); judged on empty text")
             return ""
         digest = self.fetcher.digest(result)
         if digest.text_error is not None:
-            self._warn(uri, f"seed {uri} unusable as HTML: {digest.text_error}")
+            self.warnings.append(f"seed {uri} unusable as HTML: {digest.text_error}")
         return digest.text
-
-    def _warn(self, uri, message):
-        if uri not in self._warned:
-            self._warned.add(uri)
-            self.warnings.append(message)
 
 
 class RelevanceIndex:
@@ -343,26 +338,25 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextP
     """Ages of relevant HTML seeds per row cell, summary plus ECDF.
 
     A page is dated once, however many rows hold it. A seed whose
-    estimate postdates its retrieval is warned about once, at the first
-    row (in row-key order) that holds it.
+    estimate postdates its retrieval is warned about at each row that
+    holds it.
     """
     summary_rows = []
     ecdf_rows = []
-    warned: set[str] = set()
     fetcher = provider.fetcher
     estimates: dict[str, tuple | None] = {}
 
     def estimate(uri):
         if uri not in estimates:
             result = fetcher.dereference(uri)
-            if result.failed or not result.ok:
+            if not result.ok:
                 estimates[uri] = None
             else:
                 estimates[uri] = estimate_publication_date(result, fetcher.digest(result))
         return estimates[uri]
 
     for row_key in rows_index.keys:
-        samples = []
+        ages = []
         for seed in rows_index.seeds[row_key]:
             if seed.kind != HTML_KIND:
                 continue
@@ -372,16 +366,15 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextP
             found = estimate(seed.canonical)
             if found is None:
                 continue
-            estimated, estimator = found
-            sample = make_age_sample(seed.canonical, estimated, estimator, seed.retrieved_at)
-            if sample.flagged and seed.canonical not in warned:
-                warned.add(seed.canonical)
+            estimated = found[0]
+            days = age_days(estimated, seed.retrieved_at)
+            if days < 0:
                 warnings.append(
                     f"seed {seed.canonical}: publication estimate {estimated} postdates "
                     "retrieval; excluded from age aggregates"
                 )
-            samples.append(sample)
-        summary = age_distribution(samples)
+            ages.append(days)
+        summary = age_distribution(ages)
         topic, source, vertical, post_class = row_key
         if summary is None:
             summary_rows.append([topic, source, vertical, post_class, NA, NA, NA, NA, NA])

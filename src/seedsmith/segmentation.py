@@ -17,19 +17,16 @@ out of segmentation; the goldstandard module builds those.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 from .corpus.model import Corpus, Post
+from .corpus.threads import reply_order
 
 P1A1 = "P1A1"
 P1AN = "P1An"
 PNA1 = "PnA1"
 PNAN = "PnAn"
 MC = "MC"
-BASE_CLASSES = (P1A1, P1AN, PNA1, PNAN)
 MC_MEMBER_CLASSES = (PNA1, PNAN)
-
-_MIN_TS = datetime.min.replace(tzinfo=timezone.utc)
 
 
 class SegmentationError(Exception):
@@ -123,8 +120,7 @@ class TreeNode:
 
 
 def _order_key(node: TreeNode):
-    post = node.cell_post()
-    return (post.created_at or _MIN_TS, post.id)
+    return reply_order(node.cell_post())
 
 
 def build_forest(corpus: Corpus, selector: Selector | None = None, warnings=None) -> list[TreeNode]:

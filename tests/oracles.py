@@ -22,7 +22,7 @@ report assembly), for differential tests.
 import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from html import unescape
 from html.parser import HTMLParser
@@ -625,19 +625,21 @@ def reference_publication_date(fetch):
     return None
 
 
-def reference_substitute_intra_site(seed, fetcher, depth_limit=3, strict=False, warnings=None):
+def reference_substitute_intra_site(permalink, fetcher, depth_limit=3, strict=False, warnings=None):
     """Intra-site substitution recursing once per nesting level, reading
-    each target's links from a fresh parse of its body."""
+    each target's links from a fresh parse of its body. Returns the
+    (original, canonical, hostname, kind) targets, or None when the
+    permalink is kept as-is."""
 
     def warn(message):
         if warnings is not None:
             warnings.append(message)
 
-    visited = {seed.canonical}
+    visited = {permalink}
 
     def expand(uri, depth):
         result = fetcher.dereference(uri)
-        if result.failed or not result.ok:
+        if not result.ok:
             if strict:
                 raise ExtractionError(f"cannot resolve intra-site URI {uri}: {result.status}")
             warn(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
@@ -658,25 +660,15 @@ def reference_substitute_intra_site(seed, fetcher, depth_limit=3, strict=False, 
                 if nested is not None:
                     out.extend(nested)
                 continue
-            out.append(
-                replace(
-                    seed,
-                    original=link,
-                    canonical=canonical,
-                    hostname=hostname,
-                    kind=classify_uri_kind(canonical),
-                    final=None,
-                    fetch_status=None,
-                )
-            )
+            out.append((link, canonical, hostname, classify_uri_kind(canonical)))
         return out
 
-    expanded = expand(seed.canonical, 1)
+    expanded = expand(permalink, 1)
     if expanded is None:
-        return [seed]
+        return None
     if not expanded:
-        warn(f"intra-site URI {seed.canonical} had no outbound links; seed dropped")
-    return expanded
+        warn(f"intra-site URI {permalink} had no outbound links; seed dropped")
+    return tuple(expanded)
 
 
 def reference_assemble_collections(corpus, partition, fetcher, options, warnings=None):
@@ -702,22 +694,18 @@ def reference_assemble_collections(corpus, partition, fetcher, options, warnings
                         if warnings is not None:
                             warnings.append(f"post {post.id}: skipping unparseable URI {raw!r}")
                         continue
-                    seed = SeedUri(
-                        original=raw,
-                        canonical=canonical,
-                        hostname=hostname,
-                        kind=classify_uri_kind(canonical),
-                        provenance=SeedProvenance(
-                            post.id, group.group_id, group.topic_id, group.source,
-                            group.vertical, group.post_class,
-                        ),
-                        retrieved_at=post.retrieved_at,
+                    provenance = SeedProvenance(
+                        post.id, group.group_id, group.topic_id, group.source,
+                        group.vertical, group.post_class,
                     )
-                    expanded = [seed]
+                    targets = None
                     if fetcher is not None and intra_site_source(canonical):
-                        expanded = reference_substitute_intra_site(
-                            seed, fetcher, options.depth_limit, options.strict, warnings
+                        targets = reference_substitute_intra_site(
+                            canonical, fetcher, options.depth_limit, options.strict, warnings
                         )
+                    if targets is None:
+                        targets = [(raw, canonical, hostname, classify_uri_kind(canonical))]
+                    expanded = [SeedUri(*target, provenance, post.retrieved_at) for target in targets]
                     for candidate in expanded:
                         if candidate.canonical in post_seen:
                             continue

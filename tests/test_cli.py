@@ -575,6 +575,66 @@ def test_each_warning_goes_to_the_runs_list_once(tmp_path):
     ]
 
 
+_PERMALINK = "https://www.reddit.com/r/x/comments/abc1"
+_UNRESOLVABLE = f"intra-site URI {_PERMALINK} not resolvable (missing-fixture); kept as-is"
+_AGE_WARNING = (
+    "seed https://transit-news.example/strike-outlook: publication estimate 2019-01-01 postdates "
+    "retrieval; excluded from age aggregates"
+)
+
+
+def _corpus_with(tmp_path, *records):
+    """Writes plus.jsonl: the bundled corpus plus, for each dict in
+    ``records``, a copy of its line 2 (root post ``cr1``) updated with it."""
+    lines = (DATA / "corpus.jsonl").read_text().splitlines()
+    added = [json.dumps({**json.loads(lines[1]), **fields}) for fields in records]
+    path = tmp_path / "plus.jsonl"
+    path.write_text("\n".join([*lines, *added]) + "\n")
+    return path
+
+
+def _manifest_warnings(tmp_path, corpus):
+    out = tmp_path / "out"
+    assert run_cli("run", "--corpus", corpus, "--fixtures", DATA / "responses",
+                   "--refs", DATA / "refs.json", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warning_count"] == len(manifest["warnings"])
+    return manifest["warnings"]
+
+
+def test_post_in_two_groups_lists_each_warning_once(tmp_path, capsys):
+    # zz, a reply to cr1 by cr1's author, sits in cr1/PnA1/zz and cr1/PnAn.
+    corpus = _corpus_with(tmp_path, {
+        "id": "zz", "parent_id": "cr1", "serp_visible": False,
+        "raw_links": ["http://[bad/x"], "text": f"see {_PERMALINK}",
+    })
+    extracted = ["post zz: skipping unparseable URI 'http://[bad/x'", _UNRESOLVABLE]
+    assert run_cli("extract", "--corpus", corpus, "--fixtures", DATA / "responses",
+                   "--out", tmp_path / "ext") == 0
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in extracted)
+    assert _manifest_warnings(tmp_path, corpus) == [
+        *extracted,
+        f"seed {_PERMALINK} not fetchable (missing-fixture); judged on empty text",
+        _AGE_WARNING,
+    ]
+
+
+def test_shared_unresolvable_permalink_warns_once(tmp_path):
+    # Two posts, in two topics with gold standards, link one permalink
+    # that cannot be fetched: it is expanded once and its page is read
+    # once per topic, but the run lists each warning once.
+    corpus = _corpus_with(
+        tmp_path,
+        {"id": "zz1", "text": f"see {_PERMALINK}"},
+        {"id": "zz2", "topic_id": "strike", "query": "national rail strike", "text": _PERMALINK},
+    )
+    assert _manifest_warnings(tmp_path, corpus) == [
+        _UNRESOLVABLE,
+        f"seed {_PERMALINK} not fetchable (missing-fixture); judged on empty text",
+        _AGE_WARNING,
+    ]
+
+
 def _run_with(tmp_path, flag, path):
     args = base_args(tmp_path / "out")
     if flag == "--corpus":

@@ -20,8 +20,6 @@ from seedsmith.extraction import (
     ExtractionError,
     HTML_KIND,
     NON_HTML_KIND,
-    SeedProvenance,
-    SeedUri,
     assemble_collections,
     canonicalize,
     classify_uri_kind,
@@ -247,17 +245,6 @@ class TestIntraSite:
         assert intra_site_source(uri) is None
 
 
-def make_seed(canonical, post_id="p1", kind=HTML_KIND):
-    return SeedUri(
-        original=canonical,
-        canonical=canonical,
-        hostname=hostname_of(canonical),
-        kind=kind,
-        provenance=SeedProvenance(post_id, "g1", "t1", "twitter", "top", "P1A1"),
-        retrieved_at=make_post().retrieved_at,
-    )
-
-
 def tweet_page(*links):
     anchors = "".join(f'<a href="{l}">link</a>' for l in links)
     return f"<html><body><p>tweet</p>{anchors}</body></html>".encode()
@@ -303,14 +290,14 @@ class TestSubstitute:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_recursive_reference(self, pages, depth_limit, strict):
-        """Branching, cyclic and failing permalink pages give the seeds,
+        """Branching, cyclic and failing permalink pages give the targets,
         in the order, and the warnings of the recursive expansion."""
 
         def run(substitute):
             fetcher = Fetcher(_PageTransport(pages))
             warnings = []
             try:
-                out = substitute(make_seed(_PERMALINKS[0]), fetcher, depth_limit=depth_limit,
+                out = substitute(_PERMALINKS[0], fetcher, depth_limit=depth_limit,
                                  strict=strict, warnings=warnings)
             except ExtractionError as exc:
                 out = str(exc)
@@ -323,16 +310,18 @@ class TestSubstitute:
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"},
                       tweet_page("https://news.example/story"))
         fetcher = Fetcher(FixtureTransport(tmp_path))
-        out = substitute_intra_site(make_seed(uri), fetcher)
-        assert [s.canonical for s in out] == ["https://news.example/story"]
-        assert out[0].provenance.post_id == "p1"
+        out = substitute_intra_site(uri, fetcher)
+        assert out == (("https://news.example/story", "https://news.example/story", "news.example",
+                        HTML_KIND),)
 
     def test_ipv6_link_substituted(self, tmp_path):
         uri = "https://twitter.com/bob/status/1"
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"},
                       tweet_page("http://[::1]:8080/a"))
-        out = substitute_intra_site(make_seed(uri), Fetcher(FixtureTransport(tmp_path)))
-        assert [(s.canonical, s.hostname) for s in out] == [("http://[::1]:8080/a", "::1")]
+        out = substitute_intra_site(uri, Fetcher(FixtureTransport(tmp_path)))
+        assert [(canonical, hostname) for _, canonical, hostname, _ in out] == [
+            ("http://[::1]:8080/a", "::1")
+        ]
 
     def test_chain_resolved_to_depth(self, tmp_path):
         a = "https://twitter.com/a/status/1"
@@ -343,16 +332,16 @@ class TestSubstitute:
         write_fixture(tmp_path, c, 200, {"Content-Type": "text/html"},
                       tweet_page("https://news.example/final"))
         fetcher = Fetcher(FixtureTransport(tmp_path))
-        out = substitute_intra_site(make_seed(a), fetcher, depth_limit=3)
-        assert [s.canonical for s in out] == ["https://news.example/final"]
+        out = substitute_intra_site(a, fetcher, depth_limit=3)
+        assert [target[1] for target in out] == ["https://news.example/final"]
 
     def test_self_reference_terminates_empty(self, tmp_path):
         uri = "https://twitter.com/a/status/1"
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"}, tweet_page(uri))
         fetcher = Fetcher(FixtureTransport(tmp_path))
         warnings = []
-        out = substitute_intra_site(make_seed(uri), fetcher, warnings=warnings)
-        assert out == []
+        out = substitute_intra_site(uri, fetcher, warnings=warnings)
+        assert out == ()
         assert any("no outbound" in w for w in warnings)
 
     def test_cycle_terminates(self, tmp_path):
@@ -362,23 +351,22 @@ class TestSubstitute:
         write_fixture(tmp_path, b, 200, {"Content-Type": "text/html"},
                       tweet_page(a, "https://news.example/x"))
         fetcher = Fetcher(FixtureTransport(tmp_path))
-        out = substitute_intra_site(make_seed(a), fetcher, depth_limit=5)
-        assert [s.canonical for s in out] == ["https://news.example/x"]
+        out = substitute_intra_site(a, fetcher, depth_limit=5)
+        assert [target[1] for target in out] == ["https://news.example/x"]
 
     def test_fetch_failure_lenient_keeps_original(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
         fetcher = Fetcher(FixtureTransport(tmp_path))
-        seed = make_seed("https://twitter.com/a/status/404")
         warnings = []
-        out = substitute_intra_site(seed, fetcher, warnings=warnings)
-        assert out == [seed]
+        out = substitute_intra_site("https://twitter.com/a/status/404", fetcher, warnings=warnings)
+        assert out is None
         assert warnings
 
     def test_fetch_failure_strict_raises(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
         fetcher = Fetcher(FixtureTransport(tmp_path))
         with pytest.raises(ExtractionError):
-            substitute_intra_site(make_seed("https://twitter.com/a/status/404"), fetcher, strict=True)
+            substitute_intra_site("https://twitter.com/a/status/404", fetcher, strict=True)
 
 
 class TestAssemble:
@@ -482,6 +470,29 @@ class TestAssemble:
         assert seed.kind == NON_HTML_KIND
         assert seed.fetch_status == 200
         assert seed.final == "https://a.example/download"
+
+    def test_substituted_seeds_take_each_linking_posts_provenance(self, tmp_path):
+        # r1's visit expands the permalink; r2's repeat visit reuses it.
+        uri = "https://twitter.com/bob/status/1"
+        write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"},
+                      tweet_page("https://news.example/story"))
+        corpus = make_corpus(
+            [
+                make_post(id="r1", serp_visible=True, text=f"via {uri}"),
+                make_post(id="r2", serp_visible=True, author="carol", raw_links=(uri,)),
+            ]
+        )
+        partition = partition_corpus(corpus)
+        collections = assemble_collections(corpus, partition, Fetcher(FixtureTransport(tmp_path)))
+        cell = collections[("t1", "reddit", "top", "P1A1")]
+        assert [
+            (s.original, s.canonical, s.provenance.post_id, s.provenance.group_id, s.retrieved_at)
+            for s in cell.post_seeds
+        ] == [
+            ("https://news.example/story", "https://news.example/story", post_id, f"{post_id}/P1A1",
+             corpus.posts[post_id].retrieved_at)
+            for post_id in ("r1", "r2")
+        ]
 
     def test_post_seed_stream_keeps_each_posts_links(self):
         # Two posts in one cell share a URI: the collection dedups it but
@@ -614,8 +625,9 @@ class TestAssembleTables:
     def test_matches_assembly_without_tables(self, specs, depth_limit, global_dedup, fetch_kinds,
                                              strict):
         """Posts in several cells linking the same permalinks get the
-        collections and the full warning list of an assembly that
-        canonicalizes and substitutes again on every visit."""
+        collections of an assembly that canonicalizes and substitutes
+        again on every visit, and its distinct warnings in first-raised
+        order: a permalink's expansion warns on its first visit only."""
         corpus = _table_corpus(specs)
         partition = partition_corpus(corpus)
         options = AssembleOptions(depth_limit=depth_limit, fetch_kinds=fetch_kinds,
@@ -628,7 +640,7 @@ class TestAssembleTables:
                 out = assemble(corpus, partition, fetcher, options, warnings=warnings)
             except ExtractionError as exc:
                 out = str(exc)
-            return out, warnings
+            return out, list(dict.fromkeys(warnings))
 
         assert run(assemble_collections) == run(reference_assemble_collections)
 

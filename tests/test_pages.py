@@ -181,16 +181,19 @@ class TestFetcherDigests:
 
 
 class TestSeedTextProvider:
-    def test_warns_once_per_uri(self, tmp_path):
+    def test_warns_on_each_read_of_an_unusable_page(self, tmp_path):
+        # The run reports each distinct warning once (test_cli's
+        # test_shared_unresolvable_permalink_warns_once).
         write_fixture(tmp_path, "https://a.example/plain", 200, {"Content-Type": "text/html"}, b"no tags")
         warnings = []
         post = make_post(id="p1", serp_visible=True)
         provider = SeedTextProvider(make_corpus([post]), Fetcher(FixtureTransport(tmp_path)), warnings)
         for uri in ("https://a.example/plain", "https://a.example/missing") * 2:
             assert provider.page_text(uri) == ""
-        assert len(warnings) == 2
+        assert len(warnings) == 4
         assert warnings[0].startswith("seed https://a.example/plain unusable as HTML: ")
         assert warnings[1].startswith("seed https://a.example/missing not fetchable (missing-fixture)")
+        assert warnings[2:] == warnings[:2]
 
 
 def _count_calls(monkeypatch, original):
