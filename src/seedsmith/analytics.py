@@ -36,10 +36,8 @@ DAYS_PER_YEAR = 365.25
 
 @dataclass(frozen=True)
 class RelevanceJudgment:
-    subject: str | None
     cosine: float
     relevant: bool
-    threshold: float
     empty: bool = False  # candidate had no usable text
 
 
@@ -47,7 +45,6 @@ def judge_relevance(
     candidate_texts,
     gold: GoldStandard,
     threshold: float = DEFAULT_RELEVANCE_THRESHOLD,
-    subject: str | None = None,
 ) -> RelevanceJudgment:
     """Judge the concatenation of ``candidate_texts`` against a topic's
     gold standard. Relevance requires the cosine to strictly exceed the
@@ -55,9 +52,9 @@ def judge_relevance(
     """
     vector = build_term_vector(candidate_texts)
     if not vector:
-        return RelevanceJudgment(subject, 0.0, False, threshold, empty=True)
+        return RelevanceJudgment(0.0, False, empty=True)
     cos = textkernel.sparse_cosine(vector, gold.vector)
-    return RelevanceJudgment(subject, cos, cos > threshold, threshold)
+    return RelevanceJudgment(cos, cos > threshold)
 
 
 @dataclass(frozen=True)

@@ -22,28 +22,20 @@ from .corpus.fetch import (EPOCH, FetchError, FetchPolicy, Fetcher, FixtureTrans
 from .corpus.jsonl import check_encodable, load_corpus, write_corpus
 from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, Post, TopicSpec
 from .corpus.threads import expand_thread
-from .extraction import (
-    SEED_CSV_HEADER,
-    AssembleOptions,
-    ExtractionError,
-    assemble_collections,
-    seed_json,
-    seed_rows,
-)
+from .extraction import AssembleOptions, ExtractionError, assemble_collections, seed_json
 from .goldstandard import GoldStandard, GoldStandardError, build_gold_standard, extract_references
 from .reports import (
     DEFAULT_REFERENCE_SOURCE,
-    PARTITION_HEADER,
     ReportConfig,
     build_manifest,
     build_tables,
     check_tables,
-    fmt,
-    partition_rows,
+    partition_tables,
+    seeds_table,
     write_bundle,
     write_csv,
 )
-from .segmentation import Selector, mc_view, partition_corpus
+from .segmentation import Selector, partition_corpus
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -147,10 +139,29 @@ def _csv_list(raw: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in raw.split(",") if x.strip())
 
 
-def _add_common(parser):
+# The pipeline subcommands: each runs ``run_pipeline`` with the same
+# flags and stops after the stage it names (``run`` after ``analyze``).
+PIPELINE_COMMANDS = (
+    ("ingest", "validate a corpus, optionally expanding reply threads"),
+    ("segment", "partition the corpus into post-class groups"),
+    ("extract", "extract seed collections from post-class groups"),
+    ("goldstd", "build per-topic gold-standard term vectors"),
+    ("analyze", "compute every measure and write the report bundle"),
+    ("run", "full pipeline: segment, extract, goldstd, analyze, report"),
+)
+
+
+def _add_pipeline_flags(parser):
     parser.add_argument("--corpus", required=True, type=Path, help="corpus JSONL file")
     parser.add_argument("--out", required=True, type=Path, help="output directory")
+    parser.add_argument("--replies", type=Path,
+                        help="corpus JSONL of recorded replies to expand threads from")
     parser.add_argument("--topics", type=Path, help="JSON topics file overriding the corpus topics record")
+    parser.add_argument("--refs", type=Path,
+                        help="JSON mapping topic_id to a reference-list page URI or a list of "
+                             "reference URIs (goldstd needs it)")
+    parser.add_argument("--golds", type=Path,
+                        help="directory of gold_<topic>.json files, used instead of --refs")
     parser.add_argument("--mode", choices=("offline", "live"), default="offline")
     parser.add_argument("--fixtures", type=Path,
                         help="directory of {uri-hash}.response fixtures: replayed offline, "
@@ -187,44 +198,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"seedsmith {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate a corpus, optionally expanding reply threads")
-    _add_common(p)
-    p.add_argument("--replies", type=Path,
-                   help="corpus JSONL of recorded replies to expand threads from")
-
-    p = sub.add_parser("segment", help="partition the corpus into post-class groups")
-    _add_common(p)
-
-    p = sub.add_parser("extract", help="extract seed collections from post-class groups")
-    _add_common(p)
-
-    p = sub.add_parser("goldstd", help="build per-topic gold-standard term vectors")
-    _add_common(p)
-    p.add_argument("--refs", required=True, type=Path,
-                   help="JSON mapping topic_id to a reference-list page URI or a list of reference URIs")
-
-    p = sub.add_parser("analyze", help="compute every measure and write the report bundle")
-    _add_common(p)
-    p.add_argument("--refs", type=Path)
-    p.add_argument("--golds", type=Path, help="directory of gold_<topic>.json files")
+    for name, help_text in PIPELINE_COMMANDS:
+        _add_pipeline_flags(sub.add_parser(name, help=help_text))
 
     p = sub.add_parser("report", help="re-emit a saved bundle as csv or json")
     p.add_argument("--bundle", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("run", help="full pipeline: segment, extract, goldstd, analyze, report")
-    _add_common(p)
-    p.add_argument("--refs", type=Path)
-    p.add_argument("--replies", type=Path)
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    config = RunConfig(
-        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     config.validate()
     return config
 
@@ -241,10 +226,11 @@ def _load_corpus(config: RunConfig) -> Corpus:
     return corpus
 
 
-def _expand_replies(corpus: Corpus, config: RunConfig, replies_path: Path) -> Corpus:
-    """Grow SERP-visible posts into threads using recorded replies."""
+def _expand_replies(corpus: Corpus, config: RunConfig) -> Corpus:
+    """Grow SERP-visible posts into threads using the recorded replies
+    in ``config.replies``."""
     replies: dict[str, list[Post]] = {}
-    for post in load_corpus(replies_path).posts.values():
+    for post in load_corpus(config.replies).posts.values():
         if post.parent_id is not None:
             replies.setdefault(post.parent_id, []).append(post)
     for root in sorted(corpus.posts.values(), key=lambda p: p.id):
@@ -256,7 +242,7 @@ def _expand_replies(corpus: Corpus, config: RunConfig, replies_path: Path) -> Co
     try:
         corpus.validate()
     except CorpusIntegrityError as exc:
-        raise CorpusIntegrityError(f"{replies_path}: {exc}") from exc
+        raise CorpusIntegrityError(f"{config.replies}: {exc}") from exc
     return corpus
 
 
@@ -293,7 +279,7 @@ def _load_golds(config: RunConfig, corpus: Corpus, fetcher, warnings) -> dict[st
         try:
             golds[topic_id] = build_gold_standard(corpus.topics[topic_id], ref_uris, fetcher)
         except GoldStandardError as exc:
-            if config.strict:
+            if not fetcher.policy.lenient:
                 raise
             warnings.append(str(exc))
             continue
@@ -372,7 +358,9 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
     segment -> extract -> goldstd -> analyze, which writes the report
     bundle with its manifest. Gold standards read only the corpus, so a
     run stopped at goldstd skips segmentation and extraction and fetches
-    no permalinks.
+    no permalinks. Each report table is built once, when its stage ends;
+    a run stopped at segment or extract writes that stage's tables as
+    ``write_bundle`` writes them in a full run.
 
     Each warning is appended to the run's one list and reported nowhere
     else. Both places that report the list, a stopped run's stderr (as
@@ -382,26 +370,27 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
     """
     if stop not in STAGES:
         raise ValueError(f"unknown stage {stop!r}; expected one of {STAGES}")
+    if stop == "goldstd" and not config.refs:
+        raise ConfigError("goldstd needs --refs FILE")
     warnings: list[str] = []
     out = Path(config.out)
     corpus = _load_corpus(config)
     if config.replies:
-        corpus = _expand_replies(corpus, config, config.replies)
+        corpus = _expand_replies(corpus, config)
     if stop == "ingest":
         out.mkdir(parents=True, exist_ok=True)
         write_corpus(corpus, out / "corpus.jsonl")
         print(f"ingested {len(corpus.posts)} posts, {len(corpus.topics)} topics")
         return EXIT_OK
 
+    tables: dict = {}  # report tables, each built once, as its stage finishes
     if stop != "goldstd":
         partition = partition_corpus(
             corpus, config.selector(), mc_exclude_root=config.mc_exclude_root, warnings=warnings
         )
-        mc_partition = mc_view(partition)
+        tables.update(partition_tables(partition))
         if stop == "segment":
-            out.mkdir(parents=True, exist_ok=True)
-            for name, data in (("partition", partition), ("partition_mc", mc_partition)):
-                write_csv(out / f"{name}.csv", PARTITION_HEADER, partition_rows(data))
+            _write_tables(tables, ("partition", "partition_mc"), out)
             _print_warnings(warnings)
             return EXIT_OK
 
@@ -415,14 +404,12 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
                 depth_limit=config.depth_limit,
                 fetch_kinds=config.fetch_kinds,
                 global_dedup=config.global_dedup,
-                strict=config.strict,
             ),
             warnings=warnings,
         )
+        tables["seeds"] = seeds_table(collections)
         if stop == "extract":
-            out.mkdir(parents=True, exist_ok=True)
-            rows = [list(map(fmt, row)) for row in seed_rows(collections)]
-            write_csv(out / "seeds.csv", SEED_CSV_HEADER, rows)
+            _write_tables(tables, ("seeds",), out)
             (out / "seeds.json").write_text(
                 json.dumps(seed_json(collections), ensure_ascii=False, indent=2) + "\n",
                 encoding="utf-8",
@@ -446,9 +433,7 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
         reference_source=config.reference_source,
         jobs=config.jobs,
     )
-    tables = build_tables(
-        corpus, partition, mc_partition, collections, golds, fetcher, report_config, warnings
-    )
+    tables.update(build_tables(corpus, collections, golds, fetcher, report_config, warnings))
     counts = {
         "posts": len(corpus.posts),
         "topics": len(corpus.topics),
@@ -462,6 +447,14 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
     }
     write_bundle(bundle, out, formats=("csv", "json"))
     return EXIT_OK
+
+
+def _write_tables(tables: dict, names, out: Path) -> None:
+    """A stopped stage's tables, each to the CSV file ``write_bundle``
+    writes for it in a full run."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        write_csv(out / f"{name}.csv", tables[name]["header"], tables[name]["rows"])
 
 
 def _distinct(warnings) -> list[str]:

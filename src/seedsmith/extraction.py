@@ -220,7 +220,6 @@ def substitute_intra_site(
     permalink: str,
     fetcher: Fetcher,
     depth_limit: int = 3,
-    strict: bool = False,
     warnings: list | None = None,
     links: LinkTable | None = None,
 ) -> tuple[tuple[str, str, str, str], ...] | None:
@@ -229,8 +228,9 @@ def substitute_intra_site(
 
     ``permalink`` is a canonical URI. Follows nested post links up to
     ``depth_limit``, visiting each post URI once (cycles terminate). A
-    target without outbound links gives ``()``; a fetch failure keeps the
-    permalink as-is (lenient: the result is ``None``) or raises (strict).
+    target without outbound links gives ``()``. A failed fetch keeps the
+    permalink as-is (the result is ``None``) under a lenient fetcher and
+    raises ExtractionError under a strict one.
     ``links`` is the run's link table, if the caller keeps one.
     """
     if links is None:
@@ -241,7 +241,7 @@ def substitute_intra_site(
     def links_of(uri: str) -> tuple[str, ...] | None:
         result = fetcher.dereference(uri)
         if not result.ok:
-            if strict:
+            if not fetcher.policy.lenient:
                 raise ExtractionError(f"cannot resolve intra-site URI {uri}: {result.status}")
             warnings.append(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
             return None
@@ -287,7 +287,6 @@ class AssembleOptions:
     depth_limit: int = 3
     fetch_kinds: bool = False  # dereference seeds for media-type evidence
     global_dedup: bool = False
-    strict: bool = False
 
 
 def assemble_collections(
@@ -347,12 +346,7 @@ def assemble_collections(
                     if fetcher is not None and source:
                         if canonical not in expansions:
                             expansions[canonical] = substitute_intra_site(
-                                canonical,
-                                fetcher,
-                                depth_limit=options.depth_limit,
-                                strict=options.strict,
-                                warnings=warnings,
-                                links=links,
+                                canonical, fetcher, options.depth_limit, warnings, links
                             )
                         targets = expansions[canonical]
                     if targets is None:  # not a permalink, or one kept as-is
@@ -363,7 +357,7 @@ def assemble_collections(
                         post_seen.add(target[1])
                         seed = SeedUri(*target, provenance, post.retrieved_at)
                         if options.fetch_kinds and fetcher is not None:
-                            seed = _fetch_kind(seed, fetcher, options.strict)
+                            seed = _fetch_kind(seed, fetcher)
                         stream.append(seed)
                         if seed.canonical in seen:
                             continue
@@ -373,11 +367,9 @@ def assemble_collections(
     return collections
 
 
-def _fetch_kind(seed: SeedUri, fetcher: Fetcher, strict: bool) -> SeedUri:
+def _fetch_kind(seed: SeedUri, fetcher: Fetcher) -> SeedUri:
     result = fetcher.dereference(seed.canonical)
     if result.failed:
-        if strict:
-            raise ExtractionError(f"cannot fetch seed {seed.canonical}: {result.status}")
         return replace(seed, fetch_status=result.status)
     return replace(
         seed,

@@ -33,7 +33,7 @@ from .corpus.fetch import FetchError, Fetcher
 from .corpus.model import Corpus
 from .extraction import HTML_KIND, NON_HTML_KIND, SEED_CSV_HEADER, seed_rows
 from .goldstandard import GoldStandard
-from .segmentation import MC, MC_MEMBER_CLASSES, partition_counts
+from .segmentation import MC, MC_MEMBER_CLASSES, mc_view, partition_counts
 from .stopwords import STOPWORDS_VERSION
 
 NA = "NA"
@@ -52,8 +52,18 @@ def fmt(value) -> str:
     return str(value)
 
 
-def partition_rows(partition) -> list[list[str]]:
-    return [list(map(fmt, row)) for row in partition_counts(partition)]
+def partition_tables(partition) -> dict:
+    """The segment stage's tables: group and post counts per cell, as
+    partitioned and with PnA1 and PnAn pooled into MC (``mc_view``)."""
+    return {
+        name: _table(PARTITION_HEADER, [list(map(fmt, row)) for row in partition_counts(cells)])
+        for name, cells in (("partition", partition), ("partition_mc", mc_view(partition)))
+    }
+
+
+def seeds_table(collections) -> dict:
+    """The extract stage's table: every cell's deduplicated seeds."""
+    return _table(SEED_CSV_HEADER, [list(map(fmt, row)) for row in seed_rows(collections)])
 
 
 @dataclass
@@ -116,9 +126,7 @@ class RelevanceIndex:
             # which differs per post.
             key = (seed.provenance.topic_id, seed.provenance.post_id, seed.canonical)
         if key not in self._memo:
-            self._memo[key] = judge_relevance(
-                [self.text_provider(seed)], gold, self.threshold, subject=seed.canonical
-            )
+            self._memo[key] = judge_relevance([self.text_provider(seed)], gold, self.threshold)
         return self._memo[key]
 
 
@@ -228,15 +236,15 @@ def index_rows(collections, observations) -> RowIndex:
 
 def build_tables(
     corpus: Corpus,
-    partition,
-    mc_partition,
     collections,
     golds: dict[str, GoldStandard],
     fetcher: Fetcher,
     config: ReportConfig,
     warnings: list,
 ) -> dict:
-    """All report tables as {name: {"header": [...], "rows": [[str]]}}."""
+    """The measures' report tables as {name: {"header": [...], "rows":
+    [[str]]}}: every table but the segment and extract stages' own
+    (``partition_tables``, ``seeds_table``)."""
     if config.jobs > 1:
         _prefetch_page_texts(fetcher, collections, golds, config.jobs)
     provider = SeedTextProvider(corpus, fetcher, warnings)
@@ -245,10 +253,6 @@ def build_tables(
     sources = sorted({key[1] for key in collections})
     rows_index = index_rows(collections, observations)
     tables = {}
-
-    tables["partition"] = _table(PARTITION_HEADER, partition_rows(partition))
-    tables["partition_mc"] = _table(PARTITION_HEADER, partition_rows(mc_partition))
-    tables["seeds"] = _table(SEED_CSV_HEADER, [list(map(fmt, row)) for row in seed_rows(collections)])
 
     groups = group_by_scope(observations)
     for kind_name, _kind in KIND_FILTERS:

@@ -701,7 +701,8 @@ def reference_assemble_collections(corpus, partition, fetcher, options, warnings
                     targets = None
                     if fetcher is not None and intra_site_source(canonical):
                         targets = reference_substitute_intra_site(
-                            canonical, fetcher, options.depth_limit, options.strict, warnings
+                            canonical, fetcher, options.depth_limit, not fetcher.policy.lenient,
+                            warnings,
                         )
                     if targets is None:
                         targets = [(raw, canonical, hostname, classify_uri_kind(canonical))]
@@ -711,7 +712,7 @@ def reference_assemble_collections(corpus, partition, fetcher, options, warnings
                             continue
                         post_seen.add(candidate.canonical)
                         if options.fetch_kinds and fetcher is not None:
-                            candidate = _fetch_kind(candidate, fetcher, options.strict)
+                            candidate = _fetch_kind(candidate, fetcher)
                         stream.append(candidate)
                         if candidate.canonical not in seen:
                             seen.add(candidate.canonical)

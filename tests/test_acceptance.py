@@ -24,7 +24,7 @@ from seedsmith.analytics import (
     judge_relevance,
 )
 from seedsmith.cli import main as cli_main
-from seedsmith.corpus import load_corpus, write_corpus
+from seedsmith.corpus.jsonl import load_corpus, write_corpus
 from seedsmith.extraction import HTML_KIND, NON_HTML_KIND, SeedCollection, SeedProvenance, SeedUri
 from seedsmith.goldstandard import GoldStandard
 from seedsmith.segmentation import build_forest, classify_groups

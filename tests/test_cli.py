@@ -11,7 +11,8 @@ import pytest
 from conftest import make_corpus, make_post
 from seedsmith import reports
 from seedsmith.cli import main
-from seedsmith.corpus import load_corpus, write_corpus, write_fixture
+from seedsmith.corpus.fetch import write_fixture
+from seedsmith.corpus.jsonl import load_corpus, write_corpus
 from seedsmith.extraction import HTML_KIND
 
 DATA = Path(__file__).parent / "data"
@@ -357,33 +358,54 @@ class TestStages:
         assert abs(sum(gold["weights"].values()) - 1.0) < 1e-9
 
     def test_each_stopped_run_writes_what_run_writes(self, tmp_path):
-        full = tmp_path / "run"
-        assert run_cli(*base_args(full), "--refs", DATA / "refs.json") == 0
+        """Every stage given run's flags writes run's bytes, on the bundled
+        corpus and on its SERP roots grown into threads by --replies."""
+        bundled = load_corpus(DATA / "corpus.jsonl")
+        roots = [post for post in bundled.posts.values() if post.serp_visible]
+        assert len(roots) < len(bundled.posts)
+        write_corpus(make_corpus(roots, list(bundled.topics.values())), tmp_path / "roots.jsonl")
+        inputs = {
+            "bundled": ["--corpus", DATA / "corpus.jsonl"],
+            "threads": ["--corpus", tmp_path / "roots.jsonl", "--replies", DATA / "corpus.jsonl"],
+        }
 
         def written(out):
             return sorted(p.name for p in out.iterdir())
 
-        def assert_same(out, names, reference=full):
-            for name in names:
-                assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+        for name, corpus_flags in inputs.items():
+            flags = [*corpus_flags, "--fixtures", DATA / "responses"]
+            refs = ["--refs", DATA / "refs.json"]
+            full, seg, ext, gold, ana = (tmp_path / name / stage
+                                         for stage in ("run", "seg", "ext", "gold", "ana"))
 
-        seg, ext, gold, ana = (tmp_path / name for name in ("seg", "ext", "gold", "ana"))
-        assert run_cli(*base_args(seg, "segment")) == 0
-        assert written(seg) == ["partition.csv", "partition_mc.csv"]
-        assert_same(seg, written(seg))
+            def assert_same(out, names, reference=full):
+                for file in names:
+                    assert (out / file).read_bytes() == (reference / file).read_bytes(), (name, file)
 
-        assert run_cli(*base_args(ext, "extract")) == 0
-        assert written(ext) == ["seeds.csv", "seeds.json"]
-        assert_same(ext, ["seeds.csv"])
+            assert run_cli("run", *flags, *refs, "--out", full) == 0
+            assert "PnAn" in (full / "partition.csv").read_text(), name
 
-        assert run_cli(*base_args(gold, "goldstd"), "--refs", DATA / "refs.json") == 0
-        assert written(gold) == written(full / "golds")
-        assert_same(gold, written(gold), full / "golds")
+            assert run_cli("segment", *flags, *refs, "--out", seg) == 0
+            assert written(seg) == ["partition.csv", "partition_mc.csv"]
+            assert_same(seg, written(seg))
 
-        assert run_cli(*base_args(ana, "analyze"), "--golds", gold) == 0
-        tables = [name for name in written(full) if name.endswith(".csv")]
-        assert len(tables) == 16
-        assert_same(ana, tables)
+            assert run_cli("extract", *flags, *refs, "--out", ext) == 0
+            assert written(ext) == ["seeds.csv", "seeds.json"]
+            assert_same(ext, ["seeds.csv"])
+
+            assert run_cli("goldstd", *flags, *refs, "--out", gold) == 0
+            assert written(gold) == written(full / "golds")
+            assert_same(gold, written(gold), full / "golds")
+
+            assert run_cli("analyze", *flags, "--golds", gold, "--out", ana) == 0
+            tables = [file for file in written(full) if file.endswith(".csv")]
+            assert len(tables) == 16
+            assert_same(ana, tables)
+
+    def test_goldstd_without_refs_is_one_config_error(self, tmp_path, capsys):
+        assert run_cli(*base_args(tmp_path / "gold", "goldstd")) == 2
+        assert capsys.readouterr().err == "error: goldstd needs --refs FILE\n"
+        assert not (tmp_path / "gold").exists()
 
     def test_goldstd_skips_segmentation_and_extraction(self, tmp_path, monkeypatch):
         import seedsmith.cli as cli

@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post, make_topic
-from seedsmith.corpus import (
-    CorpusFormatError,
-    CorpusIntegrityError,
-    CorpusValidationError,
-    load_corpus,
-    write_corpus,
-)
+from seedsmith.corpus.jsonl import CorpusFormatError, load_corpus, write_corpus
+from seedsmith.corpus.model import CorpusIntegrityError, CorpusValidationError
 
 
 def write_lines(path, *records):

@@ -9,6 +9,8 @@ from conftest import make_corpus, make_post
 from oracles import reference_assemble_collections, reference_substitute_intra_site
 from seedsmith.corpus.fetch import (
     TAG_MISSING_FIXTURE,
+    FetchError,
+    FetchPolicy,
     Fetcher,
     FixtureTransport,
     TransportError,
@@ -291,19 +293,20 @@ class TestSubstitute:
     @settings(max_examples=300, deadline=None)
     def test_matches_recursive_reference(self, pages, depth_limit, strict):
         """Branching, cyclic and failing permalink pages give the targets,
-        in the order, and the warnings of the recursive expansion."""
+        in the order, and the warnings (or the error, under a strict
+        fetcher) of the recursive expansion."""
 
-        def run(substitute):
-            fetcher = Fetcher(_PageTransport(pages))
+        def run(substitute, **strictness):
+            fetcher = Fetcher(_PageTransport(pages), FetchPolicy(lenient=not strict))
             warnings = []
             try:
                 out = substitute(_PERMALINKS[0], fetcher, depth_limit=depth_limit,
-                                 strict=strict, warnings=warnings)
-            except ExtractionError as exc:
-                out = str(exc)
+                                 warnings=warnings, **strictness)
+            except (ExtractionError, FetchError) as exc:
+                out = f"{type(exc).__name__}: {exc}"
             return out, warnings
 
-        assert run(substitute_intra_site) == run(reference_substitute_intra_site)
+        assert run(substitute_intra_site) == run(reference_substitute_intra_site, strict=strict)
 
     def test_single_hop_substitution(self, tmp_path):
         uri = "https://twitter.com/bob/status/1"
@@ -363,10 +366,11 @@ class TestSubstitute:
         assert warnings
 
     def test_fetch_failure_strict_raises(self, tmp_path):
-        tmp_path.mkdir(exist_ok=True)
-        fetcher = Fetcher(FixtureTransport(tmp_path))
+        uri = "https://twitter.com/a/status/404"
+        write_fixture(tmp_path, uri, 404, {}, b"")
+        fetcher = Fetcher(FixtureTransport(tmp_path), FetchPolicy(lenient=False))
         with pytest.raises(ExtractionError):
-            substitute_intra_site("https://twitter.com/a/status/404", fetcher, strict=True)
+            substitute_intra_site(uri, fetcher)
 
 
 class TestAssemble:
@@ -631,15 +635,15 @@ class TestAssembleTables:
         corpus = _table_corpus(specs)
         partition = partition_corpus(corpus)
         options = AssembleOptions(depth_limit=depth_limit, fetch_kinds=fetch_kinds,
-                                  global_dedup=global_dedup, strict=strict)
+                                  global_dedup=global_dedup)
 
         def run(assemble):
-            fetcher = Fetcher(_PageTransport(_TABLE_PAGES))
+            fetcher = Fetcher(_PageTransport(_TABLE_PAGES), FetchPolicy(lenient=not strict))
             warnings = []
             try:
                 out = assemble(corpus, partition, fetcher, options, warnings=warnings)
-            except ExtractionError as exc:
-                out = str(exc)
+            except (ExtractionError, FetchError) as exc:
+                out = f"{type(exc).__name__}: {exc}"
             return out, list(dict.fromkeys(warnings))
 
         assert run(assemble_collections) == run(reference_assemble_collections)

@@ -13,7 +13,6 @@ import pytest
 
 from conftest import make_corpus, make_post
 from seedsmith.cli import main
-from seedsmith.corpus import write_corpus
 from seedsmith.corpus.fetch import (
     EPOCH,
     TAG_INVALID_URI,
@@ -31,6 +30,7 @@ from seedsmith.corpus.fetch import (
     fixture_filename,
     write_fixture,
 )
+from seedsmith.corpus.jsonl import write_corpus
 
 DATA = Path(__file__).parent / "data"
 

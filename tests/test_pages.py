@@ -29,8 +29,8 @@ from seedsmith import goldstandard
 from seedsmith.analytics import estimate_publication_date
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus import fetch as fetch_module
-from seedsmith.corpus import write_corpus
 from seedsmith.corpus.fetch import Fetcher, FetchResult, FixtureTransport, write_fixture
+from seedsmith.corpus.jsonl import write_corpus
 from seedsmith.htmltools import decode_html
 from seedsmith.pages import PageDigest, _jsonld_published, digest_page
 from seedsmith.reports import SeedTextProvider
