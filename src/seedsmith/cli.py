@@ -12,21 +12,18 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_LITERAL, MODE_NORMALIZED
-from .corpus.fetch import (EPOCH, FetchError, FetchPolicy, Fetcher, FixtureTransport, HttpTransport,
-                           RecordingTransport)
+from .corpus.fetch import EPOCH, FetchError, Fetcher, FixtureTransport, HttpTransport, RecordingTransport
 from .corpus.jsonl import check_encodable, load_corpus, write_corpus
 from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, Post, TopicSpec
 from .corpus.threads import expand_thread
-from .extraction import AssembleOptions, ExtractionError, assemble_collections, seed_json
+from .extraction import ExtractionError, assemble_collections, seed_json
 from .goldstandard import GoldStandard, GoldStandardError, build_gold_standard, extract_references
 from .reports import (
     DEFAULT_REFERENCE_SOURCE,
-    ReportConfig,
     build_manifest,
     build_tables,
     check_tables,
@@ -50,81 +47,57 @@ class BundleError(Exception):
     """A ``report --bundle`` file that is not a saved report bundle."""
 
 
-@dataclass
-class RunConfig:
-    corpus: Path
-    out: Path
-    topics: Path | None = None
-    refs: Path | None = None
-    golds: Path | None = None
-    mode: str = "offline"
-    fixtures: Path | None = None
-    threshold: float = DEFAULT_RELEVANCE_THRESHOLD
-    reply_limit: int = 500
-    depth_limit: int = 3
-    max_redirects: int = 10
-    politeness_delay: float = 1.0
-    dist_mode: str = MODE_NORMALIZED
-    mc_exclude_root: bool = False
-    global_dedup: bool = False
-    fetch_kinds: bool = False
-    strict: bool = False
-    jobs: int = 1
-    reference_source: str = DEFAULT_REFERENCE_SOURCE
-    only_topics: tuple[str, ...] = ()
-    only_sources: tuple[str, ...] = ()
-    only_verticals: tuple[str, ...] = ()
-    replies: Path | None = None
-
-    def validate(self) -> None:
-        if not (0 < self.threshold < 1):
-            raise ConfigError(f"--threshold must be in (0, 1), got {self.threshold}")
-        for name in ("reply_limit", "depth_limit", "max_redirects", "jobs"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"--{name.replace('_', '-')} must be >= 0")
-        if self.mode not in ("offline", "live"):
-            raise ConfigError(f"--mode must be offline or live, got {self.mode!r}")
-        if self.dist_mode not in (MODE_NORMALIZED, MODE_LITERAL):
-            raise ConfigError(f"--dist-mode must be normalized or literal, got {self.dist_mode!r}")
-
-    def selector(self) -> Selector:
-        return Selector.of(self.only_topics, self.only_sources, self.only_verticals)
-
-    def fetcher(self) -> Fetcher:
-        """The run's fetcher. ``--fixtures`` is checked here, not in
-        ``validate``, because only the stages that fetch need it."""
-        if self.mode == "offline":
-            if self.fixtures is None:
-                raise ConfigError("offline mode needs --fixtures DIR")
-            if not Path(self.fixtures).is_dir():
-                raise ConfigError(f"fixture directory does not exist: {self.fixtures}")
-        elif self.fixtures is not None and Path(self.fixtures).exists() and not Path(self.fixtures).is_dir():
-            raise ConfigError(f"--fixtures is not a directory: {self.fixtures}")
-        policy = FetchPolicy(max_redirects=self.max_redirects, lenient=not self.strict)
-        if self.mode == "live":
-            # With --fixtures, every exchange is recorded there for an
-            # offline replay; without, nothing is kept on disk.
-            transport = HttpTransport(politeness_delay=self.politeness_delay)
-            if self.fixtures is not None:
-                transport = RecordingTransport(self.fixtures, transport)
-            return Fetcher(transport, policy)
-        # A fixture without a Date header is stamped with the epoch, not
-        # the wall clock, so that offline bundles are byte-identical.
-        return Fetcher(FixtureTransport(self.fixtures), policy, clock=lambda: EPOCH)
-
-    def echo(self) -> dict:
-        """The settings that shape the outputs, as written to the manifest."""
-        return {
-            f.name: _echo_value(getattr(self, f.name))
-            for f in fields(self)
-            if f.name not in _NOT_ECHOED
-        }
+def _validate(args) -> None:
+    """Rejects a setting that no stage can run with. ``--mode`` and
+    ``--dist-mode`` need no check here: the parser allows only their
+    choices."""
+    if not (0 < args.threshold < 1):
+        raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
+    for name in ("reply_limit", "depth_limit", "max_redirects", "jobs"):
+        if getattr(args, name) < 0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 0")
+    if args.golds is not None:
+        if args.refs is not None:
+            raise ConfigError("--golds and --refs cannot be given together")
+        if not args.golds.is_dir():
+            raise ConfigError(f"--golds is not a directory: {args.golds}")
 
 
-# Left out of the manifest: the output directory, the topics, reference,
-# gold and reply files, and the settings that change only how a run
-# proceeds (pacing and worker count), not what it writes.
-_NOT_ECHOED = frozenset({"out", "topics", "refs", "golds", "politeness_delay", "jobs", "replies"})
+def _fetcher(args) -> Fetcher:
+    """The run's fetcher. ``--fixtures`` is checked here, not in
+    ``_validate``, because only the stages that fetch need it."""
+    fixtures = args.fixtures
+    if args.mode == "offline":
+        if fixtures is None:
+            raise ConfigError("offline mode needs --fixtures DIR")
+        if not fixtures.is_dir():
+            raise ConfigError(f"fixture directory does not exist: {fixtures}")
+    elif fixtures is not None and fixtures.exists() and not fixtures.is_dir():
+        raise ConfigError(f"--fixtures is not a directory: {fixtures}")
+    if args.mode == "live":
+        # With --fixtures, every exchange is recorded there for an
+        # offline replay; without, nothing is kept on disk.
+        transport = HttpTransport(politeness_delay=args.politeness_delay)
+        if fixtures is not None:
+            transport = RecordingTransport(fixtures, transport)
+        return Fetcher(transport, args.max_redirects, lenient=not args.strict)
+    # A fixture without a Date header is stamped with the epoch, not
+    # the wall clock, so that offline bundles are byte-identical.
+    return Fetcher(FixtureTransport(fixtures), args.max_redirects, lenient=not args.strict,
+                   clock=lambda: EPOCH)
+
+
+def _echo(args) -> dict:
+    """The settings that shape the outputs, as written to the manifest."""
+    return {name: _echo_value(value) for name, value in vars(args).items() if name not in _NOT_ECHOED}
+
+
+# Left out of the manifest: the subcommand, the output directory, the
+# topics, reference, gold and reply files, and the settings that change
+# only how a run proceeds (pacing and worker count), not what it writes.
+_NOT_ECHOED = frozenset(
+    {"command", "out", "topics", "refs", "golds", "politeness_delay", "jobs", "replies"}
+)
 
 
 def _echo_value(value):
@@ -208,58 +181,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-    config.validate()
-    return config
-
-
-def _load_corpus(config: RunConfig) -> Corpus:
-    corpus = load_corpus(config.corpus)
-    if config.topics:
+def _load_corpus(args) -> Corpus:
+    corpus = load_corpus(args.corpus)
+    if args.topics:
         try:
-            topics = json.loads(Path(config.topics).read_text(encoding="utf-8"))
+            topics = json.loads(args.topics.read_text(encoding="utf-8"))
             corpus.topics = {t["topic_id"]: TopicSpec(**t) for t in topics}
             corpus.validate()
         except (CorpusError, ValueError, TypeError, KeyError) as exc:
-            raise CorpusError(f"bad topics file {config.topics}: {exc}") from exc
+            raise CorpusError(f"bad topics file {args.topics}: {exc}") from exc
     return corpus
 
 
-def _expand_replies(corpus: Corpus, config: RunConfig) -> Corpus:
+def _expand_replies(corpus: Corpus, args) -> Corpus:
     """Grow SERP-visible posts into threads using the recorded replies
-    in ``config.replies``."""
+    in ``--replies``."""
     replies: dict[str, list[Post]] = {}
-    for post in load_corpus(config.replies).posts.values():
+    for post in load_corpus(args.replies).posts.values():
         if post.parent_id is not None:
             replies.setdefault(post.parent_id, []).append(post)
     for root in sorted(corpus.posts.values(), key=lambda p: p.id):
         if not root.serp_visible:
             continue
-        for post in expand_thread(root, replies, config.reply_limit)[1:]:
+        for post in expand_thread(root, replies, args.reply_limit)[1:]:
             if post.id not in corpus.posts:
                 corpus.posts[post.id] = post
     try:
         corpus.validate()
     except CorpusIntegrityError as exc:
-        raise CorpusIntegrityError(f"{config.replies}: {exc}") from exc
+        raise CorpusIntegrityError(f"{args.replies}: {exc}") from exc
     return corpus
 
 
-def _load_golds(config: RunConfig, corpus: Corpus, fetcher, warnings) -> dict[str, GoldStandard]:
+def _load_golds(args, corpus: Corpus, fetcher, warnings) -> dict[str, GoldStandard]:
     golds: dict[str, GoldStandard] = {}
-    if config.golds:
-        for path in sorted(Path(config.golds).glob("gold_*.json")):
+    if args.golds:
+        for path in sorted(args.golds.glob("gold_*.json")):
             try:
                 gold = GoldStandard.from_json(path.read_text(encoding="utf-8"))
             except (GoldStandardError, UnicodeDecodeError) as exc:
                 raise GoldStandardError(f"bad gold standard file {path}: {exc}") from exc
             golds[gold.topic_id] = gold
+        if not golds:
+            warnings.append(f"no gold_*.json file in --golds {args.golds}; relevance tables will be NA")
         return golds
-    if not config.refs:
+    if not args.refs:
         warnings.append("no --refs or --golds given; relevance tables will be NA")
         return golds
-    refs = _load_refs(Path(config.refs))
+    refs = _load_refs(args.refs)
     for topic_id in sorted(corpus.topics):
         entry = refs.get(topic_id)
         if entry is None:
@@ -279,7 +248,7 @@ def _load_golds(config: RunConfig, corpus: Corpus, fetcher, warnings) -> dict[st
         try:
             golds[topic_id] = build_gold_standard(corpus.topics[topic_id], ref_uris, fetcher)
         except GoldStandardError as exc:
-            if not fetcher.policy.lenient:
+            if not fetcher.lenient:
                 raise
             warnings.append(str(exc))
             continue
@@ -350,11 +319,12 @@ def _write_golds(golds: dict[str, GoldStandard], out_dir: Path) -> None:
 STAGES = ("ingest", "segment", "extract", "goldstd", "analyze")
 
 
-def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
+def run_pipeline(args, stop: str = "analyze") -> int:
     """Run the stages in pipeline order up to ``stop`` and write that
-    stage's files.
+    stage's files. ``args`` holds the parsed pipeline flags; each stage
+    is given the settings it reads as plain arguments.
 
-    ingest (load the corpus, grow threads from ``config.replies``) ->
+    ingest (load the corpus, grow threads from ``--replies``) ->
     segment -> extract -> goldstd -> analyze, which writes the report
     bundle with its manifest. Gold standards read only the corpus, so a
     run stopped at goldstd skips segmentation and extraction and fetches
@@ -370,13 +340,14 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
     """
     if stop not in STAGES:
         raise ValueError(f"unknown stage {stop!r}; expected one of {STAGES}")
-    if stop == "goldstd" and not config.refs:
+    _validate(args)
+    if stop == "goldstd" and not args.refs:
         raise ConfigError("goldstd needs --refs FILE")
     warnings: list[str] = []
-    out = Path(config.out)
-    corpus = _load_corpus(config)
-    if config.replies:
-        corpus = _expand_replies(corpus, config)
+    out = args.out
+    corpus = _load_corpus(args)
+    if args.replies:
+        corpus = _expand_replies(corpus, args)
     if stop == "ingest":
         out.mkdir(parents=True, exist_ok=True)
         write_corpus(corpus, out / "corpus.jsonl")
@@ -385,8 +356,9 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
 
     tables: dict = {}  # report tables, each built once, as its stage finishes
     if stop != "goldstd":
+        selector = Selector.of(args.only_topics, args.only_sources, args.only_verticals)
         partition = partition_corpus(
-            corpus, config.selector(), mc_exclude_root=config.mc_exclude_root, warnings=warnings
+            corpus, selector, mc_exclude_root=args.mc_exclude_root, warnings=warnings
         )
         tables.update(partition_tables(partition))
         if stop == "segment":
@@ -394,18 +366,11 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
             _print_warnings(warnings)
             return EXIT_OK
 
-    fetcher = config.fetcher()
+    fetcher = _fetcher(args)
     if stop != "goldstd":
         collections = assemble_collections(
-            corpus,
-            partition,
-            fetcher,
-            AssembleOptions(
-                depth_limit=config.depth_limit,
-                fetch_kinds=config.fetch_kinds,
-                global_dedup=config.global_dedup,
-            ),
-            warnings=warnings,
+            corpus, partition, fetcher, warnings,
+            depth_limit=args.depth_limit, fetch_kinds=args.fetch_kinds, global_dedup=args.global_dedup,
         )
         tables["seeds"] = seeds_table(collections)
         if stop == "extract":
@@ -417,7 +382,7 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
             _print_warnings(warnings)
             return EXIT_OK
 
-    golds = _load_golds(config, corpus, fetcher, warnings)
+    golds = _load_golds(args, corpus, fetcher, warnings)
     if stop == "goldstd":
         if not golds:
             print("error: no gold standards could be built", file=sys.stderr)
@@ -427,13 +392,10 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
         return EXIT_OK
     _write_golds(golds, out / "golds")
 
-    report_config = ReportConfig(
-        threshold=config.threshold,
-        dist_mode=config.dist_mode,
-        reference_source=config.reference_source,
-        jobs=config.jobs,
-    )
-    tables.update(build_tables(corpus, collections, golds, fetcher, report_config, warnings))
+    tables.update(build_tables(
+        corpus, collections, golds, fetcher, warnings, threshold=args.threshold,
+        dist_mode=args.dist_mode, reference_source=args.reference_source, jobs=args.jobs,
+    ))
     counts = {
         "posts": len(corpus.posts),
         "topics": len(corpus.topics),
@@ -443,7 +405,7 @@ def run_pipeline(config: RunConfig, stop: str = "analyze") -> int:
     }
     bundle = {
         "tables": tables,
-        "manifest": build_manifest(config.echo(), _distinct(warnings), counts),
+        "manifest": build_manifest(_echo(args), _distinct(warnings), counts),
     }
     write_bundle(bundle, out, formats=("csv", "json"))
     return EXIT_OK
@@ -475,7 +437,7 @@ def main(argv=None) -> int:
             write_bundle(_load_bundle(args.bundle), args.out, formats=(args.format,))
             return EXIT_OK
         stop = "analyze" if args.command == "run" else args.command
-        return run_pipeline(config_from_args(args), stop)
+        return run_pipeline(args, stop)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

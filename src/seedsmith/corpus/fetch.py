@@ -54,12 +54,6 @@ class TransportError(FetchError):
 
 
 @dataclass(frozen=True)
-class FetchPolicy:
-    max_redirects: int = 10
-    lenient: bool = True  # errors become tagged results instead of raising
-
-
-@dataclass(frozen=True)
 class FetchResult:
     request_uri: str
     final_uri: str
@@ -235,9 +229,10 @@ class Fetcher:
     writers, and pacing requests to a host is the transport's concern.
     """
 
-    def __init__(self, transport=None, policy: FetchPolicy | None = None, clock=None):
+    def __init__(self, transport=None, max_redirects: int = 10, lenient: bool = True, clock=None):
         self.transport = transport or HttpTransport()
-        self.policy = policy or FetchPolicy()
+        self.max_redirects = max_redirects
+        self.lenient = lenient
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._memory: dict[str, FetchResult] = {}
         self._memory_lock = threading.Lock()
@@ -259,7 +254,7 @@ class Fetcher:
         return found
 
     def dereference(self, uri: str) -> FetchResult:
-        """Fetch ``uri``, following redirects up to the policy limit.
+        """Fetch ``uri``, following up to ``max_redirects`` redirects.
 
         In lenient mode transport failures come back as results whose
         status is an error tag; in strict mode they raise FetchError.
@@ -290,9 +285,9 @@ class Fetcher:
                 if target == current or target in chain or target == uri:
                     return self._fail(uri, current, tuple(chain), TAG_REDIRECT_LOOP, f"redirect loop at {target}")
                 chain.append(target)
-                if len(chain) > self.policy.max_redirects:
+                if len(chain) > self.max_redirects:
                     return self._fail(uri, current, tuple(chain), TAG_REDIRECT_LIMIT,
-                                      f"more than {self.policy.max_redirects} redirects")
+                                      f"more than {self.max_redirects} redirects")
                 current = target
                 continue
             return FetchResult(
@@ -322,7 +317,7 @@ class Fetcher:
         return self._clock()
 
     def _fail(self, request_uri, final_uri, chain, tag, detail) -> FetchResult:
-        if not self.policy.lenient:
+        if not self.lenient:
             raise FetchError(tag, detail)
         return FetchResult(
             request_uri=request_uri,

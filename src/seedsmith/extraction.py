@@ -241,7 +241,7 @@ def substitute_intra_site(
     def links_of(uri: str) -> tuple[str, ...] | None:
         result = fetcher.dereference(uri)
         if not result.ok:
-            if not fetcher.policy.lenient:
+            if not fetcher.lenient:
                 raise ExtractionError(f"cannot resolve intra-site URI {uri}: {result.status}")
             warnings.append(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
             return None
@@ -282,30 +282,28 @@ def substitute_intra_site(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AssembleOptions:
-    depth_limit: int = 3
-    fetch_kinds: bool = False  # dereference seeds for media-type evidence
-    global_dedup: bool = False
-
-
 def assemble_collections(
     corpus: Corpus,
     partition: dict[CellKey, list[PostGroup]],
     fetcher: Fetcher | None = None,
-    options: AssembleOptions = AssembleOptions(),
     warnings: list | None = None,
+    *,
+    depth_limit: int = 3,
+    fetch_kinds: bool = False,
+    global_dedup: bool = False,
 ) -> dict[CellKey, SeedCollection]:
     """Extract, substitute, canonicalize, classify, and dedup seeds per cell.
 
-    Intra-platform post URIs are substituted when a ``fetcher`` is given.
+    Intra-platform post URIs are substituted, up to ``depth_limit`` levels
+    of nested post links, when a ``fetcher`` is given.
     Every cell of the partition appears in the result, empty or not.
     Dedup is by canonical URI, first occurrence winning, scoped per cell
-    (or across the whole run with ``global_dedup``).
+    (or across the whole run with ``global_dedup``). ``fetch_kinds``
+    dereferences every seed for media-type evidence of its kind.
 
     Each distinct raw link is canonicalized once per call, and each
     distinct permalink is expanded once per call: an expansion depends
-    only on the permalink's canonical URI, the fetcher and the options,
+    only on the permalink's canonical URI, the fetcher and ``depth_limit``,
     so every visit builds its seeds from the stored targets, and the
     expansion's warnings are raised once, on the first visit.
     """
@@ -320,7 +318,7 @@ def assemble_collections(
 
     for key in sorted(partition):
         groups = partition[key]
-        seen = global_seen if options.global_dedup else set()
+        seen = global_seen if global_dedup else set()
         per_post_seen: dict[str, set[str]] = {}
         seeds: list[SeedUri] = []
         stream: list[SeedUri] = []
@@ -346,7 +344,7 @@ def assemble_collections(
                     if fetcher is not None and source:
                         if canonical not in expansions:
                             expansions[canonical] = substitute_intra_site(
-                                canonical, fetcher, options.depth_limit, warnings, links
+                                canonical, fetcher, depth_limit, warnings, links
                             )
                         targets = expansions[canonical]
                     if targets is None:  # not a permalink, or one kept as-is
@@ -356,7 +354,7 @@ def assemble_collections(
                             continue
                         post_seen.add(target[1])
                         seed = SeedUri(*target, provenance, post.retrieved_at)
-                        if options.fetch_kinds and fetcher is not None:
+                        if fetch_kinds and fetcher is not None:
                             seed = _fetch_kind(seed, fetcher)
                         stream.append(seed)
                         if seed.canonical in seen:

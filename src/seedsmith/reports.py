@@ -66,14 +66,6 @@ def seeds_table(collections) -> dict:
     return _table(SEED_CSV_HEADER, [list(map(fmt, row)) for row in seed_rows(collections)])
 
 
-@dataclass
-class ReportConfig:
-    threshold: float = DEFAULT_RELEVANCE_THRESHOLD
-    dist_mode: str = MODE_NORMALIZED
-    reference_source: str = DEFAULT_REFERENCE_SOURCE
-    jobs: int = 1
-
-
 class SeedTextProvider:
     """Supplies the text a seed is judged on.
 
@@ -239,16 +231,21 @@ def build_tables(
     collections,
     golds: dict[str, GoldStandard],
     fetcher: Fetcher,
-    config: ReportConfig,
     warnings: list,
+    *,
+    threshold: float = DEFAULT_RELEVANCE_THRESHOLD,
+    dist_mode: str = MODE_NORMALIZED,
+    reference_source: str = DEFAULT_REFERENCE_SOURCE,
+    jobs: int = 1,
 ) -> dict:
     """The measures' report tables as {name: {"header": [...], "rows":
     [[str]]}}: every table but the segment and extract stages' own
-    (``partition_tables``, ``seeds_table``)."""
-    if config.jobs > 1:
-        _prefetch_page_texts(fetcher, collections, golds, config.jobs)
+    (``partition_tables``, ``seeds_table``). With ``jobs`` > 1, that
+    many workers fetch and digest the judged pages first."""
+    if jobs > 1:
+        _prefetch_page_texts(fetcher, collections, golds, jobs)
     provider = SeedTextProvider(corpus, fetcher, warnings)
-    judge = RelevanceIndex(golds, provider, config.threshold)
+    judge = RelevanceIndex(golds, provider, threshold)
     observations = collect_observations(collections, judge)
     sources = sorted({key[1] for key in collections})
     rows_index = index_rows(collections, observations)
@@ -262,7 +259,7 @@ def build_tables(
             for scope in SCOPES:
                 group = groups.get((kind_name, source, scope), [])
                 probabilities = uri_count_distribution(
-                    [(o.topic, o.k[kind_name]) for o in group], config.dist_mode
+                    [(o.topic, o.k[kind_name]) for o in group], dist_mode
                 )
                 by_bin = conditional_relevance_by_k(
                     (o.k[kind_name], o.precision[kind_name]) for o in group
@@ -270,7 +267,7 @@ def build_tables(
                 for bin_label in K_BINS:
                     distribution_rows.append(
                         [bin_label, source, scope, fmt(probabilities.get(bin_label)),
-                         config.dist_mode]
+                         dist_mode]
                     )
                     by_k_rows.append(
                         [bin_label, source, scope, *_precision_cells(by_bin[bin_label]), kind_name]
@@ -295,7 +292,7 @@ def build_tables(
 
     tables["age"], tables["age_ecdf"] = _age_tables(rows_index, judge, provider, warnings)
     tables["diversity"] = _diversity_table(rows_index)
-    tables["overlap"] = _overlap_table(collections, rows_index, config.reference_source)
+    tables["overlap"] = _overlap_table(collections, rows_index, reference_source)
     return tables
 
 

@@ -671,14 +671,15 @@ def reference_substitute_intra_site(permalink, fetcher, depth_limit=3, strict=Fa
     return tuple(expanded)
 
 
-def reference_assemble_collections(corpus, partition, fetcher, options, warnings=None):
+def reference_assemble_collections(corpus, partition, fetcher, warnings=None, *, depth_limit=3,
+                                   fetch_kinds=False, global_dedup=False):
     """Seed assembly with no per-run tables: every visit canonicalizes its
     link and substitutes its permalink again, through the recursive
-    reference substitution. ``options`` is an ``AssembleOptions``."""
+    reference substitution."""
     global_seen = set()
     collections = {}
     for key in sorted(partition):
-        seen = global_seen if options.global_dedup else set()
+        seen = global_seen if global_dedup else set()
         per_post_seen = {}
         seeds = []
         stream = []
@@ -701,7 +702,7 @@ def reference_assemble_collections(corpus, partition, fetcher, options, warnings
                     targets = None
                     if fetcher is not None and intra_site_source(canonical):
                         targets = reference_substitute_intra_site(
-                            canonical, fetcher, options.depth_limit, not fetcher.policy.lenient,
+                            canonical, fetcher, depth_limit, not fetcher.lenient,
                             warnings,
                         )
                     if targets is None:
@@ -711,7 +712,7 @@ def reference_assemble_collections(corpus, partition, fetcher, options, warnings
                         if candidate.canonical in post_seen:
                             continue
                         post_seen.add(candidate.canonical)
-                        if options.fetch_kinds and fetcher is not None:
+                        if fetch_kinds and fetcher is not None:
                             candidate = _fetch_kind(candidate, fetcher)
                         stream.append(candidate)
                         if candidate.canonical not in seen:

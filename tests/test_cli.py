@@ -51,9 +51,29 @@ class TestRun:
         golds = sorted(p.name for p in (out / "golds").glob("*.json"))
         assert golds == ["gold_eclipse.json", "gold_flood.json", "gold_strike.json"]
 
-    def test_threshold_out_of_range_is_config_error(self, tmp_path):
-        code = run_cli(*base_args(tmp_path / "out"), "--threshold", "1.5")
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--threshold", "1.5"), "--threshold"),
+            (("--jobs", "-1"), "--jobs"),
+            (("--depth-limit", "-1"), "--depth-limit"),
+            (("--reply-limit", "-1"), "--reply-limit"),
+            (("--max-redirects", "-1"), "--max-redirects"),
+            (("--golds", DATA / "nope"), str(DATA / "nope")),
+            (("--golds", DATA / "refs.json"), str(DATA / "refs.json")),
+            (("--golds", DATA, "--refs", DATA / "refs.json"), "--refs"),
+        ],
+        ids=["threshold", "jobs", "depth-limit", "reply-limit", "max-redirects",
+             "golds-missing", "golds-file", "golds-and-refs"],
+    )
+    def test_threshold_out_of_range_is_config_error(self, tmp_path, capsys, flags, named):
+        code = run_cli(*base_args(tmp_path / "out"), *flags)
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_fixture_dir_is_config_error(self, tmp_path):
         code = run_cli(
@@ -77,6 +97,45 @@ class TestRun:
         assert any("relevance tables will be NA" in w for w in manifest["warnings"])
         precision = (out / "precision_all.csv").read_text().splitlines()[1:]
         assert precision and all(",NA,0," in line for line in precision)
+
+    def test_empty_golds_dir_warns(self, tmp_path):
+        golds, out = tmp_path / "golds", tmp_path / "out"
+        golds.mkdir()
+        assert run_cli(*base_args(out), "--golds", golds) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert f"no gold_*.json file in --golds {golds}; relevance tables will be NA" in manifest["warnings"]
+        assert manifest["counts"]["gold_standards"] == 0
+
+    DEFAULT_ECHO = {
+        "corpus": str(DATA / "corpus.jsonl"), "fixtures": str(DATA / "responses"),
+        "mode": "offline", "strict": False, "threshold": 0.25, "dist_mode": "normalized",
+        "reference_source": "google", "reply_limit": 500, "depth_limit": 3, "max_redirects": 10,
+        "mc_exclude_root": False, "global_dedup": False, "fetch_kinds": False,
+        "only_topics": [], "only_sources": [], "only_verticals": [],
+    }
+
+    @pytest.mark.parametrize(
+        "flags, changed",
+        [
+            ((), {}),
+            (("--threshold", "0.4", "--dist-mode", "literal", "--reference-source", "reddit",
+              "--reply-limit", "7", "--depth-limit", "1", "--max-redirects", "4", "--strict",
+              "--mc-exclude-root", "--global-dedup", "--only-topics", "flood,eclipse",
+              "--only-sources", "reddit", "--only-verticals", "top", "--jobs", "2",
+              "--politeness-delay", "0.5", "--refs", DATA / "refs.json"),
+             {"threshold": 0.4, "dist_mode": "literal", "reference_source": "reddit",
+              "reply_limit": 7, "depth_limit": 1, "max_redirects": 4, "strict": True,
+              "mc_exclude_root": True, "global_dedup": True,
+              "only_topics": ["flood", "eclipse"], "only_sources": ["reddit"],
+              "only_verticals": ["top"]}),
+        ],
+        ids=["defaults", "non-defaults"],
+    )
+    def test_manifest_echoes_exactly_the_output_shaping_flags(self, tmp_path, flags, changed):
+        out = tmp_path / "out"
+        assert run_cli(*base_args(out), *flags) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {**self.DEFAULT_ECHO, **changed}
 
     def test_manifest_counts_and_warning_tally(self, tmp_path):
         out = tmp_path / "out"

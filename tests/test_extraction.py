@@ -10,14 +10,12 @@ from oracles import reference_assemble_collections, reference_substitute_intra_s
 from seedsmith.corpus.fetch import (
     TAG_MISSING_FIXTURE,
     FetchError,
-    FetchPolicy,
     Fetcher,
     FixtureTransport,
     TransportError,
     write_fixture,
 )
 from seedsmith.extraction import (
-    AssembleOptions,
     CanonicalizationError,
     ExtractionError,
     HTML_KIND,
@@ -297,7 +295,7 @@ class TestSubstitute:
         fetcher) of the recursive expansion."""
 
         def run(substitute, **strictness):
-            fetcher = Fetcher(_PageTransport(pages), FetchPolicy(lenient=not strict))
+            fetcher = Fetcher(_PageTransport(pages), lenient=not strict)
             warnings = []
             try:
                 out = substitute(_PERMALINKS[0], fetcher, depth_limit=depth_limit,
@@ -368,7 +366,7 @@ class TestSubstitute:
     def test_fetch_failure_strict_raises(self, tmp_path):
         uri = "https://twitter.com/a/status/404"
         write_fixture(tmp_path, uri, 404, {}, b"")
-        fetcher = Fetcher(FixtureTransport(tmp_path), FetchPolicy(lenient=False))
+        fetcher = Fetcher(FixtureTransport(tmp_path), lenient=False)
         with pytest.raises(ExtractionError):
             substitute_intra_site(uri, fetcher)
 
@@ -395,9 +393,7 @@ class TestAssemble:
     def assemble(self, corpus=None, **options):
         corpus = corpus or self.corpus()
         partition = partition_corpus(corpus)
-        return assemble_collections(
-            corpus, partition, options=AssembleOptions(**options)
-        )
+        return assemble_collections(corpus, partition, **options)
 
     def test_dedup_within_collection(self):
         collections = self.assemble()
@@ -466,10 +462,7 @@ class TestAssemble:
         )
         partition = partition_corpus(corpus)
         fetcher = Fetcher(FixtureTransport(tmp_path))
-        collections = assemble_collections(
-            corpus, partition, fetcher,
-            AssembleOptions(fetch_kinds=True),
-        )
+        collections = assemble_collections(corpus, partition, fetcher, fetch_kinds=True)
         seed = collections[("t1", "reddit", "top", "P1A1")].seeds[0]
         assert seed.kind == NON_HTML_KIND
         assert seed.fetch_status == 200
@@ -634,14 +627,13 @@ class TestAssembleTables:
         order: a permalink's expansion warns on its first visit only."""
         corpus = _table_corpus(specs)
         partition = partition_corpus(corpus)
-        options = AssembleOptions(depth_limit=depth_limit, fetch_kinds=fetch_kinds,
-                                  global_dedup=global_dedup)
+        options = dict(depth_limit=depth_limit, fetch_kinds=fetch_kinds, global_dedup=global_dedup)
 
         def run(assemble):
-            fetcher = Fetcher(_PageTransport(_TABLE_PAGES), FetchPolicy(lenient=not strict))
+            fetcher = Fetcher(_PageTransport(_TABLE_PAGES), lenient=not strict)
             warnings = []
             try:
-                out = assemble(corpus, partition, fetcher, options, warnings=warnings)
+                out = assemble(corpus, partition, fetcher, warnings=warnings, **options)
             except (ExtractionError, FetchError) as exc:
                 out = f"{type(exc).__name__}: {exc}"
             return out, list(dict.fromkeys(warnings))

@@ -21,7 +21,6 @@ from seedsmith.corpus.fetch import (
     TAG_REDIRECT_LOOP,
     TAG_TRANSPORT,
     FetchError,
-    FetchPolicy,
     Fetcher,
     FixtureTransport,
     HttpTransport,
@@ -40,8 +39,8 @@ def fixtures(tmp_path):
     return tmp_path / "responses"
 
 
-def fixture_fetcher(fixtures, policy=None):
-    return Fetcher(FixtureTransport(fixtures), policy)
+def fixture_fetcher(fixtures, **settings):
+    return Fetcher(FixtureTransport(fixtures), **settings)
 
 
 def _run_cli(*args) -> int:
@@ -77,7 +76,7 @@ class TestFixtureTransport:
 
     def test_missing_fixture_strict_raises(self, fixtures):
         fixtures.mkdir(parents=True)
-        fetcher = fixture_fetcher(fixtures, FetchPolicy(lenient=False))
+        fetcher = fixture_fetcher(fixtures, lenient=False)
         with pytest.raises(FetchError):
             fetcher.dereference("https://nowhere.example/")
 
@@ -91,7 +90,7 @@ class TestFixtureTransport:
         for i in range(6):
             write_fixture(fixtures, f"https://a.example/{i}", 302,
                           {"Location": f"https://a.example/{i + 1}"}, b"")
-        fetcher = fixture_fetcher(fixtures, FetchPolicy(max_redirects=3))
+        fetcher = fixture_fetcher(fixtures, max_redirects=3)
         result = fetcher.dereference("https://a.example/0")
         assert result.status == TAG_REDIRECT_LIMIT
 
