@@ -342,12 +342,13 @@ def _looks_like_reference_container(el):
     return bool(attrs and _REFERENCE_MARKER_RE.search(attrs))
 
 
-def reference_extract_references(body, final_uri):
+def reference_extract_references(body, final_uri, tree=lexer_tree):
     """``goldstandard.extract_references`` as it was: it searches the
-    element tree for marked containers, then for ordered lists that hold
-    an off-site anchor, and takes each container's anchors in turn."""
+    element tree (``tree`` of the decoded body) for marked containers,
+    then for ordered lists that hold an off-site anchor, and takes each
+    container's anchors in turn."""
     try:
-        root = lexer_tree(decode_html(body))
+        root = tree(decode_html(body))
     except HtmlDecodingError:
         return []
     page_host = (urlsplit(final_uri).hostname or "").lower()
@@ -594,12 +595,12 @@ def reference_target_links(body):
         return []
 
 
-def reference_digest(body, main_text=reference_main_text):
-    """``digest_page(body)`` read the tree way: ``lexer_tree`` builds the
+def reference_digest(body, main_text=reference_main_text, tree=lexer_tree):
+    """``digest_page(body)`` read the tree way: ``tree`` builds the
     element tree, and the main text (``main_text`` of the tree), the
     metadata date and the links are read from it by the reference walks."""
     try:
-        root = lexer_tree(decode_html(body))
+        root = tree(decode_html(body))
     except ValueError as exc:
         return PageDigest("", str(exc), None, ())
     try:

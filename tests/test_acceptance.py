@@ -10,10 +10,13 @@ import importlib.util
 import json
 import os
 import random
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import distribution_column, make_corpus, make_post, make_topic
 from oracles import brute_force_classify, classify_result_as_set, distinct_count, random_reply_tree
@@ -29,6 +32,7 @@ from seedsmith.extraction import HTML_KIND, NON_HTML_KIND, SeedCollection, SeedP
 from seedsmith.goldstandard import GoldStandard
 from seedsmith.segmentation import build_forest, classify_groups
 from seedsmith.textkernel import sparse_cosine
+from test_pipebench_view import PIPEBENCH, load
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -242,25 +246,97 @@ def test_criterion_5_golden_run(tmp_path):
     )
 
 
+_spec = importlib.util.spec_from_file_location(
+    "regen_golden", Path(__file__).parents[1] / "tools" / "regen_golden.py"
+)
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+BUNDLED_POSTS = regen.load_corpus_raw()[1]
+
+
 def test_golden_csvs_match_independent_recompute():
     """The goldens are what ``tools/regen_golden.py`` rebuilds from the raw
     fixtures; the benchmark loads that file the same way to check every
     bundle it writes."""
-    spec = importlib.util.spec_from_file_location(
-        "regen_golden", Path(__file__).parents[1] / "tools" / "regen_golden.py"
-    )
-    regen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(regen)
     topics, posts = regen.load_corpus_raw()
     refs = json.loads((DATA / "refs.json").read_text(encoding="utf-8"))
-    recomputed = {
-        f"{name}.csv": ("\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n")
-        .encode("utf-8")
-        for name, (header, rows) in regen.build_tables(topics, posts, refs).items()
-    }
     golden = {g.name: g.read_bytes() for g in GOLDEN.glob("*.csv")}
     assert len(golden) == 16
-    assert recomputed == golden
+    assert regen.csv_bytes(regen.build_tables(topics, posts, refs)) == golden
+
+
+def assert_run_matches_recompute(out, corpus, fixtures, refs, posts, replies=None, **flags):
+    """``seedsmith run`` with ``flags`` writes the 16 CSVs that
+    ``reference_tables`` computes with the same flags."""
+    argv = ["run", "--corpus", str(corpus), "--fixtures", str(fixtures), "--out", str(out)]
+    if refs is not None:
+        argv += ["--refs", str(refs)]
+    if replies is not None:  # a reply limit that cuts nothing, as the recompute models it
+        argv += ["--replies", str(replies), "--reply-limit", "100000"]
+    for name, value in flags.items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, (set, frozenset)):
+            argv += [flag, ",".join(sorted(value))]
+        elif value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, str(value)]
+    assert cli_main(argv) == 0
+    mapping = json.loads(refs.read_text(encoding="utf-8")) if refs is not None else {}
+    expected = regen.csv_bytes(regen.reference_tables(posts, mapping, fixtures, **flags))
+    assert len(expected) == 16
+    assert {name: (out / name).read_bytes() for name in expected} == expected
+
+
+def _subsets(field):
+    return st.sets(st.sampled_from(sorted({p[field] for p in BUNDLED_POSTS})), min_size=1)
+
+
+@given(
+    mc_exclude_root=st.booleans(),
+    global_dedup=st.booleans(),
+    dist_mode=st.sampled_from((MODE_NORMALIZED, MODE_LITERAL)),
+    reference_source=st.sampled_from(sorted({p["source"] for p in BUNDLED_POSTS})),
+    threshold=st.floats(min_value=0.01, max_value=0.99),
+    only_topics=_subsets("topic_id"),
+    only_sources=_subsets("source"),
+    only_verticals=_subsets("vertical"),
+)
+@settings(max_examples=80, deadline=None)
+def test_recompute_matches_run_under_every_output_flag(**flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_run_matches_recompute(Path(tmp), DATA / "corpus.jsonl", DATA / "responses",
+                                     DATA / "refs.json", BUNDLED_POSTS, **flags)
+
+
+@pytest.mark.parametrize("workload, flags", [
+    ("threads", {"depth_limit": 1}),
+    ("news-pages", {"threshold": 0.5}),
+])
+def test_recompute_matches_run_on_a_benchmark_world(workload, flags, tmp_path, monkeypatch):
+    """The flags the bundled corpus cannot show: no permalink there nests,
+    and no page scores near 0.5."""
+    monkeypatch.syspath_prepend(str(PIPEBENCH))
+    world = load("worlds", monkeypatch).make_world(workload, 7, tmp_path / "world")
+    posts = regen.read_corpus(world.replies or world.corpus)[1]
+    assert_run_matches_recompute(tmp_path / "out", world.corpus, world.fixtures, world.refs,
+                                 posts, world.replies, **flags)
+
+
+def test_recompute_matches_run_on_the_deep_chain_probe(tmp_path, monkeypatch):
+    """1,200 chained posts, recomputed through the entry the benchmark's
+    checks call: set ``DATA`` and ``RESPONSES``, then ``load_corpus_raw``
+    and ``build_tables``."""
+    monkeypatch.syspath_prepend(str(PIPEBENCH))
+    probe = load("worlds", monkeypatch).make_probe_chain(tmp_path / "probe")
+    monkeypatch.setattr(regen, "DATA", probe.root)
+    monkeypatch.setattr(regen, "RESPONSES", probe.fixtures)
+    topics, posts = regen.load_corpus_raw()
+    expected = regen.csv_bytes(regen.build_tables(topics, posts, {}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--corpus", str(probe.corpus), "--fixtures", str(probe.fixtures),
+                     "--out", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in expected} == expected
 
 
 # ---------------------------------------------------------------------------

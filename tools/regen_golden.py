@@ -1,98 +1,135 @@
 #!/usr/bin/env python3
-"""Recompute the golden report CSVs for the bundled fixture corpus.
+"""Recompute the 16 report tables of a corpus without the pipeline.
 
-This is the independent side of the end-to-end check: it reads the raw
-fixture files itself and rebuilds every report table with its own
-grouping, counting, and aggregation code (path-enumeration classifier,
-stdlib quantiles, set arithmetic). Only low-level primitives that have
-their own hand-computed tests are imported from the package:
-canonicalize/extract grammar, the page digest (boilerplate-stripped
-text and metadata date), token counting, cosine, and the
-publication-date estimator chain.
+``reference_tables`` is the independent side of every end-to-end check:
+the golden CSVs under ``tests/data/golden/``, the tier-1 cross-checks
+against ``seedsmith run`` and the benchmark's correctness gate. It reads
+the raw corpus records, the refs mapping and the ``{sha256}.response``
+fixture files itself, and rebuilds every table with its own grouping,
+counting and aggregation code (stack-walked threads, set arithmetic,
+stdlib quantiles).
 
-Run once, review the output under tests/data/golden/, commit. The
-acceptance suite compares pipeline output byte-for-byte against these
-files.
+Every page is read through one reader, the ``html.parser`` tree of
+``tests/oracles.py`` (``reference_parse_html``): main text from
+``reference_digest``, reference lists from
+``reference_extract_references``, permalink targets from
+``reference_target_links``, the publication-date chain from
+``reference_publication_date`` and terms from ``reference_token_counts``.
+From ``seedsmith`` it imports only the URI grammar (``canonicalize``,
+``extract_uris``, ``intra_site_source``), ``STOPWORDS`` and the
+``FetchResult`` record the date chain takes.
+
+It takes the output-shaping flags of ``run`` as keyword arguments of
+the same names: ``threshold``, ``dist_mode``, ``reference_source``,
+``mc_exclude_root``, ``global_dedup``, ``depth_limit`` and the three
+``only_*`` filters. Its envelope, inside which it must give ``run``'s
+bytes:
+
+- fixtures never redirect, every URI that a post, a permalink page or a
+  refs entry reaches answers 200, and every topic has a refs entry;
+- ``--fetch-kinds`` is not modelled: a seed's kind is its path
+  extension, and non-HTML links end in .pdf, .xlsx or .mp4 (on the
+  bundled corpus the flag changes none of the 16 tables);
+- every post is a SERP root or a reply in its parent's topic, source
+  and vertical;
+- a ``--replies`` run is modelled as ``posts`` holding the whole replies
+  file, with a reply limit that cuts nothing;
+- ids and URIs hold no comma or quote, and ``retrieved_at`` is midnight
+  UTC (ages are counted in whole days).
+
+``python tools/regen_golden.py`` rewrites ``tests/data/golden/`` from the
+bundled corpus at ``run``'s defaults; review the output and commit it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
-import statistics
+import math
 import sys
 from collections import defaultdict
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 from urllib.parse import urlsplit
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from oracles import days_from_civil
-from seedsmith.analytics import estimate_publication_date
+from oracles import (
+    days_from_civil,
+    quantiles_inclusive,
+    reference_digest,
+    reference_extract_references,
+    reference_parse_html,
+    reference_publication_date,
+    reference_target_links,
+    reference_token_counts,
+)
 from seedsmith.corpus.fetch import FetchResult
 from seedsmith.extraction import canonicalize, extract_uris, intra_site_source
-from seedsmith.pages import digest_page
 from seedsmith.stopwords import STOPWORDS
-from seedsmith.textkernel import sparse_cosine, token_counts
 
 DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 RESPONSES = DATA / "responses"
 GOLDEN = DATA / "golden"
 
-THRESHOLD = 0.25
-REFERENCE_SOURCE = "google"
 KINDS = (("all", None), ("html", "html"), ("non_html", "non_html"))
+CLASSES = ("P1A1", "PnA1", "PnAn")  # partition classes, in sorted order
 SCOPES = ("P1A1", "PnA1", "PnAn", "MC", "All")
 BINS = ("1", "2", "3-4", "5+")
 NON_HTML_EXT = {".pdf", ".xlsx", ".mp4"}  # extensions present in the fixtures
 DAYS_PER_YEAR = 365.25
 
 
-# -- raw fixture access ------------------------------------------------
+# -- raw files ------------------------------------------------------------
 
 
-def read_fixture(uri):
-    """Parse a {sha256}.response file without the package's transport."""
-    path = RESPONSES / (hashlib.sha256(uri.encode()).hexdigest() + ".response")
-    raw = path.read_bytes()
-    head, body = raw.split(b"\r\n\r\n", 1)
-    lines = head.split(b"\r\n")
-    status = int(lines[0].split()[1])
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers, body
+class Pages:
+    """The fixtures under one directory, each read and parsed when asked
+    for. A page's permalink targets and date are kept; its body, tree
+    and text are not."""
+
+    def __init__(self, fixtures):
+        self.fixtures = fixtures
+        self.targets, self.dates = {}, {}
+
+    def fetch(self, uri):
+        """A fixture file as a FetchResult, parsed without the package's
+        transport."""
+        path = self.fixtures / (hashlib.sha256(uri.encode()).hexdigest() + ".response")
+        head, body = path.read_bytes().split(b"\r\n\r\n", 1)
+        lines = head.split(b"\r\n")
+        status = int(lines[0].split()[1])
+        assert status == 200, f"{uri}: status {status} is outside the envelope"
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        media_type = (headers.get("content-type") or "").split(";")[0] or None
+        return FetchResult(uri, uri, status, media_type, headers, body,
+                           datetime(2018, 11, 6, tzinfo=timezone.utc))
+
+    def text(self, uri):
+        return reference_digest(self.fetch(uri).body, tree=reference_parse_html).text
+
+    def links(self, uri):
+        if uri not in self.targets:
+            self.targets[uri] = reference_target_links(self.fetch(uri).body)
+        return self.targets[uri]
+
+    def date(self, uri):
+        """(publication date, chain step) or None."""
+        if uri not in self.dates:
+            self.dates[uri] = reference_publication_date(self.fetch(uri))
+        return self.dates[uri]
 
 
-def fetch_result(uri):
-    status, headers, body = read_fixture(uri)
-    return FetchResult(
-        request_uri=uri,
-        final_uri=uri,
-        status=status,
-        media_type=(headers.get("content-type") or "").split(";")[0] or None,
-        headers=headers,
-        body=body,
-        fetched_at=datetime(2018, 11, 6, tzinfo=timezone.utc),
-    )
-
-
-def page_text(uri):
-    _status, _headers, body = read_fixture(uri)
-    digest = digest_page(body)
-    if digest.text_error is not None:
-        raise ValueError(f"{uri}: {digest.text_error}")
-    return digest.text
-
-
-def load_corpus_raw():
+def read_corpus(path):
+    """(topics, posts) of a corpus JSONL file, as raw records."""
     posts = []
     topics = []
-    with (DATA / "corpus.jsonl").open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8") as fh:
         for line in fh:
             record = json.loads(line)
             if record["kind"] == "topics":
@@ -102,89 +139,65 @@ def load_corpus_raw():
     return topics, posts
 
 
-# -- segmentation by path enumeration ----------------------------------
+def load_corpus_raw():
+    """(topics, posts) of the corpus under ``DATA``, read when called."""
+    return read_corpus(DATA / "corpus.jsonl")
+
+
+# -- segmentation -------------------------------------------------------------
 
 
 def order_key(post):
     return (post.get("created_at") or "", post["id"])
 
 
-def build_trees(posts):
-    """Per (topic, source, vertical): list of (root, members) trees in
-    root (created_at, id) order; children ordered the same way."""
-    by_cell = defaultdict(list)
-    for p in posts:
-        by_cell[(p["topic_id"], p["source"], p["vertical"])].append(p)
-    trees = []
-    for cell in sorted(by_cell):
-        cell_posts = by_cell[cell]
-        children = defaultdict(list)
-        for p in cell_posts:
-            if p.get("parent_id"):
-                children[p["parent_id"]].append(p)
-        for kids in children.values():
-            kids.sort(key=order_key)
-        roots = sorted((p for p in cell_posts if p.get("serp_visible")), key=order_key)
-        for root in roots:
-            trees.append((cell, root, children))
-    trees.sort(key=lambda t: order_key(t[1]))
-    return trees
-
-
 def preorder(root, children):
-    out = [root]
-    for kid in children[root["id"]]:
-        out.extend(preorder(kid, children))
+    out = []
+    stack = [root]
+    while stack:
+        post = stack.pop()
+        out.append(post)
+        stack.extend(reversed(children[post["id"]]))
     return out
 
 
-def classify(root, children):
-    """Groups of one tree as (class, [posts]) in production emission order."""
+def classify(root, children, mc_exclude_root):
+    """Groups of one tree as (class, [posts]) in production emission
+    order: P1A1, each maximal root-author path depth first, then PnAn."""
     groups = [("P1A1", [root])]
     author = root["author"]
-
-    chains = []
-
-    def grow(post, prefix):
-        nxt = [k for k in children[post["id"]] if k["author"] == author]
-        if not nxt:
-            if len(prefix) >= 2:
-                chains.append(prefix)
-            return
-        for kid in nxt:
-            grow(kid, prefix + [kid])
-
-    grow(root, [root])
-    for chain in chains:
-        groups.append(("PnA1", chain))
-
+    paths = [[root]]
+    while paths:
+        path = paths.pop()
+        nxt = [k for k in children[path[-1]["id"]] if k["author"] == author]
+        paths.extend(path + [kid] for kid in reversed(nxt))
+        if not nxt and len(path) >= 2:
+            groups.append(("PnA1", path[1:] if mc_exclude_root else path))
     members = preorder(root, children)
     if len(members) >= 2 and len({m["author"] for m in members}) >= 2:
-        groups.append(("PnAn", members))
+        groups.append(("PnAn", members[1:] if mc_exclude_root else members))
     return groups
+
+
+def in_class(cls, label):
+    """Whether a cell of partition class ``cls`` counts towards the report
+    class or scope ``label``: its own, MC for PnA1 and PnAn, and All."""
+    return label in (cls, "All") or (label == "MC" and cls in ("PnA1", "PnAn"))
 
 
 # -- assembly -----------------------------------------------------------
 
 
-_TWEET_HREF_RE = re.compile(r'href="([^"]+)"')
-
-
-def substitute(uri, depth=1, seen=None):
+def substitute(uri, pages, depth_limit, depth=1, seen=None):
     """Replace an intra-platform post URI by its target's outbound links."""
     seen = seen if seen is not None else {uri}
-    status, _headers, body = read_fixture(uri)
-    assert status == 200
     out = []
-    for href in _TWEET_HREF_RE.findall(body.decode("utf-8")):
-        if not href.startswith(("http://", "https://")):
-            continue
+    for href in pages.links(uri):
         canon = canonicalize(href)
-        if intra_site_source(canon) and depth < 3:
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.extend(substitute(canon, depth + 1, seen))
+        if intra_site_source(canon) and depth < depth_limit:
+            if canon not in seen:
+                seen.add(canon)
+                out.extend(substitute(canon, pages, depth_limit, depth + 1, seen))
         else:
             out.append(canon)
     return out
@@ -198,109 +211,112 @@ def kind_of(canonical):
 
 
 class Seed:
-    def __init__(self, canonical, post, cell_class):
+    def __init__(self, canonical, post):
         self.canonical = canonical
         self.kind = kind_of(canonical)
         self.hostname = urlsplit(canonical).hostname
         self.post = post
-        self.cell_class = cell_class
 
 
-def assemble(trees):
-    """Per cell: (deduped seeds, per-post stream), mirroring the pipeline's
-    first-occurrence dedup but recomputed from scratch."""
+def assemble(posts, pages, mc_exclude_root, depth_limit, global_dedup):
+    """Per cell: its groups, deduped seeds and per-post seed stream,
+    mirroring the pipeline's first-occurrence dedup (per cell, or across
+    the cells in sorted order) but recomputed from scratch."""
+    children = defaultdict(list)
+    for p in posts:
+        if p.get("parent_id"):
+            children[p["parent_id"]].append(p)
+    for kids in children.values():
+        kids.sort(key=order_key)
     cells = defaultdict(lambda: {"groups": [], "seeds": [], "stream": []})
-    for (topic, source, vertical), root, children in trees:
-        for cls, members in classify(root, children):
-            key = (topic, source, vertical, cls)
-            cells[key]["groups"].append(members)
+    for root in sorted((p for p in posts if p.get("serp_visible")), key=order_key):
+        for cls, members in classify(root, children, mc_exclude_root):
+            cells[(root["topic_id"], root["source"], root["vertical"], cls)]["groups"].append(members)
+    seen = set()
     for key in sorted(cells):
         cell = cells[key]
-        seen = set()
+        if not global_dedup:
+            seen = set()
         post_seen = defaultdict(set)
         for members in cell["groups"]:
             for post in members:
-                raws = extract_uris(FakePost(post))
-                for raw in raws:
+                record = SimpleNamespace(raw_links=tuple(post.get("raw_links", ())),
+                                         text=post.get("text", ""))
+                for raw in extract_uris(record):
                     canon = canonicalize(raw)
-                    targets = substitute(canon) if intra_site_source(canon) else [canon]
+                    targets = (substitute(canon, pages, depth_limit)
+                               if intra_site_source(canon) else [canon])
                     for target in targets:
                         if target in post_seen[post["id"]]:
                             continue
                         post_seen[post["id"]].add(target)
-                        seed = Seed(target, post, key[3])
+                        seed = Seed(target, post)
                         cell["stream"].append(seed)
-                        if target in seen:
-                            continue
-                        seen.add(target)
-                        cell["seeds"].append(seed)
-    return cells
+                        if target not in seen:
+                            seen.add(target)
+                            cell["seeds"].append(seed)
+    return dict(cells)
 
 
-class FakePost:
-    """Adapter so the package's extract_uris grammar reads raw records."""
-
-    def __init__(self, record):
-        self.raw_links = tuple(record.get("raw_links", ()))
-        self.text = record.get("text", "")
+# -- judgments ----------------------------------------------------------------
 
 
-# -- gold standards and judgments -----------------------------------------
-
-
-def gold_vector(ref_texts):
+def term_vector(texts):
+    """Term frequency over total frequency, in first-seen term order."""
     counts = {}
-    for text in ref_texts:
-        for term, n in token_counts(text, STOPWORDS, 2).items():
+    for text in texts:
+        for term, n in reference_token_counts(text, STOPWORDS, 2).items():
             counts[term] = counts.get(term, 0) + n
     total = sum(counts.values())
     return {t: n / total for t, n in counts.items()}
 
 
-def build_golds(refs):
+def cosine(a, b):
+    """Cosine of two term vectors, summed over the smaller one in its term
+    order, then over each vector's weights, as the package sums it."""
+    if len(b) < len(a):
+        a, b = b, a
+    dot = 0.0
+    for term, weight in a.items():
+        dot += weight * b.get(term, 0.0)
+    if not dot:
+        return 0.0
+    norm_a = norm_b = 0.0
+    for weight in a.values():
+        norm_a += weight * weight
+    for weight in b.values():
+        norm_b += weight * weight
+    return dot / (math.sqrt(norm_a) * math.sqrt(norm_b))
+
+
+def build_golds(refs, pages):
     golds = {}
     for topic_id in sorted(refs):
         entry = refs[topic_id]
         if isinstance(entry, str):
-            _status, _headers, body = read_fixture(entry)
-            html = body.decode("utf-8")
-            section = html.split('<div class="references">')[1].split("</div>")[0]
-            page_host = urlsplit(entry).hostname
-            uris = [
-                h
-                for h in _TWEET_HREF_RE.findall(section)
-                if h.startswith("http") and urlsplit(h).hostname != page_host
-            ]
-        else:
-            uris = list(entry)
-        golds[topic_id] = gold_vector([page_text(u) for u in uris])
+            body = pages.fetch(entry).body
+            entry = reference_extract_references(body, entry, tree=reference_parse_html)
+        golds[topic_id] = term_vector(pages.text(uri) for uri in entry)
     return golds
 
 
-def doc_vector(text):
-    counts = token_counts(text, STOPWORDS, 2)
-    total = sum(counts.values())
-    if not total:
-        return {}
-    return {t: n / total for t, n in counts.items()}
-
-
-class Judge:
-    def __init__(self, golds):
-        self.golds = golds
-        self._page_memo = {}
-
-    def relevant(self, seed):
-        gold = self.golds[seed.post["topic_id"]]
-        if seed.kind == "html":
-            if seed.canonical not in self._page_memo:
-                self._page_memo[seed.canonical] = doc_vector(page_text(seed.canonical))
-            vector = self._page_memo[seed.canonical]
-        else:
-            vector = doc_vector(seed.post.get("text", ""))
-        if not vector:
-            return False
-        return sparse_cosine(vector, gold) > THRESHOLD
+def observations(cells, relevant):
+    """Cell key -> one {kind: (k, precision)} per post with a seed, over
+    the post's own seed stream, in first-seen post order."""
+    obs = {}
+    for key in sorted(cells):
+        by_post = defaultdict(list)
+        for seed in cells[key]["stream"]:
+            by_post[seed.post["id"]].append(seed)
+        obs[key] = []
+        for seeds in by_post.values():
+            by_kind = {}
+            for kind_name, kind in KINDS:
+                subset = [s for s in seeds if kind is None or s.kind == kind]
+                if subset:
+                    by_kind[kind_name] = (len(subset), sum(map(relevant, subset)) / len(subset))
+            obs[key].append(by_kind)
+    return obs
 
 
 # -- table construction ----------------------------------------------------
@@ -314,175 +330,117 @@ def fmt(x):
     return str(x)
 
 
-def row_keys_of(cells):
-    keys = set()
-    for (topic, source, vertical, cls) in cells:
-        keys.add((topic, source, vertical, cls))
-        if cls in ("PnA1", "PnAn"):
-            keys.add((topic, source, vertical, "MC"))
-    return sorted(keys)
-
-
-def seeds_for_row(cells, row_key):
-    topic, source, vertical, cls = row_key
-    member_classes = ("PnA1", "PnAn") if cls == "MC" else (cls,)
-    seen = set()
-    out = []
-    for member in member_classes:
-        key = (topic, source, vertical, member)
-        if key not in cells:
-            continue
-        for seed in cells[key]["seeds"]:
-            if seed.canonical in seen:
-                continue
-            seen.add(seed.canonical)
-            out.append(seed)
-    return out
-
-
-def stream_by_post(cells, key, kind):
-    grouped = defaultdict(list)
-    if key in cells:
-        for seed in cells[key]["stream"]:
-            if kind is None or seed.kind == kind:
-                grouped[seed.post["id"]].append(seed)
-    return grouped
-
-
-def observations(cells, judge):
-    """(cell key, post id) -> {kind: (k, precision)} over the post stream."""
-    obs = defaultdict(dict)
-    for key in sorted(cells):
-        for kind_name, kind in KINDS:
-            for post_id, seeds in stream_by_post(cells, key, kind).items():
-                rel = sum(1 for s in seeds if judge.relevant(s))
-                obs[(key, post_id)][kind_name] = (len(seeds), rel / len(seeds))
-    return obs
-
-
 def k_bin(k):
     return "1" if k == 1 else "2" if k == 2 else "3-4" if k <= 4 else "5+"
 
 
-def build_tables(topics, posts, refs):
-    trees = build_trees(posts)
-    cells = assemble(trees)
-    golds = build_golds(refs)
-    judge = Judge(golds)
-    obs = observations(cells, judge)
+def mean_cells(values):
+    """The average and count cells of a list of precisions."""
+    return [fmt(sum(values) / len(values)), str(len(values))] if values else ["NA", "0"]
+
+
+def reference_tables(posts, refs, fixtures, *, threshold=0.25, dist_mode="normalized",
+                     reference_source="google", mc_exclude_root=False, global_dedup=False,
+                     depth_limit=3, only_topics=(), only_sources=(), only_verticals=()):
+    """The 16 tables, {name: (header, rows)}, that ``seedsmith run`` writes
+    for ``posts`` (raw corpus records), ``refs`` (the refs file's mapping)
+    and the fixture directory ``fixtures``, with the flags of the same
+    names."""
+    filters = (("topic_id", only_topics), ("source", only_sources), ("vertical", only_verticals))
+    posts = [p for p in posts if all(not only or p[name] in only for name, only in filters)]
+    pages = Pages(fixtures)
+    cells = assemble(posts, pages, mc_exclude_root, depth_limit, global_dedup)
+    golds = build_golds(refs, pages)
+
+    judged = {}  # (topic, page) -> whether the page is relevant to the topic
+
+    def relevant(seed):
+        topic = seed.post["topic_id"]
+        if seed.kind != "html":
+            return cosine(term_vector([seed.post.get("text", "")]), golds[topic]) > threshold
+        if (topic, seed.canonical) not in judged:
+            vector = term_vector([pages.text(seed.canonical)])
+            judged[topic, seed.canonical] = cosine(vector, golds[topic]) > threshold
+        return judged[topic, seed.canonical]
+
+    obs = observations(cells, relevant)
     sources = sorted({k[1] for k in cells})
-    row_keys = row_keys_of(cells)
+    row_keys = sorted({(*key[:3], label) for key in cells
+                       for label in (*CLASSES, "MC") if in_class(key[3], label)})
+
+    def members(row_key):
+        return [m for m in ((*row_key[:3], c) for c in CLASSES)
+                if m in cells and in_class(m[3], row_key[3])]
+
+    row_seeds = defaultdict(list)  # row key -> member cells' seeds, first occurrence winning
+    for row_key in row_keys:
+        seen = set()
+        for seed in (s for m in members(row_key) for s in cells[m]["seeds"]):
+            if seed.canonical not in seen:
+                seen.add(seed.canonical)
+                row_seeds[row_key].append(seed)
     tables = {}
 
-    # partition / partition_mc
-    def partition_rows(merge_mc):
-        counts = defaultdict(lambda: [0, 0])
-        for key in cells:
-            topic, source, vertical, cls = key
-            if merge_mc and cls in ("PnA1", "PnAn"):
-                cls = "MC"
-            slot = counts[(topic, source, vertical, cls)]
-            slot[0] += len(cells[key]["groups"])
-            slot[1] += sum(len(g) for g in cells[key]["groups"])
-        return [
-            [k[0], k[1], k[2], k[3], str(v[0]), str(v[1])]
-            for k, v in sorted(counts.items())
-        ]
-
     header = ["topic", "source", "vertical", "post_class", "group_count", "post_count"]
-    tables["partition"] = (header, partition_rows(False))
-    tables["partition_mc"] = (header, partition_rows(True))
+    for name, merge_mc in (("partition", False), ("partition_mc", True)):
+        counts = defaultdict(lambda: [0, 0])
+        for key, cell in cells.items():
+            label = "MC" if merge_mc and in_class(key[3], "MC") else key[3]
+            slot = counts[(*key[:3], label)]
+            slot[0] += len(cell["groups"])
+            slot[1] += sum(len(g) for g in cell["groups"])
+        tables[name] = (header, [[*k, str(n), str(m)] for k, (n, m) in sorted(counts.items())])
 
-    # seeds
-    rows = []
-    for key in sorted(cells):
-        for seed in cells[key]["seeds"]:
-            rows.append(
-                [key[0], key[1], key[2], key[3], seed.canonical, seed.kind,
-                 seed.hostname, seed.post["id"], seed.post["retrieved_at"]]
-            )
     tables["seeds"] = (
         ["topic", "source", "vertical", "post_class", "canonical_uri", "kind",
          "hostname", "post_id", "retrieved_at"],
-        rows,
+        [[*key, s.canonical, s.kind, s.hostname, s.post["id"], s.post["retrieved_at"]]
+         for key in sorted(cells) for s in cells[key]["seeds"]],
     )
 
-    # distributions (normalized mode, the pipeline default)
-    for kind_name, kind in KINDS:
-        rows = []
+    for kind_name, _kind in KINDS:
+        dist_rows = []
+        by_k_rows = []
         for source in sources:
             for scope in SCOPES:
-                per_topic = defaultdict(list)
-                for (key, post_id), by_kind in obs.items():
-                    topic, cell_source, _v, cls = key
-                    if cell_source != source:
+                bins_by_topic = defaultdict(list)
+                precisions = defaultdict(list)
+                for key in obs:
+                    if key[1] != source or not in_class(key[3], scope):
                         continue
-                    if scope == "MC" and cls not in ("PnA1", "PnAn"):
-                        continue
-                    if scope not in ("MC", "All") and cls != scope:
-                        continue
-                    if kind_name in by_kind:
-                        per_topic[topic].append(by_kind[kind_name][0])
-                pooled = sum(len(v) for v in per_topic.values())
-                for bin_label in BINS:
-                    if pooled == 0:
-                        rows.append([bin_label, source, scope, "NA", "normalized"])
-                        continue
-                    n = sum(
-                        sum(1 for k in ks if k_bin(k) == bin_label)
-                        for ks in per_topic.values()
-                    )
-                    rows.append([bin_label, source, scope, fmt(n / pooled), "normalized"])
+                    for by_kind in obs[key]:
+                        if kind_name in by_kind:
+                            k, precision = by_kind[kind_name]
+                            bins_by_topic[key[0]].append(k_bin(k))
+                            precisions[k_bin(k)].append(precision)
+                for label in BINS:
+                    if not bins_by_topic:
+                        probability = None
+                    elif dist_mode == "literal":
+                        probability = sum(bins_by_topic[t].count(label) / len(bins_by_topic[t])
+                                          for t in sorted(bins_by_topic))
+                    else:
+                        probability = (sum(b.count(label) for b in bins_by_topic.values())
+                                       / sum(map(len, bins_by_topic.values())))
+                    dist_rows.append([label, source, scope, fmt(probability), dist_mode])
+                    by_k_rows.append([label, source, scope, *mean_cells(precisions[label]),
+                                      kind_name])
         tables[f"distribution_{kind_name}"] = (
-            ["bin", "source", "class", "probability", "mode"], rows
+            ["bin", "source", "class", "probability", "mode"], dist_rows
+        )
+        tables[f"relevance_by_k_{kind_name}"] = (
+            ["bin", "source", "class", "avg_precision", "post_count", "kind"], by_k_rows
         )
 
-    # precision per row key
-    for kind_name, kind in KINDS:
+    for kind_name, _kind in KINDS:
         rows = []
         for row_key in row_keys:
-            topic, source, vertical, cls = row_key
-            member_classes = ("PnA1", "PnAn") if cls == "MC" else (cls,)
-            values = []
-            for (key, post_id), by_kind in obs.items():
-                if key[0] == topic and key[1] == source and key[2] == vertical \
-                        and key[3] in member_classes and kind_name in by_kind:
-                    values.append(by_kind[kind_name][1])
-            if values:
-                rows.append([topic, source, vertical, cls,
-                             fmt(sum(values) / len(values)), str(len(values)), kind_name])
-            else:
-                rows.append([topic, source, vertical, cls, "NA", "0", kind_name])
+            values = [by_kind[kind_name][1] for m in members(row_key) for by_kind in obs[m]
+                      if kind_name in by_kind]
+            rows.append([*row_key, *mean_cells(values), kind_name])
         tables[f"precision_{kind_name}"] = (
             ["topic", "source", "vertical", "class", "avg_precision", "post_count", "kind"],
             rows,
-        )
-
-    # relevance by k
-    for kind_name, kind in KINDS:
-        rows = []
-        for source in sources:
-            for scope in SCOPES:
-                bins = defaultdict(list)
-                for (key, post_id), by_kind in obs.items():
-                    _t, cell_source, _v, cls = key
-                    if cell_source != source or kind_name not in by_kind:
-                        continue
-                    if scope == "MC" and cls not in ("PnA1", "PnAn"):
-                        continue
-                    if scope not in ("MC", "All") and cls != scope:
-                        continue
-                    k, precision = by_kind[kind_name]
-                    bins[k_bin(k)].append(precision)
-                for bin_label in BINS:
-                    vals = bins.get(bin_label, [])
-                    if vals:
-                        rows.append([bin_label, source, scope,
-                                     fmt(sum(vals) / len(vals)), str(len(vals)), kind_name])
-                    else:
-                        rows.append([bin_label, source, scope, "NA", "0", kind_name])
-        tables[f"relevance_by_k_{kind_name}"] = (
-            ["bin", "source", "class", "avg_precision", "post_count", "kind"], rows
         )
 
     # ages of relevant HTML seeds
@@ -490,37 +448,25 @@ def build_tables(topics, posts, refs):
     ecdf_rows = []
     for row_key in row_keys:
         ages = []
-        for seed in seeds_for_row(cells, row_key):
-            if seed.kind != "html" or not judge.relevant(seed):
-                continue
-            page = fetch_result(seed.canonical)
-            estimate = estimate_publication_date(page, digest_page(page.body))
+        for seed in row_seeds[row_key]:
+            estimate = pages.date(seed.canonical) if seed.kind == "html" and relevant(seed) else None
             if estimate is None:
                 continue
             pub = estimate[0]
-            retrieved = datetime.fromisoformat(
-                seed.post["retrieved_at"].replace("Z", "+00:00")
-            )
+            retrieved = datetime.fromisoformat(seed.post["retrieved_at"].replace("Z", "+00:00"))
             days = days_from_civil(retrieved.year, retrieved.month, retrieved.day) - \
                 days_from_civil(pub.year, pub.month, pub.day)
-            if days < 0:
-                continue
-            ages.append(days / DAYS_PER_YEAR)
-        topic, source, vertical, cls = row_key
+            if days >= 0:
+                ages.append(days / DAYS_PER_YEAR)
         if not ages:
-            age_rows.append([topic, source, vertical, cls, "NA", "NA", "NA", "NA", "NA"])
+            age_rows.append([*row_key, "NA", "NA", "NA", "NA", "NA"])
             continue
         ages.sort()
-        if len(ages) == 1:
-            q1 = median = q3 = ages[0]
-        else:
-            q1, median, q3 = statistics.quantiles(ages, n=4, method="inclusive")
-        age_rows.append([topic, source, vertical, cls,
-                         fmt(ages[0]), fmt(q1), fmt(median), fmt(q3), fmt(ages[-1])])
+        age_rows.append([*row_key, *map(fmt, (ages[0], *quantiles_inclusive(ages), ages[-1]))])
         n = len(ages)
         for i, value in enumerate(ages, start=1):
             if i == n or ages[i] != value:
-                ecdf_rows.append([topic, source, vertical, cls, fmt(value), fmt(i / n)])
+                ecdf_rows.append([*row_key, fmt(value), fmt(i / n)])
     tables["age"] = (
         ["topic", "source", "vertical", "class", "min", "q1", "median", "q3", "max"],
         age_rows,
@@ -529,36 +475,30 @@ def build_tables(topics, posts, refs):
         ["topic", "source", "vertical", "class", "age_years", "fraction"], ecdf_rows
     )
 
-    # diversity
     rows = []
     for row_key in row_keys:
-        seeds = seeds_for_row(cells, row_key)
         for kind_name, kind in KINDS:
-            subset = [s for s in seeds if kind is None or s.kind == kind]
-            hosts = [s.hostname for s in subset]
-            distinct = len(sorted(set(hosts)))
+            hosts = [s.hostname for s in row_seeds[row_key] if kind is None or s.kind == kind]
+            distinct = len(set(hosts))
             value = None if len(hosts) < 2 else (distinct - 1) / (len(hosts) - 1)
-            rows.append([row_key[0], row_key[1], row_key[2], row_key[3], kind_name,
-                         fmt(value), str(len(subset)), str(distinct)])
+            rows.append([*row_key, kind_name, fmt(value), str(len(hosts)), str(distinct)])
     tables["diversity"] = (
         ["topic", "source", "vertical", "class", "kind", "diversity", "seed_count", "host_count"],
         rows,
     )
 
-    # overlap vs the google reference cells
     reference = defaultdict(set)
     for key in cells:
-        if key[1] == REFERENCE_SOURCE:
+        if key[1] == reference_source:
             reference[key[0]].update(s.canonical for s in cells[key]["seeds"])
     rows = []
     for row_key in row_keys:
-        topic, source, vertical, cls = row_key
-        if source == REFERENCE_SOURCE or topic not in reference:
+        topic, source = row_key[:2]
+        if source == reference_source or topic not in reference:
             continue
-        candidate = {s.canonical for s in seeds_for_row(cells, row_key)}
+        candidate = {s.canonical for s in row_seeds[row_key]}
         value = None if not candidate else len(reference[topic] & candidate) / len(candidate)
-        rows.append([topic, source, vertical, cls, fmt(value),
-                     str(len(candidate)), str(len(reference[topic]))])
+        rows.append([*row_key, fmt(value), str(len(candidate)), str(len(reference[topic]))])
     tables["overlap"] = (
         ["topic", "source", "vertical", "class", "overlap", "candidate_count", "reference_count"],
         rows,
@@ -566,18 +506,31 @@ def build_tables(topics, posts, refs):
     return tables
 
 
+def build_tables(topics, posts, refs):
+    """``reference_tables`` at ``run``'s defaults over the fixtures under
+    ``RESPONSES``, read when called (the benchmark sets it per world)."""
+    return reference_tables(posts, refs, RESPONSES)
+
+
+def csv_bytes(tables):
+    """Each table as the bytes of the CSV file ``run`` writes for it, by
+    file name."""
+    return {
+        f"{name}.csv": ("\n".join(",".join(line) for line in [header, *rows]) + "\n").encode("utf-8")
+        for name, (header, rows) in tables.items()
+    }
+
+
 def main():
-    topics, posts = load_corpus_raw()
+    _topics, posts = load_corpus_raw()
     refs = json.loads((DATA / "refs.json").read_text(encoding="utf-8"))
-    tables = build_tables(topics, posts, refs)
+    files = csv_bytes(reference_tables(posts, refs, RESPONSES))
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for old in GOLDEN.glob("*.csv"):
         old.unlink()
-    for name in sorted(tables):
-        header, rows = tables[name]
-        lines = [",".join(header)] + [",".join(row) for row in rows]
-        (GOLDEN / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"{name}.csv: {len(rows)} rows")
+    for name in sorted(files):
+        (GOLDEN / name).write_bytes(files[name])
+        print(f"{name}: {len(files[name].splitlines()) - 1} rows")
 
 
 if __name__ == "__main__":
