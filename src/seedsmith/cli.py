@@ -407,7 +407,7 @@ def run_pipeline(args, stop: str = "analyze") -> int:
         "tables": tables,
         "manifest": build_manifest(_echo(args), _distinct(warnings), counts),
     }
-    write_bundle(bundle, out, formats=("csv", "json"))
+    write_bundle(bundle, out)
     return EXIT_OK
 
 

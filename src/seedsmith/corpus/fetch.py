@@ -68,10 +68,6 @@ class FetchResult:
     def ok(self) -> bool:
         return isinstance(self.status, int) and 200 <= self.status < 300
 
-    @property
-    def failed(self) -> bool:
-        return not isinstance(self.status, int)
-
 
 def media_type_of(headers: dict[str, str]) -> str | None:
     content_type = headers.get("content-type")
@@ -238,7 +234,6 @@ class Fetcher:
         self._memory_lock = threading.Lock()
         self._digests: dict[str, PageDigest] = {}
         self._digest_lock = threading.Lock()
-        self.request_count = 0  # transport exchanges performed (cache misses)
 
     def digest(self, result: FetchResult) -> PageDigest:
         """The digest of a successfully fetched document, built once per
@@ -277,7 +272,6 @@ class Fetcher:
         while True:
             try:
                 status, headers, body = self.transport.request(current)
-                self.request_count += 1
             except TransportError as exc:
                 return self._fail(uri, current, tuple(chain), exc.tag, exc.detail)
             if status in (301, 302, 303, 307, 308) and headers.get("location"):

@@ -63,22 +63,16 @@ class CanonicalizationError(ExtractionError):
 
 
 @dataclass(frozen=True)
-class SeedProvenance:
-    post_id: str
-    group_id: str
-    topic_id: str
-    source: str
-    vertical: str
-    post_class: str
-
-
-@dataclass(frozen=True)
 class SeedUri:
+    """One seed, from post ``post_id`` of group ``group_id``; the key of the
+    cell holding it gives its topic, source, vertical and post class."""
+
     original: str
     canonical: str
     hostname: str
     kind: str  # html | non_html
-    provenance: SeedProvenance
+    post_id: str
+    group_id: str
     retrieved_at: datetime
     final: str | None = None  # post-redirect URI, once fetched
     fetch_status: int | str | None = None
@@ -95,7 +89,6 @@ class SeedCollection:
     post only) for the per-post measures.
     """
 
-    key: CellKey
     seeds: tuple[SeedUri, ...]
     post_seeds: tuple[SeedUri, ...]
 
@@ -326,14 +319,6 @@ def assemble_collections(
             for post_id in group.post_ids:
                 post = corpus.posts[post_id]
                 post_seen = per_post_seen.setdefault(post.id, set())
-                provenance = SeedProvenance(
-                    post_id=post.id,
-                    group_id=group.group_id,
-                    topic_id=group.topic_id,
-                    source=group.source,
-                    vertical=group.vertical,
-                    post_class=group.post_class,
-                )
                 for raw in extract_uris(post):
                     entry = links[raw]
                     if entry is None:
@@ -353,7 +338,7 @@ def assemble_collections(
                         if target[1] in post_seen:
                             continue
                         post_seen.add(target[1])
-                        seed = SeedUri(*target, provenance, post.retrieved_at)
+                        seed = SeedUri(*target, post.id, group.group_id, post.retrieved_at)
                         if fetch_kinds and fetcher is not None:
                             seed = _fetch_kind(seed, fetcher)
                         stream.append(seed)
@@ -361,13 +346,13 @@ def assemble_collections(
                             continue
                         seen.add(seed.canonical)
                         seeds.append(seed)
-        collections[key] = SeedCollection(key=key, seeds=tuple(seeds), post_seeds=tuple(stream))
+        collections[key] = SeedCollection(seeds=tuple(seeds), post_seeds=tuple(stream))
     return collections
 
 
 def _fetch_kind(seed: SeedUri, fetcher: Fetcher) -> SeedUri:
     result = fetcher.dereference(seed.canonical)
-    if result.failed:
+    if not result.ok:  # an error page's media type is not the seed's; keep the extension kind
         return replace(seed, fetch_status=result.status)
     return replace(
         seed,
@@ -397,31 +382,22 @@ def seed_rows(collections: dict[CellKey, SeedCollection]) -> list[tuple]:
     rows = []
     for key in sorted(collections):
         for seed in collections[key].seeds:
-            p = seed.provenance
             rows.append(
-                (
-                    p.topic_id,
-                    p.source,
-                    p.vertical,
-                    p.post_class,
-                    seed.canonical,
-                    seed.kind,
-                    seed.hostname,
-                    p.post_id,
-                    format_timestamp(seed.retrieved_at),
-                )
+                (*key, seed.canonical, seed.kind, seed.hostname, seed.post_id,
+                 format_timestamp(seed.retrieved_at))
             )
     return rows
 
 
 def seed_json(collections: dict[CellKey, SeedCollection]) -> list[dict]:
-    """Seed export mirroring SeedUri fields exactly."""
+    """Seed export: each seed's fields, with its cell's key filling in
+    the topic, source, vertical and class of its ``provenance``."""
     from .corpus.model import format_timestamp
 
     out = []
     for key in sorted(collections):
+        topic, source, vertical, post_class = key
         for seed in collections[key].seeds:
-            p = seed.provenance
             out.append(
                 {
                     "original": seed.original,
@@ -430,12 +406,12 @@ def seed_json(collections: dict[CellKey, SeedCollection]) -> list[dict]:
                     "kind": seed.kind,
                     "hostname": seed.hostname,
                     "provenance": {
-                        "post_id": p.post_id,
-                        "group_id": p.group_id,
-                        "topic_id": p.topic_id,
-                        "source": p.source,
-                        "vertical": p.vertical,
-                        "post_class": p.post_class,
+                        "post_id": seed.post_id,
+                        "group_id": seed.group_id,
+                        "topic_id": topic,
+                        "source": source,
+                        "vertical": vertical,
+                        "post_class": post_class,
                     },
                     "retrieved_at": format_timestamp(seed.retrieved_at),
                     "fetch_status": seed.fetch_status,

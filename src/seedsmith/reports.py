@@ -84,7 +84,7 @@ class SeedTextProvider:
     def __call__(self, seed) -> str:
         if seed.kind == HTML_KIND:
             return self.page_text(seed.canonical)
-        post = self.corpus.posts.get(seed.provenance.post_id)
+        post = self.corpus.posts.get(seed.post_id)
         return post.text if post else ""
 
     def page_text(self, uri: str) -> str:
@@ -107,16 +107,16 @@ class RelevanceIndex:
         self.threshold = threshold
         self._memo = {}
 
-    def judgment(self, seed):
-        gold = self.golds.get(seed.provenance.topic_id)
+    def judgment(self, topic, seed):
+        gold = self.golds.get(topic)
         if gold is None:
             return None
         if seed.kind == HTML_KIND:
-            key = (seed.provenance.topic_id, seed.canonical)
+            key = (topic, seed.canonical)
         else:
             # Non-HTML seeds are judged on the embedding post's text,
             # which differs per post.
-            key = (seed.provenance.topic_id, seed.provenance.post_id, seed.canonical)
+            key = (topic, seed.post_id, seed.canonical)
         if key not in self._memo:
             self._memo[key] = judge_relevance([self.text_provider(seed)], gold, self.threshold)
         return self._memo[key]
@@ -126,25 +126,23 @@ class RelevanceIndex:
 class PostObservation:
     """Seed counts and precisions of one post within one post-class cell."""
 
-    topic: str
-    source: str
-    vertical: str
-    post_class: str
     post_id: str
     k: dict  # kind name -> seed count (0 when none)
     precision: dict  # kind name -> float | None
 
 
-def collect_observations(collections, judge: RelevanceIndex) -> list[PostObservation]:
-    """One observation per post per cell, over each post's own seeds
-    (``post_seeds``, not the collection-deduped ones), in sorted-cell,
-    first-seen-post order."""
-    observations = []
+def collect_observations(collections, judge: RelevanceIndex) -> dict:
+    """{cell key: [PostObservation]}: one observation per post per cell,
+    over each post's own seeds (``post_seeds``, not the collection-deduped
+    ones), cells in sorted order, posts in first-seen order. The cell key
+    holds the topic, source, vertical and class the observations share."""
+    observations = {}
     for key in sorted(collections):
-        topic, source, vertical, post_class = key
+        topic = key[0]
         by_post: dict[str, list] = {}
         for seed in collections[key].post_seeds:
-            by_post.setdefault(seed.provenance.post_id, []).append(seed)
+            by_post.setdefault(seed.post_id, []).append(seed)
+        cell = observations[key] = []
         for post_id, seeds in by_post.items():
             ks = {}
             precs = {}
@@ -154,11 +152,9 @@ def collect_observations(collections, judge: RelevanceIndex) -> list[PostObserva
                 if not subset or judge.golds.get(topic) is None:
                     precs[kind_name] = None
                     continue
-                judged = [judge.judgment(s) for s in subset]
+                judged = [judge.judgment(topic, s) for s in subset]
                 precs[kind_name] = sum(1 for j in judged if j and j.relevant) / len(subset)
-            observations.append(
-                PostObservation(topic, source, vertical, post_class, post_id, ks, precs)
-            )
+            cell.append(PostObservation(post_id, ks, precs))
     return observations
 
 
@@ -169,21 +165,27 @@ def _row_classes(post_class: str) -> tuple[str, ...]:
 
 
 def group_by_scope(observations) -> dict:
-    """(kind name, source, scope) -> the observations holding at least
-    one seed of that kind, in ``collect_observations`` order.
+    """(source, scope) -> the keys of the cells in that scope, in
+    ``collect_observations`` order.
 
-    A post's scopes are its report classes (``_row_classes``) and All.
+    A cell's scopes are its report classes (``_row_classes``) and All.
     Both the URI-count distributions and the per-k relevance view read
-    this one grouping.
+    this one grouping, through ``scope_posts``.
     """
     groups: dict = {}
-    for o in observations:
-        scopes = (*_row_classes(o.post_class), "All")
-        for kind_name, _kind in KIND_FILTERS:
-            if o.k[kind_name] >= 1:
-                for scope in scopes:
-                    groups.setdefault((kind_name, o.source, scope), []).append(o)
+    for key in observations:
+        for scope in (*_row_classes(key[3]), "All"):
+            groups.setdefault((key[1], scope), []).append(key)
     return groups
+
+
+def scope_posts(observations, cells, kind_name):
+    """(topic, observation) for each observation of ``cells`` holding at
+    least one seed of the kind, in order; the topic is the cell key's."""
+    for key in cells:
+        for o in observations[key]:
+            if o.k[kind_name] >= 1:
+                yield key[0], o
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ class RowIndex:
     keys: list  # sorted row keys
     cells: dict  # row key -> sorted member cell keys
     seeds: dict  # row key -> seeds deduped by canonical URI, first occurrence winning
-    observations: dict  # row key -> PostObservations in collect_observations order
+    observations: dict  # row key -> its member cells' PostObservations, pooled in order
 
 
 def index_rows(collections, observations) -> RowIndex:
@@ -219,10 +221,10 @@ def index_rows(collections, observations) -> RowIndex:
                     seen.add(seed.canonical)
                     row.append(seed)
         seeds[row_key] = row
-    grouped: dict = {row_key: [] for row_key in cells}
-    for o in observations:
-        for label in _row_classes(o.post_class):
-            grouped[(o.topic, o.source, o.vertical, label)].append(o)
+    grouped = {
+        row_key: [o for key in members for o in observations[key]]
+        for row_key, members in cells.items()
+    }
     return RowIndex(sorted(cells), cells, seeds, grouped)
 
 
@@ -257,12 +259,15 @@ def build_tables(
         by_k_rows = []
         for source in sources:
             for scope in SCOPES:
-                group = groups.get((kind_name, source, scope), [])
+                cells = groups.get((source, scope), ())
                 probabilities = uri_count_distribution(
-                    [(o.topic, o.k[kind_name]) for o in group], dist_mode
+                    ((topic, o.k[kind_name])
+                     for topic, o in scope_posts(observations, cells, kind_name)),
+                    dist_mode,
                 )
                 by_bin = conditional_relevance_by_k(
-                    (o.k[kind_name], o.precision[kind_name]) for o in group
+                    (o.k[kind_name], o.precision[kind_name])
+                    for _topic, o in scope_posts(observations, cells, kind_name)
                 )
                 for bin_label in K_BINS:
                     distribution_rows.append(
@@ -290,7 +295,7 @@ def build_tables(
             rows,
         )
 
-    tables["age"], tables["age_ecdf"] = _age_tables(rows_index, judge, provider, warnings)
+    tables["age"], tables["age_ecdf"] = _age_tables(rows_index, judge, fetcher, warnings)
     tables["diversity"] = _diversity_table(rows_index)
     tables["overlap"] = _overlap_table(collections, rows_index, reference_source)
     return tables
@@ -335,7 +340,7 @@ def _prefetch_page_texts(fetcher: Fetcher, collections, golds, jobs: int) -> Non
         list(pool.map(fill, sorted(uris)))
 
 
-def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextProvider, warnings):
+def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, fetcher: Fetcher, warnings):
     """Ages of relevant HTML seeds per row cell, summary plus ECDF.
 
     A page is dated once, however many rows hold it. A seed whose
@@ -344,7 +349,6 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextP
     """
     summary_rows = []
     ecdf_rows = []
-    fetcher = provider.fetcher
     estimates: dict[str, tuple | None] = {}
 
     def estimate(uri):
@@ -361,7 +365,7 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextP
         for seed in rows_index.seeds[row_key]:
             if seed.kind != HTML_KIND:
                 continue
-            judgment = judge.judgment(seed)
+            judgment = judge.judgment(row_key[0], seed)
             if judgment is None or not judgment.relevant:
                 continue
             found = estimate(seed.canonical)
@@ -376,19 +380,15 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, provider: SeedTextP
                 )
             ages.append(days)
         summary = age_distribution(ages)
-        topic, source, vertical, post_class = row_key
         if summary is None:
-            summary_rows.append([topic, source, vertical, post_class, NA, NA, NA, NA, NA])
+            summary_rows.append([*row_key, NA, NA, NA, NA, NA])
             continue
         summary_rows.append(
-            [topic, source, vertical, post_class,
-             fmt(summary.minimum), fmt(summary.q1), fmt(summary.median),
+            [*row_key, fmt(summary.minimum), fmt(summary.q1), fmt(summary.median),
              fmt(summary.q3), fmt(summary.maximum)]
         )
         for age_years, fraction in summary.ecdf:
-            ecdf_rows.append(
-                [topic, source, vertical, post_class, fmt(age_years), fmt(fraction)]
-            )
+            ecdf_rows.append([*row_key, fmt(age_years), fmt(fraction)])
     return (
         _table(("topic", "source", "vertical", "class", "min", "q1", "median", "q3", "max"),
                summary_rows),
@@ -403,11 +403,9 @@ def _diversity_table(rows_index: RowIndex):
         for kind_name, kind in KIND_FILTERS:
             subset = seeds if kind is None else [s for s in seeds if s.kind == kind]
             hosts = [s.hostname for s in subset]
-            value = hostname_diversity(hosts)
-            topic, source, vertical, post_class = row_key
             rows.append(
-                [topic, source, vertical, post_class, kind_name,
-                 fmt(value), fmt(len(subset)), fmt(len(set(hosts)))]
+                [*row_key, kind_name, fmt(hostname_diversity(hosts)), fmt(len(subset)),
+                 fmt(len(set(hosts)))]
             )
     return _table(
         ("topic", "source", "vertical", "class", "kind", "diversity", "seed_count", "host_count"),

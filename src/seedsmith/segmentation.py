@@ -35,15 +35,12 @@ class SegmentationError(Exception):
 
 @dataclass(frozen=True)
 class PostGroup:
-    """A set of posts carrying exactly one post-class label."""
+    """A set of posts carrying exactly one post-class label; the key of the
+    partition cell holding it gives its topic, source and vertical."""
 
     group_id: str
     post_class: str
     post_ids: tuple[str, ...]
-    root_id: str | None  # None for groups under a detached root
-    topic_id: str
-    source: str
-    vertical: str
     author_set: frozenset[str]
 
     def validate(self, include_root: bool = True) -> None:
@@ -210,8 +207,6 @@ def classify_groups(tree: TreeNode, mc_exclude_root: bool = False) -> list[PostG
     all_posts = tree.posts()
     if not all_posts:
         return groups
-    cell = tree.cell_post()
-    meta = dict(topic_id=cell.topic_id, source=cell.source, vertical=cell.vertical)
 
     root_post = tree.post if not tree.is_detached_root else None
     root_prefix = root_post.id if root_post is not None else f"detached:{tree.detached_key}"
@@ -222,9 +217,7 @@ def classify_groups(tree: TreeNode, mc_exclude_root: bool = False) -> list[PostG
                 group_id=f"{root_post.id}/P1A1",
                 post_class=P1A1,
                 post_ids=(root_post.id,),
-                root_id=root_post.id,
                 author_set=frozenset([root_post.author]),
-                **meta,
             )
         )
         for chain in _maximal_self_chains(tree):
@@ -234,9 +227,7 @@ def classify_groups(tree: TreeNode, mc_exclude_root: bool = False) -> list[PostG
                     group_id=f"{root_post.id}/PnA1/{chain[-1].id}",
                     post_class=PNA1,
                     post_ids=tuple(p.id for p in members),
-                    root_id=root_post.id,
                     author_set=frozenset(p.author for p in members),
-                    **meta,
                 )
             )
 
@@ -249,9 +240,7 @@ def classify_groups(tree: TreeNode, mc_exclude_root: bool = False) -> list[PostG
                 group_id=f"{root_prefix}/PnAn",
                 post_class=PNAN,
                 post_ids=tuple(p.id for p in members),
-                root_id=root_post.id if root_post is not None else None,
                 author_set=frozenset(p.author for p in members),
-                **meta,
             )
         )
 
@@ -278,8 +267,9 @@ def partition_corpus(
     forest = build_forest(corpus, selector, warnings=warnings)
     cells: dict[CellKey, list[PostGroup]] = {}
     for tree in forest:
+        cell = tree.cell_post()
         for group in classify_groups(tree, mc_exclude_root=mc_exclude_root):
-            key = (group.topic_id, group.source, group.vertical, group.post_class)
+            key = (cell.topic_id, cell.source, cell.vertical, group.post_class)
             cells.setdefault(key, []).append(group)
     return {key: cells[key] for key in sorted(cells)}
 
@@ -298,16 +288,7 @@ def mc_view(partition: dict[CellKey, list[PostGroup]]) -> dict[CellKey, list[Pos
 
 def partition_counts(partition: dict[CellKey, list[PostGroup]]) -> list[tuple]:
     """Rows of (topic, source, vertical, post_class, group_count, post_count)."""
-    rows = []
-    for (topic, source, vertical, post_class), groups in sorted(partition.items()):
-        rows.append(
-            (
-                topic,
-                source,
-                vertical,
-                post_class,
-                len(groups),
-                sum(len(g.post_ids) for g in groups),
-            )
-        )
-    return rows
+    return [
+        (*key, len(groups), sum(len(g.post_ids) for g in groups))
+        for key, groups in sorted(partition.items())
+    ]

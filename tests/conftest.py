@@ -7,7 +7,8 @@ import pytest
 
 from seedsmith.analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_NORMALIZED, uri_count_distribution
 from seedsmith.corpus.model import Post, TopicSpec, build_corpus
-from seedsmith.reports import KIND_FILTERS, RelevanceIndex, collect_observations, group_by_scope
+from seedsmith.reports import (KIND_FILTERS, RelevanceIndex, collect_observations, group_by_scope,
+                               scope_posts)
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -65,11 +66,11 @@ def distribution_column(collections, *, source, scope="All", kind=None, mode=MOD
     standards), grouped by scope, fed to ``uri_count_distribution``."""
     judge = RelevanceIndex({}, None, DEFAULT_RELEVANCE_THRESHOLD)
     kind_name = {k: name for name, k in KIND_FILTERS}[kind]
-    group = group_by_scope(collect_observations(collections, judge)).get(
-        (kind_name, source, scope), []
-    )
-    probabilities = uri_count_distribution([(o.topic, o.k[kind_name]) for o in group], mode)
-    return DistributionColumn(probabilities, len(group))
+    observations = collect_observations(collections, judge)
+    cells = group_by_scope(observations).get((source, scope), ())
+    held = list(scope_posts(observations, cells, kind_name))
+    probabilities = uri_count_distribution([(topic, o.k[kind_name]) for topic, o in held], mode)
+    return DistributionColumn(probabilities, len(held))
 
 
 @pytest.fixture

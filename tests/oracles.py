@@ -33,7 +33,6 @@ from seedsmith.extraction import (
     CanonicalizationError,
     ExtractionError,
     SeedCollection,
-    SeedProvenance,
     SeedUri,
     _fetch_kind,
     canonicalize,
@@ -696,10 +695,6 @@ def reference_assemble_collections(corpus, partition, fetcher, warnings=None, *,
                         if warnings is not None:
                             warnings.append(f"post {post.id}: skipping unparseable URI {raw!r}")
                         continue
-                    provenance = SeedProvenance(
-                        post.id, group.group_id, group.topic_id, group.source,
-                        group.vertical, group.post_class,
-                    )
                     targets = None
                     if fetcher is not None and intra_site_source(canonical):
                         targets = reference_substitute_intra_site(
@@ -708,7 +703,8 @@ def reference_assemble_collections(corpus, partition, fetcher, warnings=None, *,
                         )
                     if targets is None:
                         targets = [(raw, canonical, hostname, classify_uri_kind(canonical))]
-                    expanded = [SeedUri(*target, provenance, post.retrieved_at) for target in targets]
+                    expanded = [SeedUri(*target, post.id, group.group_id, post.retrieved_at)
+                                for target in targets]
                     for candidate in expanded:
                         if candidate.canonical in post_seen:
                             continue
@@ -719,7 +715,7 @@ def reference_assemble_collections(corpus, partition, fetcher, warnings=None, *,
                         if candidate.canonical not in seen:
                             seen.add(candidate.canonical)
                             seeds.append(candidate)
-        collections[key] = SeedCollection(key, tuple(seeds), tuple(stream))
+        collections[key] = SeedCollection(tuple(seeds), tuple(stream))
     return collections
 
 
@@ -750,11 +746,12 @@ def reference_seeds_for_row(collections, row_key):
 
 
 def reference_observations_for_row(observations, row_key):
-    """Observations of a report row, rescanning every observation."""
+    """Observations of a report row, rescanning every cell's observations."""
     topic, source, vertical, post_class = row_key
     classes = _MC_MEMBER_CLASSES if post_class == "MC" else (post_class,)
     return [
         o
-        for o in observations
-        if o.topic == topic and o.source == source and o.vertical == vertical and o.post_class in classes
+        for (o_topic, o_source, o_vertical, o_class), cell in observations.items()
+        for o in cell
+        if o_topic == topic and o_source == source and o_vertical == vertical and o_class in classes
     ]

@@ -28,7 +28,7 @@ from seedsmith.analytics import (
 )
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus.jsonl import load_corpus, write_corpus
-from seedsmith.extraction import HTML_KIND, NON_HTML_KIND, SeedCollection, SeedProvenance, SeedUri
+from seedsmith.extraction import HTML_KIND, NON_HTML_KIND, SeedCollection, SeedUri
 from seedsmith.goldstandard import GoldStandard
 from seedsmith.segmentation import build_forest, classify_groups
 from seedsmith.textkernel import sparse_cosine
@@ -93,9 +93,8 @@ def _random_collections(rng):
                                 canonical=f"https://h{uid[0]}.example/x",
                                 hostname=f"h{uid[0]}.example",
                                 kind=kind,
-                                provenance=SeedProvenance(
-                                    post_id, "g", topic, source, "v", post_class
-                                ),
+                                post_id=post_id,
+                                group_id="g",
                                 retrieved_at=make_post().retrieved_at,
                             )
                         )
@@ -103,9 +102,7 @@ def _random_collections(rng):
                             made += 1
                     if made:
                         ks.append(made)
-                collections[key] = SeedCollection(
-                    key=key, seeds=tuple(seeds), post_seeds=tuple(seeds)
-                )
+                collections[key] = SeedCollection(seeds=tuple(seeds), post_seeds=tuple(seeds))
                 truth.append((source, post_class, topic, ks))
     return collections, truth
 
@@ -246,11 +243,16 @@ def test_criterion_5_golden_run(tmp_path):
     )
 
 
-_spec = importlib.util.spec_from_file_location(
-    "regen_golden", Path(__file__).parents[1] / "tools" / "regen_golden.py"
-)
-regen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(regen)
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parents[1] / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+regen = _load_tool("regen_golden")
 BUNDLED_POSTS = regen.load_corpus_raw()[1]
 
 
@@ -263,6 +265,18 @@ def test_golden_csvs_match_independent_recompute():
     golden = {g.name: g.read_bytes() for g in GOLDEN.glob("*.csv")}
     assert len(golden) == 16
     assert regen.csv_bytes(regen.build_tables(topics, posts, refs)) == golden
+
+
+def test_fixture_generator_rewrites_bundled_data(tmp_path):
+    """``tools/gen_fixture_corpus.py`` is the source of ``tests/data/``
+    (all but the goldens): it rewrites every file byte for byte."""
+    _load_tool("gen_fixture_corpus").main(tmp_path)
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    bundled = sorted(p.relative_to(DATA) for p in DATA.rglob("*")
+                     if p.is_file() and GOLDEN not in p.parents)
+    assert written == bundled
+    for path in written:
+        assert (tmp_path / path).read_bytes() == (DATA / path).read_bytes(), path
 
 
 def assert_run_matches_recompute(out, corpus, fixtures, refs, posts, replies=None, **flags):

@@ -21,7 +21,7 @@ from seedsmith.analytics import (
     serp_overlap,
 )
 from seedsmith.corpus.fetch import FetchResult
-from seedsmith.extraction import HTML_KIND, SeedCollection, SeedProvenance, SeedUri
+from seedsmith.extraction import HTML_KIND, SeedCollection, SeedUri
 from seedsmith.goldstandard import GoldStandard, build_term_vector
 from seedsmith.pages import digest_page
 from seedsmith.reports import RelevanceIndex, collect_observations
@@ -109,14 +109,14 @@ class TestJudgeRelevance:
         assert not judgment.relevant
 
 
-def seed(canonical, post_id="p1", kind=HTML_KIND, topic="t1", source="reddit",
-         vertical="top", post_class="P1A1"):
+def seed(canonical, post_id="p1", kind=HTML_KIND):
     return SeedUri(
         original=canonical,
         canonical=canonical,
         hostname=canonical.split("/")[2],
         kind=kind,
-        provenance=SeedProvenance(post_id, "g", topic, source, vertical, post_class),
+        post_id=post_id,
+        group_id="g",
         retrieved_at=RETRIEVED,
     )
 
@@ -136,8 +136,8 @@ class TestPostPrecision:
         observes it."""
         key = ("t1", "reddit", "top", "P1A1")
         judge = RelevanceIndex({"t1": self.GOLD}, texts, DEFAULT_RELEVANCE_THRESHOLD)
-        collections = {key: SeedCollection(key=key, seeds=tuple(seeds), post_seeds=tuple(seeds))}
-        [observation] = collect_observations(collections, judge)
+        collections = {key: SeedCollection(seeds=tuple(seeds), post_seeds=tuple(seeds))}
+        [observation] = collect_observations(collections, judge)[key]
         return observation.precision[kind]
 
     def test_half_relevant(self):
@@ -208,11 +208,9 @@ def collection_of(counts_by_post, topic="t1", source="reddit", vertical="top",
     for post_id, n in counts_by_post.items():
         for j in range(n):
             seeds.append(
-                seed(f"https://h{post_id}{j}.example/{topic}/{post_id}/{j}",
-                     post_id=post_id, topic=topic, source=source,
-                     vertical=vertical, post_class=post_class)
+                seed(f"https://h{post_id}{j}.example/{topic}/{post_id}/{j}", post_id=post_id)
             )
-    return key, SeedCollection(key=key, seeds=tuple(seeds), post_seeds=tuple(seeds))
+    return key, SeedCollection(seeds=tuple(seeds), post_seeds=tuple(seeds))
 
 
 class TestKBins:
@@ -259,7 +257,7 @@ class TestDistribution:
     def test_kind_filter_excludes_other_kinds(self):
         key, coll = collection_of({"a": 2})
         extra = seed("https://files.example/doc.pdf", post_id="a", kind="non_html")
-        coll = SeedCollection(key=key, seeds=coll.seeds + (extra,), post_seeds=coll.seeds + (extra,))
+        coll = SeedCollection(seeds=coll.seeds + (extra,), post_seeds=coll.seeds + (extra,))
         html_col = distribution_column({key: coll}, source="reddit", scope="P1A1", kind="html")
         assert html_col.probabilities["2"] == 1.0
         all_col = distribution_column({key: coll}, source="reddit", scope="P1A1", kind=None)
@@ -291,7 +289,6 @@ class TestDistribution:
         only_b = seed("https://b-only.example/y", post_id="b")
         key = ("t1", "reddit", "top", "P1A1")
         coll = SeedCollection(
-            key=key,
             seeds=(shared, only_b),  # collection-level dedup dropped b's copy
             post_seeds=(shared, also_b, only_b),
         )

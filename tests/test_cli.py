@@ -37,7 +37,7 @@ EXPECTED_FILES = [
     "precision_all.csv", "precision_html.csv", "precision_non_html.csv",
     "relevance_by_k_all.csv", "relevance_by_k_html.csv", "relevance_by_k_non_html.csv",
     "age.csv", "age_ecdf.csv", "diversity.csv", "overlap.csv",
-    "bundle.json", "manifest.json", "report.json",
+    "bundle.json", "manifest.json",
 ]
 
 
@@ -48,6 +48,7 @@ class TestRun:
         assert code == 0
         for name in EXPECTED_FILES:
             assert (out / name).exists(), name
+        assert not (out / "report.json").exists()
         golds = sorted(p.name for p in (out / "golds").glob("*.json"))
         assert golds == ["gold_eclipse.json", "gold_flood.json", "gold_strike.json"]
 
@@ -238,8 +239,8 @@ class TestRun:
         relevant = set()
         judgment = reports.RelevanceIndex.judgment
 
-        def recording(self, seed):
-            found = judgment(self, seed)
+        def recording(self, topic, seed):
+            found = judgment(self, topic, seed)
             if seed.kind == HTML_KIND and found is not None and found.relevant:
                 relevant.add(seed.canonical)
             return found

@@ -15,6 +15,8 @@ from seedsmith.corpus.fetch import (
     TransportError,
     write_fixture,
 )
+from seedsmith.corpus.jsonl import load_corpus
+from seedsmith.corpus.model import build_corpus
 from seedsmith.extraction import (
     CanonicalizationError,
     ExtractionError,
@@ -26,6 +28,7 @@ from seedsmith.extraction import (
     extract_uris,
     hostname_of,
     intra_site_source,
+    seed_json,
     substitute_intra_site,
 )
 from seedsmith.segmentation import partition_corpus
@@ -418,15 +421,32 @@ class TestAssemble:
             )
             assert total == split
 
-    def test_provenance_resolves(self):
-        corpus = self.corpus()
-        partition = partition_corpus(corpus)
-        collections = assemble_collections(corpus, partition)
-        group_ids = {g.group_id for groups in partition.values() for g in groups}
-        for collection in collections.values():
-            for seed in collection.seeds:
-                assert seed.provenance.post_id in corpus.posts
-                assert seed.provenance.group_id in group_ids
+    def test_provenance_resolves(self, data_dir):
+        bundled = load_corpus(data_dir / "corpus.jsonl")
+        # A parentless post that is not SERP-visible, with two repliers:
+        # its tree has a detached root and forms one PnAn group.
+        lone = [
+            make_post(id="lone", topic_id="flood", text="https://lone.example/a"),
+            make_post(id="lone-r1", parent_id="lone", topic_id="flood", author="ann",
+                      text="https://lone.example/b"),
+            make_post(id="lone-r2", parent_id="lone", topic_id="flood", author="ben",
+                      raw_links=("https://lone.example/a",)),
+        ]
+        detached = build_corpus([*bundled.posts.values(), *lone], bundled.topics.values())
+        for corpus in (bundled, detached):
+            partition = partition_corpus(corpus)
+            holders = {g.group_id: (key, g.post_ids) for key, groups in partition.items()
+                       for g in groups}
+            records = seed_json(assemble_collections(corpus, partition))
+            assert records
+            for record in records:
+                p = record["provenance"]
+                key, post_ids = holders[p["group_id"]]
+                assert key == (p["topic_id"], p["source"], p["vertical"], p["post_class"])
+                assert p["post_id"] in post_ids
+                assert p["post_id"] in corpus.posts
+        assert {r["provenance"]["post_id"] for r in records
+                if r["provenance"]["group_id"] == "detached:lone/PnAn"} == {"lone", "lone-r1"}
 
     def test_unparseable_uri_skipped_with_warning(self):
         corpus = make_corpus(
@@ -454,19 +474,25 @@ class TestAssemble:
         total = sum(len(c.seeds) for c in globally.values())
         assert total == 1
 
-    def test_fetch_kinds_uses_media_type(self, tmp_path):
-        write_fixture(tmp_path, "https://a.example/download", 200,
-                      {"Content-Type": "application/pdf"}, b"%PDF")
-        corpus = make_corpus(
-            [make_post(id="r", serp_visible=True, text="https://a.example/download")]
-        )
+    @pytest.mark.parametrize(
+        "uri, status, media_type, final",
+        [
+            ("https://a.example/download", 200, "application/pdf", "https://a.example/download"),
+            # An error page's media type is not the seed's: the extension decides.
+            ("http://x.org/report.pdf", 404, "text/html", None),
+        ],
+        ids=["ok", "not-found"],
+    )
+    def test_fetch_kinds_uses_media_type(self, tmp_path, uri, status, media_type, final):
+        write_fixture(tmp_path, uri, status, {"Content-Type": media_type}, b"%PDF")
+        corpus = make_corpus([make_post(id="r", serp_visible=True, text=uri)])
         partition = partition_corpus(corpus)
         fetcher = Fetcher(FixtureTransport(tmp_path))
         collections = assemble_collections(corpus, partition, fetcher, fetch_kinds=True)
         seed = collections[("t1", "reddit", "top", "P1A1")].seeds[0]
         assert seed.kind == NON_HTML_KIND
-        assert seed.fetch_status == 200
-        assert seed.final == "https://a.example/download"
+        assert seed.fetch_status == status
+        assert seed.final == final
 
     def test_substituted_seeds_take_each_linking_posts_provenance(self, tmp_path):
         # r1's visit expands the permalink; r2's repeat visit reuses it.
@@ -483,7 +509,7 @@ class TestAssemble:
         collections = assemble_collections(corpus, partition, Fetcher(FixtureTransport(tmp_path)))
         cell = collections[("t1", "reddit", "top", "P1A1")]
         assert [
-            (s.original, s.canonical, s.provenance.post_id, s.provenance.group_id, s.retrieved_at)
+            (s.original, s.canonical, s.post_id, s.group_id, s.retrieved_at)
             for s in cell.post_seeds
         ] == [
             ("https://news.example/story", "https://news.example/story", post_id, f"{post_id}/P1A1",
@@ -506,7 +532,7 @@ class TestAssemble:
         assert len(cell.seeds) == 4
         by_post = {}
         for s in cell.post_seeds:
-            by_post.setdefault(s.provenance.post_id, []).append(s.canonical)
+            by_post.setdefault(s.post_id, []).append(s.canonical)
         assert by_post["r1"] == ["https://a.example/x", "https://b.example/y"]
         assert by_post["r2"] == [
             "https://a.example/x",

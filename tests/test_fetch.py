@@ -72,7 +72,7 @@ class TestFixtureTransport:
         fixtures.mkdir(parents=True)
         result = fixture_fetcher(fixtures).dereference("https://nowhere.example/")
         assert result.status == TAG_MISSING_FIXTURE
-        assert result.failed
+        assert not result.ok
 
     def test_missing_fixture_strict_raises(self, fixtures):
         fixtures.mkdir(parents=True)

@@ -53,7 +53,7 @@ class _Judge:
     def __init__(self, topics):
         self.golds = {topic: object() for topic in topics}
 
-    def judgment(self, seed):
+    def judgment(self, topic, seed):
         return SimpleNamespace(relevant=len(seed.canonical) % 2 == 0)
 
 

@@ -150,7 +150,7 @@ class TestDetached:
         assert [(g.post_class, frozenset(g.post_ids)) for g in groups] == [
             (PNAN, frozenset({"a", "b"}))
         ]
-        assert groups[0].root_id is None
+        assert groups[0].group_id == "detached:root/PnAn"
 
     def test_corpus_of_only_replies_yields_no_p1a1(self):
         corpus = make_corpus(

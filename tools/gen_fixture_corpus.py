@@ -24,7 +24,6 @@ from seedsmith.corpus.jsonl import write_corpus
 from seedsmith.corpus.model import Post, TopicSpec, build_corpus
 
 DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
-RESPONSES = DATA / "responses"
 
 RETRIEVED = datetime(2018, 11, 6, 0, 0, 0, tzinfo=timezone.utc)
 BASE_CREATED = datetime(2018, 11, 1, 0, 0, 0, tzinfo=timezone.utc)
@@ -516,20 +515,23 @@ REFS = {
 }
 
 
-def main():
-    DATA.mkdir(parents=True, exist_ok=True)
-    if RESPONSES.exists():
-        for old in RESPONSES.glob("*.response"):
+def main(data_dir=DATA):
+    """Write corpus.jsonl, refs.json and responses/ under ``data_dir``."""
+    responses = data_dir / "responses"
+    data_dir.mkdir(parents=True, exist_ok=True)
+    if responses.exists():
+        for old in responses.glob("*.response"):
             old.unlink()
-    for uri, body, headers in build_pages():
-        write_fixture(RESPONSES, uri, 200, headers, body)
+    pages = build_pages()
+    for uri, body, headers in pages:
+        write_fixture(responses, uri, 200, headers, body)
     posts = build_posts()
     corpus = build_corpus(posts, TOPICS)
-    write_corpus(corpus, DATA / "corpus.jsonl")
-    (DATA / "refs.json").write_text(
+    write_corpus(corpus, data_dir / "corpus.jsonl")
+    (data_dir / "refs.json").write_text(
         json.dumps(REFS, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"wrote {len(posts)} posts, {len(build_pages())} fixtures")
+    print(f"wrote {len(posts)} posts, {len(pages)} fixtures")
 
 
 if __name__ == "__main__":
