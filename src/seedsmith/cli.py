@@ -32,7 +32,7 @@ from .reports import (
     write_bundle,
     write_csv,
 )
-from .segmentation import Selector, partition_corpus
+from .segmentation import partition_corpus
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -356,9 +356,10 @@ def run_pipeline(args, stop: str = "analyze") -> int:
 
     tables: dict = {}  # report tables, each built once, as its stage finishes
     if stop != "goldstd":
-        selector = Selector.of(args.only_topics, args.only_sources, args.only_verticals)
         partition = partition_corpus(
-            corpus, selector, mc_exclude_root=args.mc_exclude_root, warnings=warnings
+            corpus, only_topics=args.only_topics, only_sources=args.only_sources,
+            only_verticals=args.only_verticals, mc_exclude_root=args.mc_exclude_root,
+            warnings=warnings,
         )
         tables.update(partition_tables(partition))
         if stop == "segment":

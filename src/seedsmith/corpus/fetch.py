@@ -264,7 +264,10 @@ class Fetcher:
         return result
 
     def _fetch(self, uri: str) -> FetchResult:
-        parts = urlsplit(uri)
+        try:
+            parts = urlsplit(uri)
+        except ValueError as exc:
+            return self._fail(uri, uri, (), TAG_INVALID_URI, f"{uri}: {exc}")
         if parts.scheme not in ("http", "https") or not parts.netloc:
             return self._fail(uri, uri, (), TAG_INVALID_URI, f"not an absolute http(s) URI: {uri}")
         chain: list[str] = []
@@ -275,7 +278,11 @@ class Fetcher:
             except TransportError as exc:
                 return self._fail(uri, current, tuple(chain), exc.tag, exc.detail)
             if status in (301, 302, 303, 307, 308) and headers.get("location"):
-                target = urljoin(current, headers["location"])
+                try:
+                    target = urljoin(current, headers["location"])
+                except ValueError as exc:
+                    return self._fail(uri, current, tuple(chain), TAG_INVALID_URI,
+                                      f"redirect to {headers['location']}: {exc}")
                 if target == current or target in chain or target == uri:
                     return self._fail(uri, current, tuple(chain), TAG_REDIRECT_LOOP, f"redirect loop at {target}")
                 chain.append(target)

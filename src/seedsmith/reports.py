@@ -33,7 +33,7 @@ from .corpus.fetch import FetchError, Fetcher
 from .corpus.model import Corpus
 from .extraction import HTML_KIND, NON_HTML_KIND, SEED_CSV_HEADER, seed_rows
 from .goldstandard import GoldStandard
-from .segmentation import MC, MC_MEMBER_CLASSES, mc_view, partition_counts
+from .segmentation import MC, MC_MEMBER_CLASSES, report_rows
 from .stopwords import STOPWORDS_VERSION
 
 NA = "NA"
@@ -53,12 +53,20 @@ def fmt(value) -> str:
 
 
 def partition_tables(partition) -> dict:
-    """The segment stage's tables: group and post counts per cell, as
-    partitioned and with PnA1 and PnAn pooled into MC (``mc_view``)."""
-    return {
-        name: _table(PARTITION_HEADER, [list(map(fmt, row)) for row in partition_counts(cells)])
-        for name, cells in (("partition", partition), ("partition_mc", mc_view(partition)))
+    """The segment stage's tables: group and post counts per report row,
+    of the cells as partitioned (``partition``) and of the rows with PnA1
+    and PnAn pooled into MC (``partition_mc``)."""
+    counts = {
+        row_key: (sum(len(partition[key]) for key in members),
+                  sum(len(g.post_ids) for key in members for g in partition[key]))
+        for row_key, members in report_rows(partition).items()
     }
+
+    def table(excluded):
+        return _table(PARTITION_HEADER, [list(map(fmt, (*key, *n)))
+                                         for key, n in counts.items() if key[3] not in excluded])
+
+    return {"partition": table((MC,)), "partition_mc": table(MC_MEMBER_CLASSES)}
 
 
 def seeds_table(collections) -> dict:
@@ -158,48 +166,18 @@ def collect_observations(collections, judge: RelevanceIndex) -> dict:
     return observations
 
 
-def _row_classes(post_class: str) -> tuple[str, ...]:
-    """The report classes a cell of ``post_class`` counts towards: its
-    own, and MC when it is PnA1 or PnAn."""
-    return (post_class, MC) if post_class in MC_MEMBER_CLASSES else (post_class,)
-
-
-def group_by_scope(observations) -> dict:
-    """(source, scope) -> the keys of the cells in that scope, in
-    ``collect_observations`` order.
-
-    A cell's scopes are its report classes (``_row_classes``) and All.
-    Both the URI-count distributions and the per-k relevance view read
-    this one grouping, through ``scope_posts``.
-    """
-    groups: dict = {}
-    for key in observations:
-        for scope in (*_row_classes(key[3]), "All"):
-            groups.setdefault((key[1], scope), []).append(key)
-    return groups
-
-
-def scope_posts(observations, cells, kind_name):
-    """(topic, observation) for each observation of ``cells`` holding at
-    least one seed of the kind, in order; the topic is the cell key's."""
-    for key in cells:
-        for o in observations[key]:
-            if o.k[kind_name] >= 1:
-                yield key[0], o
-
-
 @dataclass(frozen=True)
 class RowIndex:
-    """Every report row's member cells, deduped seeds and observations.
+    """Every report row's member cells, deduped seeds and observations,
+    and the rows of each (source, scope).
 
-    Row keys are every partition cell plus one pooled MC row per
-    (topic, source, vertical) that has a PnA1 or PnAn cell. Member cells
-    are sorted; that order fixes the order in which seeds and
-    observations pool, and with it every row's float summation order.
+    Rows and member cells are ``segmentation.report_rows``, both sorted;
+    that order fixes the order in which seeds and observations pool, and
+    with it every float summation order.
     """
 
-    keys: list  # sorted row keys
-    cells: dict  # row key -> sorted member cell keys
+    cells: dict  # row key -> sorted member cell keys, rows sorted
+    scopes: dict  # (source, scope) -> sorted row keys: the class's rows; for All, every cell
     seeds: dict  # row key -> seeds deduped by canonical URI, first occurrence winning
     observations: dict  # row key -> its member cells' PostObservations, pooled in order
 
@@ -207,25 +185,31 @@ class RowIndex:
 def index_rows(collections, observations) -> RowIndex:
     """Group the cells, seeds and observations of every report row in one
     pass over each."""
-    cells: dict = {}
-    for key in sorted(collections):
-        for label in _row_classes(key[3]):
-            cells.setdefault((*key[:3], label), []).append(key)
+    cells = report_rows(collections)
+    scopes: dict = {}
     seeds = {}
+    grouped = {}
     for row_key, members in cells.items():
-        seen = set()
-        row = []
+        scopes.setdefault((row_key[1], row_key[3]), []).append(row_key)
+        if members == [row_key]:
+            scopes.setdefault((row_key[1], "All"), []).append(row_key)
+        first = {}  # canonical URI -> its first seed, in first-seen order
         for key in members:
             for seed in collections[key].seeds:
-                if seed.canonical not in seen:
-                    seen.add(seed.canonical)
-                    row.append(seed)
-        seeds[row_key] = row
-    grouped = {
-        row_key: [o for key in members for o in observations[key]]
-        for row_key, members in cells.items()
-    }
-    return RowIndex(sorted(cells), cells, seeds, grouped)
+                first.setdefault(seed.canonical, seed)
+        seeds[row_key] = list(first.values())
+        grouped[row_key] = [o for key in members for o in observations[key]]
+    return RowIndex(cells, scopes, seeds, grouped)
+
+
+def scope_posts(rows_index: RowIndex, source, scope, kind_name):
+    """(topic, observation) for each observation of the rows of
+    (``source``, ``scope``) holding at least one seed of the kind, in
+    order."""
+    for row_key in rows_index.scopes.get((source, scope), ()):
+        for o in rows_index.observations[row_key]:
+            if o.k[kind_name] >= 1:
+                yield row_key[0], o
 
 
 def build_tables(
@@ -253,21 +237,19 @@ def build_tables(
     rows_index = index_rows(collections, observations)
     tables = {}
 
-    groups = group_by_scope(observations)
     for kind_name, _kind in KIND_FILTERS:
         distribution_rows = []
         by_k_rows = []
         for source in sources:
             for scope in SCOPES:
-                cells = groups.get((source, scope), ())
                 probabilities = uri_count_distribution(
                     ((topic, o.k[kind_name])
-                     for topic, o in scope_posts(observations, cells, kind_name)),
+                     for topic, o in scope_posts(rows_index, source, scope, kind_name)),
                     dist_mode,
                 )
                 by_bin = conditional_relevance_by_k(
                     (o.k[kind_name], o.precision[kind_name])
-                    for _topic, o in scope_posts(observations, cells, kind_name)
+                    for _topic, o in scope_posts(rows_index, source, scope, kind_name)
                 )
                 for bin_label in K_BINS:
                     distribution_rows.append(
@@ -286,7 +268,7 @@ def build_tables(
 
     for kind_name, kind in KIND_FILTERS:
         rows = []
-        for row_key in rows_index.keys:
+        for row_key in rows_index.cells:
             obs = [o for o in rows_index.observations[row_key] if o.k[kind_name] >= 1]
             summary = class_average_precision(o.precision[kind_name] for o in obs)
             rows.append([*row_key, *_precision_cells(summary), kind_name])
@@ -360,7 +342,7 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, fetcher: Fetcher, w
                 estimates[uri] = estimate_publication_date(result, fetcher.digest(result))
         return estimates[uri]
 
-    for row_key in rows_index.keys:
+    for row_key in rows_index.cells:
         ages = []
         for seed in rows_index.seeds[row_key]:
             if seed.kind != HTML_KIND:
@@ -398,7 +380,7 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, fetcher: Fetcher, w
 
 def _diversity_table(rows_index: RowIndex):
     rows = []
-    for row_key in rows_index.keys:
+    for row_key in rows_index.cells:
         seeds = rows_index.seeds[row_key]
         for kind_name, kind in KIND_FILTERS:
             subset = seeds if kind is None else [s for s in seeds if s.kind == kind]
@@ -422,7 +404,7 @@ def _overlap_table(collections, rows_index: RowIndex, reference_source):
                 collections[key].canonical_uris
             )
     rows = []
-    for row_key in rows_index.keys:
+    for row_key in rows_index.cells:
         topic, source, vertical, post_class = row_key
         if source == reference_source or topic not in reference_by_topic:
             continue

@@ -7,7 +7,8 @@ are classified into groups by post count and author count:
 - PnA1: a root-anchored chain of replies all written by the root author
 - PnAn: the root plus all replies, when at least two authors took part
 
-PnA1 and PnAn together form the micro-collection (MC) view. A root post
+PnA1 and PnAn together form the micro-collection (MC): ``report_rows``
+pools them into one row per topic, source and vertical. A root post
 belongs to its P1A1 group and to the MC groups of its thread; pass
 ``mc_exclude_root=True`` for the alternative counting where MC groups
 hold replies only. P1An groups (multi-author reference lists) never come
@@ -68,27 +69,6 @@ class PostGroup:
                 )
 
 
-@dataclass(frozen=True)
-class Selector:
-    """Optional topic/source/vertical filter over a corpus."""
-
-    topics: frozenset[str] | None = None
-    sources: frozenset[str] | None = None
-    verticals: frozenset[str] | None = None
-
-    @classmethod
-    def of(cls, topics=None, sources=None, verticals=None) -> "Selector":
-        wrap = lambda v: frozenset(v) if v else None
-        return cls(wrap(topics), wrap(sources), wrap(verticals))
-
-    def matches(self, post: Post) -> bool:
-        return (
-            (self.topics is None or post.topic_id in self.topics)
-            and (self.sources is None or post.source in self.sources)
-            and (self.verticals is None or post.vertical in self.verticals)
-        )
-
-
 @dataclass
 class TreeNode:
     post: Post | None  # None only on synthetic detached roots
@@ -120,16 +100,24 @@ def _order_key(node: TreeNode):
     return reply_order(node.cell_post())
 
 
-def build_forest(corpus: Corpus, selector: Selector | None = None, warnings=None) -> list[TreeNode]:
+def build_forest(corpus: Corpus, *, only_topics=(), only_sources=(), only_verticals=(),
+                 warnings=None) -> list[TreeNode]:
     """Arrange the selected posts into reply trees.
 
-    SERP-visible posts root their threads. A reply whose parent falls
-    outside the selection goes under a synthetic detached root (one per
-    missing parent), with a warning recorded. Children are ordered by
-    (created_at, id) so the forest is reproducible.
+    A post is selected when its topic, source and vertical are each in
+    ``only_topics``, ``only_sources`` and ``only_verticals``, an empty
+    filter selecting every value. SERP-visible posts root their threads.
+    A reply whose parent falls outside the selection goes under a
+    synthetic detached root (one per missing parent), with a warning
+    recorded. Children are ordered by (created_at, id) so the forest is
+    reproducible.
     """
-    selector = selector or Selector()
-    selected = [p for p in corpus.posts.values() if selector.matches(p)]
+    selected = [
+        p for p in corpus.posts.values()
+        if (not only_topics or p.topic_id in only_topics)
+        and (not only_sources or p.source in only_sources)
+        and (not only_verticals or p.vertical in only_verticals)
+    ]
     nodes = {p.id: TreeNode(p) for p in selected}
 
     roots: list[TreeNode] = []
@@ -252,19 +240,17 @@ def classify_groups(tree: TreeNode, mc_exclude_root: bool = False) -> list[PostG
 CellKey = tuple[str, str, str, str]  # (topic_id, source, vertical, post_class)
 
 
-def partition_corpus(
-    corpus: Corpus,
-    selector: Selector | None = None,
-    mc_exclude_root: bool = False,
-    warnings=None,
-) -> dict[CellKey, list[PostGroup]]:
-    """Group the corpus into (topic, source, vertical, post class) cells.
+def partition_corpus(corpus: Corpus, *, only_topics=(), only_sources=(), only_verticals=(),
+                     mc_exclude_root: bool = False, warnings=None) -> dict[CellKey, list[PostGroup]]:
+    """Group the selected posts (see ``build_forest``) into (topic,
+    source, vertical, post class) cells.
 
     The result is deterministically ordered: cells sorted by key, groups
     in forest order within each cell. An empty selection yields an empty
     map.
     """
-    forest = build_forest(corpus, selector, warnings=warnings)
+    forest = build_forest(corpus, only_topics=only_topics, only_sources=only_sources,
+                          only_verticals=only_verticals, warnings=warnings)
     cells: dict[CellKey, list[PostGroup]] = {}
     for tree in forest:
         cell = tree.cell_post()
@@ -274,21 +260,17 @@ def partition_corpus(
     return {key: cells[key] for key in sorted(cells)}
 
 
-def mc_view(partition: dict[CellKey, list[PostGroup]]) -> dict[CellKey, list[PostGroup]]:
-    """Merge PnA1 and PnAn cells under the MC label; counts stay additive."""
-    merged: dict[CellKey, list[PostGroup]] = {}
-    for (topic, source, vertical, post_class), groups in partition.items():
-        if post_class in MC_MEMBER_CLASSES:
-            key = (topic, source, vertical, MC)
-        else:
-            key = (topic, source, vertical, post_class)
-        merged.setdefault(key, []).extend(groups)
-    return {key: merged[key] for key in sorted(merged)}
+def report_rows(cells) -> dict[CellKey, list[CellKey]]:
+    """{row key: its member cell keys} for the report rows over ``cells``.
 
-
-def partition_counts(partition: dict[CellKey, list[PostGroup]]) -> list[tuple]:
-    """Rows of (topic, source, vertical, post_class, group_count, post_count)."""
-    return [
-        (*key, len(groups), sum(len(g.post_ids) for g in groups))
-        for key, groups in sorted(partition.items())
-    ]
+    Every cell is a row of its own, and each (topic, source, vertical)
+    with a PnA1 or PnAn cell has an MC row pooling those cells. Rows and
+    members are sorted; the member order fixes the order in which a
+    row's seeds and observations pool.
+    """
+    rows: dict[CellKey, list[CellKey]] = {}
+    for key in sorted(cells):
+        rows[key] = [key]
+        if key[3] in MC_MEMBER_CLASSES:
+            rows.setdefault((*key[:3], MC), []).append(key)
+    return {key: rows[key] for key in sorted(rows)}

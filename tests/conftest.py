@@ -7,8 +7,7 @@ import pytest
 
 from seedsmith.analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_NORMALIZED, uri_count_distribution
 from seedsmith.corpus.model import Post, TopicSpec, build_corpus
-from seedsmith.reports import (KIND_FILTERS, RelevanceIndex, collect_observations, group_by_scope,
-                               scope_posts)
+from seedsmith.reports import KIND_FILTERS, RelevanceIndex, collect_observations, index_rows, scope_posts
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -63,12 +62,12 @@ class DistributionColumn:
 def distribution_column(collections, *, source, scope="All", kind=None, mode=MODE_NORMALIZED):
     """One URI-count distribution column, computed as the report does:
     the collections' per-post observations (judged against no gold
-    standards), grouped by scope, fed to ``uri_count_distribution``."""
+    standards), pooled over the scope's report rows, fed to
+    ``uri_count_distribution``."""
     judge = RelevanceIndex({}, None, DEFAULT_RELEVANCE_THRESHOLD)
     kind_name = {k: name for name, k in KIND_FILTERS}[kind]
-    observations = collect_observations(collections, judge)
-    cells = group_by_scope(observations).get((source, scope), ())
-    held = list(scope_posts(observations, cells, kind_name))
+    rows = index_rows(collections, collect_observations(collections, judge))
+    held = list(scope_posts(rows, source, scope, kind_name))
     probabilities = uri_count_distribution([(topic, o.k[kind_name]) for topic, o in held], mode)
     return DistributionColumn(probabilities, len(held))
 

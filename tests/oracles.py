@@ -755,3 +755,17 @@ def reference_observations_for_row(observations, row_key):
         for o in cell
         if o_topic == topic and o_source == source and o_vertical == vertical and o_class in classes
     ]
+
+
+def reference_observations_for_scope(observations, source, scope):
+    """Observations of one (source, scope) of the distribution and per-k
+    tables, rescanning every cell: those of the source's cells of the
+    scope's classes (PnA1 and PnAn for MC, every class for All), cells in
+    sorted order."""
+    classes = {"MC": _MC_MEMBER_CLASSES, "All": None}.get(scope, (scope,))
+    return [
+        o
+        for key in sorted(observations)
+        if key[1] == source and (classes is None or key[3] in classes)
+        for o in observations[key]
+    ]

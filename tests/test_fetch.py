@@ -4,12 +4,15 @@ import shutil
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post
 from seedsmith.cli import main
@@ -22,6 +25,7 @@ from seedsmith.corpus.fetch import (
     TAG_TRANSPORT,
     FetchError,
     Fetcher,
+    FetchResult,
     FixtureTransport,
     HttpTransport,
     RecordingTransport,
@@ -32,6 +36,8 @@ from seedsmith.corpus.fetch import (
 from seedsmith.corpus.jsonl import write_corpus
 
 DATA = Path(__file__).parent / "data"
+# A URI that ``urllib.parse.urlsplit`` rejects ("Invalid IPv6 URL").
+BAD_URI = "http://[bad/x"
 
 
 @pytest.fixture
@@ -93,6 +99,18 @@ class TestFixtureTransport:
         fetcher = fixture_fetcher(fixtures, max_redirects=3)
         result = fetcher.dereference("https://a.example/0")
         assert result.status == TAG_REDIRECT_LIMIT
+
+    @pytest.mark.parametrize("lenient", [True, False], ids=["lenient", "strict"])
+    def test_unsplittable_location_is_invalid_uri(self, fixtures, lenient):
+        write_fixture(fixtures, "https://a.example/old", 302, {"Location": BAD_URI}, b"")
+        fetcher = fixture_fetcher(fixtures, lenient=lenient)
+        if not lenient:
+            with pytest.raises(FetchError) as caught:
+                fetcher.dereference("https://a.example/old")
+            assert caught.value.tag == TAG_INVALID_URI
+            return
+        result = fetcher.dereference("https://a.example/old")
+        assert (result.status, result.final_uri) == (TAG_INVALID_URI, "https://a.example/old")
 
     def test_relative_location_resolved(self, fixtures):
         write_fixture(fixtures, "https://a.example/old", 302, {"Location": "/new"}, b"")
@@ -221,6 +239,60 @@ def test_invalid_uri_tagged(fixtures):
     fetcher = fixture_fetcher(fixtures)
     assert fetcher.dereference("mailto:a@b.c").status == TAG_INVALID_URI
     assert fetcher.dereference("not a uri").status == TAG_INVALID_URI
+    assert fetcher.dereference(BAD_URI).status == TAG_INVALID_URI
+    with pytest.raises(FetchError) as caught:
+        fixture_fetcher(fixtures, lenient=False).dereference(BAD_URI)
+    assert caught.value.tag == TAG_INVALID_URI
+
+
+# Any header value a fixture can hold: latin-1, one line.
+_HEADER_TEXT = st.text(st.characters(max_codepoint=255, blacklist_characters="\r\n"), max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(location=st.one_of(_HEADER_TEXT, st.builds(
+    str.__add__,
+    st.sampled_from(["http://", "https://", "//", "/", "?", "ftp://", "mailto:", "http://[",
+                     "http://[::1", "http://a.example:", "http://a.example:99999"]),
+    _HEADER_TEXT,
+)), lenient=st.booleans())
+def test_any_location_ends_in_a_result_or_a_fetch_error(location, lenient):
+    with tempfile.TemporaryDirectory() as fixtures:
+        write_fixture(fixtures, "https://a.example/old", 302, {"Location": location}, b"")
+        fetcher = Fetcher(FixtureTransport(fixtures), lenient=lenient)
+        try:
+            assert isinstance(fetcher.dereference("https://a.example/old"), FetchResult)
+        except FetchError:
+            assert not lenient
+
+
+@pytest.mark.parametrize("where", ["refs-entry", "redirect-location"])
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_unsplittable_uri_ends_no_run_in_a_traceback(tmp_path, capsys, where, strict):
+    """A reference URI, or a redirect's Location, that does not split is an
+    invalid-uri failure: a manifest warning in a lenient run, one error
+    line in a strict one."""
+    fixtures = tmp_path / "responses"
+    shutil.copytree(DATA / "responses", fixtures)
+    refs = json.loads((DATA / "refs.json").read_text(encoding="utf-8"))
+    if where == "refs-entry":
+        refs["strike"] = [*refs["strike"], BAD_URI]
+    else:
+        write_fixture(fixtures, refs["flood"], 302, {"Location": BAD_URI}, b"")
+    (tmp_path / "refs.json").write_text(json.dumps(refs), encoding="utf-8")
+    args = ["run", "--corpus", DATA / "corpus.jsonl", "--fixtures", fixtures,
+            "--refs", tmp_path / "refs.json", "--out", tmp_path / "out"]
+    code = _run_cli(*args, *(["--strict"] if strict else []))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if strict:
+        assert code == 1
+        assert err.startswith(f"error: {TAG_INVALID_URI}: ")
+        assert err.count("error:") == 1 and err.count("\n") == 1
+    else:
+        assert code == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert any(TAG_INVALID_URI in warning for warning in manifest["warnings"])
 
 
 # Citations must name another host than the page's: "localhost" against

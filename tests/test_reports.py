@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post, make_topic
-from oracles import random_reply_tree, reference_observations_for_row, reference_seeds_for_row
+from oracles import (random_reply_tree, reference_observations_for_row,
+                     reference_observations_for_scope, reference_seeds_for_row)
 from seedsmith import reports
 from seedsmith.extraction import assemble_collections
-from seedsmith.reports import collect_observations, index_rows, write_bundle
+from seedsmith.reports import KIND_FILTERS, SCOPES, collect_observations, index_rows, scope_posts, write_bundle
 from seedsmith.segmentation import MC, MC_MEMBER_CLASSES, partition_corpus
 
 LINK_POOL = [
@@ -68,8 +69,8 @@ def test_row_index_matches_per_row_rescans():
         index = index_rows(collections, observations)
 
         mc_keys = {(*key[:3], MC) for key in collections if key[3] in MC_MEMBER_CLASSES}
-        assert index.keys == sorted(set(collections) | mc_keys)
-        for key in index.keys:
+        assert list(index.cells) == sorted(set(collections) | mc_keys)
+        for key in index.cells:
             classes_seen.add(key[3])
             want_seeds = reference_seeds_for_row(collections, key)
             assert len(index.seeds[key]) == len(want_seeds)
@@ -79,6 +80,22 @@ def test_row_index_matches_per_row_rescans():
             assert all(a is b for a, b in zip(index.observations[key], want_obs)), key
             members = index.cells[key]
             assert members == sorted(members)
+        topic_of = {id(o): key[0] for key, cell in observations.items() for o in cell}
+        for source in {key[1] for key in collections}:
+            for scope in SCOPES:
+                want_obs = reference_observations_for_scope(observations, source, scope)
+                row_keys = index.scopes.get((source, scope), [])
+                assert row_keys == sorted(row_keys)
+                got = [o for key in row_keys for o in index.observations[key]]
+                assert len(got) == len(want_obs)
+                assert all(a is b for a, b in zip(got, want_obs)), (source, scope)
+                for kind_name, _kind in KIND_FILTERS:
+                    held = list(scope_posts(index, source, scope, kind_name))
+                    want_held = [o for o in want_obs if o.k[kind_name] >= 1]
+                    assert len(held) == len(want_held)
+                    assert all(o is want for (_topic, o), want in zip(held, want_held))
+                    assert all(topic == topic_of[id(o)] for topic, o in held)
+        assert set(index.scopes) <= {(key[1], scope) for key in collections for scope in SCOPES}
     assert {"P1A1", "PnA1", "PnAn", MC} <= classes_seen
 
 

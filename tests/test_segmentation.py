@@ -2,23 +2,23 @@ import random
 from datetime import datetime, timezone
 
 from conftest import make_corpus, make_post
+from test_reports import _random_corpus
 from oracles import (
     brute_force_classify,
     classify_result_as_set,
     random_reply_tree,
     reference_self_chains,
 )
+from seedsmith.reports import partition_tables
 from seedsmith.segmentation import (
     MC,
     P1A1,
     PNA1,
     PNAN,
-    Selector,
     build_forest,
     classify_groups,
-    mc_view,
     partition_corpus,
-    partition_counts,
+    report_rows,
 )
 from seedsmith.segmentation import _maximal_self_chains
 
@@ -224,14 +224,12 @@ class TestPartition:
         partition = partition_corpus(make_corpus(self.fixture_posts()))
         counts = {key[3]: len(groups) for key, groups in partition.items()}
         assert counts == {P1A1: 3, PNA1: 1, PNAN: 1}
-        rows = partition_counts(partition)
+        rows = partition_tables(partition)["partition"]["rows"]
         posts_by_class = {row[3]: row[5] for row in rows}
-        assert posts_by_class == {P1A1: 3, PNA1: 2, PNAN: 2}
+        assert posts_by_class == {P1A1: "3", PNA1: "2", PNAN: "2"}
 
     def test_empty_selection_is_empty_map(self):
-        partition = partition_corpus(
-            make_corpus(self.fixture_posts()), Selector.of(topics=["none"])
-        )
+        partition = partition_corpus(make_corpus(self.fixture_posts()), only_topics=("none",))
         assert partition == {}
 
     def test_determinism(self):
@@ -242,27 +240,40 @@ class TestPartition:
         assert first == second
 
 
-class TestMcView:
-    def test_counts_additive(self):
-        posts = [
-            make_post(id="r2", serp_visible=True, author="carol"),
-            make_post(id="r2a", parent_id="r2", author="carol"),
-            make_post(id="r3", serp_visible=True, author="dave"),
-            make_post(id="r3a", parent_id="r3", author="erin"),
-        ]
-        partition = partition_corpus(make_corpus(posts))
-        merged = mc_view(partition)
-        mc_groups = [g for key, gs in merged.items() if key[3] == MC for g in gs]
-        n_pna1 = sum(len(gs) for key, gs in partition.items() if key[3] == PNA1)
-        n_pnan = sum(len(gs) for key, gs in partition.items() if key[3] == PNAN)
-        assert len(mc_groups) == n_pna1 + n_pnan == 2
-        mc_posts = sum(len(g.post_ids) for g in mc_groups)
-        assert mc_posts == 4
+class TestReportRows:
+    def test_rows_over_random_partitions(self):
+        rng = random.Random(23)
+        mc_rows_seen = 0
+        for trial in range(25):
+            partition = partition_corpus(_random_corpus(rng), mc_exclude_root=trial % 2 == 1)
+            rows = report_rows(partition)
+            assert list(rows) == sorted(rows)
+            assert all(members == sorted(members) for members in rows.values())
+            for key in partition:
+                assert rows[key] == [key]
+            mc_rows = {key: members for key, members in rows.items() if key[3] == MC}
+            assert set(rows) == set(partition) | set(mc_rows)
+            scopes = {key[:3] for key in partition if key[3] in (PNA1, PNAN)}
+            assert {key[:3] for key in mc_rows} == scopes
+            for row_key, members in mc_rows.items():
+                assert members == sorted(
+                    key for key in partition if key[:3] == row_key[:3] and key[3] in (PNA1, PNAN)
+                )
+            mc_rows_seen += len(mc_rows)
 
-    def test_empty_mc(self):
-        partition = partition_corpus(make_corpus([make_post(id="r", serp_visible=True)]))
-        merged = mc_view(partition)
-        assert not any(key[3] == MC for key in merged)
+            tables = partition_tables(partition)
+            counts = {tuple(row[:4]): [int(n) for n in row[4:]]
+                      for row in tables["partition"]["rows"]}
+            assert counts == {
+                key: [len(groups), sum(len(g.post_ids) for g in groups)]
+                for key, groups in partition.items()
+            }
+            pooled = {tuple(row[:4]): [int(n) for n in row[4:]]
+                      for row in tables["partition_mc"]["rows"]}
+            assert list(pooled) == [key for key in rows if key[3] not in (PNA1, PNAN)]
+            for row_key, got in pooled.items():
+                assert got == [sum(counts[key][i] for key in rows[row_key]) for i in (0, 1)]
+        assert mc_rows_seen
 
 
 class TestMcExcludeRoot:
@@ -339,8 +350,8 @@ class TestDeepChains:
 
     def test_deep_chain_partitions(self):
         partition = partition_corpus(make_corpus(self.deep_chain(1200)))
-        rows = {row[3]: row[4:] for row in partition_counts(partition)}
-        assert rows == {P1A1: (1, 1), PNA1: (1, 1200)}
+        rows = {row[3]: row[4:] for row in partition_tables(partition)["partition"]["rows"]}
+        assert rows == {P1A1: ["1", "1"], PNA1: ["1", "1200"]}
 
     def test_chain_order_matches_recursive_growth(self):
         rng = random.Random(5)
