@@ -240,6 +240,33 @@ class TestPartition:
         assert first == second
 
 
+class TestMcView:
+    def test_counts_additive(self):
+        posts = [
+            make_post(id="r2", serp_visible=True, author="carol"),
+            make_post(id="r2a", parent_id="r2", author="carol"),
+            make_post(id="r3", serp_visible=True, author="dave"),
+            make_post(id="r3a", parent_id="r3", author="erin"),
+        ]
+        partition = partition_corpus(make_corpus(posts))
+        mc_rows = [key for key in report_rows(partition) if key[3] == MC]
+        assert len(mc_rows) == 1
+        mc_groups = [g for key in report_rows(partition)[mc_rows[0]] for g in partition[key]]
+        n_pna1 = sum(len(gs) for key, gs in partition.items() if key[3] == PNA1)
+        n_pnan = sum(len(gs) for key, gs in partition.items() if key[3] == PNAN)
+        assert len(mc_groups) == n_pna1 + n_pnan == 2
+        mc_posts = sum(len(g.post_ids) for g in mc_groups)
+        assert mc_posts == 4
+        pooled = {row[3]: row[4:] for row in partition_tables(partition)["partition_mc"]["rows"]}
+        assert pooled[MC] == ["2", "4"]
+
+    def test_empty_mc(self):
+        partition = partition_corpus(make_corpus([make_post(id="r", serp_visible=True)]))
+        assert not any(key[3] == MC for key in report_rows(partition))
+        pooled = partition_tables(partition)["partition_mc"]["rows"]
+        assert not any(row[3] == MC for row in pooled)
+
+
 class TestReportRows:
     def test_rows_over_random_partitions(self):
         rng = random.Random(23)
