@@ -216,13 +216,23 @@ def _expand_replies(corpus: Corpus, args) -> Corpus:
 def _load_golds(args, corpus: Corpus, fetcher, warnings) -> dict[str, GoldStandard]:
     golds: dict[str, GoldStandard] = {}
     if args.golds:
-        for path in sorted(args.golds.glob("gold_*.json")):
+        paths = sorted(args.golds.glob("gold_*.json"))
+        read: dict[str, Path] = {}  # topic id -> the file that gave it
+        for path in paths:
             try:
                 gold = GoldStandard.from_json(path.read_text(encoding="utf-8"))
             except (GoldStandardError, UnicodeDecodeError) as exc:
                 raise GoldStandardError(f"bad gold standard file {path}: {exc}") from exc
-            golds[gold.topic_id] = gold
-        if not golds:
+            if gold.topic_id in read:
+                raise GoldStandardError(
+                    f"bad gold standard file {path}: topic {gold.topic_id!r} is also in {read[gold.topic_id]}"
+                )
+            read[gold.topic_id] = path
+            if gold.topic_id in corpus.topics:
+                golds[gold.topic_id] = gold
+            else:
+                warnings.append(f"gold standard file {path}: topic {gold.topic_id!r} is not in the corpus; not used")
+        if not paths:
             warnings.append(f"no gold_*.json file in --golds {args.golds}; relevance tables will be NA")
         return golds
     if not args.refs:
@@ -392,6 +402,7 @@ def run_pipeline(args, stop: str = "analyze") -> int:
         _print_warnings(warnings)
         return EXIT_OK
     _write_golds(golds, out / "golds")
+    fetcher.release_bodies()  # reference lists were the last pages read from a body
 
     tables.update(build_tables(
         corpus, collections, golds, fetcher, warnings, threshold=args.threshold,

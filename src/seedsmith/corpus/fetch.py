@@ -10,11 +10,13 @@ otherwise fetches it live and writes it there, so a replay of the
 directory reproduces the live run. The Fetcher layers redirect
 following and a per-run, request-URI-keyed memory cache on top, plus
 one page digest per final URI (see ``seedsmith.pages``). Nothing else
-is kept on disk.
+is kept on disk. A cached body lives until ``Fetcher.release_bodies``
+is called, and after that only until its page is digested.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import re
@@ -165,7 +167,9 @@ class FixtureTransport:
 
     Each file is an HTTP-like message: status line, header lines, blank
     line, raw body. Both CRLF and LF separators are accepted; the head
-    ends at the first blank line of either form.
+    ends at the first blank line of either form. A URI without a file is
+    a ``missing-fixture`` error; a file that cannot be read is a
+    ``transport-error``.
     """
 
     def __init__(self, directory):
@@ -173,9 +177,12 @@ class FixtureTransport:
 
     def request(self, uri: str):
         path = self.directory / fixture_filename(uri)
-        if not path.exists():
-            raise TransportError(TAG_MISSING_FIXTURE, f"no fixture for {uri} ({path.name})")
-        raw = path.read_bytes()
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            raise TransportError(TAG_MISSING_FIXTURE, f"no fixture for {uri} ({path.name})") from None
+        except OSError as exc:
+            raise TransportError(TAG_TRANSPORT, f"cannot read the fixture for {uri}: {exc}") from exc
         blank = _BLANK_LINE.search(raw)
         head, body = (raw[:blank.start()], raw[blank.end():]) if blank else (raw, b"")
         head_lines = head.replace(b"\r\n", b"\n").split(b"\n")
@@ -221,6 +228,10 @@ class RecordingTransport:
 class Fetcher:
     """Dereferences URIs with redirects and per-run caching.
 
+    A cached page keeps its body until ``release_bodies`` is called;
+    from then on the cache holds each digested page without its body.
+    Results already handed out are never changed.
+
     Safe for concurrent use: the caches tolerate concurrent readers and
     writers, and pacing requests to a host is the transport's concern.
     """
@@ -234,6 +245,7 @@ class Fetcher:
         self._memory_lock = threading.Lock()
         self._digests: dict[str, PageDigest] = {}
         self._digest_lock = threading.Lock()
+        self._keep_bodies = True
 
     def digest(self, result: FetchResult) -> PageDigest:
         """The digest of a successfully fetched document, built once per
@@ -241,12 +253,28 @@ class Fetcher:
 
         A page is digested under a lock, so concurrent callers never
         digest it twice; digesting holds the GIL throughout anyway.
+        After ``release_bodies``, the cache entry of ``result`` is
+        replaced by a copy without the body once its digest is taken.
         """
         with self._digest_lock:
             found = self._digests.get(result.final_uri)
             if found is None:
                 found = self._digests[result.final_uri] = digest_page(result.body)
+        if not self._keep_bodies:
+            with self._memory_lock:
+                if self._memory.get(result.request_uri) is result:
+                    self._memory[result.request_uri] = dataclasses.replace(result, body=b"")
         return found
+
+    def release_bodies(self) -> None:
+        """Stop keeping the bodies of digested pages: drop those cached
+        now, and from here on each page's body once it is digested. Call
+        it when nothing will read a body except through ``digest``."""
+        self._keep_bodies = False
+        with self._memory_lock:
+            for uri, result in self._memory.items():
+                if result.body and result.final_uri in self._digests:
+                    self._memory[uri] = dataclasses.replace(result, body=b"")
 
     def dereference(self, uri: str) -> FetchResult:
         """Fetch ``uri``, following up to ``max_redirects`` redirects.

@@ -10,6 +10,7 @@ P1An post-class label.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from urllib.parse import urlsplit
 
 from . import textkernel
 from .corpus.fetch import Fetcher, FetchResult
+from .corpus.jsonl import check_encodable
 from .corpus.model import TopicSpec, format_timestamp, parse_timestamp
 from .htmltools import _RAW_TEXT_END, VOID_TAGS, HtmlDecodingError, _markup_token, decode_html
 from .segmentation import P1AN
@@ -165,21 +167,68 @@ class GoldStandard:
     @classmethod
     def from_json(cls, text: str) -> "GoldStandard":
         """Read ``to_json``'s output back. Text that is not such a
-        document raises GoldStandardError."""
+        document raises GoldStandardError: JSON that is not an object, a
+        missing key, a field of another type (``topic_id``,
+        ``post_class`` and ``built_at`` are strings, ``weights`` maps
+        terms to finite numbers, ``reference_uris`` is a list of strings
+        and ``failures`` a list of ``{uri, reason}`` strings), weights
+        whose sum of squares is 0 or overflows, a ``built_at`` that is
+        not a timestamp, or a lone surrogate."""
         try:
             payload = json.loads(text)
-            return cls(
-                topic_id=payload["topic_id"],
-                vector=dict(payload["weights"]),
-                reference_uris=tuple(payload["reference_uris"]),
-                failures=tuple((f["uri"], f["reason"]) for f in payload["failures"]),
-                built_at=parse_timestamp(payload["built_at"]),
-                post_class=payload.get("post_class", P1AN),
-            )
-        except KeyError as exc:
-            raise GoldStandardError(f"missing key {exc}") from exc
-        except (ValueError, TypeError, AttributeError) as exc:
+            if "\\u" in text:  # only an escape can name a lone surrogate
+                check_encodable(payload)
+        except (ValueError, RecursionError) as exc:
             raise GoldStandardError(f"malformed gold standard: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise GoldStandardError("malformed gold standard: not a JSON object")
+        for key in ("topic_id", "weights", "reference_uris", "failures", "built_at"):
+            if key not in payload:
+                raise GoldStandardError(f"missing key {key!r}")
+        post_class = payload.get("post_class", P1AN)
+        weights, uris, failures = payload["weights"], payload["reference_uris"], payload["failures"]
+        for key, ok, expected in (
+            ("topic_id", isinstance(payload["topic_id"], str), "a string"),
+            ("post_class", isinstance(post_class, str), "a string"),
+            ("built_at", isinstance(payload["built_at"], str), "a string"),
+            ("weights", isinstance(weights, dict) and all(map(_is_finite_number, weights.values())),
+             "an object of finite numbers"),
+            ("reference_uris", isinstance(uris, list) and all(isinstance(u, str) for u in uris),
+             "a list of strings"),
+            ("failures", isinstance(failures, list) and all(map(_is_failure, failures)),
+             "a list of {uri, reason} strings"),
+        ):
+            if not ok:
+                raise GoldStandardError(f"{key} is not {expected}")
+        # A norm that overflows or underflows makes every cosine against
+        # the gold NaN, 0 or a division by zero.
+        if weights and not 0 < sum(float(w) * float(w) for w in weights.values()) < math.inf:
+            raise GoldStandardError("weights do not have a positive finite norm")
+        try:
+            built_at = parse_timestamp(payload["built_at"])
+        except (ValueError, OverflowError) as exc:
+            raise GoldStandardError(f"built_at is not a timestamp: {exc}") from exc
+        return cls(
+            topic_id=payload["topic_id"],
+            vector=weights,
+            reference_uris=tuple(uris),
+            failures=tuple((f["uri"], f["reason"]) for f in failures),
+            built_at=built_at,
+            post_class=post_class,
+        )
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_failure(value) -> bool:
+    return isinstance(value, dict) and all(isinstance(value.get(k), str) for k in ("uri", "reason"))
 
 
 def build_gold_standard(topic: TopicSpec, ref_uris, fetcher: Fetcher) -> GoldStandard:

@@ -1,12 +1,18 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post
 from seedsmith import reports
@@ -830,3 +836,93 @@ def test_lone_surrogate_in_refs_names_the_topic(tmp_path, capsys):
         f"error: bad refs file {refs}: topic 'flood': "
         "a string holds a lone surrogate, which is not UTF-8 text\n"
     )
+
+
+@functools.cache
+def _bundled_golds() -> dict:
+    """The bundled corpus's gold files as ``goldstd`` writes them, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "golds"
+        assert run_cli(*base_args(out, "goldstd"), "--refs", DATA / "refs.json") == 0
+        return {path.name: path.read_text(encoding="utf-8") for path in out.iterdir()}
+
+
+def _analyze_with_golds(tmp_path, edit=lambda golds: None):
+    """``analyze --golds`` over the bundled golds after ``edit`` changed
+    their decoded payloads (by file name) in place; returns the exit code
+    and stderr."""
+    golds = {name: json.loads(text) for name, text in _bundled_golds().items()}
+    edit(golds)
+    gold_dir = tmp_path / "golds"
+    gold_dir.mkdir()
+    for name, payload in golds.items():
+        (gold_dir / name).write_text(json.dumps(payload), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(*base_args(tmp_path / "out", "analyze"), "--golds", gold_dir)
+    return code, err.getvalue()
+
+
+class TestGoldFiles:
+    def test_same_topic_in_two_files_is_one_error(self, tmp_path):
+        code, err = _analyze_with_golds(
+            tmp_path, lambda golds: golds["gold_strike.json"].update(topic_id="flood"))
+        assert code == 1
+        gold_dir = tmp_path / "golds"
+        assert err == (f"error: bad gold standard file {gold_dir / 'gold_strike.json'}: "
+                       f"topic 'flood' is also in {gold_dir / 'gold_flood.json'}\n")
+
+    def test_topic_outside_the_corpus_is_a_warning(self, tmp_path):
+        code, err = _analyze_with_golds(
+            tmp_path, lambda golds: golds["gold_strike.json"].update(topic_id="hurricane"))
+        assert (code, err) == (0, "")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert (f"gold standard file {tmp_path / 'golds' / 'gold_strike.json'}: topic 'hurricane' "
+                "is not in the corpus; not used") in manifest["warnings"]
+        assert manifest["counts"]["gold_standards"] == 2
+        assert sorted(p.name for p in (tmp_path / "out" / "golds").iterdir()) == [
+            "gold_eclipse.json", "gold_flood.json"]
+
+
+# Numbers whose squares underflow or overflow, which plain strategies
+# seldom draw.
+_EXTREME_NUMBERS = st.sampled_from([1e-200, 1e308, 10 ** 200, 10 ** 400])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _EXTREME_NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _set_field(payload, field, value):
+    if field == "one weight":
+        payload["weights"][next(iter(payload["weights"]))] = value
+    elif field == "every weight":
+        payload["weights"] = dict.fromkeys(payload["weights"], value)
+    elif field == "one reference":
+        payload["reference_uris"][0] = value
+    elif field == "one failure":
+        payload["failures"].append(value)
+    else:
+        payload[field] = value
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["gold_eclipse.json", "gold_flood.json", "gold_strike.json"]),
+    field=st.sampled_from(["topic_id", "built_at", "post_class", "stopwords_version", "weights",
+                           "reference_uris", "failures", "one weight", "every weight", "one reference",
+                           "one failure"]),
+    value=_JSON_VALUES,
+)
+@example(name="gold_flood.json", field="every weight", value=1e-200)  # was a ZeroDivisionError
+@example(name="gold_flood.json", field="one weight", value=10 ** 200)  # was an OverflowError
+def test_any_json_value_in_a_gold_field_ends_in_a_run_or_one_error_line(name, field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _analyze_with_golds(Path(tmp), lambda golds: _set_field(golds[name], field, value))
+    assert code in (0, 1)
+    if code:
+        assert err.startswith(f"error: bad gold standard file {Path(tmp) / 'golds' / name}: ")
+        assert len(err.splitlines()) == 1
+    else:
+        assert err == ""

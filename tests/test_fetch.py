@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -15,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post
+from seedsmith import cli
 from seedsmith.cli import main
+from seedsmith.corpus import fetch as fetch_module
 from seedsmith.corpus.fetch import (
     EPOCH,
     TAG_INVALID_URI,
@@ -33,7 +36,8 @@ from seedsmith.corpus.fetch import (
     fixture_filename,
     write_fixture,
 )
-from seedsmith.corpus.jsonl import write_corpus
+from seedsmith.corpus.jsonl import load_corpus, write_corpus
+from test_acceptance import BUNDLED_POSTS, regen
 
 DATA = Path(__file__).parent / "data"
 # A URI that ``urllib.parse.urlsplit`` rejects ("Invalid IPv6 URL").
@@ -215,6 +219,177 @@ class TestCaching:
         assert Fetcher(transport).dereference("https://a.example/x").ok
 
 
+class TestBodyRelease:
+    """A cached page keeps its body until ``release_bodies``; from then on
+    the cache holds each digested page without it. A run releases the
+    bodies once its gold stage ends, and writes what a run that keeps
+    every body writes."""
+
+    def test_digest_drops_the_cached_body_only_after_release(self, fixtures):
+        write_fixture(fixtures, "https://a.example/x", 200, {}, b"<p>x</p>")
+        write_fixture(fixtures, "https://a.example/y", 200, {}, b"<p>y</p>")
+        fetcher = fixture_fetcher(fixtures)
+        x = fetcher.dereference("https://a.example/x")
+        fetcher.digest(x)
+        assert fetcher.dereference("https://a.example/x") is x
+        fetcher.release_bodies()
+        assert fetcher.dereference("https://a.example/x") == dataclasses.replace(x, body=b"")
+        y = fetcher.dereference("https://a.example/y")
+        assert fetcher.dereference("https://a.example/y").body == b"<p>y</p>"  # not digested yet
+        digest = fetcher.digest(y)
+        assert fetcher.dereference("https://a.example/y").body == b""
+        assert fetcher.digest(fetcher.dereference("https://a.example/y")) is digest
+        assert (x.body, y.body) == (b"<p>x</p>", b"<p>y</p>")  # results handed out stay whole
+
+    def test_concurrent_digests_after_release(self, fixtures):
+        uris = [f"https://a.example/p{i}" for i in range(40)]
+        for uri in uris:
+            write_fixture(fixtures, uri, 200, {"Content-Type": "text/html"}, f"<p>{uri}</p>".encode())
+        fetcher = fixture_fetcher(fixtures)
+        for uri in uris[::2]:  # half digested before the release
+            fetcher.digest(fetcher.dereference(uri))
+        fetcher.release_bodies()
+        seen = [[] for _ in range(8)]
+
+        def worker(i):
+            for uri in uris[i:] + uris[:i]:
+                result = fetcher.dereference(uri)
+                seen[i].append((result, fetcher.digest(result)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        digests = {}
+        for pairs in seen:
+            assert len(pairs) == len(uris)
+            for result, digest in pairs:
+                assert digests.setdefault(result.final_uri, digest) is digest
+                assert digest.text == result.final_uri
+        assert [fetcher.dereference(uri).body for uri in uris] == [b""] * len(uris)
+
+    def run(self, monkeypatch, out, *args, keep_bodies=False):
+        """``seedsmith run`` with ``args``; returns the run's fetcher. With
+        ``keep_bodies`` the fetcher keeps every body to the end."""
+        made = []
+        make = cli._fetcher
+
+        def recording(parsed):
+            fetcher = make(parsed)
+            if keep_bodies:
+                fetcher.release_bodies = lambda: None
+            made.append(fetcher)
+            return fetcher
+
+        monkeypatch.setattr(cli, "_fetcher", recording)
+        assert _run_cli("run", *args, "--out", out) == 0
+        [fetcher] = made
+        return fetcher
+
+    def assert_same_as_kept(self, tmp_path, monkeypatch, *args):
+        """Runs ``args`` twice, releasing bodies and keeping them; both
+        write the same files. Returns the releasing run's fetcher and
+        output directory."""
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        fetcher = self.run(monkeypatch, out, *args)
+        self.run(monkeypatch, kept, *args, keep_bodies=True)
+        files = sorted(p.relative_to(kept) for p in kept.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        for rel in files:
+            assert (out / rel).read_bytes() == (kept / rel).read_bytes(), rel
+        return fetcher, out
+
+    def assert_matches_recompute(self, out, refs, fixtures):
+        expected = regen.csv_bytes(regen.reference_tables(BUNDLED_POSTS, refs, fixtures))
+        assert {name: (out / name).read_bytes() for name in expected} == expected
+
+    @staticmethod
+    def assert_no_digested_body(fetcher):
+        digested = [r for r in fetcher._memory.values() if r.final_uri in fetcher._digests]
+        assert digested
+        assert [r.request_uri for r in digested if r.body] == []
+
+    def write_refs(self, tmp_path, **entries):
+        refs = {**json.loads((DATA / "refs.json").read_text(encoding="utf-8")), **entries}
+        (tmp_path / "refs.json").write_text(json.dumps(refs), encoding="utf-8")
+        return refs
+
+    def test_reference_list_page_digested_as_another_topics_reference(self, tmp_path, monkeypatch):
+        # eclipse's gold is built first and digests flood's reference-list
+        # page; flood's gold then reads that page's body.
+        refs = self.write_refs(tmp_path, eclipse=["https://encyclo.example/wiki/Riverbend_flood"])
+        _fetcher, out = self.assert_same_as_kept(
+            tmp_path, monkeypatch, "--corpus", DATA / "corpus.jsonl", "--fixtures", DATA / "responses",
+            "--refs", tmp_path / "refs.json")
+        gold = json.loads((out / "golds" / "gold_flood.json").read_text(encoding="utf-8"))
+        assert gold["reference_uris"] == [f"https://refdocs.example/flood-src-{i}" for i in (1, 2, 3)]
+        self.assert_matches_recompute(out, refs, DATA / "responses")
+
+    def test_reference_list_page_digested_during_extraction(self, tmp_path, monkeypatch):
+        # A permalink that extraction expands is also flood's reference list.
+        permalink = "https://twitter.com/grace/status/900"
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        status, headers, _body = FixtureTransport(fixtures).request(permalink)
+        items = "".join(f'<li><a href="https://refdocs.example/flood-src-{i}">source {i}</a></li>'
+                        for i in (1, 2, 3))
+        write_fixture(fixtures, permalink, status, headers,
+                      f"<html><body><p>crews heading out</p><ol>{items}</ol></body></html>".encode())
+        refs = self.write_refs(tmp_path, flood=permalink)
+        _fetcher, out = self.assert_same_as_kept(
+            tmp_path, monkeypatch, "--corpus", DATA / "corpus.jsonl", "--fixtures", fixtures,
+            "--refs", tmp_path / "refs.json")
+        gold = json.loads((out / "golds" / "gold_flood.json").read_text(encoding="utf-8"))
+        assert gold["reference_uris"] == [f"https://refdocs.example/flood-src-{i}" for i in (1, 2, 3)]
+        seeds = (out / "seeds.csv").read_text(encoding="utf-8")
+        assert "https://refdocs.example/flood-src-1" in seeds  # substituted from the same page
+        self.assert_matches_recompute(out, refs, fixtures)
+
+    def test_two_redirects_to_one_page(self, tmp_path, monkeypatch):
+        page = "https://news-b.example/flood-b"
+        aliases = ["https://news-b.example/old-a", "https://news-b.example/old-b"]
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        for alias in aliases:
+            write_fixture(fixtures, alias, 301, {"Location": page}, b"")
+        corpus = load_corpus(DATA / "corpus.jsonl")
+        for i, alias in enumerate(aliases):
+            post = make_post(id=f"alias-{i}", topic_id="flood", serp_visible=True, text=f"see {alias}")
+            corpus.posts[post.id] = post
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        body = FixtureTransport(fixtures).request(page)[2]
+        digested = []
+        digest_page = fetch_module.digest_page
+
+        def counting(raw):
+            digested.append(raw)
+            return digest_page(raw)
+
+        monkeypatch.setattr(fetch_module, "digest_page", counting)
+        fetcher, _out = self.assert_same_as_kept(
+            tmp_path, monkeypatch, "--corpus", tmp_path / "corpus.jsonl", "--fixtures", fixtures,
+            "--refs", DATA / "refs.json")
+        assert digested.count(body) == 2  # once in each of the two runs
+        for uri in aliases:
+            cached = fetcher.dereference(uri)
+            assert (cached.final_uri, cached.body) == (page, b"")
+        self.assert_no_digested_body(fetcher)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_no_digested_page_keeps_its_body(self, tmp_path, monkeypatch, jobs):
+        fetcher = self.run(monkeypatch, tmp_path / "out", "--corpus", DATA / "corpus.jsonl",
+                           "--fixtures", DATA / "responses", "--refs", DATA / "refs.json",
+                           "--jobs", jobs)
+        self.assert_no_digested_body(fetcher)
+
+
 def test_default_fetcher_writes_nothing(fixtures, tmp_path, monkeypatch):
     write_fixture(fixtures, "https://a.example/x", 200, {}, b"body")
     cwd = tmp_path / "cwd"
@@ -293,6 +468,43 @@ def test_unsplittable_uri_ends_no_run_in_a_traceback(tmp_path, capsys, where, st
         assert code == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
         assert any(TAG_INVALID_URI in warning for warning in manifest["warnings"])
+
+
+def test_unreadable_fixture_is_a_transport_error(fixtures):
+    (fixtures / fixture_filename("https://a.example/x")).mkdir(parents=True)
+    result = fixture_fetcher(fixtures).dereference("https://a.example/x")
+    assert (result.status, result.ok) == (TAG_TRANSPORT, False)
+    with pytest.raises(FetchError) as caught:
+        fixture_fetcher(fixtures, lenient=False).dereference("https://a.example/x")
+    assert caught.value.tag == TAG_TRANSPORT
+    assert caught.value.detail.startswith("cannot read the fixture for https://a.example/x: ")
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_unreadable_fixture_ends_no_run_in_a_traceback(tmp_path, capsys, strict):
+    """A fixture path that is a directory is a transport-error failure of
+    that one URI: a manifest warning in a lenient run, one error line in
+    a strict one."""
+    fixtures = tmp_path / "responses"
+    shutil.copytree(DATA / "responses", fixtures)
+    path = fixtures / fixture_filename("https://news-b.example/flood-b")
+    path.unlink()
+    path.mkdir()
+    args = ["run", "--corpus", DATA / "corpus.jsonl", "--fixtures", fixtures,
+            "--refs", DATA / "refs.json", "--out", tmp_path / "out"]
+    code = _run_cli(*args, *(["--strict"] if strict else []))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if strict:
+        assert code == 1
+        assert err.startswith(f"error: {TAG_TRANSPORT}: cannot read the fixture for https://news-b.example/flood-b: ")
+        assert len(err.splitlines()) == 1
+    else:
+        assert (code, err) == (0, "")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert f"seed https://news-b.example/flood-b not fetchable ({TAG_TRANSPORT}); judged on empty text" in (
+            manifest["warnings"]
+        )
 
 
 # Citations must name another host than the page's: "localhost" against

@@ -319,3 +319,59 @@ class TestBuildGoldStandard:
         restored = GoldStandard.from_json(first)
         assert restored.topic_id == "t1"
         assert restored.vector == pytest.approx({"flood": 0.5, "river": 0.5})
+
+
+class TestGoldFile:
+    """``GoldStandard.from_json`` reads what ``to_json`` writes and raises
+    GoldStandardError for anything of another shape."""
+
+    GOLD = GoldStandard(
+        topic_id="t1",
+        vector={"flood": 0.75, "river": 0.25},
+        reference_uris=("https://ref1.example/a", "https://ref2.example/b"),
+        failures=(("https://ref2.example/b", "404"),),
+        built_at=datetime(2018, 11, 6, tzinfo=timezone.utc),
+    )
+
+    def test_round_trip(self):
+        assert GoldStandard.from_json(self.GOLD.to_json()) == self.GOLD
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", {"flood": "x"}, "weights is not an object of finite numbers"),
+        ("weights", {"flood": None}, "weights is not an object of finite numbers"),
+        ("weights", {"flood": float("nan")}, "weights is not an object of finite numbers"),
+        ("weights", {"flood": float("-inf")}, "weights is not an object of finite numbers"),
+        ("weights", {"flood": True}, "weights is not an object of finite numbers"),
+        ("weights", {"flood": 10 ** 400}, "weights is not an object of finite numbers"),
+        ("weights", [["flood", 1.0]], "weights is not an object of finite numbers"),
+        ("weights", {"flood": 1e-200, "river": 1e-200}, "weights do not have a positive finite norm"),
+        ("weights", {"flood": 1e308, "river": 1e308}, "weights do not have a positive finite norm"),
+        ("weights", {"flood": 10 ** 200}, "weights do not have a positive finite norm"),
+        ("weights", {"flood": 0, "river": 0.0}, "weights do not have a positive finite norm"),
+        ("topic_id", 5, "topic_id is not a string"),
+        ("post_class", ["P1An"], "post_class is not a string"),
+        ("built_at", 20181106, "built_at is not a string"),
+        ("built_at", "yesterday", "built_at is not a timestamp: "),
+        ("built_at", "0001-01-01T00:00:00+01:00", "built_at is not a timestamp: "),
+        ("reference_uris", "abc", "reference_uris is not a list of strings"),
+        ("reference_uris", ["https://ref1.example/a", 7], "reference_uris is not a list of strings"),
+        ("failures", [["https://ref2.example/b", "404"]], "failures is not a list of {uri, reason} strings"),
+        ("failures", [{"uri": "https://ref2.example/b"}], "failures is not a list of {uri, reason} strings"),
+    ])
+    def test_wrong_type_is_rejected(self, field, value, message):
+        payload = json.loads(self.GOLD.to_json())
+        payload[field] = value
+        with pytest.raises(GoldStandardError) as caught:
+            GoldStandard.from_json(json.dumps(payload))
+        assert str(caught.value).startswith(message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "malformed gold standard: not a JSON object"),
+        ('{"topic_id": "t1"}', "missing key 'weights'"),
+        ('{"topic_id": "\\ud800"}', "malformed gold standard: a string holds a lone surrogate"),
+        ("[" * 100_000, "malformed gold standard: "),
+    ], ids=["list", "missing-key", "lone-surrogate", "deep-nesting"])
+    def test_not_a_gold_document_is_rejected(self, text, message):
+        with pytest.raises(GoldStandardError) as caught:
+            GoldStandard.from_json(text)
+        assert str(caught.value).startswith(message)
