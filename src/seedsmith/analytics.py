@@ -16,7 +16,7 @@ from urllib.parse import urlsplit
 
 from . import textkernel
 from .corpus.fetch import FetchResult
-from .goldstandard import GoldStandard, build_term_vector
+from .goldstandard import GoldStandard
 from .pages import PageDigest
 
 DEFAULT_RELEVANCE_THRESHOLD = 0.25
@@ -42,18 +42,17 @@ class RelevanceJudgment:
 
 
 def judge_relevance(
-    candidate_texts,
+    vector,
     gold: GoldStandard,
     threshold: float = DEFAULT_RELEVANCE_THRESHOLD,
 ) -> RelevanceJudgment:
-    """Judge the concatenation of ``candidate_texts`` against a topic's
-    gold standard. Relevance requires the cosine to strictly exceed the
+    """Judge a candidate's ``build_term_vector`` against a topic's gold
+    standard. Relevance requires the cosine to strictly exceed the
     threshold, so a score exactly at the threshold is non-relevant.
     """
-    vector = build_term_vector(candidate_texts)
     if not vector:
         return RelevanceJudgment(0.0, False, empty=True)
-    cos = textkernel.sparse_cosine(vector, gold.vector)
+    cos = textkernel.sparse_cosine(vector, gold.vector, gold.norm)
     return RelevanceJudgment(cos, cos > threshold)
 
 

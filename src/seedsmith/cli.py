@@ -383,6 +383,7 @@ def run_pipeline(args, stop: str = "analyze") -> int:
             corpus, partition, fetcher, warnings,
             depth_limit=args.depth_limit, fetch_kinds=args.fetch_kinds, global_dedup=args.global_dedup,
         )
+        fetcher.release("links")  # permalink substitution was their one reader
         tables["seeds"] = seeds_table(collections)
         if stop == "extract":
             _write_tables(tables, ("seeds",), out)
@@ -402,7 +403,7 @@ def run_pipeline(args, stop: str = "analyze") -> int:
         _print_warnings(warnings)
         return EXIT_OK
     _write_golds(golds, out / "golds")
-    fetcher.release_bodies()  # reference lists were the last pages read from a body
+    fetcher.release("body")  # reference lists were the last pages read from a body
 
     tables.update(build_tables(
         corpus, collections, golds, fetcher, warnings, threshold=args.threshold,

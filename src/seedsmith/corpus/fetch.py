@@ -10,8 +10,8 @@ otherwise fetches it live and writes it there, so a replay of the
 directory reproduces the live run. The Fetcher layers redirect
 following and a per-run, request-URI-keyed memory cache on top, plus
 one page digest per final URI (see ``seedsmith.pages``). Nothing else
-is kept on disk. A cached body lives until ``Fetcher.release_bodies``
-is called, and after that only until its page is digested.
+is kept on disk, and the cache keeps of each page only what a later
+stage still reads (see ``Fetcher``).
 """
 
 from __future__ import annotations
@@ -228,9 +228,9 @@ class RecordingTransport:
 class Fetcher:
     """Dereferences URIs with redirects and per-run caching.
 
-    A cached page keeps its body until ``release_bodies`` is called;
-    from then on the cache holds each digested page without its body.
-    Results already handed out are never changed.
+    A page keeps its body and digest links until ``release``, and its
+    digest text until ``text``. Fetch results handed out are never
+    changed; digests lose the parts released or taken (see ``PageDigest``).
 
     Safe for concurrent use: the caches tolerate concurrent readers and
     writers, and pacing requests to a host is the transport's concern.
@@ -245,7 +245,7 @@ class Fetcher:
         self._memory_lock = threading.Lock()
         self._digests: dict[str, PageDigest] = {}
         self._digest_lock = threading.Lock()
-        self._keep_bodies = True
+        self._released: set[str] = set()  # parts dropped from every page: "body", "links"
 
     def digest(self, result: FetchResult) -> PageDigest:
         """The digest of a successfully fetched document, built once per
@@ -253,28 +253,41 @@ class Fetcher:
 
         A page is digested under a lock, so concurrent callers never
         digest it twice; digesting holds the GIL throughout anyway.
-        After ``release_bodies``, the cache entry of ``result`` is
-        replaced by a copy without the body once its digest is taken.
+        After ``release``, a new digest lacks the released parts, and a
+        cache entry holding a body is replaced by a body-free copy.
         """
         with self._digest_lock:
             found = self._digests.get(result.final_uri)
             if found is None:
                 found = self._digests[result.final_uri] = digest_page(result.body)
-        if not self._keep_bodies:
+                for part in self._released:
+                    vars(found).pop(part, None)
+        if "body" in self._released and result.body:
             with self._memory_lock:
                 if self._memory.get(result.request_uri) is result:
                     self._memory[result.request_uri] = dataclasses.replace(result, body=b"")
         return found
 
-    def release_bodies(self) -> None:
-        """Stop keeping the bodies of digested pages: drop those cached
-        now, and from here on each page's body once it is digested. Call
-        it when nothing will read a body except through ``digest``."""
-        self._keep_bodies = False
-        with self._memory_lock:
-            for uri, result in self._memory.items():
-                if result.body and result.final_uri in self._digests:
-                    self._memory[uri] = dataclasses.replace(result, body=b"")
+    def text(self, result: FetchResult) -> str:
+        """The text of ``result``'s page, taken out of its digest: each page's
+        text is read once. A later read fetches the page anew, leniently,
+        and reads its text there: "" unless that answer is a 2xx."""
+        taken = vars(self.digest(result)).pop("text", None)
+        if taken is not None:
+            return taken
+        again = Fetcher(self.transport, self.max_redirects).dereference(result.request_uri)
+        return digest_page(again.body).text if again.ok else ""
+
+    def release(self, part: str) -> None:
+        """Stop keeping ``part`` ("body" or "links") of every page, now and
+        as each is digested. Call it once no reader will ask for it."""
+        with self._memory_lock, self._digest_lock:
+            self._released.add(part)
+            for uri, cached in self._memory.items():
+                if part == "body" and cached.body and cached.final_uri in self._digests:
+                    self._memory[uri] = dataclasses.replace(cached, body=b"")
+            for found in self._digests.values():
+                vars(found).pop(part, None)
 
     def dereference(self, uri: str) -> FetchResult:
         """Fetch ``uri``, following up to ``max_redirects`` redirects.

@@ -98,8 +98,8 @@ class TopicSpec:
     end_definition: str | None = None
 
     def __post_init__(self):
-        if not self.topic_id:
-            raise CorpusValidationError("topic_id must be non-empty")
+        if not self.topic_id or any(c in str(self.topic_id) for c in "/\0"):
+            raise CorpusValidationError(f"topic_id {self.topic_id!r} is empty or holds '/' or NUL")
         if not self.text_query:
             raise CorpusValidationError(f"topic {self.topic_id}: text_query must be non-empty")
         if self.expectation not in EXPECTATIONS:

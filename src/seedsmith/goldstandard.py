@@ -15,6 +15,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from urllib.parse import urlsplit
 
 from . import textkernel
@@ -150,6 +151,10 @@ class GoldStandard:
     failures: tuple[tuple[str, str], ...]  # (uri, reason)
     built_at: datetime
     post_class: str = P1AN
+
+    @cached_property
+    def norm(self) -> float:  # taken once for every cosine against this gold
+        return textkernel.norm(self.vector)
 
     def to_json(self) -> str:
         """Byte-stable JSON with lexicographically sorted terms."""

@@ -5,9 +5,9 @@ decides relevance, its metadata dates it for the age measure, and its
 outbound links replace an intra-platform permalink during extraction.
 ``digest_page`` decodes the body and reads all three in one pass of the
 HTML lexer, building no element tree. The Fetcher holds one digest per
-final URI for the length of a run, and every reader of a fetched page
-(relevance, gold standards, dating, substitution) takes that digest;
-none reads the body again.
+final URI, each part only while a reader of it is left, and every
+reader of a fetched page (relevance, gold standards, dating,
+substitution) takes that digest; none reads the body again.
 """
 
 from __future__ import annotations
@@ -61,7 +61,10 @@ class PageDigest:
 
     ``text_error`` says why a page has no main text: bytes that do not
     decode, or input without markup; ``text`` is then empty. An
-    undecodable page has no metadata date and no links.
+    undecodable page has no metadata date and no links. The Fetcher
+    deletes ``links`` and ``text`` from its digests when their readers
+    are done. The fields have no default, so reading a deleted one
+    raises AttributeError, and so do the digest's ``==``, repr and hash.
     """
 
     text: str

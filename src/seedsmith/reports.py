@@ -32,7 +32,7 @@ from .analytics import (
 from .corpus.fetch import FetchError, Fetcher
 from .corpus.model import Corpus
 from .extraction import HTML_KIND, NON_HTML_KIND, SEED_CSV_HEADER, seed_rows
-from .goldstandard import GoldStandard
+from .goldstandard import GoldStandard, build_term_vector
 from .segmentation import MC, MC_MEMBER_CLASSES, report_rows
 from .stopwords import STOPWORDS_VERSION
 
@@ -78,10 +78,10 @@ class SeedTextProvider:
     """Supplies the text a seed is judged on.
 
     HTML seeds are judged on the main-content text of their dereferenced
-    document, read from the fetcher's page digest; everything else on
-    the text of the post that embedded the URI. A page that yields no
-    text adds a warning each time it is read; the run reports each
-    distinct warning once.
+    document, read once from the fetcher's page digest (``Fetcher.text``);
+    everything else on the text of the post that embedded the URI. A page
+    that yields no text adds a warning each time it is read; the run
+    reports each distinct warning once.
     """
 
     def __init__(self, corpus: Corpus, fetcher: Fetcher, warnings: list):
@@ -95,6 +95,12 @@ class SeedTextProvider:
         post = self.corpus.posts.get(seed.post_id)
         return post.text if post else ""
 
+    def page(self, uri: str) -> str:
+        """The key of ``uri``'s judgments: the final URI of a usable page,
+        which the requests redirected to it share, else ``uri``."""
+        result = self.fetcher.dereference(uri)
+        return result.final_uri if result.ok and self.fetcher.digest(result).text_error is None else uri
+
     def page_text(self, uri: str) -> str:
         result = self.fetcher.dereference(uri)
         if not result.ok:
@@ -103,16 +109,18 @@ class SeedTextProvider:
         digest = self.fetcher.digest(result)
         if digest.text_error is not None:
             self.warnings.append(f"seed {uri} unusable as HTML: {digest.text_error}")
-        return digest.text
+            return ""
+        return self.fetcher.text(result)
 
 
 class RelevanceIndex:
     """Memoized per-seed relevance judgments against per-topic golds."""
 
-    def __init__(self, golds: dict[str, GoldStandard], text_provider, threshold):
+    def __init__(self, golds: dict[str, GoldStandard], text_provider, threshold, pages: dict):
         self.golds = golds
         self.text_provider = text_provider
         self.threshold = threshold
+        self.pages = pages  # HTML seed URI -> topics, all judged at its first judgment
         self._memo = {}
 
     def judgment(self, topic, seed):
@@ -126,7 +134,14 @@ class RelevanceIndex:
             # which differs per post.
             key = (topic, seed.post_id, seed.canonical)
         if key not in self._memo:
-            self._memo[key] = judge_relevance([self.text_provider(seed)], gold, self.threshold)
+            # Requests redirected to one usable page share its judgments.
+            page = (topic, self.text_provider.page(seed.canonical)) if seed.kind == HTML_KIND else key
+            if page not in self._memo:
+                vector = build_term_vector([self.text_provider(seed)])
+                for judged in {topic, *self.pages.pop(seed.canonical, ()), *self.pages.pop(page[1], ())}:
+                    if (judged, *page[1:]) not in self._memo:  # a page read anew keeps its judgments
+                        self._memo[(judged, *page[1:])] = judge_relevance(vector, self.golds[judged], self.threshold)
+            self._memo[key] = self._memo[page]
         return self._memo[key]
 
 
@@ -228,10 +243,14 @@ def build_tables(
     [[str]]}}: every table but the segment and extract stages' own
     (``partition_tables``, ``seeds_table``). With ``jobs`` > 1, that
     many workers fetch and digest the judged pages first."""
+    pages: dict[str, list] = {}  # HTML seed URI -> the topics with a gold whose cells hold it
+    for (topic, *_), collection in collections.items():
+        for seed in collection.post_seeds:
+            if topic in golds and seed.kind == HTML_KIND and topic not in pages.setdefault(seed.canonical, []):
+                pages[seed.canonical].append(topic)
     if jobs > 1:
-        _prefetch_page_texts(fetcher, collections, golds, jobs)
-    provider = SeedTextProvider(corpus, fetcher, warnings)
-    judge = RelevanceIndex(golds, provider, threshold)
+        _prefetch_page_texts(fetcher, pages, jobs)
+    judge = RelevanceIndex(golds, SeedTextProvider(corpus, fetcher, warnings), threshold, pages)
     observations = collect_observations(collections, judge)
     sources = sorted({key[1] for key in collections})
     rows_index = index_rows(collections, observations)
@@ -291,10 +310,9 @@ def _precision_cells(summary) -> tuple[str, str]:
     return fmt(summary.average), fmt(summary.post_count)
 
 
-def _prefetch_page_texts(fetcher: Fetcher, collections, golds, jobs: int) -> None:
+def _prefetch_page_texts(fetcher: Fetcher, pages, jobs: int) -> None:
     """Fetch and digest, concurrently, every page the sequential pass
-    will judge: the HTML post seeds of the cells whose topic has a gold
-    standard. The fetcher serializes same-host requests itself.
+    will judge. The fetcher serializes same-host requests itself.
 
     This only fills the fetcher's caches, so the run writes what a
     ``jobs=1`` run writes: nothing is warned about here, and a fetch
@@ -311,15 +329,8 @@ def _prefetch_page_texts(fetcher: Fetcher, collections, golds, jobs: int) -> Non
         if result.ok:
             fetcher.digest(result)
 
-    uris = {
-        seed.canonical
-        for key, collection in collections.items()
-        if key[0] in golds
-        for seed in collection.post_seeds
-        if seed.kind == HTML_KIND
-    }
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(fill, sorted(uris)))
+        list(pool.map(fill, sorted(pages)))
 
 
 def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, fetcher: Fetcher, warnings):

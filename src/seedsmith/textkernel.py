@@ -26,28 +26,29 @@ def token_counts(text, stopwords=frozenset(), min_len=2):
     return counts
 
 
-def sparse_cosine(a, b):
+def sparse_cosine(a, b, b_norm=None):
     """Cosine similarity of two sparse term->weight mappings.
 
     Either mapping empty yields 0.0. Iterates the smaller mapping for the
     dot product; the result is invariant under positive rescaling of
-    either vector.
+    either vector. ``b_norm`` is ``norm(b)``, when already known.
     """
     if not a or not b:
         return 0.0
-    if len(b) < len(a):
-        a, b = b, a
+    small, large = (b, a) if len(b) < len(a) else (a, b)
     dot = 0.0
-    for term, wa in a.items():
-        wb = b.get(term)
-        if wb is not None:
-            dot += wa * wb
+    for term, ws in small.items():
+        wl = large.get(term)
+        if wl is not None:
+            dot += ws * wl
     if dot == 0.0:
         return 0.0
-    norm_a = 0.0
-    for wa in a.values():
-        norm_a += wa * wa
-    norm_b = 0.0
-    for wb in b.values():
-        norm_b += wb * wb
-    return dot / (math.sqrt(norm_a) * math.sqrt(norm_b))
+    return dot / (norm(a) * (norm(b) if b_norm is None else b_norm))
+
+
+def norm(vector) -> float:
+    """Euclidean norm of a term->weight mapping, squares summed in order."""
+    total = 0.0
+    for weight in vector.values():
+        total += weight * weight
+    return math.sqrt(total)

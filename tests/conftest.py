@@ -64,7 +64,7 @@ def distribution_column(collections, *, source, scope="All", kind=None, mode=MOD
     the collections' per-post observations (judged against no gold
     standards), pooled over the scope's report rows, fed to
     ``uri_count_distribution``."""
-    judge = RelevanceIndex({}, None, DEFAULT_RELEVANCE_THRESHOLD)
+    judge = RelevanceIndex({}, None, DEFAULT_RELEVANCE_THRESHOLD, {})
     kind_name = {k: name for name, k in KIND_FILTERS}[kind]
     rows = index_rows(collections, collect_observations(collections, judge))
     held = list(scope_posts(rows, source, scope, kind_name))

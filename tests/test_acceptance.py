@@ -29,7 +29,7 @@ from seedsmith.analytics import (
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus.jsonl import load_corpus, write_corpus
 from seedsmith.extraction import HTML_KIND, NON_HTML_KIND, SeedCollection, SeedUri
-from seedsmith.goldstandard import GoldStandard
+from seedsmith.goldstandard import GoldStandard, build_term_vector
 from seedsmith.segmentation import build_forest, classify_groups
 from seedsmith.textkernel import sparse_cosine
 from test_pipebench_view import PIPEBENCH, load
@@ -173,7 +173,7 @@ def test_criterion_3_relevance_fixtures():
         failures=(),
         built_at=make_post().retrieved_at,
     )
-    judgment = judge_relevance(["term00 term00"], boundary_gold)
+    judgment = judge_relevance(build_term_vector(["term00 term00"]), boundary_gold)
     assert judgment.cosine == 0.25
     assert not judgment.relevant
 

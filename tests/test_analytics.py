@@ -73,13 +73,13 @@ class TestCosine:
 class TestJudgeRelevance:
     def test_copy_of_gold_text_is_relevant(self):
         text = "flood waters rose across riverbend as the levee gave way"
-        judgment = judge_relevance([text], gold_of(text=text))
+        judgment = judge_relevance(build_term_vector([text]), gold_of(text=text))
         assert judgment.relevant
         assert judgment.cosine == pytest.approx(1.0)
 
     def test_unrelated_text_is_not_relevant(self):
         gold = gold_of(text="flood waters rose across riverbend levee")
-        judgment = judge_relevance(["quantum chess tournament bracket results"], gold)
+        judgment = judge_relevance(build_term_vector(["quantum chess tournament bracket results"]), gold)
         assert not judgment.relevant
         assert judgment.cosine == 0.0
 
@@ -87,25 +87,25 @@ class TestJudgeRelevance:
         # Engineered exact cosine of 0.25: sixteen equal gold terms
         # (norm = 1/4) against a single shared term.
         gold = gold_of(weights={f"term{i:02d}": 1 / 16 for i in range(16)})
-        judgment = judge_relevance(["term00 term00"], gold)
+        judgment = judge_relevance(build_term_vector(["term00 term00"]), gold)
         assert judgment.cosine == 0.25
         assert not judgment.relevant
 
     def test_just_above_threshold_is_relevant(self):
         gold = gold_of(weights={f"term{i:02d}": 1 / 16 for i in range(16)})
-        judgment = judge_relevance(["term00 term01 term00 term01"], gold)
+        judgment = judge_relevance(build_term_vector(["term00 term01 term00 term01"]), gold)
         assert judgment.cosine > 0.25
         assert judgment.relevant
 
     def test_empty_candidate_flagged(self):
-        judgment = judge_relevance([""], gold_of(text="flood"))
+        judgment = judge_relevance(build_term_vector([""]), gold_of(text="flood"))
         assert judgment.empty
         assert judgment.cosine == 0.0
         assert not judgment.relevant
 
     def test_threshold_configurable(self):
         gold = gold_of(text="flood levee")
-        judgment = judge_relevance(["flood unrelated words here"], gold, threshold=0.99)
+        judgment = judge_relevance(build_term_vector(["flood unrelated words here"]), gold, threshold=0.99)
         assert not judgment.relevant
 
 
@@ -129,13 +129,17 @@ class TestPostPrecision:
         cls.GOLD = gold_of(text="flood waters riverbend levee rainfall")
 
     def texts(self, mapping):
-        return lambda s: mapping[s.canonical]
+        def provider(seed):
+            return mapping[seed.canonical]
+
+        provider.page = lambda uri: uri  # every URI is its own page
+        return provider
 
     def precision(self, seeds, texts, kind="all"):
         """Precision of the one post holding ``seeds``, as the report
         observes it."""
         key = ("t1", "reddit", "top", "P1A1")
-        judge = RelevanceIndex({"t1": self.GOLD}, texts, DEFAULT_RELEVANCE_THRESHOLD)
+        judge = RelevanceIndex({"t1": self.GOLD}, texts, DEFAULT_RELEVANCE_THRESHOLD, {})
         collections = {key: SeedCollection(seeds=tuple(seeds), post_seeds=tuple(seeds))}
         [observation] = collect_observations(collections, judge)[key]
         return observation.precision[kind]

@@ -792,6 +792,24 @@ def test_topics_file_missing_topic_names_the_topics_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("bad", ["fl/ood", "fl\u0000ood"])
+def test_topic_id_that_cannot_name_a_gold_file_is_one_error(tmp_path, capsys, bad):
+    # Each topic's gold is written to gold_<topic_id>.json.
+    corpus, topics = tmp_path / "corpus.jsonl", tmp_path / "topics.json"
+    corpus.write_text((DATA / "corpus.jsonl").read_text(encoding="utf-8").replace(
+        '"flood"', json.dumps(bad)), encoding="utf-8")
+    topics.write_text(json.dumps([{"topic_id": bad, "text_query": "q"}]), encoding="utf-8")
+    reason = f"topic_id {bad!r} is empty or holds '/' or NUL"
+    for args, error in (((), f"{corpus}: line 1: bad topic record: {reason}"),
+                        (("--topics", topics), f"bad topics file {topics}: {reason}")):
+        out = tmp_path / "out"
+        code = run_cli("run", "--corpus", corpus if not args else DATA / "corpus.jsonl", *args,
+                       "--fixtures", DATA / "responses", "--refs", DATA / "refs.json", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--corpus", "--replies"])
 @pytest.mark.parametrize("bad_line", [1, 3])
 def test_corpus_not_utf8_ends_with_one_error_line(tmp_path, capsys, flag, bad_line):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -37,7 +38,8 @@ from seedsmith.corpus.fetch import (
     write_fixture,
 )
 from seedsmith.corpus.jsonl import load_corpus, write_corpus
-from test_acceptance import BUNDLED_POSTS, regen
+from seedsmith.pages import PageDigest, digest_page
+from test_acceptance import BUNDLED_POSTS, assert_run_matches_recompute, regen
 
 DATA = Path(__file__).parent / "data"
 # A URI that ``urllib.parse.urlsplit`` rejects ("Invalid IPv6 URL").
@@ -220,10 +222,11 @@ class TestCaching:
 
 
 class TestBodyRelease:
-    """A cached page keeps its body until ``release_bodies``; from then on
-    the cache holds each digested page without it. A run releases the
-    bodies once its gold stage ends, and writes what a run that keeps
-    every body writes."""
+    """A cached page keeps its body until ``release("body")``; from then
+    on the cache holds each digested page without it. A run releases the
+    bodies once its gold stage ends, digest links once extraction ends
+    and each judged page's text, and writes what a run that keeps every
+    part writes."""
 
     def test_digest_drops_the_cached_body_only_after_release(self, fixtures):
         write_fixture(fixtures, "https://a.example/x", 200, {}, b"<p>x</p>")
@@ -232,7 +235,7 @@ class TestBodyRelease:
         x = fetcher.dereference("https://a.example/x")
         fetcher.digest(x)
         assert fetcher.dereference("https://a.example/x") is x
-        fetcher.release_bodies()
+        fetcher.release("body")
         assert fetcher.dereference("https://a.example/x") == dataclasses.replace(x, body=b"")
         y = fetcher.dereference("https://a.example/y")
         assert fetcher.dereference("https://a.example/y").body == b"<p>y</p>"  # not digested yet
@@ -248,7 +251,7 @@ class TestBodyRelease:
         fetcher = fixture_fetcher(fixtures)
         for uri in uris[::2]:  # half digested before the release
             fetcher.digest(fetcher.dereference(uri))
-        fetcher.release_bodies()
+        fetcher.release("body")
         seen = [[] for _ in range(8)]
 
         def worker(i):
@@ -275,16 +278,50 @@ class TestBodyRelease:
                 assert digest.text == result.final_uri
         assert [fetcher.dereference(uri).body for uri in uris] == [b""] * len(uris)
 
-    def run(self, monkeypatch, out, *args, keep_bodies=False):
-        """``seedsmith run`` with ``args``; returns the run's fetcher. With
-        ``keep_bodies`` the fetcher keeps every body to the end."""
+    def test_links_released_while_pages_are_digested(self, fixtures):
+        uris = [f"https://a.example/p{i}" for i in range(60)]
+        for uri in uris:
+            write_fixture(fixtures, uri, 200, {}, f'<p>{uri}</p><a href="{uri}">x</a>'.encode())
+        fetcher = fixture_fetcher(fixtures)
+        started = threading.Barrier(5)
+
+        def worker(i):
+            started.wait(timeout=30)
+            for uri in uris[i::4]:
+                fetcher.digest(fetcher.dereference(uri))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            started.wait(timeout=30)
+            fetcher.release("links")
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(fetcher._digests) == len(uris)
+        assert [uri for uri, d in fetcher._digests.items() if "links" in vars(d)] == []
+
+    def run(self, monkeypatch, out, *args, keep_parts=False):
+        """``seedsmith run`` with ``args``; returns the run's fetcher, whose
+        ``requested`` lists the URIs its transport was asked for. With
+        ``keep_parts`` the fetcher keeps every part of every page (body,
+        links and text) to the end."""
         made = []
         make = cli._fetcher
 
         def recording(parsed):
             fetcher = make(parsed)
-            if keep_bodies:
-                fetcher.release_bodies = lambda: None
+            if keep_parts:
+                fetcher.release = lambda *parts: None
+                fetcher.text = lambda result: fetcher.digest(result).text
+            fetcher.requested = []
+            request = fetcher.transport.request
+            fetcher.transport.request = lambda uri: fetcher.requested.append(uri) or request(uri)
             made.append(fetcher)
             return fetcher
 
@@ -294,12 +331,12 @@ class TestBodyRelease:
         return fetcher
 
     def assert_same_as_kept(self, tmp_path, monkeypatch, *args):
-        """Runs ``args`` twice, releasing bodies and keeping them; both
+        """Runs ``args`` twice, releasing pages' parts and keeping them; both
         write the same files. Returns the releasing run's fetcher and
         output directory."""
         out, kept = tmp_path / "out", tmp_path / "kept"
         fetcher = self.run(monkeypatch, out, *args)
-        self.run(monkeypatch, kept, *args, keep_bodies=True)
+        self.run(monkeypatch, kept, *args, keep_parts=True)
         files = sorted(p.relative_to(kept) for p in kept.rglob("*") if p.is_file())
         assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
         for rel in files:
@@ -388,6 +425,120 @@ class TestBodyRelease:
                            "--fixtures", DATA / "responses", "--refs", DATA / "refs.json",
                            "--jobs", jobs)
         self.assert_no_digested_body(fetcher)
+
+    @pytest.mark.parametrize("case", [None, "page-in-two-topics", "gold-reference-seed", "permalink-target-seed"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_no_digest_keeps_links_or_a_judged_text(self, tmp_path, monkeypatch, jobs, case):
+        corpus, fixtures = self.edge_corpus(tmp_path, case) if case else (DATA / "corpus.jsonl", DATA / "responses")
+        out = tmp_path / "out"
+        fetcher = self.run(monkeypatch, out, "--corpus", corpus, "--fixtures", fixtures,
+                           "--refs", DATA / "refs.json", "--jobs", jobs)
+        with (out / "seeds.csv").open(encoding="utf-8") as fh:
+            judged = {row["canonical_uri"] for row in csv.DictReader(fh) if row["kind"] == "html"}
+        assert judged & fetcher._digests.keys()
+        assert [uri for uri, d in fetcher._digests.items() if "links" in vars(d)] == []
+        assert [uri for uri, d in fetcher._digests.items() if uri in judged and vars(d).get("text")] == []
+        # Each judged text was read once: no page was fetched again for it.
+        assert len(fetcher.requested) == len(set(fetcher.requested))
+
+    def test_released_parts_raise_when_read(self, fixtures):
+        page = b'<html><body><p>river flood rising</p><a href="https://b.example/">b</a></body></html>'
+        write_fixture(fixtures, "https://a.example/x", 200, {}, page)
+        write_fixture(fixtures, "https://a.example/y", 200, {}, page.replace(b"river", b"lake"))
+        write_fixture(fixtures, "https://a.example/old", 301, {"Location": "https://a.example/x"}, b"")
+        fetcher = fixture_fetcher(fixtures)
+        x = fetcher.dereference("https://a.example/x")
+        digest = fetcher.digest(x)
+        fetcher.release("links")
+        with pytest.raises(AttributeError):
+            digest.links
+        assert "links" not in vars(fetcher.digest(fetcher.dereference("https://a.example/y")))
+        assert fetcher.text(x) == digest_page(page).text
+        with pytest.raises(AttributeError):
+            digest.text
+        # A later read, direct or redirected, fetches the page anew.
+        requested = []
+        request = fetcher.transport.request
+        fetcher.transport.request = lambda uri: requested.append(uri) or request(uri)
+        old = fetcher.dereference("https://a.example/old")
+        assert fetcher.digest(old) is digest
+        assert [fetcher.text(x), fetcher.text(old)] == [digest_page(page).text] * 2
+        assert requested == ["https://a.example/old", "https://a.example/x",  # dereference(old)
+                             "https://a.example/x", "https://a.example/old", "https://a.example/x"]
+        with pytest.raises(AttributeError):
+            digest.text
+        # Neither part has a default that a late read could fall back on.
+        assert {f.name: f.default for f in dataclasses.fields(PageDigest) if f.name in ("text", "links")} == {
+            "text": dataclasses.MISSING, "links": dataclasses.MISSING}
+
+    @pytest.mark.parametrize("lenient", [True, False])
+    def test_read_of_a_taken_text_that_fails_anew_reads_empty(self, fixtures, lenient):
+        page = b"<html><body><p>river flood rising</p></body></html>"
+        write_fixture(fixtures, "https://a.example/x", 200, {}, page)
+        write_fixture(fixtures, "https://a.example/old", 301, {"Location": "https://a.example/x"}, b"")
+        fetcher = fixture_fetcher(fixtures, lenient=lenient)
+        assert fetcher.text(fetcher.dereference("https://a.example/x")) == digest_page(page).text
+        old = fetcher.dereference("https://a.example/old")
+        # The page now answers with an error page, then not at all.
+        path = write_fixture(fixtures, "https://a.example/x", 404, {}, page.replace(b"river", b"missing"))
+        assert fetcher.text(old) == ""
+        path.unlink()
+        assert fetcher.text(old) == ""
+
+    @staticmethod
+    def edge_corpus(tmp_path, case):
+        """The bundled corpus and fixtures plus the posts (and pages) of
+        one edge ``case``; returns the corpus path and fixture directory."""
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        corpus = load_corpus(DATA / "corpus.jsonl")
+        if case == "page-in-two-topics":  # a flood page also linked from eclipse
+            posts = [make_post(id="edge-1", topic_id="eclipse", serp_visible=True,
+                               text="also https://news-b.example/flood-b")]
+        elif case == "gold-reference-seed":  # a page of each gold also a post seed
+            posts = [make_post(id="edge-1", topic_id="strike", serp_visible=True,
+                               text="see https://refdocs.example/strike-src-1"),
+                     make_post(id="edge-2", topic_id="flood", serp_visible=True,
+                               text="see https://refdocs.example/flood-src-2")]
+        else:  # permalink-target-seed: a permalink chain back to its first page, kept at depth 3
+            chain = [f"https://twitter.com/edge/status/{i}" for i in range(3)]
+            headers = {"Content-Type": "text/html", "Date": "Tue, 06 Nov 2018 00:00:00 GMT"}
+            for i, uri in enumerate(chain):
+                news = f"https://daily-herald.example/edge-{i}"
+                write_fixture(fixtures, news, 200, headers,
+                              f"<html><body><p>riverbend flood levee report {i}</p></body></html>".encode())
+                anchors = "".join(f'<a href="{link}">{link}</a>' for link in (chain[(i + 1) % 3], news))
+                write_fixture(fixtures, uri, 200, headers,
+                              f"<html><body><p>riverbend flood crews {i}</p>{anchors}</body></html>".encode())
+            posts = [make_post(id="edge-1", topic_id="flood", source="twitter", serp_visible=True,
+                               text=f"thread {chain[0]}")]
+        for post in posts:
+            corpus.posts[post.id] = post
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        return tmp_path / "corpus.jsonl", fixtures
+
+    @pytest.mark.parametrize("flags", [{}, {"global_dedup": True, "mc_exclude_root": True}])
+    @pytest.mark.parametrize("case", ["page-in-two-topics", "gold-reference-seed", "permalink-target-seed"])
+    def test_edge_corpus_matches_recompute(self, tmp_path, case, flags):
+        corpus, fixtures = self.edge_corpus(tmp_path, case)
+        posts = regen.read_corpus(corpus)[1]
+        assert_run_matches_recompute(tmp_path / "out", corpus, fixtures, DATA / "refs.json", posts, **flags)
+
+    def test_redirect_to_a_page_judged_for_another_topic(self, tmp_path, monkeypatch):
+        # flood judges news-b's page first and drops its text; strike
+        # reaches the page later through a redirect and reads it anew.
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        alias = "https://news-b.example/old-flood"
+        write_fixture(fixtures, alias, 301, {"Location": "https://news-b.example/flood-b"}, b"")
+        corpus = load_corpus(DATA / "corpus.jsonl")
+        post = make_post(id="alias-1", topic_id="strike", serp_visible=True, text=f"see {alias}")
+        corpus.posts[post.id] = post
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        fetcher, _out = self.assert_same_as_kept(tmp_path, monkeypatch, "--corpus", tmp_path / "corpus.jsonl",
+                                                 "--fixtures", fixtures, "--refs", DATA / "refs.json")
+        # The redirect's own fetch, then one more for the taken text.
+        assert [fetcher.requested.count(uri) for uri in (alias, "https://news-b.example/flood-b")] == [2, 3]
 
 
 def test_default_fetcher_writes_nothing(fixtures, tmp_path, monkeypatch):

@@ -73,5 +73,36 @@ def test_sparse_cosine_hand_value(kernel):
     assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
+def _two_loop_cosine(a, b):
+    """The cosine as computed before the gold's norm was taken once: the
+    dot product over the smaller mapping, then both norms' loops."""
+    if not a or not b:
+        return 0.0
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum_a = sum_b = 0.0
+    for term, wa in a.items():
+        if term in b:
+            dot += wa * b[term]
+    if dot == 0.0:
+        return 0.0
+    for wa in a.values():
+        sum_a += wa * wa
+    for wb in b.values():
+        sum_b += wb * wb
+    return dot / (math.sqrt(sum_a) * math.sqrt(sum_b))
+
+
+_weights = st.dictionaries(st.sampled_from("abcdefgh"), st.floats(1e-3, 1e3), max_size=8)
+
+
+@given(_weights, _weights)
+@settings(max_examples=300, deadline=None)
+def test_sparse_cosine_with_a_known_norm_is_the_same_float(a, b):
+    want = _two_loop_cosine(a, b)
+    assert textkernel.sparse_cosine(a, b) == want
+    assert textkernel.sparse_cosine(a, b, textkernel.norm(b)) == want
+
+
 def test_selected_implementation_is_reported():
     assert IMPLEMENTATION == "python"
