@@ -9,8 +9,8 @@ success, 1 runtime failure (strict mode), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -26,11 +26,10 @@ from .reports import (
     DEFAULT_REFERENCE_SOURCE,
     build_manifest,
     build_tables,
-    check_tables,
     partition_tables,
     seeds_table,
     write_bundle,
-    write_csv,
+    write_json,
 )
 from .segmentation import partition_corpus
 
@@ -44,7 +43,7 @@ class ConfigError(Exception):
 
 
 class BundleError(Exception):
-    """A ``report --bundle`` file that is not a saved report bundle."""
+    """A ``report --bundle`` path that is not a run's output directory."""
 
 
 def _validate(args) -> None:
@@ -174,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in PIPELINE_COMMANDS:
         _add_pipeline_flags(sub.add_parser(name, help=help_text))
 
-    p = sub.add_parser("report", help="re-emit a saved bundle as csv or json")
-    p.add_argument("--bundle", required=True, type=Path)
+    p = sub.add_parser("report", help="re-emit a run's tables as csv files or as one report.json")
+    p.add_argument("--bundle", required=True, type=Path, help="a run's --out directory")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -267,32 +266,28 @@ def _load_golds(args, corpus: Corpus, fetcher, warnings) -> dict[str, GoldStanda
     return golds
 
 
-_TABLE_NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
-
-
-def _load_bundle(path: Path) -> dict:
-    """A saved bundle.json: a JSON object with ``manifest`` and
-    ``tables``, whose tables pass ``reports.check_tables`` under names
-    fit to be file names in ``--out``: what ``write_bundle`` can write.
-    Anything else raises BundleError naming the file (and the table)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        bundle = json.loads(text)
-    except ValueError as exc:
-        raise BundleError(f"bad bundle file {path}: {exc}") from exc
-    tables = bundle.get("tables") if isinstance(bundle, dict) else None
-    if not isinstance(tables, dict) or "manifest" not in bundle:
-        raise BundleError(f"bad bundle file {path}: not a JSON object with 'tables' and 'manifest'")
-    for name in tables:
-        if not _TABLE_NAME_RE.fullmatch(name):
-            raise BundleError(f"bad bundle file {path}: table name {name!r} is not a plain file name")
-    try:
-        check_tables(tables)
-        if "\\u" in text:  # only an escape can name a lone surrogate
-            check_encodable(bundle)
-    except ValueError as exc:
-        raise BundleError(f"bad bundle file {path}: {exc}") from exc
-    return bundle
+def _load_tables(out_dir: Path) -> dict:
+    """The tables of a run's ``--out`` directory: each ``<name>.csv``
+    file, read back with ``csv``, as {name: {"header": [...], "rows":
+    [[str]]}}. A directory with no CSV file, or a CSV that is empty or
+    not UTF-8 text, raises BundleError naming the directory."""
+    if not out_dir.is_dir():
+        raise BundleError(f"bad run directory {out_dir}: not a directory")
+    tables = {}
+    csv.field_size_limit(sys.maxsize)  # a cell holds a whole URI, however long
+    for path in sorted(out_dir.glob("*.csv")):
+        try:
+            path.name.encode("utf-8")  # a name whose bytes are not UTF-8 cannot name a table
+            with path.open(encoding="utf-8", newline="") as fh:
+                lines = list(csv.reader(fh))
+        except (UnicodeError, csv.Error) as exc:
+            raise BundleError(f"bad run directory {out_dir}: {path.name}: {exc}") from exc
+        if not lines:
+            raise BundleError(f"bad run directory {out_dir}: {path.name} is empty")
+        tables[path.stem] = {"header": lines[0], "rows": lines[1:]}
+    if not tables:
+        raise BundleError(f"bad run directory {out_dir}: no CSV file")
+    return tables
 
 
 def _load_refs(path: Path) -> dict:
@@ -335,12 +330,13 @@ def run_pipeline(args, stop: str = "analyze") -> int:
     is given the settings it reads as plain arguments.
 
     ingest (load the corpus, grow threads from ``--replies``) ->
-    segment -> extract -> goldstd -> analyze, which writes the report
-    bundle with its manifest. Gold standards read only the corpus, so a
-    run stopped at goldstd skips segmentation and extraction and fetches
-    no permalinks. Each report table is built once, when its stage ends;
-    a run stopped at segment or extract writes that stage's tables as
-    ``write_bundle`` writes them in a full run.
+    segment -> extract -> goldstd -> analyze, which writes every report
+    table once, as a CSV file, with ``manifest.json`` beside them. Gold
+    standards read only the corpus, so a run stopped at goldstd skips
+    segmentation and extraction and fetches no permalinks. Each report
+    table is built once, when its stage ends; a run stopped at segment
+    or extract writes that stage's tables through the same
+    ``write_bundle``, with no manifest.
 
     Each warning is appended to the run's one list and reported nowhere
     else. Both places that report the list, a stopped run's stderr (as
@@ -373,7 +369,7 @@ def run_pipeline(args, stop: str = "analyze") -> int:
         )
         tables.update(partition_tables(partition))
         if stop == "segment":
-            _write_tables(tables, ("partition", "partition_mc"), out)
+            write_bundle(tables, out)
             _print_warnings(warnings)
             return EXIT_OK
 
@@ -386,7 +382,7 @@ def run_pipeline(args, stop: str = "analyze") -> int:
         fetcher.release("links")  # permalink substitution was their one reader
         tables["seeds"] = seeds_table(collections)
         if stop == "extract":
-            _write_tables(tables, ("seeds",), out)
+            write_bundle({"seeds": tables["seeds"]}, out)
             (out / "seeds.json").write_text(
                 json.dumps(seed_json(collections), ensure_ascii=False, indent=2) + "\n",
                 encoding="utf-8",
@@ -416,20 +412,8 @@ def run_pipeline(args, stop: str = "analyze") -> int:
         "seeds": sum(len(c.seeds) for c in collections.values()),
         "gold_standards": len(golds),
     }
-    bundle = {
-        "tables": tables,
-        "manifest": build_manifest(_echo(args), _distinct(warnings), counts),
-    }
-    write_bundle(bundle, out)
+    write_bundle(tables, out, build_manifest(_echo(args), _distinct(warnings), counts))
     return EXIT_OK
-
-
-def _write_tables(tables: dict, names, out: Path) -> None:
-    """A stopped stage's tables, each to the CSV file ``write_bundle``
-    writes for it in a full run."""
-    out.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        write_csv(out / f"{name}.csv", tables[name]["header"], tables[name]["rows"])
 
 
 def _distinct(warnings) -> list[str]:
@@ -447,7 +431,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            write_bundle(_load_bundle(args.bundle), args.out, formats=(args.format,))
+            tables = _load_tables(args.bundle)
+            if args.format == "csv":
+                write_bundle(tables, args.out)
+            else:
+                args.out.mkdir(parents=True, exist_ok=True)
+                write_json(args.out / "report.json", tables)
             return EXIT_OK
         stop = "analyze" if args.command == "run" else args.command
         return run_pipeline(args, stop)

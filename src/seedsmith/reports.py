@@ -1,17 +1,16 @@
-"""Report-bundle assembly and deterministic CSV/JSON emission.
+"""Report-table assembly and deterministic CSV emission.
 
 All table rows are pre-formatted strings (floats to 4 decimals, absent
-values as "NA"), so the CSV and JSON renderings carry identical values
-and identical inputs yield byte-identical outputs.
+values as "NA"), so identical inputs yield byte-identical files. Each
+table is written once, as ``<name>.csv``; ``seedsmith report`` reads a
+run's CSVs back to re-emit them as CSV or as one ``report.json``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from contextlib import ExitStack
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import __version__, textkernel
@@ -454,114 +453,34 @@ def build_manifest(config_echo: dict, warnings, counts: dict) -> dict:
     }
 
 
-def check_tables(tables) -> None:
-    """Raises ValueError unless ``tables`` is what ``write_bundle``
-    writes: {str name: {"header": [str], "rows": [[str]]}}. The message
-    names the table."""
-    if not isinstance(tables, dict):
-        raise ValueError(f"tables is not an object, got {type(tables).__name__}")
-    for name, table in tables.items():
-        if not isinstance(name, str):
-            raise ValueError(f"table name {name!r} is not a string")
-        bad = f"table {name}"
-        if not (isinstance(table, dict) and table.keys() == {"header", "rows"}):
-            raise ValueError(f"{bad}: not an object of exactly 'header' and 'rows'")
-        if not isinstance(table["rows"], list):
-            raise ValueError(f"{bad}: 'rows' is not a list")
-        for index, row in enumerate([table["header"], *table["rows"]]):
-            if not (isinstance(row, list) and all(isinstance(cell, str) for cell in row)):
-                where = f"row {index}" if index else "header"
-                raise ValueError(f"{bad}: {where} is not a list of strings")
-
-
-def write_bundle(bundle: dict, out_dir, formats=("csv",)) -> list[Path]:
-    """Write the report bundle; returns the created file paths.
-
-    ``bundle`` is {"tables": ..., "manifest": ...}, written to bundle.json
-    and manifest.json; "csv" in ``formats`` adds one file per table, and
-    "json" adds report.json, the tables alone.
-
-    Every JSON file is ``json.dumps(value, ensure_ascii=False, indent=2,
-    sort_keys=True)`` plus a newline. The tables go one at a time: each
-    table's text, its cells passed straight through ``encode_basestring``,
-    is built once, written to report.json and, indented once more, to
-    bundle.json, and dropped, so memory holds one table's text. Other
-    top-level values go through ``json.dumps``. A value that is not
-    table-shaped fails ``check_tables`` before any file is written.
-    """
-    tables = bundle["tables"]
-    check_tables(tables)
-    texts = {key: _json_text(value) for key, value in bundle.items() if key != "tables"}
+def write_bundle(tables: dict, out_dir, manifest=None) -> list[Path]:
+    """Write each table to ``<name>.csv`` in ``out_dir`` and, when
+    ``manifest`` is given, ``manifest.json``; returns the created file
+    paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    created = [out_dir / "manifest.json", out_dir / "bundle.json"]
-    created[0].write_text(texts["manifest"] + "\n", encoding="utf-8")
-    with ExitStack() as files:
-        whole = files.enter_context(created[1].open("wb"))
-        report = None
-        if "json" in formats:
-            created.append(out_dir / "report.json")
-            report = files.enter_context(created[-1].open("wb"))
-
-        def put(text: bytes) -> None:
-            # bundle.json holds the tables text one level deeper. Exact
-            # because JSON escapes every newline inside a string.
-            if report is not None:
-                report.write(text)
-            whole.write(text.replace(b"\n", b"\n  "))
-
-        lead = "{"
-        for key in sorted(bundle):
-            whole.write(f"{lead}\n  {encode_basestring(key)}: ".encode())
-            lead = ","
-            if key != "tables":
-                whole.write(texts[key].replace("\n", "\n  ").encode())
-                continue
-            separator = b"{\n"
-            for name in sorted(tables):
-                put(separator)
-                separator = b",\n"
-                put(_table_text(name, tables[name]).encode())
-                if "csv" in formats:
-                    created.append(out_dir / f"{name}.csv")
-                    write_csv(created[-1], tables[name]["header"], tables[name]["rows"])
-            put(b"\n}" if tables else b"{}")
-        whole.write(b"\n}\n")
-        if report is not None:
-            report.write(b"\n")
+    created = []
+    if manifest is not None:
+        created.append(out_dir / "manifest.json")
+        write_json(created[0], manifest)
+    for name in sorted(tables):
+        created.append(out_dir / f"{name}.csv")
+        write_csv(created[-1], tables[name]["header"], tables[name]["rows"])
     return created
 
 
 def write_csv(path: Path, header, rows) -> None:
+    """One table as CSV lines ending in "\\n". A row with a carriage
+    return in a cell has every cell quoted: the plain writer quotes only
+    the characters of its line terminator, so it would leave a bare
+    "\\r" unquoted and the file would no longer parse back."""
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in [header, *rows]:
+            (quoted if "\r" in "".join(row) else plain).writerow(row)
 
 
-def _json_text(value) -> str:
-    return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
-
-
-def _json_list(items, pad: str, encode) -> str:
-    """``_json_text(items)`` for a list whose items ``encode`` writes,
-    with every line after the first indented by ``pad``."""
-    if not items:
-        return "[]"
-    sep = ",\n  " + pad
-    return "[" + sep[1:] + sep.join(map(encode, items)) + "\n" + pad + "]"
-
-
-def _row_text(row) -> str:
-    return _json_list(row, "      ", encode_basestring)
-
-
-def _table_text(name: str, table: dict) -> str:
-    """The member ``name`` of ``_json_text(tables)``, from its indent to
-    its closing brace, for a table that ``check_tables`` passed."""
-    return (
-        f"  {encode_basestring(name)}: {{\n"
-        f'    "header": {_json_list(table["header"], "    ", encode_basestring)},\n'
-        f'    "rows": {_json_list(table["rows"], "    ", _row_text)}\n'
-        "  }"
-    )
+def write_json(path: Path, value) -> None:
+    """The format of ``manifest.json`` and ``report.json``."""
+    path.write_text(json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True) + "\n", encoding="utf-8")

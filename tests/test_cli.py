@@ -1,4 +1,5 @@
 import contextlib
+import csv as csvmod
 import functools
 import io
 import json
@@ -43,7 +44,7 @@ EXPECTED_FILES = [
     "precision_all.csv", "precision_html.csv", "precision_non_html.csv",
     "relevance_by_k_all.csv", "relevance_by_k_html.csv", "relevance_by_k_non_html.csv",
     "age.csv", "age_ecdf.csv", "diversity.csv", "overlap.csv",
-    "bundle.json", "manifest.json",
+    "manifest.json",
 ]
 
 
@@ -55,6 +56,7 @@ class TestRun:
         for name in EXPECTED_FILES:
             assert (out / name).exists(), name
         assert not (out / "report.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted([*EXPECTED_FILES, "golds"])
         golds = sorted(p.name for p in (out / "golds").glob("*.json"))
         assert golds == ["gold_eclipse.json", "gold_flood.json", "gold_strike.json"]
 
@@ -290,8 +292,6 @@ class TestRun:
         fixtures.mkdir()
         out = tmp_path / "out"
         assert run_cli("run", "--corpus", corpus_path, "--out", out, "--fixtures", fixtures) == 0
-        import csv as csvmod
-
         with (out / "seeds.csv").open(newline="") as fh:
             seeds = {row["canonical_uri"]: row["hostname"] for row in csvmod.DictReader(fh)}
         assert seeds == {"http://[::1]:8080/a": "::1", "http://[2001:db8::1]/x": "2001:db8::1"}
@@ -311,8 +311,6 @@ class TestRun:
         args = ("run", "--corpus", corpus_path, "--out", out, "--fixtures", fixtures,
                 "--depth-limit", "1510")
         assert run_cli(*args) == 0
-        import csv as csvmod
-
         with (out / "seeds.csv").open(newline="") as fh:
             seeds = [row["canonical_uri"] for row in csvmod.DictReader(fh)]
         assert seeds == ["https://news.example/final"]
@@ -564,24 +562,27 @@ class TestStages:
         out = tmp_path / "out"
         assert run_cli(*base_args(out), "--refs", DATA / "refs.json") == 0
         csv_dir = tmp_path / "csv"
-        assert run_cli("report", "--bundle", out / "bundle.json", "--out", csv_dir) == 0
-        for name in ("seeds.csv", "age.csv", "diversity.csv"):
-            assert (csv_dir / name).read_bytes() == (out / name).read_bytes()
+        assert run_cli("report", "--bundle", out, "--out", csv_dir) == 0
+        tables = sorted(p.name for p in out.glob("*.csv"))
+        assert len(tables) == 16
+        assert sorted(p.name for p in csv_dir.iterdir()) == tables
+        for name in tables:
+            assert (csv_dir / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_report_json_carries_same_values_as_csv(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli(*base_args(out), "--refs", DATA / "refs.json") == 0
         json_dir = tmp_path / "json"
-        assert run_cli("report", "--bundle", out / "bundle.json",
-                       "--out", json_dir, "--format", "json") == 0
-        tables = json.loads((json_dir / "report.json").read_text())
-        for name, table in tables.items():
-            csv_lines = (out / f"{name}.csv").read_text().splitlines()
-            assert csv_lines[0].split(",") == table["header"]
-            import csv as csvmod
-
-            parsed = list(csvmod.reader(csv_lines[1:]))
-            assert parsed == table["rows"]
+        assert run_cli("report", "--bundle", out, "--out", json_dir, "--format", "json") == 0
+        assert [p.name for p in json_dir.iterdir()] == ["report.json"]
+        tables = {}
+        for path in out.glob("*.csv"):
+            csv_lines = path.read_text().splitlines()
+            header = csv_lines[0].split(",")
+            tables[path.stem] = {"header": header, "rows": list(csvmod.reader(csv_lines[1:]))}
+        assert len(tables) == 16
+        want = json.dumps(tables, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+        assert (json_dir / "report.json").read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize(
@@ -603,17 +604,65 @@ class TestStages:
          "manifest-lone-surrogate"],
 )
 def test_malformed_bundle_ends_with_one_error_line(tmp_path, capsys, text):
+    """``report`` reads a run's CSVs, never a bundle file: a bundle.json,
+    whatever it holds, given itself or as the one file of a directory,
+    is one error line naming it, and nothing is written."""
     bundle = tmp_path / "bundle.json"
     bundle.write_text(text)
-    assert run_cli("report", "--bundle", bundle, "--out", tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: bad bundle file {bundle}: ")
-    assert len(err.splitlines()) == 1
-    if "\\u" in text:
-        assert err.endswith(": a string holds a lone surrogate, which is not UTF-8 text\n")
-    if '"age": {' in text:
-        assert err.startswith(f"error: bad bundle file {bundle}: table age: ")
+    for given, why in ((bundle, "not a directory"), (tmp_path, "no CSV file")):
+        assert run_cli("report", "--bundle", given, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: bad run directory {given}: {why}\n"
     assert list(tmp_path.iterdir()) == [bundle]
+
+
+def _ingest_output(path):
+    assert run_cli("ingest", "--corpus", DATA / "corpus.jsonl", "--out", path) == 0
+
+
+def _csvs(**files):
+    def write(path):
+        path.mkdir()
+        (path / "good.csv").write_bytes(b"h\nx\n")
+        for name, data in files.items():
+            (path / f"{name}.csv").write_bytes(data)
+    return write
+
+
+@pytest.mark.parametrize(
+    "make, why",
+    [(None, "not a directory"),
+     (lambda path: path.write_text('{"tables": {"t": {"header": ["a"], "rows": []}}, "manifest": {}}'),
+      "not a directory"),
+     (_ingest_output, "no CSV file"),
+     (_csvs(bad=b"h\n\xffx\n"), "bad.csv: 'utf-8' codec can't decode byte 0xff"),
+     (_csvs(bad=b"h\n\xed\xa0\x80\n"), "bad.csv: 'utf-8' codec can't decode byte 0xed"),
+     (_csvs(empty=b""), "empty.csv is empty")],
+    ids=["missing", "bundle-file", "ingest-output", "csv-not-utf8", "csv-lone-surrogate", "csv-empty"],
+)
+def test_bad_run_directory_ends_with_one_error_line(tmp_path, capsys, make, why):
+    given = tmp_path / "given"
+    if make is not None:
+        make(given)
+    capsys.readouterr()
+    for fmt in ("csv", "json"):
+        assert run_cli("report", "--bundle", given, "--out", tmp_path / "out", "--format", fmt) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad run directory {given}: {why}")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
+def test_csv_file_name_not_utf8_is_one_error_line(tmp_path):
+    # Run in a fresh interpreter, whose stderr escapes the name's
+    # undecodable byte as the program's own stderr does.
+    given = tmp_path / "given"
+    _csvs()(given)
+    (given / os.fsdecode(b"\xff.csv")).write_bytes(b"h\n")
+    done = _cli_subprocess("report", "--bundle", given, "--out", tmp_path / "out", "--format", "json")
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: bad run directory {given}: \\udcff.csv: 'utf-8' codec can't encode")
+    assert len(done.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def _appended_post(tmp_path, drop=(), **fields):

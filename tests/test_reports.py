@@ -1,19 +1,22 @@
 """Report assembly: row grouping against the per-row rescans it replaced,
-and bundle files against the plain JSON encoding of their values."""
+and the CSV files ``report`` reads back against the plain JSON encoding
+of their tables."""
 
+import csv
 import json
 import random
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post, make_topic
 from oracles import (random_reply_tree, reference_observations_for_row,
                      reference_observations_for_scope, reference_seeds_for_row)
 from seedsmith import reports
+from seedsmith.cli import main as cli_main
 from seedsmith.extraction import assemble_collections
 from seedsmith.reports import KIND_FILTERS, SCOPES, collect_observations, index_rows, scope_posts, write_bundle
 from seedsmith.segmentation import MC, MC_MEMBER_CLASSES, partition_corpus
@@ -101,7 +104,7 @@ def test_row_index_matches_per_row_rescans():
 
 TRICKY_CELLS = [
     "plain", "naïve — 漢字 🌊", 'say "hi"', "back\\slash", "two\nlines", "cr\r\nlf",
-    "tab\tend", "\u2028line separator", "", "NA", "0.2500",
+    "tab\tend", "\u2028line separator", "", "NA", "0.2500", "lone\rcr", "a,b", "nul\x00",
 ]
 
 
@@ -109,66 +112,82 @@ def _expected(value):
     return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
-def _check_bundle_files(bundle, out):
-    # Only the JSON files are under test; table names need not be file names.
-    write_bundle(bundle, out, formats=("json",))
-    assert (out / "bundle.json").read_bytes() == _expected(bundle).encode()
-    assert (out / "report.json").read_bytes() == _expected(bundle["tables"]).encode()
-    assert (out / "manifest.json").read_bytes() == _expected(bundle["manifest"]).encode()
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def _check_report(tables, tmp):
+    """``report`` over ``write_bundle``'s CSVs of ``tables``: as json, the
+    plain JSON encoding of ``tables``; as csv, the same bytes."""
+    run_dir = tmp / "run"
+    write_bundle(tables, run_dir)
+    for fmt in ("json", "csv"):
+        assert cli_main(["report", "--bundle", str(run_dir), "--out", str(tmp / fmt), "--format", fmt]) == 0
+    assert _files(tmp / "json") == {"report.json": _expected(tables).encode()}
+    assert _files(tmp / "csv") == _files(run_dir)
 
 
 def test_bundle_files_equal_plain_json_encoding(tmp_path):
-    bundle = {
-        "tables": {
-            "tricky": {"header": ["a", "b\nc"], "rows": [TRICKY_CELLS[i:i + 2]
-                                                        for i in range(0, len(TRICKY_CELLS), 2)]},
-            "empty": {"header": ["topic", "value"], "rows": []},
-            "ünïcode \"name\"\n": {"header": [], "rows": [[]]},
-        },
-        "manifest": {"warnings": ['seed "x"\\y\nz'], "warning_count": 1, "counts": {}},
+    tables = {
+        "tricky": {"header": ["a", "b\nc"], "rows": [TRICKY_CELLS[i:i + 2]
+                                                    for i in range(0, len(TRICKY_CELLS), 2)]},
+        "empty": {"header": ["topic", "value"], "rows": []},
+        "ünïcode \"name\"\n": {"header": [], "rows": [[]]},
     }
-    _check_bundle_files(bundle, tmp_path / "out")
-    _check_bundle_files({**bundle, "tables": {}}, tmp_path / "no-tables")
-    around = {"aaa": [1, {"b": None}], "note": "x\ny", "zzz": {"last": [True, 0.5]}}
-    _check_bundle_files({**bundle, **around}, tmp_path / "keys-around-tables")
-    _check_bundle_files({**bundle, **around, "tables": {}}, tmp_path / "keys-around-no-tables")
+    manifest = {"warnings": ['seed "x"\\y\r\nz'], "warning_count": 1, "counts": {}}
+    created = write_bundle(tables, tmp_path / "out", manifest)
+    assert created[0] == tmp_path / "out" / "manifest.json"
+    assert created[0].read_bytes() == _expected(manifest).encode()
+    _check_report(tables, tmp_path)
 
 
-def test_csv_write_keeps_bundle_json_exact(tmp_path):
+def test_write_bundle_writes_each_table_once_as_csv(tmp_path):
     tables = {
         "a_first": {"header": ["x", "y"], "rows": [["1", 'say "hi"'], ["two\nlines", ""]]},
-        "b-second": {"header": ["only"], "rows": []},
+        "b-second": {"header": ["only"], "rows": [], "note": "not written"},
     }
-    bundle = {"aaa": None, "tables": tables, "manifest": {"counts": {}}, "zzz": ["after"]}
-    created = write_bundle(bundle, tmp_path, formats=("csv",))
-    assert (tmp_path / "bundle.json").read_bytes() == _expected(bundle).encode()
-    assert (tmp_path / "manifest.json").read_bytes() == _expected(bundle["manifest"]).encode()
+    created = write_bundle(tables, tmp_path, {"counts": {}})
+    assert sorted(created) == sorted(tmp_path.iterdir())
+    assert sorted(_files(tmp_path)) == ["a_first.csv", "b-second.csv", "manifest.json"]
     assert (tmp_path / "a_first.csv").read_bytes() == b'x,y\n1,"say ""hi"""\n"two\nlines",\n'
     assert (tmp_path / "b-second.csv").read_bytes() == b"only\n"
-    assert sorted(created) == sorted(tmp_path.iterdir())
-    assert not (tmp_path / "report.json").exists()
+    assert write_bundle({}, tmp_path / "none") == []
+
+
+def test_write_csv_quotes_only_rows_that_hold_a_carriage_return(tmp_path):
+    path = tmp_path / "t.csv"
+    reports.write_csv(path, ["h", "k"], [["a", "b"], ["c\rd", "e"], ["f\r\n", "g"], ["", ""]])
+    assert path.read_bytes() == b'h,k\na,b\n"c\rd","e"\n"f\r\n","g"\n,\n'
+    with path.open(encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [["h", "k"], ["a", "b"], ["c\rd", "e"], ["f\r\n", "g"], ["", ""]]
+
+
+# A file name cannot hold "/" or NUL, nor be empty ("".csv would be a
+# hidden file with no stem), so table names draw from the rest.
+_TABLE_NAME = st.text(st.characters(codec="utf-8", exclude_characters="/\x00"), min_size=1, max_size=6)
 
 
 @given(
     st.dictionaries(
-        st.text(max_size=6),
+        _TABLE_NAME,
         st.lists(st.lists(st.text(max_size=8), max_size=3), max_size=3),
-        max_size=3,
+        min_size=1, max_size=3,
     ),
-    st.dictionaries(st.text(max_size=6).filter(lambda k: k not in ("tables", "manifest")),
-                    st.one_of(st.none(), st.text(max_size=6), st.dictionaries(st.text(max_size=3),
-                                                                               st.integers())),
+    st.dictionaries(st.text(max_size=6), st.one_of(st.none(), st.text(max_size=6),
+                                                   st.dictionaries(st.text(max_size=3), st.integers())),
                     max_size=2),
 )
 @settings(max_examples=60, deadline=None)
-def test_bundle_files_equal_plain_json_encoding_random(tmp_path_factory, rows_by_name, extra):
+def test_bundle_files_equal_plain_json_encoding_random(tmp_path_factory, rows_by_name, manifest):
     tables = {name: {"header": ["h"], "rows": rows} for name, rows in rows_by_name.items()}
-    bundle = {"tables": tables, "manifest": {"warnings": list(rows_by_name)}, **extra}
-    _check_bundle_files(bundle, tmp_path_factory.mktemp("bundle"))
+    tmp = tmp_path_factory.mktemp("bundle")
+    write_bundle(tables, tmp / "out", manifest)
+    assert (tmp / "out" / "manifest.json").read_bytes() == _expected(manifest).encode()
+    _check_report(tables, tmp)
 
 
 _TRICKY_CHARS = st.sampled_from(
-    ['"', "\\", "/", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+    ['"', ",", "\\", "/", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
      "\ufeff", "é", "漢", "\U0001f30a", "\U00010000"]
 )
 # A UTF-8 file cannot hold a lone surrogate, so none is drawn.
@@ -177,69 +196,51 @@ _TABLE_TEXT = st.text(st.one_of(_TRICKY_CHARS, st.characters(codec="utf-8")), ma
 
 @given(
     st.dictionaries(
-        _TABLE_TEXT,
+        _TABLE_NAME,
         st.fixed_dictionaries({
             "header": st.lists(_TABLE_TEXT, max_size=3),
             "rows": st.lists(st.lists(_TABLE_TEXT, max_size=3), max_size=4),
         }),
-        max_size=4,
+        min_size=1, max_size=4,
     )
 )
+@example({"t": {"header": ["a"], "rows": [["c\rr"], ["x" * 140_000]]}})
 @settings(max_examples=300, deadline=None)
 def test_tables_text_equals_plain_json_encoding(tmp_path_factory, tables):
-    # Empty tables, empty headers over rows, empty rows and escapes all
-    # come up; the hand-written cases below pin each of them once.
-    _check_bundle_files({"tables": tables, "manifest": {}}, tmp_path_factory.mktemp("tables"))
+    # Empty headers over rows, empty rows, a bare carriage return and a
+    # cell past the csv module's default field size limit all come up;
+    # the hand-written cases below pin several of them once.
+    _check_report(tables, tmp_path_factory.mktemp("tables"))
 
 
 @pytest.mark.parametrize(
     "tables",
-    [{}, {"t": {"header": [], "rows": [["a", "b"], []]}}, {"t": {"header": [], "rows": []}},
-     {"\u2028 ü \U0001f30a": {"header": ['"', "\\"], "rows": [[]] * 2 + [["\x00\x1f\u2029"]]}}],
-    ids=["no-tables", "empty-header-and-row", "all-empty", "tricky-name-and-cells"],
+    [{"t": {"header": [], "rows": [["a", "b"], []]}}, {"t": {"header": [], "rows": []}},
+     {"\u2028 ü \U0001f30a": {"header": ['"', "\\"], "rows": [[]] * 2 + [["\x00\x1f\u2029", "\r"]]}}],
+    ids=["empty-header-and-row", "all-empty", "tricky-name-and-cells"],
 )
 def test_tables_text_equals_plain_json_encoding_cases(tables, tmp_path):
-    _check_bundle_files({"tables": tables, "manifest": {}}, tmp_path)
-
-
-@pytest.mark.parametrize(
-    "tables",
-    [[], {"t": [["a"]]}, {"t": {"header": ["a"], "rows": [], "note": "x"}}, {"t": {"header": ["a"]}},
-     {"t": {"header": ("a",), "rows": []}}, {"t": {"header": ["a"], "rows": (["x"],)}},
-     {"t": {"header": ["a"], "rows": [("x",)]}}, {"t": {"header": ["a"], "rows": ["x"]}},
-     {"t": {"header": [1], "rows": []}}, {"t": {"header": ["a"], "rows": [["x"], [None]]}},
-     {"t": {"header": ["a"], "rows": [[["x"]]]}}, {1: {"header": ["a"], "rows": []}}],
-    ids=["tables-a-list", "table-a-list", "extra-key", "no-rows", "header-a-tuple", "rows-a-tuple",
-         "row-a-tuple", "row-a-string", "header-cell-int", "row-cell-none", "row-cell-a-list",
-         "name-an-int"],
-)
-def test_tables_text_rejects_what_is_not_a_table(tables, tmp_path):
-    with pytest.raises(ValueError):
-        reports.check_tables(tables)
-    for formats in (("json",), ("csv",)):
-        with pytest.raises(ValueError):
-            write_bundle({"tables": tables, "manifest": {}}, tmp_path, formats=formats)
-    assert list(tmp_path.iterdir()) == []
+    _check_report(tables, tmp_path)
 
 
 def test_write_stage_holds_one_table_at_a_time(tmp_path):
-    # Eight tables of about 1 MB of JSON text each. Written one at a time,
-    # fewer than three copies of one table's text are alive at once;
-    # joining the tables text before writing holds all eight at least once.
+    # Four tables of about 2.5 MB of CSV each. Written row by row, the
+    # write holds far less than one table's text; building a table's
+    # text before writing it holds at least that much.
     cells = ["cell-" + "x" * 10] * 7
     tables = {
         f"t{n}": {"header": [f"h{i}" for i in range(8)],
-                  "rows": [[f"{n}-{i:08d}", *cells] for i in range(5000)]}
-        for n in range(8)
+                  "rows": [[f"{n}-{i:08d}", *cells] for i in range(20_000)]}
+        for n in range(4)
     }
-    largest = max(len(_expected(table)) for table in tables.values())
-    assert largest > 900_000
-    bundle = {"tables": tables, "manifest": {"counts": {}}}
     tracemalloc.start()
     try:
-        write_bundle(bundle, tmp_path, formats=("csv", "json"))
+        write_bundle(tables, tmp_path, {"counts": {}})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * largest
-    assert (tmp_path / "bundle.json").read_bytes() == _expected(bundle).encode()
+    largest = max(path.stat().st_size for path in tmp_path.glob("*.csv"))
+    assert largest > 2_000_000
+    assert peak < largest / 4
+    with (tmp_path / "t3.csv").open(encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [tables["t3"]["header"], *tables["t3"]["rows"]]
