@@ -17,8 +17,9 @@ from pathlib import Path
 from . import __version__
 from .analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_LITERAL, MODE_NORMALIZED
 from .corpus.fetch import EPOCH, FetchError, Fetcher, FixtureTransport, HttpTransport, RecordingTransport
-from .corpus.jsonl import check_encodable, load_corpus, write_corpus
-from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, Post, TopicSpec
+from .corpus.jsonl import REQUIRED, URIS, CorpusFormatError, load_corpus, read_fields, read_input, read_json
+from .corpus.jsonl import read_topics, write_corpus
+from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, Post
 from .corpus.threads import expand_thread
 from .extraction import ExtractionError, assemble_collections, seed_json
 from .goldstandard import GoldStandard, GoldStandardError, build_gold_standard, extract_references
@@ -183,12 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_corpus(args) -> Corpus:
     corpus = load_corpus(args.corpus)
     if args.topics:
+        where = f"bad topics file {args.topics}"
+        corpus.topics = read_topics(
+            read_json(read_input(args.topics), CorpusFormatError, where), CorpusFormatError, where
+        )
         try:
-            topics = json.loads(args.topics.read_text(encoding="utf-8"))
-            corpus.topics = {t["topic_id"]: TopicSpec(**t) for t in topics}
             corpus.validate()
-        except (CorpusError, ValueError, TypeError, KeyError) as exc:
-            raise CorpusError(f"bad topics file {args.topics}: {exc}") from exc
+        except CorpusIntegrityError as exc:
+            raise CorpusIntegrityError(f"{where}: {exc}") from exc
     return corpus
 
 
@@ -219,8 +222,8 @@ def _load_golds(args, corpus: Corpus, fetcher, warnings) -> dict[str, GoldStanda
         read: dict[str, Path] = {}  # topic id -> the file that gave it
         for path in paths:
             try:
-                gold = GoldStandard.from_json(path.read_text(encoding="utf-8"))
-            except (GoldStandardError, UnicodeDecodeError) as exc:
+                gold = GoldStandard.from_json(read_input(path))
+            except GoldStandardError as exc:
                 raise GoldStandardError(f"bad gold standard file {path}: {exc}") from exc
             if gold.topic_id in read:
                 raise GoldStandardError(
@@ -294,24 +297,11 @@ def _load_refs(path: Path) -> dict:
     """The refs file: a JSON object mapping each topic id to the URI of a
     reference-list page or to a list of reference URIs. Anything else
     raises GoldStandardError naming the file (and the topic)."""
-    try:
-        refs = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise GoldStandardError(f"bad refs file {path}: {exc}") from exc
-    if not isinstance(refs, dict):
-        raise GoldStandardError(f"bad refs file {path}: not a JSON object of topic ids")
-    for topic_id, entry in refs.items():
-        if not isinstance(entry, str) and not (
-            isinstance(entry, list) and all(isinstance(uri, str) for uri in entry)
-        ):
-            raise GoldStandardError(
-                f"bad refs file {path}: topic {topic_id}: not a URI or a list of URIs"
-            )
-        try:
-            check_encodable([topic_id, entry])
-        except ValueError as exc:
-            raise GoldStandardError(f"bad refs file {path}: topic {topic_id!r}: {exc}") from exc
-    return refs
+    where = f"bad refs file {path}"
+    refs = read_json(read_input(path), GoldStandardError, where, member="topic")
+    if type(refs) is not dict:
+        raise GoldStandardError(f"{where}: not a JSON object of topic ids")
+    return read_fields(refs, dict.fromkeys(refs, (URIS, REQUIRED)), GoldStandardError, where)
 
 
 def _write_golds(golds: dict[str, GoldStandard], out_dir: Path) -> None:

@@ -1,13 +1,16 @@
-"""JSONL persistence for corpora.
+"""JSONL persistence for corpora, and the reader of every JSON input.
 
 File layout: line 1 is a topics record ``{"kind": "topics", "topics":
 [...]}``; every following line is one post record ``{"kind": "post",
 ...}``. Timestamps are ISO-8601 UTC strings ("2018-11-06T00:00:00Z").
+Corpus lines, ``--topics``, ``--refs`` and gold files are each decoded by
+``read_json``, and their records checked by ``read_fields``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .model import (
@@ -21,32 +24,60 @@ from .model import (
     parse_timestamp,
 )
 
-_POST_FIELDS = (
-    "id",
-    "source",
-    "vertical",
-    "query",
-    "query_kind",
-    "topic_id",
-    "author",
-    "parent_id",
-    "serp_visible",
-    "created_at",
-    "retrieved_at",
-    "text",
-    "raw_links",
-    "platform_uri",
-)
-_TOPIC_FIELDS = (
-    "topic_id",
-    "text_query",
-    "hashtag_query",
-    "expectation",
-    "recurrence",
-    "regularity",
-    "start_definition",
-    "end_definition",
-)
+REQUIRED = object()  # the default of a field that a record must hold
+
+
+def _is_strings(value) -> bool:
+    return type(value) is list and all(type(item) is str for item in value)
+
+
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# The kinds of field, each as the words that an error ("field 'x' is not a
+# string") and README's corpus format use for it, and its test.
+STRING = ("a string", lambda value: type(value) is str)
+BOOLEAN = ("a boolean", lambda value: type(value) is bool)
+STRINGS = ("a list of strings", _is_strings)
+WEIGHTS = ("a map of finite numbers",
+           lambda value: type(value) is dict and all(map(_is_finite_number, value.values())))
+FAILURES = ("a list of {uri, reason} strings", lambda value: type(value) is list and all(
+    type(item) is dict and type(item.get("uri")) is str and type(item.get("reason")) is str for item in value))
+TIMESTAMP = ("a valid timestamp", lambda value: type(value) is str)  # then parsed
+TOPIC_RECORDS = ("a list of topic records", lambda value: type(value) is list)  # each read by read_topics
+URIS = ("a URI or a list of URIs", lambda value: type(value) is str or _is_strings(value))
+
+# Every key a post record may hold, in the order write_corpus writes them.
+POST_FIELDS = {
+    "kind": (STRING, REQUIRED),
+    "id": (STRING, REQUIRED),
+    "source": (STRING, REQUIRED),
+    "vertical": (STRING, REQUIRED),
+    "query": (STRING, REQUIRED),
+    "query_kind": (STRING, REQUIRED),
+    "topic_id": (STRING, REQUIRED),
+    "author": (STRING, REQUIRED),
+    "parent_id": (STRING, None),
+    "serp_visible": (BOOLEAN, False),
+    "created_at": (TIMESTAMP, None),
+    "retrieved_at": (TIMESTAMP, REQUIRED),
+    "text": (STRING, ""),
+    "raw_links": (STRINGS, ()),
+    "platform_uri": (STRING, None),
+}
+# Every key a topic record may hold, in the order write_corpus writes them.
+TOPIC_FIELDS = {
+    "topic_id": (STRING, REQUIRED),
+    "text_query": (STRING, REQUIRED),
+    "hashtag_query": (STRING, None),
+    "expectation": (STRING, "unexpected"),
+    "recurrence": (STRING, "non_recurring"),
+    "regularity": (STRING, None),
+    "start_definition": (STRING, None),
+    "end_definition": (STRING, None),
+}
+_TOPICS_RECORD = {"kind": (STRING, REQUIRED), "topics": (TOPIC_RECORDS, [])}
 
 
 class CorpusFormatError(CorpusError):
@@ -54,85 +85,92 @@ class CorpusFormatError(CorpusError):
     and the line."""
 
 
-def check_encodable(value) -> None:
-    """Raise ValueError if a decoded JSON value holds a lone surrogate,
-    which a \\u escape can name but no UTF-8 text can hold."""
+def _check_encodable(value, error, where) -> None:
     try:
         json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ValueError("a string holds a lone surrogate, which is not UTF-8 text") from exc
+        raise error(f"{where}: a string holds a lone surrogate, which is not UTF-8 text") from exc
+    except RecursionError as exc:  # decoded just within the limit, nested one deeper here
+        raise error(f"{where}: invalid JSON: {exc}") from exc
 
 
-def _post_to_record(post: Post) -> dict:
-    record = {"kind": "post"}
-    for name in _POST_FIELDS:
-        value = getattr(post, name)
-        if value is None:
-            continue
-        if name in ("created_at", "retrieved_at"):
-            value = format_timestamp(value)
-        elif name == "raw_links":
-            value = list(value)
-        record[name] = value
-    return record
+def read_input(path: Path) -> str:
+    """A JSON input file's text, in which each byte that is not UTF-8 is
+    read as a lone surrogate, for ``read_json`` to name."""
+    return path.read_text(encoding="utf-8", errors="surrogateescape")
 
 
-def _topic_to_record(topic: TopicSpec) -> dict:
-    return {
-        name: getattr(topic, name)
-        for name in _TOPIC_FIELDS
-        if getattr(topic, name) is not None
-    }
+def read_json(text: str, error, where: str, member: str | None = None):
+    """The JSON document in ``text`` (as ``read_input`` reads a file).
+    Text that is not UTF-8, is not JSON (or nests too deep to decode) or
+    escapes a lone surrogate, which no UTF-8 text can hold, raises
+    ``error`` naming ``where``; given ``member`` (such as "topic"), a lone
+    surrogate in a JSON object is named by its key, too."""
+    try:
+        text.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate
+        value = json.loads(text)
+    except UnicodeEncodeError as exc:
+        raise error(f"{where}: not UTF-8 text") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+    if "\\u" in text:  # only an escape can name a lone surrogate
+        if member is not None and type(value) is dict:
+            for key, item in value.items():
+                _check_encodable([key, item], error, f"{where}: {member} {key!r}")
+        _check_encodable(value, error, where)
+    return value
 
 
-def _record_to_post(record: dict, where: str) -> Post:
-    def require(name):
-        if name not in record:
-            raise CorpusFormatError(f"{where}: missing field '{name}'")
-        return record[name]
+def read_fields(record, table: dict, error, where: str) -> dict:
+    """The fields of one decoded JSON record, checked against ``table``
+    ({field: (kind, default)}). The record must be a JSON object that
+    holds no key outside the table and every REQUIRED one. An absent
+    field takes its default, a field whose default is None may also be
+    null, and every other value must be of its field's kind. Timestamps
+    come back parsed. Anything else raises ``error`` naming ``where`` and
+    the field."""
+    if type(record) is not dict:
+        raise error(f"{where}: not a JSON object")
+    if not table.keys() >= record.keys():
+        unknown = next(name for name in record if name not in table)
+        raise error(f"{where}: unknown field {unknown!r}")
+    fields = {}
+    for name, (kind, default) in table.items():
+        value = record.get(name, REQUIRED)  # REQUIRED here: absent
+        if value is REQUIRED:
+            if default is REQUIRED:
+                raise error(f"{where}: missing field {name!r}")
+            value = default
+        elif value is None and default is None:
+            pass
+        elif type(value) is not str if kind is STRING else not kind[1](value):
+            raise error(f"{where}: field {name!r} is not {kind[0]}")
+        elif kind is TIMESTAMP:
+            try:
+                value = parse_timestamp(value)
+            except (ValueError, OverflowError) as exc:
+                raise error(f"{where}: field {name!r} is not {kind[0]}: {exc}") from exc
+        fields[name] = value
+    return fields
 
-    def timestamp(name, required):
-        value = record.get(name)
-        if value is None:
-            if required:
-                raise CorpusFormatError(f"{where}: missing field '{name}'")
-            return None
+
+def read_topics(records, error, where: str) -> dict[str, TopicSpec]:
+    """Topic records (a corpus's topics record holds a list of them, and
+    so does a ``--topics`` file) by topic id. A value that is not such a
+    list, a record that ``TOPIC_FIELDS`` or ``TopicSpec`` rejects, and a
+    duplicate topic id raise ``error`` naming ``where``."""
+    if type(records) is not list:
+        raise error(f"{where}: not {TOPIC_RECORDS[0]}")
+    topics = {}
+    for record in records:
         try:
-            return parse_timestamp(value)
-        except (ValueError, TypeError) as exc:
-            raise CorpusFormatError(
-                f"{where}: field '{name}' is not a valid timestamp: {exc}"
-            ) from exc
-
-    raw_links = record.get("raw_links", [])
-    if not isinstance(raw_links, list):
-        raise CorpusFormatError(f"{where}: field 'raw_links' must be a list")
-    try:
-        return Post(
-            id=require("id"),
-            source=require("source"),
-            vertical=require("vertical"),
-            query=require("query"),
-            query_kind=require("query_kind"),
-            topic_id=require("topic_id"),
-            author=require("author"),
-            retrieved_at=timestamp("retrieved_at", required=True),
-            text=record.get("text", ""),
-            raw_links=tuple(raw_links),
-            parent_id=record.get("parent_id"),
-            serp_visible=bool(record.get("serp_visible", False)),
-            created_at=timestamp("created_at", required=False),
-            platform_uri=record.get("platform_uri"),
-        )
-    except CorpusValidationError as exc:
-        raise CorpusFormatError(f"{where}: {exc}") from exc
-
-
-def _record_to_topic(record: dict, where: str) -> TopicSpec:
-    try:
-        return TopicSpec(**{k: record.get(k) for k in _TOPIC_FIELDS if k in record})
-    except (CorpusError, TypeError) as exc:
-        raise CorpusFormatError(f"{where}: bad topic record: {exc}") from exc
+            topic = TopicSpec(**read_fields(record, TOPIC_FIELDS, error, where))
+        except CorpusValidationError as exc:
+            raise error(f"{where}: {exc}") from exc
+        if topic.topic_id in topics:
+            raise error(f"{where}: duplicate topic id: {topic.topic_id}")
+        topics[topic.topic_id] = topic
+    return topics
 
 
 def load_corpus(path) -> Corpus:
@@ -145,56 +183,49 @@ def load_corpus(path) -> Corpus:
     """
     path = Path(path)
     corpus = Corpus()
-    # Bytes that are not UTF-8 are read as lone surrogates, which do not
-    # encode back, so each line is checked on its own and named.
+    # Each line is read and checked on its own, so that the one that is
+    # not UTF-8 text is named.
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             where = f"{path}: line {line_no}"
-            try:
-                line.encode("utf-8")
-                record = json.loads(line)
-                if "\\u" in line:  # only an escape can name a lone surrogate
-                    check_encodable(record)
-            except UnicodeEncodeError as exc:
-                raise CorpusFormatError(f"{where}: not UTF-8 text") from exc
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
-            except ValueError as exc:
-                raise CorpusFormatError(f"{where}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"{where}: record must be a JSON object")
-            kind = record.get("kind")
+            record = read_json(line, CorpusFormatError, where)
             if line_no == 1:
-                if kind != "topics":
-                    raise CorpusFormatError(
-                        f"{where}: corpus files must start with a topics record"
-                    )
-                for topic_rec in record.get("topics", []):
-                    topic = _record_to_topic(topic_rec, where)
-                    if topic.topic_id in corpus.topics:
-                        raise CorpusFormatError(
-                            f"{where}: duplicate topic id: {topic.topic_id}"
-                        )
-                    corpus.topics[topic.topic_id] = topic
+                if type(record) is not dict or record.get("kind") != "topics":
+                    raise CorpusFormatError(f"{where}: corpus files must start with a topics record")
+                topics = read_fields(record, _TOPICS_RECORD, CorpusFormatError, where)["topics"]
+                corpus.topics = read_topics(topics, CorpusFormatError, f"{where}: bad topic record")
                 continue
+            fields = read_fields(record, POST_FIELDS, CorpusFormatError, where)
+            kind = fields.pop("kind")
             if kind != "post":
-                raise CorpusFormatError(
-                    f"{where}: unexpected record kind {kind!r}"
-                )
-            post = _record_to_post(record, where)
+                raise CorpusFormatError(f"{where}: unexpected record kind {kind!r}")
+            try:
+                post = Post(**fields)
+            except CorpusValidationError as exc:
+                raise CorpusFormatError(f"{where}: {exc}") from exc
             if post.id in corpus.posts:
-                raise CorpusIntegrityError(
-                    f"{where}: duplicate post id: {post.id}"
-                )
+                raise CorpusIntegrityError(f"{where}: duplicate post id: {post.id}")
             corpus.posts[post.id] = post
     try:
         corpus.validate()
     except CorpusIntegrityError as exc:
         raise CorpusIntegrityError(f"{path}: {exc}") from exc
     return corpus
+
+
+def _to_record(obj, table: dict, **record) -> dict:
+    """``record`` followed by ``obj``'s fields in ``table``'s order, less
+    those that are None."""
+    for name, (kind, _default) in table.items():
+        if name in record:
+            continue
+        value = getattr(obj, name)
+        if value is not None:
+            record[name] = format_timestamp(value) if kind is TIMESTAMP else value
+    return record
 
 
 def write_corpus(corpus: Corpus, path) -> None:
@@ -205,11 +236,8 @@ def write_corpus(corpus: Corpus, path) -> None:
     """
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        topics = [
-            _topic_to_record(corpus.topics[tid]) for tid in sorted(corpus.topics)
-        ]
-        fh.write(json.dumps({"kind": "topics", "topics": topics}, ensure_ascii=False))
-        fh.write("\n")
+        topics = [_to_record(corpus.topics[tid], TOPIC_FIELDS) for tid in sorted(corpus.topics)]
+        fh.write(json.dumps({"kind": "topics", "topics": topics}, ensure_ascii=False) + "\n")
         for post_id in sorted(corpus.posts):
-            fh.write(json.dumps(_post_to_record(corpus.posts[post_id]), ensure_ascii=False))
-            fh.write("\n")
+            record = _to_record(corpus.posts[post_id], POST_FIELDS, kind="post")
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

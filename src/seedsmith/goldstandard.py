@@ -20,8 +20,8 @@ from urllib.parse import urlsplit
 
 from . import textkernel
 from .corpus.fetch import Fetcher, FetchResult
-from .corpus.jsonl import check_encodable
-from .corpus.model import TopicSpec, format_timestamp, parse_timestamp
+from .corpus.jsonl import FAILURES, REQUIRED, STRING, STRINGS, TIMESTAMP, WEIGHTS, read_fields, read_json
+from .corpus.model import TopicSpec, format_timestamp
 from .htmltools import _RAW_TEXT_END, VOID_TAGS, HtmlDecodingError, _markup_token, decode_html
 from .segmentation import P1AN
 from .stopwords import STOPWORDS, STOPWORDS_VERSION
@@ -36,6 +36,18 @@ _REFERENCE_MARKER_RE = re.compile(
 
 class GoldStandardError(Exception):
     pass
+
+
+# Every key of a gold file, as ``GoldStandard.to_json`` writes it.
+GOLD_FIELDS = {
+    "topic_id": (STRING, REQUIRED),
+    "weights": (WEIGHTS, REQUIRED),
+    "reference_uris": (STRINGS, REQUIRED),
+    "failures": (FAILURES, REQUIRED),
+    "built_at": (TIMESTAMP, REQUIRED),
+    "post_class": (STRING, P1AN),
+    "stopwords_version": (STRING, None),
+}
 
 
 def build_term_vector(texts) -> dict[str, float]:
@@ -171,69 +183,24 @@ class GoldStandard:
 
     @classmethod
     def from_json(cls, text: str) -> "GoldStandard":
-        """Read ``to_json``'s output back. Text that is not such a
-        document raises GoldStandardError: JSON that is not an object, a
-        missing key, a field of another type (``topic_id``,
-        ``post_class`` and ``built_at`` are strings, ``weights`` maps
-        terms to finite numbers, ``reference_uris`` is a list of strings
-        and ``failures`` a list of ``{uri, reason}`` strings), weights
-        whose sum of squares is 0 or overflows, a ``built_at`` that is
-        not a timestamp, or a lone surrogate."""
-        try:
-            payload = json.loads(text)
-            if "\\u" in text:  # only an escape can name a lone surrogate
-                check_encodable(payload)
-        except (ValueError, RecursionError) as exc:
-            raise GoldStandardError(f"malformed gold standard: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise GoldStandardError("malformed gold standard: not a JSON object")
-        for key in ("topic_id", "weights", "reference_uris", "failures", "built_at"):
-            if key not in payload:
-                raise GoldStandardError(f"missing key {key!r}")
-        post_class = payload.get("post_class", P1AN)
-        weights, uris, failures = payload["weights"], payload["reference_uris"], payload["failures"]
-        for key, ok, expected in (
-            ("topic_id", isinstance(payload["topic_id"], str), "a string"),
-            ("post_class", isinstance(post_class, str), "a string"),
-            ("built_at", isinstance(payload["built_at"], str), "a string"),
-            ("weights", isinstance(weights, dict) and all(map(_is_finite_number, weights.values())),
-             "an object of finite numbers"),
-            ("reference_uris", isinstance(uris, list) and all(isinstance(u, str) for u in uris),
-             "a list of strings"),
-            ("failures", isinstance(failures, list) and all(map(_is_failure, failures)),
-             "a list of {uri, reason} strings"),
-        ):
-            if not ok:
-                raise GoldStandardError(f"{key} is not {expected}")
+        """Read ``to_json``'s output back. Text that ``read_json`` or
+        ``GOLD_FIELDS`` rejects, or whose weights have a sum of squares
+        that is 0 or overflows, raises GoldStandardError."""
+        where = "malformed gold standard"
+        fields = read_fields(read_json(text, GoldStandardError, where), GOLD_FIELDS, GoldStandardError, where)
+        weights = fields["weights"]
         # A norm that overflows or underflows makes every cosine against
         # the gold NaN, 0 or a division by zero.
         if weights and not 0 < sum(float(w) * float(w) for w in weights.values()) < math.inf:
             raise GoldStandardError("weights do not have a positive finite norm")
-        try:
-            built_at = parse_timestamp(payload["built_at"])
-        except (ValueError, OverflowError) as exc:
-            raise GoldStandardError(f"built_at is not a timestamp: {exc}") from exc
         return cls(
-            topic_id=payload["topic_id"],
+            topic_id=fields["topic_id"],
             vector=weights,
-            reference_uris=tuple(uris),
-            failures=tuple((f["uri"], f["reason"]) for f in failures),
-            built_at=built_at,
-            post_class=post_class,
+            reference_uris=tuple(fields["reference_uris"]),
+            failures=tuple((f["uri"], f["reason"]) for f in fields["failures"]),
+            built_at=fields["built_at"],
+            post_class=fields["post_class"],
         )
-
-
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _is_failure(value) -> bool:
-    return isinstance(value, dict) and all(isinstance(value.get(k), str) for k in ("uri", "reason"))
 
 
 def build_gold_standard(topic: TopicSpec, ref_uris, fetcher: Fetcher) -> GoldStandard:

@@ -19,7 +19,7 @@ from conftest import make_corpus, make_post
 from seedsmith import reports
 from seedsmith.cli import main
 from seedsmith.corpus.fetch import write_fixture
-from seedsmith.corpus.jsonl import load_corpus, write_corpus
+from seedsmith.corpus.jsonl import POST_FIELDS, TOPIC_FIELDS, load_corpus, write_corpus
 from seedsmith.extraction import HTML_KIND
 
 DATA = Path(__file__).parent / "data"
@@ -674,8 +674,21 @@ def _appended_post(tmp_path, drop=(), **fields):
     for key in drop:
         del record[key]
     path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+    path.write_text("\n".join([*lines, _json_text(record)]) + "\n")
     return path, len(lines) + 1
+
+
+def _nested(depth: int) -> str:
+    """A stand-in, for ``_json_text``, for a JSON array nested ``depth``
+    deep, which no value that json.dumps can encode holds."""
+    return f"\0nested {depth}\0"
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload)`` with each ``_nested`` stand-in written as
+    its nested array."""
+    return re.sub(r'"\\u0000nested (\d+)\\u0000"', lambda m: "[" * int(m[1]) + "]" * int(m[1]),
+                  json.dumps(payload))
 
 
 def _cli_subprocess(*args):
@@ -841,6 +854,52 @@ def test_topics_file_missing_topic_names_the_topics_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [('{"topics": []}', "not a list of topic records"),
+     (json.dumps([{"topic_id": "flood", "text_query": "q"}, {"topic_id": "flood", "text_query": "r"}]),
+      "duplicate topic id: flood"),
+     (json.dumps([{"topic_id": "flood", "text_query": "q\ud800"}]),
+      "a string holds a lone surrogate, which is not UTF-8 text")],
+    ids=["object", "duplicate-id", "lone-surrogate"],
+)
+def test_bad_topics_file_is_one_error(tmp_path, capsys, text, reason):
+    topics_path = tmp_path / "topics.json"
+    topics_path.write_text(text)
+    assert run_cli(*base_args(tmp_path / "out", "segment"), "--topics", topics_path) == 1
+    assert capsys.readouterr().err == f"error: bad topics file {topics_path}: {reason}\n"
+
+
+def test_corpus_topics_that_are_not_a_list_is_one_error(tmp_path, capsys):
+    lines = (DATA / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(['{"kind": "topics", "topics": 5}', *lines[1:]]) + "\n")
+    assert _run_with(tmp_path, "--corpus", path) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 1: field 'topics' is not a list of topic records\n"
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--replies"])
+def test_misspelt_field_is_named_once(tmp_path, capsys, flag):
+    # Read as absent, serp_visble would leave the post not SERP-visible.
+    path, line = _appended_post(tmp_path, drop=("serp_visible",), serp_visble=True)
+    assert _run_with(tmp_path, flag, path) == 1
+    assert capsys.readouterr().err == f"error: {path}: line {line}: unknown field 'serp_visble'\n"
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--replies"])
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [("text", None, "a string"), ("retrieved_at", 5, "a valid timestamp"),
+     ("created_at", 5, "a valid timestamp"), ("topic_id", 7, "a string"), ("source", 7, "a string"),
+     ("vertical", None, "a string"), ("id", 3, "a string"), ("serp_visible", "false", "a boolean"),
+     ("author", 5, "a string"), ("raw_links", [1, 2], "a list of strings"), ("platform_uri", [1], "a string")],
+)
+def test_post_field_of_another_kind_is_named_once(tmp_path, capsys, flag, field, value, kind):
+    path, line = _appended_post(tmp_path, **{field: value})
+    assert _run_with(tmp_path, flag, path) == 1
+    assert capsys.readouterr().err == f"error: {path}: line {line}: field '{field}' is not {kind}\n"
+
+
 @pytest.mark.parametrize("bad", ["fl/ood", "fl\u0000ood"])
 def test_topic_id_that_cannot_name_a_gold_file_is_one_error(tmp_path, capsys, bad):
     # Each topic's gold is written to gold_<topic_id>.json.
@@ -923,7 +982,7 @@ def _analyze_with_golds(tmp_path, edit=lambda golds: None):
     gold_dir = tmp_path / "golds"
     gold_dir.mkdir()
     for name, payload in golds.items():
-        (gold_dir / name).write_text(json.dumps(payload), encoding="utf-8")
+        (gold_dir / name).write_text(_json_text(payload), encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run_cli(*base_args(tmp_path / "out", "analyze"), "--golds", gold_dir)
@@ -974,22 +1033,82 @@ def _set_field(payload, field, value):
         payload[field] = value
 
 
-@settings(max_examples=100, deadline=None)
+def _run_with_value(tmp: Path, flag: str, field: str, value):
+    """``run`` over the bundled inputs, with ``value`` in ``field`` of one
+    record of the input that ``flag`` names ("--corpus topics" is the
+    corpus's topics record). Returns the exit code, stderr, and the start
+    that an error line must have."""
+    args = [*base_args(tmp / "out"), "--refs", DATA / "refs.json"]
+    lines = (DATA / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    topics = json.loads(lines[0])
+    if flag == "--golds":
+        code, err = _analyze_with_golds(tmp, lambda golds: _set_field(golds["gold_flood.json"], field, value))
+        return code, err, f"error: bad gold standard file {tmp / 'golds' / 'gold_flood.json'}: "
+    if flag in ("--corpus", "--replies"):
+        path, _line = _appended_post(tmp, **{field: value})
+        start = f"error: {path}: "
+    elif flag == "--corpus topics":
+        flag, path = "--corpus", tmp / "corpus.jsonl"
+        (topics if field == "topics" else topics["topics"][0])[field] = value
+        path.write_text("\n".join([_json_text(topics), *lines[1:]]) + "\n", encoding="utf-8")
+        start = f"error: {path}: "
+    else:
+        path = tmp / "input.json"
+        payload = topics["topics"] if flag == "--topics" else json.loads((DATA / "refs.json").read_text())
+        (payload[0] if flag == "--topics" else payload)[field] = value
+        path.write_text(_json_text(payload), encoding="utf-8")
+        start = f"error: bad {flag[2:]} file {path}: "
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(*args, flag, path)
+    return code, err.getvalue(), start
+
+
+# Each input the property writes into, with the fields it may set there.
+_FIELDS_BY_INPUT = {
+    "--corpus": list(POST_FIELDS),
+    "--replies": list(POST_FIELDS),
+    "--corpus topics": [*TOPIC_FIELDS, "topics"],
+    "--topics": list(TOPIC_FIELDS),
+    "--refs": ["eclipse", "flood", "strike", "hurricane"],
+    "--golds": ["topic_id", "built_at", "post_class", "stopwords_version", "weights", "reference_uris",
+                "failures", "one weight", "every weight", "one reference", "one failure"],
+}
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    name=st.sampled_from(["gold_eclipse.json", "gold_flood.json", "gold_strike.json"]),
-    field=st.sampled_from(["topic_id", "built_at", "post_class", "stopwords_version", "weights",
-                           "reference_uris", "failures", "one weight", "every weight", "one reference",
-                           "one failure"]),
-    value=_JSON_VALUES,
+    case=st.sampled_from([(flag, field) for flag, fields in _FIELDS_BY_INPUT.items() for field in fields]),
+    value=_JSON_VALUES | st.integers(1, 10 ** 5).map(_nested),
 )
-@example(name="gold_flood.json", field="every weight", value=1e-200)  # was a ZeroDivisionError
-@example(name="gold_flood.json", field="one weight", value=10 ** 200)  # was an OverflowError
-def test_any_json_value_in_a_gold_field_ends_in_a_run_or_one_error_line(name, field, value):
+@example(case=("--golds", "every weight"), value=1e-200)  # was a ZeroDivisionError
+@example(case=("--golds", "one weight"), value=10 ** 200)  # was an OverflowError
+# Each of these was a traceback, or a run that read the value as something else.
+@example(case=("--corpus", "text"), value=None)
+@example(case=("--corpus", "retrieved_at"), value=5)
+@example(case=("--replies", "created_at"), value=5)
+@example(case=("--corpus", "topic_id"), value=7)
+@example(case=("--corpus", "source"), value=7)
+@example(case=("--replies", "vertical"), value=None)
+@example(case=("--corpus", "id"), value=3)
+@example(case=("--corpus", "serp_visible"), value="false")
+@example(case=("--corpus", "author"), value=5)
+@example(case=("--replies", "raw_links"), value=[1, 2])
+@example(case=("--corpus", "platform_uri"), value=[1])
+@example(case=("--corpus", "created_at"), value="0001-01-01T00:00:00+01:00")
+@example(case=("--corpus topics", "topics"), value=5)
+@example(case=("--topics", "text_query"), value=5)
+@example(case=("--topics", "hashtag_query"), value=[1])
+@example(case=("--corpus", "text"), value=_nested(10 ** 5))
+@example(case=("--replies", "text"), value=_nested(10 ** 5))
+@example(case=("--topics", "topic_id"), value=_nested(10 ** 5))
+@example(case=("--refs", "flood"), value=_nested(10 ** 5))
+def test_any_json_value_in_any_field_ends_in_a_run_or_one_error_line(case, value):
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = _analyze_with_golds(Path(tmp), lambda golds: _set_field(golds[name], field, value))
+        code, err, start = _run_with_value(Path(tmp), *case, value)
     assert code in (0, 1)
     if code:
-        assert err.startswith(f"error: bad gold standard file {Path(tmp) / 'golds' / name}: ")
+        assert err.startswith(start)
         assert len(err.splitlines()) == 1
     else:
         assert err == ""

@@ -1,13 +1,24 @@
 import json
+import sys
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post, make_topic
-from seedsmith.corpus.jsonl import CorpusFormatError, load_corpus, write_corpus
-from seedsmith.corpus.model import CorpusIntegrityError, CorpusValidationError
+from seedsmith.corpus.jsonl import (
+    POST_FIELDS,
+    REQUIRED,
+    TOPIC_FIELDS,
+    CorpusFormatError,
+    load_corpus,
+    read_json,
+    write_corpus,
+)
+from seedsmith.corpus.model import CorpusIntegrityError, CorpusValidationError, Post, TopicSpec
 
 
 def write_lines(path, *records):
@@ -170,3 +181,30 @@ def test_round_trip_random_unicode(tmp_path_factory, text, author):
 def test_post_validation_rejects_bad_query_kind():
     with pytest.raises(CorpusValidationError, match="query_kind"):
         make_post(query_kind="voice")
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_corpus_format_names_every_field():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Corpus format"):]
+    section = section[:section.index("\n## ")]
+    assert [name for name in [*POST_FIELDS, *TOPIC_FIELDS] if f"`{name}`" not in section] == []
+
+
+@pytest.mark.parametrize("cls, table", [(Post, POST_FIELDS), (TopicSpec, TOPIC_FIELDS)])
+def test_table_defaults_are_the_dataclass_defaults(cls, table):
+    defaults = {f.name: REQUIRED if f.default is MISSING else f.default for f in fields(cls)}
+    assert defaults == {name: default for name, (_kind, default) in table.items() if name != "kind"}
+
+
+def test_nesting_at_the_decoders_limit_is_one_error():
+    # Nesting that decodes just within the recursion limit can be one
+    # level too deep for the check for lone surrogates.
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 300, limit + 1):
+        try:
+            read_json("[" * depth + '"\\u0041"' + "]" * depth, CorpusFormatError, "here", member="topic")
+        except CorpusFormatError as exc:
+            assert str(exc).startswith("here: invalid JSON: maximum recursion depth exceeded")

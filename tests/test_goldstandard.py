@@ -321,6 +321,10 @@ class TestBuildGoldStandard:
         assert restored.vector == pytest.approx({"flood": 0.5, "river": 0.5})
 
 
+_NOT_WEIGHTS = "malformed gold standard: field 'weights' is not a map of finite numbers"
+_NOT_FAILURES = "malformed gold standard: field 'failures' is not a list of {uri, reason} strings"
+
+
 class TestGoldFile:
     """``GoldStandard.from_json`` reads what ``to_json`` writes and raises
     GoldStandardError for anything of another shape."""
@@ -336,27 +340,43 @@ class TestGoldFile:
     def test_round_trip(self):
         assert GoldStandard.from_json(self.GOLD.to_json()) == self.GOLD
 
+    # Each case is named after its field, its value and what is wrong
+    # with that value.
     @pytest.mark.parametrize("field, value, message", [
-        ("weights", {"flood": "x"}, "weights is not an object of finite numbers"),
-        ("weights", {"flood": None}, "weights is not an object of finite numbers"),
-        ("weights", {"flood": float("nan")}, "weights is not an object of finite numbers"),
-        ("weights", {"flood": float("-inf")}, "weights is not an object of finite numbers"),
-        ("weights", {"flood": True}, "weights is not an object of finite numbers"),
-        ("weights", {"flood": 10 ** 400}, "weights is not an object of finite numbers"),
-        ("weights", [["flood", 1.0]], "weights is not an object of finite numbers"),
+        ("weights", {"flood": "x"}, _NOT_WEIGHTS),
+        ("weights", {"flood": None}, _NOT_WEIGHTS),
+        ("weights", {"flood": float("nan")}, _NOT_WEIGHTS),
+        ("weights", {"flood": float("-inf")}, _NOT_WEIGHTS),
+        ("weights", {"flood": True}, _NOT_WEIGHTS),
+        ("weights", {"flood": 10 ** 400}, _NOT_WEIGHTS),
+        ("weights", [["flood", 1.0]], _NOT_WEIGHTS),
         ("weights", {"flood": 1e-200, "river": 1e-200}, "weights do not have a positive finite norm"),
         ("weights", {"flood": 1e308, "river": 1e308}, "weights do not have a positive finite norm"),
         ("weights", {"flood": 10 ** 200}, "weights do not have a positive finite norm"),
         ("weights", {"flood": 0, "river": 0.0}, "weights do not have a positive finite norm"),
-        ("topic_id", 5, "topic_id is not a string"),
-        ("post_class", ["P1An"], "post_class is not a string"),
-        ("built_at", 20181106, "built_at is not a string"),
-        ("built_at", "yesterday", "built_at is not a timestamp: "),
-        ("built_at", "0001-01-01T00:00:00+01:00", "built_at is not a timestamp: "),
-        ("reference_uris", "abc", "reference_uris is not a list of strings"),
-        ("reference_uris", ["https://ref1.example/a", 7], "reference_uris is not a list of strings"),
-        ("failures", [["https://ref2.example/b", "404"]], "failures is not a list of {uri, reason} strings"),
-        ("failures", [{"uri": "https://ref2.example/b"}], "failures is not a list of {uri, reason} strings"),
+        ("topic_id", 5, "malformed gold standard: field 'topic_id' is not a string"),
+        ("post_class", ["P1An"], "malformed gold standard: field 'post_class' is not a string"),
+        ("built_at", 20181106, "malformed gold standard: field 'built_at' is not a valid timestamp"),
+        ("built_at", "yesterday", "malformed gold standard: field 'built_at' is not a valid timestamp: "),
+        ("built_at", "0001-01-01T00:00:00+01:00",
+         "malformed gold standard: field 'built_at' is not a valid timestamp: "),
+        ("reference_uris", "abc", "malformed gold standard: field 'reference_uris' is not a list of strings"),
+        ("reference_uris", ["https://ref1.example/a", 7],
+         "malformed gold standard: field 'reference_uris' is not a list of strings"),
+        ("failures", [["https://ref2.example/b", "404"]], _NOT_FAILURES),
+        ("failures", [{"uri": "https://ref2.example/b"}], _NOT_FAILURES),
+    ], ids=[
+        *(f"weights-value{i}-weights is not an object of finite numbers" for i in range(7)),
+        *(f"weights-value{i}-weights do not have a positive finite norm" for i in range(7, 11)),
+        "topic_id-5-topic_id is not a string",
+        "post_class-value12-post_class is not a string",
+        "built_at-20181106-built_at is not a string",
+        "built_at-yesterday-built_at is not a timestamp: ",
+        "built_at-0001-01-01T00:00:00+01:00-built_at is not a timestamp: ",
+        "reference_uris-abc-reference_uris is not a list of strings",
+        "reference_uris-value17-reference_uris is not a list of strings",
+        "failures-value18-failures is not a list of {uri, reason} strings",
+        "failures-value19-failures is not a list of {uri, reason} strings",
     ])
     def test_wrong_type_is_rejected(self, field, value, message):
         payload = json.loads(self.GOLD.to_json())
@@ -367,7 +387,7 @@ class TestGoldFile:
 
     @pytest.mark.parametrize("text, message", [
         ("[]", "malformed gold standard: not a JSON object"),
-        ('{"topic_id": "t1"}', "missing key 'weights'"),
+        ('{"topic_id": "t1"}', "malformed gold standard: missing field 'weights'"),
         ('{"topic_id": "\\ud800"}', "malformed gold standard: a string holds a lone surrogate"),
         ("[" * 100_000, "malformed gold standard: "),
     ], ids=["list", "missing-key", "lone-surrogate", "deep-nesting"])
