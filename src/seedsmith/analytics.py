@@ -9,9 +9,9 @@ module assembles these into the exported tables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from email.utils import parsedate_to_datetime
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from . import textkernel
@@ -34,8 +34,7 @@ DAYS_PER_YEAR = 365.25
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelevanceJudgment:
+class RelevanceJudgment(NamedTuple):
     cosine: float
     relevant: bool
     empty: bool = False  # candidate had no usable text
@@ -56,8 +55,7 @@ def judge_relevance(
     return RelevanceJudgment(cos, cos > threshold)
 
 
-@dataclass(frozen=True)
-class PrecisionSummary:
+class PrecisionSummary(NamedTuple):
     average: float
     post_count: int
 
@@ -212,8 +210,7 @@ def _quantile(values, q: float) -> float:
     return values[lo]
 
 
-@dataclass(frozen=True)
-class AgeSummary:
+class AgeSummary(NamedTuple):
     minimum: float  # all values in years
     q1: float
     median: float

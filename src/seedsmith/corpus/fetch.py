@@ -16,16 +16,15 @@ stage still reads (see ``Fetcher``).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import re
 import threading
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import formatdate, parsedate_to_datetime
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urljoin, urlsplit
 
 from ..pages import PageDigest, digest_page
@@ -55,8 +54,7 @@ class TransportError(FetchError):
     """A single request/response exchange failed."""
 
 
-@dataclass(frozen=True)
-class FetchResult:
+class FetchResult(NamedTuple):
     request_uri: str
     final_uri: str
     status: int | str  # HTTP status, or a transport-error tag
@@ -265,7 +263,7 @@ class Fetcher:
         if "body" in self._released and result.body:
             with self._memory_lock:
                 if self._memory.get(result.request_uri) is result:
-                    self._memory[result.request_uri] = dataclasses.replace(result, body=b"")
+                    self._memory[result.request_uri] = result._replace(body=b"")
         return found
 
     def text(self, result: FetchResult) -> str:
@@ -285,7 +283,7 @@ class Fetcher:
             self._released.add(part)
             for uri, cached in self._memory.items():
                 if part == "body" and cached.body and cached.final_uri in self._digests:
-                    self._memory[uri] = dataclasses.replace(cached, body=b"")
+                    self._memory[uri] = cached._replace(body=b"")
             for found in self._digests.values():
                 vars(found).pop(part, None)
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 QUERY_KINDS = ("text", "hashtag")
 EXPECTATIONS = ("expected", "unexpected")
@@ -41,8 +41,7 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
     """One social-media post, platform-agnostic.
 
     ``serp_visible`` marks posts directly returned by a SERP; such posts
@@ -64,24 +63,22 @@ class Post:
     created_at: datetime | None = None
     platform_uri: str | None = None
 
-    def __post_init__(self):
-        if not self.id:
-            raise CorpusValidationError("post id must be non-empty")
-        if self.query_kind not in QUERY_KINDS:
-            raise CorpusValidationError(
-                f"post {self.id}: query_kind {self.query_kind!r} not one of {QUERY_KINDS}"
-            )
-        if self.serp_visible and self.parent_id is not None:
-            raise CorpusValidationError(
-                f"post {self.id}: serp_visible posts cannot have a parent_id"
-            )
-        if not isinstance(self.retrieved_at, datetime):
-            raise CorpusValidationError(f"post {self.id}: retrieved_at is required")
-        object.__setattr__(self, "raw_links", tuple(self.raw_links))
+
+def _new_post(cls, id, source, vertical, query, query_kind, topic_id, author, retrieved_at, text="",
+              raw_links=(), parent_id=None, serp_visible=False, created_at=None, platform_uri=None):
+    if not id:
+        raise CorpusValidationError("post id must be non-empty")
+    if query_kind not in QUERY_KINDS:
+        raise CorpusValidationError(f"post {id}: query_kind {query_kind!r} not one of {QUERY_KINDS}")
+    if serp_visible and parent_id is not None:
+        raise CorpusValidationError(f"post {id}: serp_visible posts cannot have a parent_id")
+    if not isinstance(retrieved_at, datetime):
+        raise CorpusValidationError(f"post {id}: retrieved_at is required")
+    return tuple.__new__(cls, (id, source, vertical, query, query_kind, topic_id, author, retrieved_at, text,
+                               tuple(raw_links), parent_id, serp_visible, created_at, platform_uri))
 
 
-@dataclass(frozen=True)
-class TopicSpec:
+class TopicSpec(NamedTuple):
     """A dataset topic with its queries and temporal attributes.
 
     ``start_definition``/``end_definition`` hold an ISO date string, the
@@ -97,30 +94,43 @@ class TopicSpec:
     start_definition: str | None = None
     end_definition: str | None = None
 
-    def __post_init__(self):
-        if not self.topic_id or any(c in str(self.topic_id) for c in "/\0"):
-            raise CorpusValidationError(f"topic_id {self.topic_id!r} is empty or holds '/' or NUL")
-        if not self.text_query:
-            raise CorpusValidationError(f"topic {self.topic_id}: text_query must be non-empty")
-        if self.expectation not in EXPECTATIONS:
-            raise CorpusValidationError(
-                f"topic {self.topic_id}: expectation {self.expectation!r} not one of {EXPECTATIONS}"
-            )
-        if self.recurrence not in RECURRENCES:
-            raise CorpusValidationError(
-                f"topic {self.topic_id}: recurrence {self.recurrence!r} not one of {RECURRENCES}"
-            )
+
+def _new_topic(cls, topic_id, text_query, hashtag_query=None, expectation="unexpected",
+               recurrence="non_recurring", regularity=None, start_definition=None, end_definition=None):
+    if not topic_id or any(c in str(topic_id) for c in "/\0"):
+        raise CorpusValidationError(f"topic_id {topic_id!r} is empty or holds '/' or NUL")
+    if not text_query:
+        raise CorpusValidationError(f"topic {topic_id}: text_query must be non-empty")
+    if expectation not in EXPECTATIONS:
+        raise CorpusValidationError(f"topic {topic_id}: expectation {expectation!r} not one of {EXPECTATIONS}")
+    if recurrence not in RECURRENCES:
+        raise CorpusValidationError(f"topic {topic_id}: recurrence {recurrence!r} not one of {RECURRENCES}")
+    return tuple.__new__(cls, (topic_id, text_query, hashtag_query, expectation, recurrence, regularity,
+                               start_definition, end_definition))
 
 
-@dataclass
+# A NamedTuple's body cannot define ``__new__``, so the two checked
+# records get theirs here: building one checks its fields, while
+# ``_replace`` and ``_make`` take them as they are. Each ``__new__``
+# repeats its class's field order and ``_field_defaults``.
+Post.__new__ = staticmethod(_new_post)
+TopicSpec.__new__ = staticmethod(_new_topic)
+
+
 class Corpus:
     """An id-keyed set of posts plus their topics."""
 
-    posts: dict[str, Post] = field(default_factory=dict)
-    topics: dict[str, TopicSpec] = field(default_factory=dict)
+    def __init__(self):
+        self.posts: dict[str, Post] = {}
+        self.topics: dict[str, TopicSpec] = {}
 
     def __len__(self):
         return len(self.posts)
+
+    def __eq__(self, other):
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return self.posts == other.posts and self.topics == other.topics
 
     def validate(self) -> None:
         """Check referential integrity; raises CorpusIntegrityError or

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import posixpath
 import re
-from dataclasses import dataclass, replace
 from datetime import datetime
+from typing import NamedTuple
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 from .corpus.fetch import Fetcher
@@ -62,8 +62,7 @@ class CanonicalizationError(ExtractionError):
     """The input could not be treated as an absolute http(s) URI."""
 
 
-@dataclass(frozen=True)
-class SeedUri:
+class SeedUri(NamedTuple):
     """One seed, from post ``post_id`` of group ``group_id``; the key of the
     cell holding it gives its topic, source, vertical and post class."""
 
@@ -78,8 +77,7 @@ class SeedUri:
     fetch_status: int | str | None = None
 
 
-@dataclass(frozen=True)
-class SeedCollection:
+class SeedCollection(NamedTuple):
     """Seeds of one (topic, source, vertical, post class) cell.
 
     ``seeds`` is deduplicated per cell (or across the run with global
@@ -353,9 +351,8 @@ def assemble_collections(
 def _fetch_kind(seed: SeedUri, fetcher: Fetcher) -> SeedUri:
     result = fetcher.dereference(seed.canonical)
     if not result.ok:  # an error page's media type is not the seed's; keep the extension kind
-        return replace(seed, fetch_status=result.status)
-    return replace(
-        seed,
+        return seed._replace(fetch_status=result.status)
+    return seed._replace(
         final=result.final_uri,
         fetch_status=result.status,
         kind=classify_uri_kind(result.final_uri, result.media_type),

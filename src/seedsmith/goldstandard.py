@@ -13,9 +13,7 @@ import json
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property
 from urllib.parse import urlsplit
 
 from . import textkernel
@@ -155,18 +153,22 @@ def extract_references(ref_page: FetchResult) -> list[str]:
     return list(dict.fromkeys(marked_uris if any_marked else ol_uris))
 
 
-@dataclass(frozen=True)
 class GoldStandard:
-    topic_id: str
-    vector: dict[str, float]  # build_term_vector's normalized weights
-    reference_uris: tuple[str, ...]
-    failures: tuple[tuple[str, str], ...]  # (uri, reason)
-    built_at: datetime
-    post_class: str = P1AN
+    def __init__(self, topic_id: str, vector: dict[str, float], reference_uris: tuple[str, ...],
+                 failures: tuple[tuple[str, str], ...], built_at: datetime, post_class: str = P1AN):
+        self.topic_id = topic_id
+        self.vector = vector  # build_term_vector's normalized weights
+        self.reference_uris = reference_uris
+        self.failures = failures  # (uri, reason)
+        self.built_at = built_at
+        self.post_class = post_class
+        self.norm = textkernel.norm(vector)  # taken once for every cosine against this gold
 
-    @cached_property
-    def norm(self) -> float:  # taken once for every cosine against this gold
-        return textkernel.norm(self.vector)
+    def __eq__(self, other):
+        if not isinstance(other, GoldStandard):
+            return NotImplemented
+        return (self.topic_id, self.vector, self.reference_uris, self.failures, self.built_at, self.post_class) == (
+            other.topic_id, other.vector, other.reference_uris, other.failures, other.built_at, other.post_class)
 
     def to_json(self) -> str:
         """Byte-stable JSON with lexicographically sorted terms."""
@@ -184,8 +186,10 @@ class GoldStandard:
     @classmethod
     def from_json(cls, text: str) -> "GoldStandard":
         """Read ``to_json``'s output back. Text that ``read_json`` or
-        ``GOLD_FIELDS`` rejects, or whose weights have a sum of squares
-        that is 0 or overflows, raises GoldStandardError."""
+        ``GOLD_FIELDS`` rejects, whose weights have a sum of squares that
+        is 0 or overflows, or whose ``stopwords_version`` is another than
+        ``STOPWORDS_VERSION``, raises GoldStandardError. A file without
+        a ``stopwords_version`` (or with null) is read as this build's."""
         where = "malformed gold standard"
         fields = read_fields(read_json(text, GoldStandardError, where), GOLD_FIELDS, GoldStandardError, where)
         weights = fields["weights"]
@@ -193,6 +197,9 @@ class GoldStandard:
         # the gold NaN, 0 or a division by zero.
         if weights and not 0 < sum(float(w) * float(w) for w in weights.values()) < math.inf:
             raise GoldStandardError("weights do not have a positive finite norm")
+        version = fields["stopwords_version"]
+        if version is not None and version != STOPWORDS_VERSION:
+            raise GoldStandardError(f"stopwords_version {version!r} is not this build's {STOPWORDS_VERSION!r}")
         return cls(
             topic_id=fields["topic_id"],
             vector=weights,

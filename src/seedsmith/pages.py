@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from datetime import date
 from html import unescape
 
@@ -55,7 +54,6 @@ _META_NAME_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
 class PageDigest:
     """The parts of one fetched document that the measures read.
 
@@ -63,14 +61,22 @@ class PageDigest:
     decode, or input without markup; ``text`` is then empty. An
     undecodable page has no metadata date and no links. The Fetcher
     deletes ``links`` and ``text`` from its digests when their readers
-    are done. The fields have no default, so reading a deleted one
-    raises AttributeError, and so do the digest's ``==``, repr and hash.
+    are done. Neither the class nor ``__init__`` gives them a default,
+    so reading a deleted one raises AttributeError, and so does the
+    digest's ``==``.
     """
 
-    text: str
-    text_error: str | None
-    published: date | None
-    links: tuple[str, ...]  # absolute http(s) hrefs, document order
+    def __init__(self, text: str, text_error: str | None, published: date | None, links: tuple[str, ...]):
+        self.text = text
+        self.text_error = text_error
+        self.published = published
+        self.links = links  # absolute http(s) hrefs, document order
+
+    def __eq__(self, other):
+        if not isinstance(other, PageDigest):
+            return NotImplemented
+        return (self.text, self.text_error, self.published, self.links) == (
+            other.text, other.text_error, other.published, other.links)
 
 
 def digest_page(body) -> PageDigest:

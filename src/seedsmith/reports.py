@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__, textkernel
 from .analytics import (
@@ -144,8 +144,7 @@ class RelevanceIndex:
         return self._memo[key]
 
 
-@dataclass(frozen=True)
-class PostObservation:
+class PostObservation(NamedTuple):
     """Seed counts and precisions of one post within one post-class cell."""
 
     post_id: str
@@ -180,8 +179,7 @@ def collect_observations(collections, judge: RelevanceIndex) -> dict:
     return observations
 
 
-@dataclass(frozen=True)
-class RowIndex:
+class RowIndex(NamedTuple):
     """Every report row's member cells, deduped seeds and observations,
     and the rows of each (source, scope).
 

@@ -17,7 +17,7 @@ out of segmentation; the goldstandard module builds those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus.model import Corpus, Post
 from .corpus.threads import reply_order
@@ -34,8 +34,7 @@ class SegmentationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PostGroup:
+class PostGroup(NamedTuple):
     """A set of posts carrying exactly one post-class label; the key of the
     partition cell holding it gives its topic, source and vertical."""
 
@@ -69,11 +68,13 @@ class PostGroup:
                 )
 
 
-@dataclass
 class TreeNode:
-    post: Post | None  # None only on synthetic detached roots
-    children: list["TreeNode"] = field(default_factory=list)
-    detached_key: str | None = None  # missing parent id, for detached roots
+    __slots__ = ("post", "children", "detached_key")
+
+    def __init__(self, post: Post | None, detached_key: str | None = None):
+        self.post = post  # None only on synthetic detached roots
+        self.children: list[TreeNode] = []
+        self.detached_key = detached_key  # missing parent id, for detached roots
 
     @property
     def is_detached_root(self) -> bool:

@@ -11,6 +11,9 @@ import importlib.util
 import json
 import os
 import random
+import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -278,6 +281,20 @@ def test_fixture_generator_rewrites_bundled_data(tmp_path):
     assert written == bundled
     for path in written:
         assert (tmp_path / path).read_bytes() == (DATA / path).read_bytes(), path
+
+
+def test_recompute_without_the_oracles_is_one_error_line(tmp_path):
+    """A copy of ``src/`` and ``tools/`` without ``tests/`` cannot
+    recompute: ``tools/regen_golden.py`` exits with one line that names
+    the missing ``tests/oracles.py``, not a traceback."""
+    root = Path(__file__).parents[1]
+    for part in ("src", "tools"):
+        shutil.copytree(root / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run([sys.executable, str(tmp_path / "tools" / "regen_golden.py")],
+                          capture_output=True, text=True)
+    oracles = tmp_path.resolve() / "tests" / "oracles.py"
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {oracles} not found: the recompute reads every page through its oracles\n"
 
 
 def assert_run_matches_recompute(out, corpus, fixtures, refs, posts, replies=None, **flags):

@@ -21,6 +21,7 @@ from seedsmith.cli import main
 from seedsmith.corpus.fetch import write_fixture
 from seedsmith.corpus.jsonl import POST_FIELDS, TOPIC_FIELDS, load_corpus, write_corpus
 from seedsmith.extraction import HTML_KIND
+from seedsmith.stopwords import STOPWORDS_VERSION
 
 DATA = Path(__file__).parent / "data"
 
@@ -1008,6 +1009,25 @@ class TestGoldFiles:
         assert manifest["counts"]["gold_standards"] == 2
         assert sorted(p.name for p in (tmp_path / "out" / "golds").iterdir()) == [
             "gold_eclipse.json", "gold_flood.json"]
+
+    def test_gold_built_with_another_stopword_list_is_one_error(self, tmp_path):
+        code, err = _analyze_with_golds(
+            tmp_path, lambda golds: golds["gold_flood.json"].update(stopwords_version="some-other-list"))
+        assert code == 1
+        assert err == (f"error: bad gold standard file {tmp_path / 'golds' / 'gold_flood.json'}: "
+                       f"stopwords_version 'some-other-list' is not this build's {STOPWORDS_VERSION!r}\n")
+
+    @pytest.mark.parametrize("edit", [lambda gold: gold.pop("stopwords_version"),
+                                      lambda gold: gold.update(stopwords_version=None)], ids=["absent", "null"])
+    def test_gold_that_names_no_stopword_list_is_read_as_this_builds(self, tmp_path, edit):
+        (tmp_path / "as-written").mkdir()
+        assert _analyze_with_golds(tmp_path / "as-written") == (0, "")
+        code, err = _analyze_with_golds(tmp_path, lambda golds: [edit(gold) for gold in golds.values()])
+        assert (code, err) == (0, "")
+        def written(out):
+            return {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+        assert written(tmp_path / "out") == written(tmp_path / "as-written" / "out")
 
 
 # Numbers whose squares underflow or overflow, which plain strategies

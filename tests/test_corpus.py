@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -194,9 +193,14 @@ def test_readme_corpus_format_names_every_field():
 
 
 @pytest.mark.parametrize("cls, table", [(Post, POST_FIELDS), (TopicSpec, TOPIC_FIELDS)])
-def test_table_defaults_are_the_dataclass_defaults(cls, table):
-    defaults = {f.name: REQUIRED if f.default is MISSING else f.default for f in fields(cls)}
+def test_table_defaults_are_the_record_defaults(cls, table):
+    defaults = {name: cls._field_defaults.get(name, REQUIRED) for name in cls._fields}
     assert defaults == {name: default for name, (_kind, default) in table.items() if name != "kind"}
+    # Building a record checks its fields in its own ``__new__``, whose
+    # defaults must be the declared ones.
+    sample = make_post() if cls is Post else make_topic()
+    built = cls(**{name: getattr(sample, name) for name in cls._fields if name not in cls._field_defaults})
+    assert built._asdict() == {**sample._asdict(), **cls._field_defaults}
 
 
 def test_nesting_at_the_decoders_limit_is_one_error():

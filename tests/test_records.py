@@ -1,0 +1,57 @@
+"""The pipeline's records: immutable values are named tuples, the four
+that hold state are plain classes, and importing the CLI loads neither
+``dataclasses`` nor ``inspect``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from seedsmith.analytics import AgeSummary, PrecisionSummary, RelevanceJudgment
+from seedsmith.corpus.fetch import FetchResult
+from seedsmith.corpus.model import Corpus, Post, TopicSpec
+from seedsmith.extraction import SeedCollection, SeedUri
+from seedsmith.reports import PostObservation, RowIndex
+from seedsmith.segmentation import PostGroup, TreeNode
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+VALUE_RECORDS = (Post, TopicSpec, FetchResult, SeedUri, SeedCollection, PostGroup, PostObservation,
+                 RowIndex, RelevanceJudgment, PrecisionSummary, AgeSummary)
+
+
+@pytest.mark.parametrize("cls", VALUE_RECORDS, ids=lambda cls: cls.__name__)
+def test_value_record_fields_cannot_be_assigned(cls):
+    record = cls._make(f"value {i}" for i in range(len(cls._fields)))
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, "changed")
+    with pytest.raises(AttributeError):
+        record.added = "field"
+    assert list(record) == [f"value {i}" for i in range(len(cls._fields))]
+
+
+def test_corpora_and_tree_nodes_never_share_a_container():
+    first, second = Corpus(), Corpus()
+    first.posts["p1"] = first.topics["t1"] = "held"
+    assert (second.posts, second.topics) == ({}, {})
+    parent, other = TreeNode(None), TreeNode(None)
+    parent.children.append(other)
+    assert other.children == [] and TreeNode(None, detached_key="p0").children == []
+
+
+def _modules_after(statement: str) -> set[str]:
+    code = f"{statement}; import sys; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Compared with a bare interpreter, so a site hook that imports
+    # either module does not count against the package.
+    added = _modules_after("import seedsmith.cli") - _modules_after("pass")
+    assert "seedsmith.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()

@@ -53,8 +53,12 @@ from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import urlsplit
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+ROOT = Path(__file__).resolve().parents[1]
+ORACLES = ROOT / "tests" / "oracles.py"
+if not ORACLES.is_file():  # a checkout without tests/ cannot recompute, so say which file is missing
+    sys.exit(f"error: {ORACLES} not found: the recompute reads every page through its oracles")
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ORACLES.parent))
 
 from oracles import (
     days_from_civil,
@@ -70,7 +74,7 @@ from seedsmith.corpus.fetch import FetchResult
 from seedsmith.extraction import canonicalize, extract_uris, intra_site_source
 from seedsmith.stopwords import STOPWORDS
 
-DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
+DATA = ROOT / "tests" / "data"
 RESPONSES = DATA / "responses"
 GOLDEN = DATA / "golden"
 
