@@ -227,8 +227,8 @@ class Fetcher:
     """Dereferences URIs with redirects and per-run caching.
 
     A page keeps its body and digest links until ``release``, and its
-    digest text until ``text``. Fetch results handed out are never
-    changed; digests lose the parts released or taken (see ``PageDigest``).
+    digest text until ``text`` or ``release``. Fetch results handed out
+    are never changed; digests lose the parts released or taken.
 
     Safe for concurrent use: the caches tolerate concurrent readers and
     writers, and pacing requests to a host is the transport's concern.
@@ -277,8 +277,8 @@ class Fetcher:
         return digest_page(again.body).text if again.ok else ""
 
     def release(self, part: str) -> None:
-        """Stop keeping ``part`` ("body" or "links") of every page, now and
-        as each is digested. Call it once no reader will ask for it."""
+        """Stop keeping ``part`` ("body", "links" or "text") of every page,
+        now and as each is digested. Call it once no reader will ask for it."""
         with self._memory_lock, self._digest_lock:
             self._released.add(part)
             for uri, cached in self._memory.items():

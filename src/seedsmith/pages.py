@@ -60,10 +60,10 @@ class PageDigest:
     ``text_error`` says why a page has no main text: bytes that do not
     decode, or input without markup; ``text`` is then empty. An
     undecodable page has no metadata date and no links. The Fetcher
-    deletes ``links`` and ``text`` from its digests when their readers
-    are done. Neither the class nor ``__init__`` gives them a default,
-    so reading a deleted one raises AttributeError, and so does the
-    digest's ``==``.
+    deletes ``links`` once extraction ends, and ``text`` at the page's
+    judgment or, unread, once judging ends. Neither the class nor
+    ``__init__`` gives them a default, so reading a deleted one raises
+    AttributeError, and so does the digest's ``==``.
     """
 
     def __init__(self, text: str, text_error: str | None, published: date | None, links: tuple[str, ...]):

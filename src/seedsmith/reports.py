@@ -28,7 +28,7 @@ from .analytics import (
     serp_overlap,
     uri_count_distribution,
 )
-from .corpus.fetch import FetchError, Fetcher
+from .corpus.fetch import Fetcher
 from .corpus.model import Corpus
 from .extraction import HTML_KIND, NON_HTML_KIND, SEED_CSV_HEADER, seed_rows
 from .goldstandard import GoldStandard, build_term_vector
@@ -73,75 +73,80 @@ def seeds_table(collections) -> dict:
     return _table(SEED_CSV_HEADER, [list(map(fmt, row)) for row in seed_rows(collections)])
 
 
-class SeedTextProvider:
-    """Supplies the text a seed is judged on.
+def judgment_key(topic, seed) -> tuple:
+    """The key of ``seed``'s judgment for ``topic``: an HTML seed is
+    judged on its page, any other on the text of the post holding it."""
+    return (topic, seed.kind, seed.canonical if seed.kind == HTML_KIND else seed.post_id)
 
-    HTML seeds are judged on the main-content text of their dereferenced
-    document, read once from the fetcher's page digest (``Fetcher.text``);
-    everything else on the text of the post that embedded the URI. A page
-    that yields no text adds a warning each time it is read; the run
-    reports each distinct warning once.
+
+def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fetcher: Fetcher, warnings: list,
+                *, threshold: float = DEFAULT_RELEVANCE_THRESHOLD, jobs: int = 1) -> dict:
+    """{``judgment_key``: RelevanceJudgment} for every seed of a topic
+    with a gold, each judged once.
+
+    An HTML seed is judged on the main text of its page. Each page is one
+    task, run in the order of its first judgment (sorted cells, then
+    ``post_seeds``) by ``jobs`` threads, and its warning is added in that
+    order, so every ``jobs`` writes the same. A task judges its page for
+    every topic whose cells hold its URI or final URI (requests
+    redirected to one page share its judgments), taking the text out of
+    the digest, so a page digested here holds it only while in flight.
+    A page that cannot be fetched or yields no text is judged on "" with
+    a warning; in strict mode the first failed fetch raises and the
+    queued tasks never run. Any other seed is judged on the text of its
+    post.
     """
+    judgments = {}
+    pages: dict[str, list] = {}  # HTML seed URI -> the topics whose cells hold it
+    for key in sorted(collections):
+        topic = key[0]
+        if topic not in golds:
+            continue
+        for seed in collections[key].post_seeds:
+            if seed.kind == HTML_KIND:
+                topics = pages.setdefault(seed.canonical, [])
+                if topic not in topics:
+                    topics.append(topic)
+            elif (found := judgment_key(topic, seed)) not in judgments:
+                post = corpus.posts.get(seed.post_id)
+                judgments[found] = judge_relevance(build_term_vector([post.text if post else ""]),
+                                                   golds[topic], threshold)
+    by_page: dict[str, dict] = {}  # final URI of a usable page -> {topic: judgment}
 
-    def __init__(self, corpus: Corpus, fetcher: Fetcher, warnings: list):
-        self.corpus = corpus
-        self.fetcher = fetcher
-        self.warnings = warnings
+    def judge(topics, text):
+        vector = build_term_vector([text])
+        return {topic: judge_relevance(vector, golds[topic], threshold) for topic in topics}
 
-    def __call__(self, seed) -> str:
-        if seed.kind == HTML_KIND:
-            return self.page_text(seed.canonical)
-        post = self.corpus.posts.get(seed.post_id)
-        return post.text if post else ""
-
-    def page(self, uri: str) -> str:
-        """The key of ``uri``'s judgments: the final URI of a usable page,
-        which the requests redirected to it share, else ``uri``."""
-        result = self.fetcher.dereference(uri)
-        return result.final_uri if result.ok and self.fetcher.digest(result).text_error is None else uri
-
-    def page_text(self, uri: str) -> str:
-        result = self.fetcher.dereference(uri)
+    def read(item):
+        uri, topics = item
+        result = fetcher.dereference(uri)
         if not result.ok:
-            self.warnings.append(f"seed {uri} not fetchable ({result.status}); judged on empty text")
-            return ""
-        digest = self.fetcher.digest(result)
-        if digest.text_error is not None:
-            self.warnings.append(f"seed {uri} unusable as HTML: {digest.text_error}")
-            return ""
-        return self.fetcher.text(result)
+            return f"seed {uri} not fetchable ({result.status}); judged on empty text", judge(topics, "")
+        error = fetcher.digest(result).text_error
+        if error is not None:
+            return f"seed {uri} unusable as HTML: {error}", judge(topics, "")
+        # Two tasks in flight can reach one page and judge a topic twice,
+        # the second on a text read anew: the same judgment, so no lock.
+        judged = by_page.setdefault(result.final_uri, {})
+        unjudged = [t for t in dict.fromkeys([*topics, *pages.get(result.final_uri, ())]) if t not in judged]
+        if unjudged:
+            judged.update(judge(unjudged, fetcher.text(result)))
+        return None, {topic: judged[topic] for topic in topics}
 
+    def read_all():
+        if jobs == 1:
+            yield from map(read, pages.items())
+            return
+        from concurrent.futures import ThreadPoolExecutor
 
-class RelevanceIndex:
-    """Memoized per-seed relevance judgments against per-topic golds."""
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(read, pages.items())
 
-    def __init__(self, golds: dict[str, GoldStandard], text_provider, threshold, pages: dict):
-        self.golds = golds
-        self.text_provider = text_provider
-        self.threshold = threshold
-        self.pages = pages  # HTML seed URI -> topics, all judged at its first judgment
-        self._memo = {}
-
-    def judgment(self, topic, seed):
-        gold = self.golds.get(topic)
-        if gold is None:
-            return None
-        if seed.kind == HTML_KIND:
-            key = (topic, seed.canonical)
-        else:
-            # Non-HTML seeds are judged on the embedding post's text,
-            # which differs per post.
-            key = (topic, seed.post_id, seed.canonical)
-        if key not in self._memo:
-            # Requests redirected to one usable page share its judgments.
-            page = (topic, self.text_provider.page(seed.canonical)) if seed.kind == HTML_KIND else key
-            if page not in self._memo:
-                vector = build_term_vector([self.text_provider(seed)])
-                for judged in {topic, *self.pages.pop(seed.canonical, ()), *self.pages.pop(page[1], ())}:
-                    if (judged, *page[1:]) not in self._memo:  # a page read anew keeps its judgments
-                        self._memo[(judged, *page[1:])] = judge_relevance(vector, self.golds[judged], self.threshold)
-            self._memo[key] = self._memo[page]
-        return self._memo[key]
+    for uri, (warning, judged) in zip(pages, read_all()):
+        if warning is not None:
+            warnings.append(warning)
+        judgments.update(((topic, HTML_KIND, uri), judgment) for topic, judgment in judged.items())
+    return judgments
 
 
 class PostObservation(NamedTuple):
@@ -152,11 +157,13 @@ class PostObservation(NamedTuple):
     precision: dict  # kind name -> float | None
 
 
-def collect_observations(collections, judge: RelevanceIndex) -> dict:
+def collect_observations(collections, judgments: dict) -> dict:
     """{cell key: [PostObservation]}: one observation per post per cell,
     over each post's own seeds (``post_seeds``, not the collection-deduped
     ones), cells in sorted order, posts in first-seen order. The cell key
-    holds the topic, source, vertical and class the observations share."""
+    holds the topic, source, vertical and class the observations share.
+    ``judgments`` are ``judge_seeds``'; a topic without them (no gold) has
+    no precision."""
     observations = {}
     for key in sorted(collections):
         topic = key[0]
@@ -170,11 +177,11 @@ def collect_observations(collections, judge: RelevanceIndex) -> dict:
             for kind_name, kind in KIND_FILTERS:
                 subset = seeds if kind is None else [s for s in seeds if s.kind == kind]
                 ks[kind_name] = len(subset)
-                if not subset or judge.golds.get(topic) is None:
+                judged = [judgments.get(judgment_key(topic, s)) for s in subset]
+                if not subset or None in judged:
                     precs[kind_name] = None
                     continue
-                judged = [judge.judgment(topic, s) for s in subset]
-                precs[kind_name] = sum(1 for j in judged if j and j.relevant) / len(subset)
+                precs[kind_name] = sum(1 for j in judged if j.relevant) / len(subset)
             cell.append(PostObservation(post_id, ks, precs))
     return observations
 
@@ -238,17 +245,12 @@ def build_tables(
 ) -> dict:
     """The measures' report tables as {name: {"header": [...], "rows":
     [[str]]}}: every table but the segment and extract stages' own
-    (``partition_tables``, ``seeds_table``). With ``jobs`` > 1, that
-    many workers fetch and digest the judged pages first."""
-    pages: dict[str, list] = {}  # HTML seed URI -> the topics with a gold whose cells hold it
-    for (topic, *_), collection in collections.items():
-        for seed in collection.post_seeds:
-            if topic in golds and seed.kind == HTML_KIND and topic not in pages.setdefault(seed.canonical, []):
-                pages[seed.canonical].append(topic)
-    if jobs > 1:
-        _prefetch_page_texts(fetcher, pages, jobs)
-    judge = RelevanceIndex(golds, SeedTextProvider(corpus, fetcher, warnings), threshold, pages)
-    observations = collect_observations(collections, judge)
+    (``partition_tables``, ``seeds_table``). Every seed is judged first,
+    once, by ``judge_seeds`` with ``jobs`` workers; the fetcher then
+    keeps no page text."""
+    judgments = judge_seeds(corpus, collections, golds, fetcher, warnings, threshold=threshold, jobs=jobs)
+    fetcher.release("text")  # judging was the text's last reader
+    observations = collect_observations(collections, judgments)
     sources = sorted({key[1] for key in collections})
     rows_index = index_rows(collections, observations)
     tables = {}
@@ -293,7 +295,7 @@ def build_tables(
             rows,
         )
 
-    tables["age"], tables["age_ecdf"] = _age_tables(rows_index, judge, fetcher, warnings)
+    tables["age"], tables["age_ecdf"] = _age_tables(rows_index, judgments, fetcher, warnings)
     tables["diversity"] = _diversity_table(rows_index)
     tables["overlap"] = _overlap_table(collections, rows_index, reference_source)
     return tables
@@ -307,30 +309,7 @@ def _precision_cells(summary) -> tuple[str, str]:
     return fmt(summary.average), fmt(summary.post_count)
 
 
-def _prefetch_page_texts(fetcher: Fetcher, pages, jobs: int) -> None:
-    """Fetch and digest, concurrently, every page the sequential pass
-    will judge. The fetcher serializes same-host requests itself.
-
-    This only fills the fetcher's caches, so the run writes what a
-    ``jobs=1`` run writes: nothing is warned about here, and a fetch
-    that fails in strict mode (which caches no failure) is fetched again
-    and raises in the sequential pass, in its order.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    def fill(uri):
-        try:
-            result = fetcher.dereference(uri)
-        except FetchError:
-            return
-        if result.ok:
-            fetcher.digest(result)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(fill, sorted(pages)))
-
-
-def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, fetcher: Fetcher, warnings):
+def _age_tables(rows_index: RowIndex, judgments: dict, fetcher: Fetcher, warnings):
     """Ages of relevant HTML seeds per row cell, summary plus ECDF.
 
     A page is dated once, however many rows hold it. A seed whose
@@ -355,7 +334,7 @@ def _age_tables(rows_index: RowIndex, judge: RelevanceIndex, fetcher: Fetcher, w
         for seed in rows_index.seeds[row_key]:
             if seed.kind != HTML_KIND:
                 continue
-            judgment = judge.judgment(row_key[0], seed)
+            judgment = judgments.get(judgment_key(row_key[0], seed))
             if judgment is None or not judgment.relevant:
                 continue
             found = estimate(seed.canonical)

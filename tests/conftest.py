@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from seedsmith.analytics import DEFAULT_RELEVANCE_THRESHOLD, MODE_NORMALIZED, uri_count_distribution
+from seedsmith.analytics import MODE_NORMALIZED, uri_count_distribution
 from seedsmith.corpus.model import Post, TopicSpec, build_corpus
-from seedsmith.reports import KIND_FILTERS, RelevanceIndex, collect_observations, index_rows, scope_posts
+from seedsmith.reports import KIND_FILTERS, collect_observations, index_rows, scope_posts
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -61,12 +61,11 @@ class DistributionColumn:
 
 def distribution_column(collections, *, source, scope="All", kind=None, mode=MODE_NORMALIZED):
     """One URI-count distribution column, computed as the report does:
-    the collections' per-post observations (judged against no gold
-    standards), pooled over the scope's report rows, fed to
+    the collections' per-post observations (with no judgments, as when
+    no topic has a gold standard), pooled over the scope's report rows, fed to
     ``uri_count_distribution``."""
-    judge = RelevanceIndex({}, None, DEFAULT_RELEVANCE_THRESHOLD, {})
     kind_name = {k: name for name, k in KIND_FILTERS}[kind]
-    rows = index_rows(collections, collect_observations(collections, judge))
+    rows = index_rows(collections, collect_observations(collections, {}))
     held = list(scope_posts(rows, source, scope, kind_name))
     probabilities = uri_count_distribution([(topic, o.k[kind_name]) for topic, o in held], mode)
     return DistributionColumn(probabilities, len(held))

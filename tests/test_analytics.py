@@ -3,7 +3,7 @@ from datetime import date, datetime, timezone
 
 import pytest
 
-from conftest import RETRIEVED, distribution_column
+from conftest import RETRIEVED, distribution_column, make_corpus, make_post
 from oracles import days_from_civil, distinct_count, quantiles_inclusive
 from seedsmith.analytics import (
     DAYS_PER_YEAR,
@@ -20,11 +20,11 @@ from seedsmith.analytics import (
     k_bin,
     serp_overlap,
 )
-from seedsmith.corpus.fetch import FetchResult
+from seedsmith.corpus.fetch import Fetcher, FetchResult, FixtureTransport, write_fixture
 from seedsmith.extraction import HTML_KIND, SeedCollection, SeedUri
 from seedsmith.goldstandard import GoldStandard, build_term_vector
 from seedsmith.pages import digest_page
-from seedsmith.reports import RelevanceIndex, collect_observations
+from seedsmith.reports import collect_observations, judge_seeds
 from seedsmith.textkernel import sparse_cosine
 
 
@@ -128,20 +128,27 @@ class TestPostPrecision:
     def setup_class(cls):
         cls.GOLD = gold_of(text="flood waters riverbend levee rainfall")
 
-    def texts(self, mapping):
-        def provider(seed):
-            return mapping[seed.canonical]
+    @pytest.fixture(autouse=True)
+    def fixtures(self, tmp_path):
+        self.fixtures = tmp_path
 
-        provider.page = lambda uri: uri  # every URI is its own page
-        return provider
+    def texts(self, mapping):
+        """A fetcher serving each URI as a page whose main text is its
+        mapped text."""
+        for uri, text in mapping.items():
+            write_fixture(self.fixtures, uri, 200, {"Content-Type": "text/html"}, f"<p>{text}</p>".encode())
+        return Fetcher(FixtureTransport(self.fixtures))
 
     def precision(self, seeds, texts, kind="all"):
         """Precision of the one post holding ``seeds``, as the report
         observes it."""
         key = ("t1", "reddit", "top", "P1A1")
-        judge = RelevanceIndex({"t1": self.GOLD}, texts, DEFAULT_RELEVANCE_THRESHOLD, {})
         collections = {key: SeedCollection(seeds=tuple(seeds), post_seeds=tuple(seeds))}
-        [observation] = collect_observations(collections, judge)[key]
+        warnings = []
+        judgments = judge_seeds(make_corpus([make_post(id="p1")]), collections, {"t1": self.GOLD}, texts,
+                                warnings, threshold=DEFAULT_RELEVANCE_THRESHOLD)
+        assert warnings == []
+        [observation] = collect_observations(collections, judgments)[key]
         return observation.precision[kind]
 
     def test_half_relevant(self):

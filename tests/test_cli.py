@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import make_corpus, make_post
 from seedsmith import reports
 from seedsmith.cli import main
-from seedsmith.corpus.fetch import write_fixture
+from seedsmith.corpus.fetch import FixtureTransport, write_fixture
 from seedsmith.corpus.jsonl import POST_FIELDS, TOPIC_FIELDS, load_corpus, write_corpus
 from seedsmith.extraction import HTML_KIND
 from seedsmith.stopwords import STOPWORDS_VERSION
@@ -246,15 +247,15 @@ class TestRun:
 
         monkeypatch.setattr(reports, "estimate_publication_date", counting)
         relevant = set()
-        judgment = reports.RelevanceIndex.judgment
+        judge_seeds = reports.judge_seeds
 
-        def recording(self, topic, seed):
-            found = judgment(self, topic, seed)
-            if seed.kind == HTML_KIND and found is not None and found.relevant:
-                relevant.add(seed.canonical)
-            return found
+        def recording(*args, **kwargs):
+            judgments = judge_seeds(*args, **kwargs)
+            relevant.update(uri for (_topic, kind, uri), found in judgments.items()
+                            if kind == HTML_KIND and found.relevant)
+            return judgments
 
-        monkeypatch.setattr(reports.RelevanceIndex, "judgment", recording)
+        monkeypatch.setattr(reports, "judge_seeds", recording)
         assert run_cli(*base_args(tmp_path / "out"), "--refs", DATA / "refs.json") == 0
         assert relevant
         assert sorted(dated) == sorted(relevant)
@@ -345,9 +346,17 @@ class TestJobs:
         path.write_text(json.dumps(refs))
         return path
 
-    def run(self, corpus, refs, out, jobs, *flags):
-        return run_cli("run", "--corpus", corpus, "--fixtures", DATA / "responses",
+    def run(self, corpus, refs, out, jobs, *flags, fixtures=DATA / "responses"):
+        return run_cli("run", "--corpus", corpus, "--fixtures", fixtures,
                        "--refs", refs, "--out", out, "--jobs", jobs, *flags)
+
+    @staticmethod
+    def assert_same_files(first, *others):
+        files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        for other in others:
+            assert files == sorted(p.relative_to(other) for p in other.rglob("*") if p.is_file())
+            for rel in files:
+                assert (other / rel).read_bytes() == (first / rel).read_bytes(), rel
 
     @pytest.mark.parametrize("all_refs", [True, False], ids=["all-refs", "no-flood-ref"])
     def test_jobs_2_writes_what_jobs_1_writes(self, tmp_path, all_refs):
@@ -356,10 +365,7 @@ class TestJobs:
         serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
         assert self.run(corpus, refs, serial, "1") == 0
         assert self.run(corpus, refs, parallel, "2") == 0
-        files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file())
-        for rel in files:
-            assert (parallel / rel).read_bytes() == (serial / rel).read_bytes(), rel
+        self.assert_same_files(serial, parallel)
         warnings = json.loads((serial / "manifest.json").read_text())["warnings"]
         assert any(self.MISSING["eclipse"] in w for w in warnings)
         assert any(self.MISSING["flood"] in w for w in warnings) == all_refs
@@ -370,6 +376,67 @@ class TestJobs:
         refs = self.refs_without_flood(tmp_path)
         codes = [self.run(corpus, refs, tmp_path / f"jobs{j}", j, "--strict") for j in ("1", "2")]
         assert codes == [0, 0]
+
+    def test_strict_run_stops_at_its_first_failure(self, tmp_path, monkeypatch):
+        """The first judged page has no fixture, so a strict run fails
+        there, and at --jobs 2 the pages queued behind it are never read.
+        Once judging has begun, every request but that page's takes 0.2 s,
+        so the other worker cannot race past the failure."""
+        corpus = load_corpus(DATA / "corpus.jsonl")
+        gone = [f"https://gone.example/page-{i}" for i in range(3)]
+        for i, uri in enumerate(gone):  # the run's first cell: eclipse, google
+            post = make_post(id=f"gone-{i}", topic_id="eclipse", source="google", vertical="all",
+                             serp_visible=True, text=f"see {uri}")
+            corpus.posts[post.id] = post
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        judging = []
+        judge_seeds = reports.judge_seeds
+        monkeypatch.setattr(reports, "judge_seeds", lambda *a, **kw: judging.append(1) or judge_seeds(*a, **kw))
+        requested = []
+        request = FixtureTransport.request
+
+        def counting(transport, uri):
+            requested.append(uri)
+            if judging and uri != gone[0]:
+                time.sleep(0.2)
+            return request(transport, uri)
+
+        monkeypatch.setattr(FixtureTransport, "request", counting)
+        counts = []
+        for jobs in ("1", "2"):
+            requested.clear()
+            judging.clear()
+            assert self.run(tmp_path / "corpus.jsonl", DATA / "refs.json", tmp_path / f"jobs{jobs}", jobs,
+                            "--strict") == 1
+            assert gone[0] in requested
+            counts.append(len(requested))
+        assert counts[0] == 11
+        assert counts[0] <= counts[1] <= counts[0] + 2
+
+    def test_redirected_page_writes_the_same_at_any_jobs(self, tmp_path):
+        # flood links news-b's page directly, eclipse and strike through
+        # 301 aliases; threads switch often, so tasks race to the page.
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        corpus = load_corpus(DATA / "corpus.jsonl")
+        aliases = [f"https://news-b.example/old-flood-b-{topic}" for topic in ("eclipse", "strike")]
+        for alias, topic in zip(aliases, ("eclipse", "strike")):
+            write_fixture(fixtures, alias, 301, {"Location": "https://news-b.example/flood-b"}, b"")
+            post = make_post(id=f"alias-{topic}", topic_id=topic, serp_visible=True, text=f"see {alias}")
+            corpus.posts[post.id] = post
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        outs = [tmp_path / f"jobs{jobs}" for jobs in ("1", "2", "4")]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for out in outs:
+                assert self.run(tmp_path / "corpus.jsonl", DATA / "refs.json", out, out.name[4:],
+                                fixtures=fixtures) == 0
+        finally:
+            sys.setswitchinterval(switch)
+        seeds = (outs[0] / "seeds.csv").read_text(encoding="utf-8")
+        assert all(alias in seeds for alias in aliases)
+        self.assert_same_files(*outs)
 
 
 @pytest.mark.parametrize(

@@ -224,9 +224,9 @@ class TestCaching:
 class TestBodyRelease:
     """A cached page keeps its body until ``release("body")``; from then
     on the cache holds each digested page without it. A run releases the
-    bodies once its gold stage ends, digest links once extraction ends
-    and each judged page's text, and writes what a run that keeps every
-    part writes."""
+    bodies once its gold stage ends, digest links once extraction ends,
+    each judged page's text at its judgment and every other text once
+    judging ends, and writes what a run that keeps every part writes."""
 
     def test_digest_drops_the_cached_body_only_after_release(self, fixtures):
         write_fixture(fixtures, "https://a.example/x", 200, {}, b"<p>x</p>")
@@ -437,9 +437,30 @@ class TestBodyRelease:
             judged = {row["canonical_uri"] for row in csv.DictReader(fh) if row["kind"] == "html"}
         assert judged & fetcher._digests.keys()
         assert [uri for uri, d in fetcher._digests.items() if "links" in vars(d)] == []
-        assert [uri for uri, d in fetcher._digests.items() if uri in judged and vars(d).get("text")] == []
+        assert [uri for uri, d in fetcher._digests.items() if "text" in vars(d)] == []
         # Each judged text was read once: no page was fetched again for it.
         assert len(fetcher.requested) == len(set(fetcher.requested))
+
+    def test_only_the_pages_in_flight_hold_a_text(self, tmp_path, monkeypatch):
+        """At --jobs 2, each judged page holds its text only while one of
+        the two workers judges it: at every digest, at most two judged
+        pages still hold a text."""
+        args = ("--corpus", DATA / "corpus.jsonl", "--fixtures", DATA / "responses", "--refs", DATA / "refs.json")
+        serial = self.run(monkeypatch, tmp_path / "jobs1", *args)
+        with (tmp_path / "jobs1" / "seeds.csv").open(encoding="utf-8") as fh:
+            pages = {serial.dereference(row["canonical_uri"]).final_uri
+                     for row in csv.DictReader(fh) if row["kind"] == "html"}
+        holding = []
+        digest = Fetcher.digest
+
+        def counting(fetcher, result):
+            found = [fetcher._digests.get(uri) for uri in pages]
+            holding.append(sum(1 for d in found if d is not None and vars(d).get("text")))
+            return digest(fetcher, result)
+
+        monkeypatch.setattr(Fetcher, "digest", counting)
+        self.run(monkeypatch, tmp_path / "jobs2", *args, "--jobs", "2")
+        assert 1 <= max(holding) <= 2
 
     def test_released_parts_raise_when_read(self, fixtures):
         page = b'<html><body><p>river flood rising</p><a href="https://b.example/">b</a></body></html>'

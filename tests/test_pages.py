@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_corpus, make_post
+from conftest import RETRIEVED, make_corpus, make_post
 from oracles import (
     Document,
     Element,
@@ -26,14 +26,16 @@ from oracles import (
     reference_target_links,
 )
 from seedsmith import goldstandard
-from seedsmith.analytics import estimate_publication_date
+from seedsmith.analytics import estimate_publication_date, judge_relevance
 from seedsmith.cli import main as cli_main
 from seedsmith.corpus import fetch as fetch_module
 from seedsmith.corpus.fetch import Fetcher, FetchResult, FixtureTransport, write_fixture
 from seedsmith.corpus.jsonl import write_corpus
+from seedsmith.extraction import HTML_KIND, SeedCollection, SeedUri
+from seedsmith.goldstandard import GoldStandard, build_term_vector
 from seedsmith.htmltools import decode_html
 from seedsmith.pages import PageDigest, _jsonld_published, digest_page
-from seedsmith.reports import SeedTextProvider
+from seedsmith.reports import judge_seeds
 
 DATA = Path(__file__).parent / "data"
 RESPONSES = DATA / "responses"
@@ -71,6 +73,16 @@ EDGE_PAGES = [
 ]
 
 
+JUDGING_GOLD = GoldStandard("t1", build_term_vector(["river flood eclipse transit strike levee solar"]),
+                            (), (), RETRIEVED)
+
+
+def _one_seed_cell(*uris, topic="t1"):
+    """One cell of ``topic`` whose post ``p1`` links ``uris`` as HTML seeds."""
+    seeds = tuple(SeedUri(uri, uri, uri.split("/")[2], HTML_KIND, "p1", "g", RETRIEVED) for uri in uris)
+    return {(topic, "reddit", "top", "P1A1"): SeedCollection(seeds, seeds)}
+
+
 def _outcome(fn, body):
     try:
         return ("ok", fn(body))
@@ -94,19 +106,18 @@ class TestDigestMatchesPerUseParsing:
 
     @pytest.mark.parametrize("body", fixture_bodies() + EDGE_PAGES)
     def test_thin_wrappers(self, body, tmp_path):
-        """The relevance reader is a thin wrapper over the fetcher's
-        digest: a seed page is judged on the text per-use parsing finds,
-        or on "" with a warning when that raises."""
+        """Judging is a thin wrapper over the fetcher's digest: a seed
+        page is judged on the text per-use parsing finds, or on "" with a
+        warning when that raises."""
         uri = "https://a.example/story"
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"}, body)
         warnings = []
-        provider = SeedTextProvider(
-            make_corpus([make_post(id="p1", serp_visible=True)]),
-            Fetcher(FixtureTransport(tmp_path)),
-            warnings,
-        )
+        judgments = judge_seeds(make_corpus([make_post(id="p1", serp_visible=True)]),
+                                _one_seed_cell(uri), {"t1": JUDGING_GOLD}, Fetcher(FixtureTransport(tmp_path)),
+                                warnings)
         outcome, want = _outcome(reference_strip_boilerplate, body)
-        assert provider.page_text(uri) == (want if outcome == "ok" else "")
+        text = want if outcome == "ok" else ""
+        assert judgments == {("t1", HTML_KIND, uri): judge_relevance(build_term_vector([text]), JUDGING_GOLD)}
         assert warnings == ([] if outcome == "ok" else [f"seed {uri} unusable as HTML: {want}"])
 
     def test_edge_pages_cover_each_outcome(self):
@@ -181,19 +192,28 @@ class TestFetcherDigests:
 
 
 class TestSeedTextProvider:
+    """``judge_seeds`` as the provider of each seed page's text."""
+
     def test_warns_on_each_read_of_an_unusable_page(self, tmp_path):
-        # The run reports each distinct warning once (test_cli's
-        # test_shared_unresolvable_permalink_warns_once).
+        # Each page is read once, however many cells and topics hold it,
+        # and warned about at that read, in the order pages are first
+        # judged.
         write_fixture(tmp_path, "https://a.example/plain", 200, {"Content-Type": "text/html"}, b"no tags")
+        requested = []
+        transport = FixtureTransport(tmp_path)
+        request = transport.request
+        transport.request = lambda uri: requested.append(uri) or request(uri)
+        uris = ("https://a.example/plain", "https://a.example/missing") * 2
+        collections = {**_one_seed_cell(*uris), **_one_seed_cell(*reversed(uris), topic="t2")}
         warnings = []
-        post = make_post(id="p1", serp_visible=True)
-        provider = SeedTextProvider(make_corpus([post]), Fetcher(FixtureTransport(tmp_path)), warnings)
-        for uri in ("https://a.example/plain", "https://a.example/missing") * 2:
-            assert provider.page_text(uri) == ""
-        assert len(warnings) == 4
+        judgments = judge_seeds(make_corpus([make_post(id="p1", serp_visible=True)]), collections,
+                                {"t1": JUDGING_GOLD, "t2": JUDGING_GOLD}, Fetcher(transport), warnings)
+        assert requested == list(uris[:2])
+        assert len(warnings) == 2
         assert warnings[0].startswith("seed https://a.example/plain unusable as HTML: ")
         assert warnings[1].startswith("seed https://a.example/missing not fetchable (missing-fixture)")
-        assert warnings[2:] == warnings[:2]
+        empty = judge_relevance(build_term_vector([""]), JUDGING_GOLD)
+        assert judgments == {(topic, HTML_KIND, uri): empty for topic in ("t1", "t2") for uri in uris}
 
 
 def _count_calls(monkeypatch, original):

@@ -51,14 +51,11 @@ def _random_corpus(rng):
     return make_corpus(posts, topics)
 
 
-class _Judge:
-    """Relevance stand-in: golds for some topics, a fixed verdict per URI."""
-
-    def __init__(self, topics):
-        self.golds = {topic: object() for topic in topics}
-
-    def judgment(self, topic, seed):
-        return SimpleNamespace(relevant=len(seed.canonical) % 2 == 0)
+def _judgments(collections, topics):
+    """Relevance stand-in: judgments for the seeds of some topics (those
+    with a gold), a fixed verdict per URI."""
+    return {reports.judgment_key(key[0], seed): SimpleNamespace(relevant=len(seed.canonical) % 2 == 0)
+            for key, collection in collections.items() if key[0] in topics for seed in collection.post_seeds}
 
 
 def test_row_index_matches_per_row_rescans():
@@ -68,7 +65,7 @@ def test_row_index_matches_per_row_rescans():
         corpus = _random_corpus(rng)
         partition = partition_corpus(corpus)
         collections = assemble_collections(corpus, partition)
-        observations = collect_observations(collections, _Judge(["t0", "t1"]))
+        observations = collect_observations(collections, _judgments(collections, ["t0", "t1"]))
         index = index_rows(collections, observations)
 
         mc_keys = {(*key[:3], MC) for key in collections if key[3] in MC_MEMBER_CLASSES}
