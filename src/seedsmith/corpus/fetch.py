@@ -243,7 +243,7 @@ class Fetcher:
         self._memory_lock = threading.Lock()
         self._digests: dict[str, PageDigest] = {}
         self._digest_lock = threading.Lock()
-        self._released: set[str] = set()  # parts dropped from every page: "body", "links"
+        self._released: set[str] = set()  # parts dropped from every page: "body", "links", "text"
 
     def digest(self, result: FetchResult) -> PageDigest:
         """The digest of a successfully fetched document, built once per

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,15 +87,15 @@ def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fet
 
     An HTML seed is judged on the main text of its page. Each page is one
     task, run in the order of its first judgment (sorted cells, then
-    ``post_seeds``) by ``jobs`` threads, and its warning is added in that
-    order, so every ``jobs`` writes the same. A task judges its page for
-    every topic whose cells hold its URI or final URI (requests
-    redirected to one page share its judgments), taking the text out of
-    the digest, so a page digested here holds it only while in flight.
-    A page that cannot be fetched or yields no text is judged on "" with
-    a warning; in strict mode the first failed fetch raises and the
-    queued tasks never run. Any other seed is judged on the text of its
-    post.
+    ``post_seeds``) by ``jobs`` threads (this one if ``jobs`` <= 1), and
+    its warning is added in that order, so every ``jobs`` writes the
+    same. Under one lock, a task judges its page for each topic of its URI
+    or final URI not yet judged there (requests redirected to one page
+    share its judgments), taking the text out of the digest, so a page
+    digested here holds it only while in flight. A page that cannot be
+    fetched or yields no text is judged on "" with a warning; in strict
+    mode the first failed fetch raises and the queued tasks never run.
+    Any other seed is judged on the text of its post.
     """
     judgments = {}
     pages: dict[str, list] = {}  # HTML seed URI -> the topics whose cells hold it
@@ -112,6 +113,7 @@ def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fet
                 judgments[found] = judge_relevance(build_term_vector([post.text if post else ""]),
                                                    golds[topic], threshold)
     by_page: dict[str, dict] = {}  # final URI of a usable page -> {topic: judgment}
+    judging = threading.Lock()
 
     def judge(topics, text):
         vector = build_term_vector([text])
@@ -125,16 +127,15 @@ def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fet
         error = fetcher.digest(result).text_error
         if error is not None:
             return f"seed {uri} unusable as HTML: {error}", judge(topics, "")
-        # Two tasks in flight can reach one page and judge a topic twice,
-        # the second on a text read anew: the same judgment, so no lock.
-        judged = by_page.setdefault(result.final_uri, {})
-        unjudged = [t for t in dict.fromkeys([*topics, *pages.get(result.final_uri, ())]) if t not in judged]
-        if unjudged:
-            judged.update(judge(unjudged, fetcher.text(result)))
-        return None, {topic: judged[topic] for topic in topics}
+        with judging:
+            judged = by_page.setdefault(result.final_uri, {})
+            unjudged = [t for t in dict.fromkeys([*topics, *pages.get(result.final_uri, ())]) if t not in judged]
+            if unjudged:
+                judged.update(judge(unjudged, fetcher.text(result)))
+            return None, {topic: judged[topic] for topic in topics}
 
     def read_all():
-        if jobs == 1:
+        if jobs <= 1:
             yield from map(read, pages.items())
             return
         from concurrent.futures import ThreadPoolExecutor

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import make_corpus, make_post
 from seedsmith import reports
 from seedsmith.cli import main
-from seedsmith.corpus.fetch import FixtureTransport, write_fixture
+from seedsmith.corpus.fetch import Fetcher, FixtureTransport, write_fixture
 from seedsmith.corpus.jsonl import POST_FIELDS, TOPIC_FIELDS, load_corpus, write_corpus
 from seedsmith.extraction import HTML_KIND
 from seedsmith.stopwords import STOPWORDS_VERSION
@@ -370,6 +370,14 @@ class TestJobs:
         assert any(self.MISSING["eclipse"] in w for w in warnings)
         assert any(self.MISSING["flood"] in w for w in warnings) == all_refs
 
+    def test_jobs_0_writes_what_jobs_1_writes(self, tmp_path):
+        # --jobs 0 is valid input and reads the pages in this thread.
+        corpus = self.corpus(tmp_path, ("eclipse", "flood"))
+        outs = [tmp_path / f"jobs{j}" for j in ("0", "1")]
+        for out in outs:
+            assert self.run(corpus, DATA / "refs.json", out, out.name[4:]) == 0
+        self.assert_same_files(*outs)
+
     def test_strict_exit_code_does_not_depend_on_jobs(self, tmp_path):
         # Nothing judges the flood page, so no run of any --jobs reads it.
         corpus = self.corpus(tmp_path, ("flood",))
@@ -436,6 +444,44 @@ class TestJobs:
             sys.setswitchinterval(switch)
         seeds = (outs[0] / "seeds.csv").read_text(encoding="utf-8")
         assert all(alias in seeds for alias in aliases)
+        self.assert_same_files(*outs)
+
+    def test_tasks_reaching_one_page_together_read_it_once(self, tmp_path, monkeypatch):
+        """One eclipse post links news-b's flood page through two 301
+        aliases, so at --jobs 2 both tasks reach the page at once. Taking
+        the text is slowed to 0.2 s, so the second task finds the page
+        mid-judgment: it must wait and reuse the judgments, not read the
+        page anew and judge it again."""
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        page = "https://news-b.example/flood-b"
+        aliases = [f"https://news-b.example/old-flood-b-{i}" for i in range(2)]
+        for alias in aliases:
+            write_fixture(fixtures, alias, 301, {"Location": page}, b"")
+        corpus = load_corpus(DATA / "corpus.jsonl")
+        post = make_post(id="aliases", topic_id="eclipse", serp_visible=True, text=" ".join(aliases))
+        corpus.posts[post.id] = post
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        requested = []
+        request = FixtureTransport.request
+        monkeypatch.setattr(FixtureTransport, "request",
+                            lambda transport, uri: requested.append(uri) or request(transport, uri))
+        text = Fetcher.text
+        monkeypatch.setattr(Fetcher, "text", lambda fetcher, result: time.sleep(0.2) or text(fetcher, result))
+        judged = []
+        judge_relevance = reports.judge_relevance
+        monkeypatch.setattr(reports, "judge_relevance", lambda *a: judged.append(1) or judge_relevance(*a))
+        outs = [tmp_path / f"jobs{jobs}" for jobs in ("1", "2")]
+        counts = []
+        for out in outs:
+            requested.clear()
+            judged.clear()
+            assert self.run(tmp_path / "corpus.jsonl", DATA / "refs.json", out, out.name[4:],
+                            fixtures=fixtures) == 0
+            counts.append((requested.count(page), len(judged)))
+        # Each request URI reaching the page fetches it once; a second
+        # read of its text would fetch it once more.
+        assert counts[1] == counts[0]
         self.assert_same_files(*outs)
 
 
