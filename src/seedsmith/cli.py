@@ -27,6 +27,7 @@ from .reports import (
     DEFAULT_REFERENCE_SOURCE,
     build_manifest,
     build_tables,
+    judge_seeds,
     partition_tables,
     seeds_table,
     write_bundle,
@@ -53,6 +54,8 @@ def _validate(args) -> None:
     choices."""
     if not (0 < args.threshold < 1):
         raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
+    if not (0 <= args.politeness_delay < float("inf")):
+        raise ConfigError(f"--politeness-delay must be a finite number >= 0, got {args.politeness_delay}")
     for name in ("reply_limit", "depth_limit", "max_redirects", "jobs"):
         if getattr(args, name) < 0:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 0")
@@ -391,10 +394,11 @@ def run_pipeline(args, stop: str = "analyze") -> int:
     _write_golds(golds, out / "golds")
     fetcher.release("body")  # reference lists were the last pages read from a body
 
-    tables.update(build_tables(
-        corpus, collections, golds, fetcher, warnings, threshold=args.threshold,
-        dist_mode=args.dist_mode, reference_source=args.reference_source, jobs=args.jobs,
-    ))
+    judgments, dates = judge_seeds(corpus, collections, golds, fetcher, warnings,
+                                   threshold=args.threshold, jobs=args.jobs)
+    fetcher.release("text")  # judging was the last page reader
+    tables.update(build_tables(collections, judgments, dates, warnings,
+                               dist_mode=args.dist_mode, reference_source=args.reference_source))
     counts = {
         "posts": len(corpus.posts),
         "topics": len(corpus.topics),

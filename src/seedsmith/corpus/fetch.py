@@ -62,7 +62,6 @@ class FetchResult(NamedTuple):
     headers: dict[str, str]  # final-hop response headers, lowercased keys
     body: bytes
     fetched_at: datetime
-    redirect_chain: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -306,28 +305,26 @@ class Fetcher:
         try:
             parts = urlsplit(uri)
         except ValueError as exc:
-            return self._fail(uri, uri, (), TAG_INVALID_URI, f"{uri}: {exc}")
+            return self._fail(uri, uri, TAG_INVALID_URI, f"{uri}: {exc}")
         if parts.scheme not in ("http", "https") or not parts.netloc:
-            return self._fail(uri, uri, (), TAG_INVALID_URI, f"not an absolute http(s) URI: {uri}")
+            return self._fail(uri, uri, TAG_INVALID_URI, f"not an absolute http(s) URI: {uri}")
         chain: list[str] = []
         current = uri
         while True:
             try:
                 status, headers, body = self.transport.request(current)
             except TransportError as exc:
-                return self._fail(uri, current, tuple(chain), exc.tag, exc.detail)
+                return self._fail(uri, current, exc.tag, exc.detail)
             if status in (301, 302, 303, 307, 308) and headers.get("location"):
                 try:
                     target = urljoin(current, headers["location"])
                 except ValueError as exc:
-                    return self._fail(uri, current, tuple(chain), TAG_INVALID_URI,
-                                      f"redirect to {headers['location']}: {exc}")
+                    return self._fail(uri, current, TAG_INVALID_URI, f"redirect to {headers['location']}: {exc}")
                 if target == current or target in chain or target == uri:
-                    return self._fail(uri, current, tuple(chain), TAG_REDIRECT_LOOP, f"redirect loop at {target}")
+                    return self._fail(uri, current, TAG_REDIRECT_LOOP, f"redirect loop at {target}")
                 chain.append(target)
                 if len(chain) > self.max_redirects:
-                    return self._fail(uri, current, tuple(chain), TAG_REDIRECT_LIMIT,
-                                      f"more than {self.max_redirects} redirects")
+                    return self._fail(uri, current, TAG_REDIRECT_LIMIT, f"more than {self.max_redirects} redirects")
                 current = target
                 continue
             return FetchResult(
@@ -338,7 +335,6 @@ class Fetcher:
                 headers=headers,
                 body=body,
                 fetched_at=self._fetched_at(headers),
-                redirect_chain=tuple(chain),
             )
 
     def _fetched_at(self, headers: dict[str, str]) -> datetime:
@@ -356,7 +352,7 @@ class Fetcher:
                 pass
         return self._clock()
 
-    def _fail(self, request_uri, final_uri, chain, tag, detail) -> FetchResult:
+    def _fail(self, request_uri, final_uri, tag, detail) -> FetchResult:
         if not self.lenient:
             raise FetchError(tag, detail)
         return FetchResult(
@@ -367,5 +363,4 @@ class Fetcher:
             headers={},
             body=b"",
             fetched_at=EPOCH,
-            redirect_chain=chain,
         )

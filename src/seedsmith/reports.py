@@ -18,7 +18,6 @@ from . import __version__, textkernel
 from .analytics import (
     DEFAULT_RELEVANCE_THRESHOLD,
     K_BINS,
-    MODE_NORMALIZED,
     age_days,
     age_distribution,
     class_average_precision,
@@ -81,9 +80,11 @@ def judgment_key(topic, seed) -> tuple:
 
 
 def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fetcher: Fetcher, warnings: list,
-                *, threshold: float = DEFAULT_RELEVANCE_THRESHOLD, jobs: int = 1) -> dict:
-    """{``judgment_key``: RelevanceJudgment} for every seed of a topic
-    with a gold, each judged once.
+                *, threshold: float = DEFAULT_RELEVANCE_THRESHOLD, jobs: int = 1) -> tuple[dict, dict]:
+    """({``judgment_key``: RelevanceJudgment}, {HTML seed URI: estimated
+    publication date}): every seed of a topic with a gold, each judged
+    once, and every page judged relevant there, each dated once. The
+    pass is the run's last page reader: no table reads a page.
 
     An HTML seed is judged on the main text of its page. Each page is one
     task, run in the order of its first judgment (sorted cells, then
@@ -92,10 +93,12 @@ def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fet
     same. Under one lock, a task judges its page for each topic of its URI
     or final URI not yet judged there (requests redirected to one page
     share its judgments), taking the text out of the digest, so a page
-    digested here holds it only while in flight. A page that cannot be
-    fetched or yields no text is judged on "" with a warning; in strict
-    mode the first failed fetch raises and the queued tasks never run.
-    Any other seed is judged on the text of its post.
+    digested here holds it only while in flight. Once its judgments are
+    known, a task dates the page if any topic of its URI judged it
+    relevant. A page that cannot be fetched or yields no text is judged
+    on "" with a warning, so it is never relevant and never dated; in
+    strict mode the first failed fetch raises and the queued tasks never
+    run. Any other seed is judged on the text of its post.
     """
     judgments = {}
     pages: dict[str, list] = {}  # HTML seed URI -> the topics whose cells hold it
@@ -123,16 +126,18 @@ def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fet
         uri, topics = item
         result = fetcher.dereference(uri)
         if not result.ok:
-            return f"seed {uri} not fetchable ({result.status}); judged on empty text", judge(topics, "")
-        error = fetcher.digest(result).text_error
-        if error is not None:
-            return f"seed {uri} unusable as HTML: {error}", judge(topics, "")
+            return f"seed {uri} not fetchable ({result.status}); judged on empty text", judge(topics, ""), None
+        digest = fetcher.digest(result)
+        if digest.text_error is not None:
+            return f"seed {uri} unusable as HTML: {digest.text_error}", judge(topics, ""), None
         with judging:
             judged = by_page.setdefault(result.final_uri, {})
             unjudged = [t for t in dict.fromkeys([*topics, *pages.get(result.final_uri, ())]) if t not in judged]
             if unjudged:
                 judged.update(judge(unjudged, fetcher.text(result)))
-            return None, {topic: judged[topic] for topic in topics}
+            mine = {topic: judged[topic] for topic in topics}
+        relevant = any(judgment.relevant for judgment in mine.values())
+        return None, mine, estimate_publication_date(result, digest) if relevant else None
 
     def read_all():
         if jobs <= 1:
@@ -143,11 +148,14 @@ def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fet
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(read, pages.items())
 
-    for uri, (warning, judged) in zip(pages, read_all()):
+    dates = {}
+    for uri, (warning, judged, found) in zip(pages, read_all()):
         if warning is not None:
             warnings.append(warning)
         judgments.update(((topic, HTML_KIND, uri), judgment) for topic, judgment in judged.items())
-    return judgments
+        if found is not None:
+            dates[uri] = found[0]
+    return judgments, dates
 
 
 class PostObservation(NamedTuple):
@@ -232,25 +240,12 @@ def scope_posts(rows_index: RowIndex, source, scope, kind_name):
                 yield row_key[0], o
 
 
-def build_tables(
-    corpus: Corpus,
-    collections,
-    golds: dict[str, GoldStandard],
-    fetcher: Fetcher,
-    warnings: list,
-    *,
-    threshold: float = DEFAULT_RELEVANCE_THRESHOLD,
-    dist_mode: str = MODE_NORMALIZED,
-    reference_source: str = DEFAULT_REFERENCE_SOURCE,
-    jobs: int = 1,
-) -> dict:
+def build_tables(collections, judgments: dict, dates: dict, warnings: list, *, dist_mode: str,
+                 reference_source: str) -> dict:
     """The measures' report tables as {name: {"header": [...], "rows":
     [[str]]}}: every table but the segment and extract stages' own
-    (``partition_tables``, ``seeds_table``). Every seed is judged first,
-    once, by ``judge_seeds`` with ``jobs`` workers; the fetcher then
-    keeps no page text."""
-    judgments = judge_seeds(corpus, collections, golds, fetcher, warnings, threshold=threshold, jobs=jobs)
-    fetcher.release("text")  # judging was the text's last reader
+    (``partition_tables``, ``seeds_table``), from ``judge_seeds``'
+    judgments and dates. No table reads a page."""
     observations = collect_observations(collections, judgments)
     sources = sorted({key[1] for key in collections})
     rows_index = index_rows(collections, observations)
@@ -296,7 +291,7 @@ def build_tables(
             rows,
         )
 
-    tables["age"], tables["age_ecdf"] = _age_tables(rows_index, judgments, fetcher, warnings)
+    tables["age"], tables["age_ecdf"] = _age_tables(rows_index, judgments, dates, warnings)
     tables["diversity"] = _diversity_table(rows_index)
     tables["overlap"] = _overlap_table(collections, rows_index, reference_source)
     return tables
@@ -310,38 +305,22 @@ def _precision_cells(summary) -> tuple[str, str]:
     return fmt(summary.average), fmt(summary.post_count)
 
 
-def _age_tables(rows_index: RowIndex, judgments: dict, fetcher: Fetcher, warnings):
-    """Ages of relevant HTML seeds per row cell, summary plus ECDF.
+def _age_tables(rows_index: RowIndex, judgments: dict, dates: dict, warnings):
+    """Ages of relevant HTML seeds per row cell, summary plus ECDF, from
+    the dates ``judge_seeds`` gave the pages it judged relevant.
 
-    A page is dated once, however many rows hold it. A seed whose
-    estimate postdates its retrieval is warned about at each row that
-    holds it.
+    A seed whose estimate postdates its retrieval is warned about at each
+    row that holds it.
     """
     summary_rows = []
     ecdf_rows = []
-    estimates: dict[str, tuple | None] = {}
-
-    def estimate(uri):
-        if uri not in estimates:
-            result = fetcher.dereference(uri)
-            if not result.ok:
-                estimates[uri] = None
-            else:
-                estimates[uri] = estimate_publication_date(result, fetcher.digest(result))
-        return estimates[uri]
-
     for row_key in rows_index.cells:
         ages = []
         for seed in rows_index.seeds[row_key]:
-            if seed.kind != HTML_KIND:
-                continue
             judgment = judgments.get(judgment_key(row_key[0], seed))
-            if judgment is None or not judgment.relevant:
+            estimated = dates.get(seed.canonical)
+            if seed.kind != HTML_KIND or judgment is None or not judgment.relevant or estimated is None:
                 continue
-            found = estimate(seed.canonical)
-            if found is None:
-                continue
-            estimated = found[0]
             days = age_days(estimated, seed.retrieved_at)
             if days < 0:
                 warnings.append(

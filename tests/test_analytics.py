@@ -145,8 +145,8 @@ class TestPostPrecision:
         key = ("t1", "reddit", "top", "P1A1")
         collections = {key: SeedCollection(seeds=tuple(seeds), post_seeds=tuple(seeds))}
         warnings = []
-        judgments = judge_seeds(make_corpus([make_post(id="p1")]), collections, {"t1": self.GOLD}, texts,
-                                warnings, threshold=DEFAULT_RELEVANCE_THRESHOLD)
+        judgments, _dates = judge_seeds(make_corpus([make_post(id="p1")]), collections, {"t1": self.GOLD}, texts,
+                                        warnings, threshold=DEFAULT_RELEVANCE_THRESHOLD)
         assert warnings == []
         [observation] = collect_observations(collections, judgments)[key]
         return observation.precision[kind]

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post
-from seedsmith import reports
+from seedsmith import cli, reports
 from seedsmith.cli import main
 from seedsmith.corpus.fetch import Fetcher, FixtureTransport, write_fixture
 from seedsmith.corpus.jsonl import POST_FIELDS, TOPIC_FIELDS, load_corpus, write_corpus
@@ -70,12 +70,15 @@ class TestRun:
             (("--depth-limit", "-1"), "--depth-limit"),
             (("--reply-limit", "-1"), "--reply-limit"),
             (("--max-redirects", "-1"), "--max-redirects"),
+            (("--politeness-delay", "-1"), "--politeness-delay"),
+            (("--politeness-delay", "nan"), "--politeness-delay"),
+            (("--politeness-delay", "inf"), "--politeness-delay"),
             (("--golds", DATA / "nope"), str(DATA / "nope")),
             (("--golds", DATA / "refs.json"), str(DATA / "refs.json")),
             (("--golds", DATA, "--refs", DATA / "refs.json"), "--refs"),
         ],
         ids=["threshold", "jobs", "depth-limit", "reply-limit", "max-redirects",
-             "golds-missing", "golds-file", "golds-and-refs"],
+             "politeness-delay-negative", "politeness-delay-nan", "politeness-delay-inf", "golds-missing", "golds-file", "golds-and-refs"],
     )
     def test_threshold_out_of_range_is_config_error(self, tmp_path, capsys, flags, named):
         code = run_cli(*base_args(tmp_path / "out"), *flags)
@@ -238,6 +241,22 @@ class TestRun:
         assert manifest["warning_count"] == len(manifest["warnings"])
 
     def test_each_relevant_html_page_dated_once(self, tmp_path, monkeypatch):
+        # A flood post and a strike post link one page, relevant to both
+        # topics, through two 301 aliases: each alias is a seed URI of its
+        # own, dated once, at any --jobs.
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        page = "https://both.example/flood-and-strike"
+        write_fixture(fixtures, page, 200, {"Content-Type": "text/html"},
+                      b"<p>riverbend flood levee evacuation rainfall river crest rescue water; "
+                      b"national rail strike union walkout workers trains railway negotiation</p>")
+        corpus = load_corpus(DATA / "corpus.jsonl")
+        aliases = [f"https://both.example/old-{topic}" for topic in ("flood", "strike")]
+        for alias, topic in zip(aliases, ("flood", "strike")):
+            write_fixture(fixtures, alias, 301, {"Location": page}, b"")
+            post = make_post(id=f"alias-{topic}", topic_id=topic, serp_visible=True, text=f"see {alias}")
+            corpus.posts[post.id] = post
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
         dated = []
         estimate = reports.estimate_publication_date
 
@@ -247,18 +266,42 @@ class TestRun:
 
         monkeypatch.setattr(reports, "estimate_publication_date", counting)
         relevant = set()
-        judge_seeds = reports.judge_seeds
+        judge_seeds = cli.judge_seeds
 
         def recording(*args, **kwargs):
-            judgments = judge_seeds(*args, **kwargs)
+            judgments, dates = judge_seeds(*args, **kwargs)
             relevant.update(uri for (_topic, kind, uri), found in judgments.items()
                             if kind == HTML_KIND and found.relevant)
-            return judgments
+            return judgments, dates
 
-        monkeypatch.setattr(reports, "judge_seeds", recording)
+        monkeypatch.setattr(cli, "judge_seeds", recording)
+        for jobs in ("1", "2"):
+            dated.clear()
+            relevant.clear()
+            assert run_cli("run", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / f"jobs{jobs}",
+                           "--fixtures", fixtures, "--refs", DATA / "refs.json", "--jobs", jobs) == 0
+            assert set(aliases) <= relevant
+            assert sorted(dated) == sorted(relevant)
+
+    def test_no_page_is_read_after_judging(self, tmp_path, monkeypatch):
+        """Judging is the run's last page reader: once ``judge_seeds``
+        returns, no table dereferences, digests or reads a page."""
+        calls = []  # (method, whether judging had ended)
+        judged = []
+        for name in ("dereference", "digest", "text"):
+            method = getattr(Fetcher, name)
+
+            def recording(fetcher, arg, _name=name, _method=method):
+                calls.append((_name, bool(judged)))
+                return _method(fetcher, arg)
+
+            monkeypatch.setattr(Fetcher, name, recording)
+        judge_seeds = cli.judge_seeds
+        monkeypatch.setattr(cli, "judge_seeds", lambda *a, **kw: (judge_seeds(*a, **kw), judged.append(1))[0])
         assert run_cli(*base_args(tmp_path / "out"), "--refs", DATA / "refs.json") == 0
-        assert relevant
-        assert sorted(dated) == sorted(relevant)
+        assert judged
+        assert {name for name, _after in calls} == {"dereference", "digest", "text"}
+        assert [name for name, after in calls if after] == []
 
     def test_fixtures_without_date_header_give_identical_bundles(self, tmp_path):
         corpus = make_corpus(
@@ -398,8 +441,8 @@ class TestJobs:
             corpus.posts[post.id] = post
         write_corpus(corpus, tmp_path / "corpus.jsonl")
         judging = []
-        judge_seeds = reports.judge_seeds
-        monkeypatch.setattr(reports, "judge_seeds", lambda *a, **kw: judging.append(1) or judge_seeds(*a, **kw))
+        judge_seeds = cli.judge_seeds
+        monkeypatch.setattr(cli, "judge_seeds", lambda *a, **kw: judging.append(1) or judge_seeds(*a, **kw))
         requested = []
         request = FixtureTransport.request
 

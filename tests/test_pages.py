@@ -112,9 +112,8 @@ class TestDigestMatchesPerUseParsing:
         uri = "https://a.example/story"
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"}, body)
         warnings = []
-        judgments = judge_seeds(make_corpus([make_post(id="p1", serp_visible=True)]),
-                                _one_seed_cell(uri), {"t1": JUDGING_GOLD}, Fetcher(FixtureTransport(tmp_path)),
-                                warnings)
+        judgments, _dates = judge_seeds(make_corpus([make_post(id="p1", serp_visible=True)]), _one_seed_cell(uri),
+                                        {"t1": JUDGING_GOLD}, Fetcher(FixtureTransport(tmp_path)), warnings)
         outcome, want = _outcome(reference_strip_boilerplate, body)
         text = want if outcome == "ok" else ""
         assert judgments == {("t1", HTML_KIND, uri): judge_relevance(build_term_vector([text]), JUDGING_GOLD)}
@@ -206,14 +205,15 @@ class TestSeedTextProvider:
         uris = ("https://a.example/plain", "https://a.example/missing") * 2
         collections = {**_one_seed_cell(*uris), **_one_seed_cell(*reversed(uris), topic="t2")}
         warnings = []
-        judgments = judge_seeds(make_corpus([make_post(id="p1", serp_visible=True)]), collections,
-                                {"t1": JUDGING_GOLD, "t2": JUDGING_GOLD}, Fetcher(transport), warnings)
+        judgments, dates = judge_seeds(make_corpus([make_post(id="p1", serp_visible=True)]), collections,
+                                       {"t1": JUDGING_GOLD, "t2": JUDGING_GOLD}, Fetcher(transport), warnings)
         assert requested == list(uris[:2])
         assert len(warnings) == 2
         assert warnings[0].startswith("seed https://a.example/plain unusable as HTML: ")
         assert warnings[1].startswith("seed https://a.example/missing not fetchable (missing-fixture)")
         empty = judge_relevance(build_term_vector([""]), JUDGING_GOLD)
         assert judgments == {(topic, HTML_KIND, uri): empty for topic in ("t1", "t2") for uri in uris}
+        assert dates == {}
 
 
 def _count_calls(monkeypatch, original):
