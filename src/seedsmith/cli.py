@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .corpus.jsonl import REQUIRED, URIS, CorpusFormatError, load_corpus, read_f
 from .corpus.jsonl import read_topics, write_corpus
 from .corpus.model import Corpus, CorpusError, CorpusIntegrityError, Post
 from .corpus.threads import expand_thread
-from .extraction import ExtractionError, assemble_collections, seed_json
+from .extraction import ExtractionError, assemble_collections
 from .goldstandard import GoldStandard, GoldStandardError, build_gold_standard, extract_references
 from .reports import (
     DEFAULT_REFERENCE_SOURCE,
@@ -376,10 +375,6 @@ def run_pipeline(args, stop: str = "analyze") -> int:
         tables["seeds"] = seeds_table(collections)
         if stop == "extract":
             write_bundle({"seeds": tables["seeds"]}, out)
-            (out / "seeds.json").write_text(
-                json.dumps(seed_json(collections), ensure_ascii=False, indent=2) + "\n",
-                encoding="utf-8",
-            )
             _print_warnings(warnings)
             return EXIT_OK
 

@@ -3,7 +3,7 @@
 Extracts URIs from post links and free text, canonicalizes them,
 classifies HTML vs non-HTML, replaces intra-platform post URIs with the
 seeds found in their targets, and assembles deduplicated per-cell
-collections with full provenance.
+collections.
 """
 
 from __future__ import annotations
@@ -63,18 +63,14 @@ class CanonicalizationError(ExtractionError):
 
 
 class SeedUri(NamedTuple):
-    """One seed, from post ``post_id`` of group ``group_id``; the key of the
-    cell holding it gives its topic, source, vertical and post class."""
+    """One seed, from post ``post_id``; the key of the cell holding it
+    gives its topic, source, vertical and post class."""
 
-    original: str
     canonical: str
     hostname: str
     kind: str  # html | non_html
     post_id: str
-    group_id: str
     retrieved_at: datetime
-    final: str | None = None  # post-redirect URI, once fetched
-    fetch_status: int | str | None = None
 
 
 class SeedCollection(NamedTuple):
@@ -213,9 +209,9 @@ def substitute_intra_site(
     depth_limit: int = 3,
     warnings: list | None = None,
     links: LinkTable | None = None,
-) -> tuple[tuple[str, str, str, str], ...] | None:
+) -> tuple[tuple[str, str, str], ...] | None:
     """The seeds an intra-platform post URI stands for: the links its
-    target holds, as (original, canonical, hostname, kind) tuples.
+    target holds, as (canonical, hostname, kind) triples.
 
     ``permalink`` is a canonical URI. Follows nested post links up to
     ``depth_limit``, visiting each post URI once (cycles terminate). A
@@ -242,7 +238,7 @@ def substitute_intra_site(
     if page_links is None:
         return None
     visited = {permalink}
-    out: list[tuple[str, str, str, str]] = []
+    out: list[tuple[str, str, str]] = []
     # Depth-first over nested post links with an explicit stack of
     # (uri, depth, remaining links), so the nesting depth is bounded by
     # ``depth_limit`` alone and not by the interpreter's recursion limit.
@@ -265,7 +261,7 @@ def substitute_intra_site(
                     stack.append((canonical, depth + 1, iter(nested)))
                     break
                 continue
-            out.append((link, canonical, hostname, kind))
+            out.append((canonical, hostname, kind))
         else:
             stack.pop()
     if not out:
@@ -331,12 +327,12 @@ def assemble_collections(
                             )
                         targets = expansions[canonical]
                     if targets is None:  # not a permalink, or one kept as-is
-                        targets = ((raw, canonical, hostname, kind),)
+                        targets = ((canonical, hostname, kind),)
                     for target in targets:
-                        if target[1] in post_seen:
+                        if target[0] in post_seen:
                             continue
-                        post_seen.add(target[1])
-                        seed = SeedUri(*target, post.id, group.group_id, post.retrieved_at)
+                        post_seen.add(target[0])
+                        seed = SeedUri(*target, post.id, post.retrieved_at)
                         if fetch_kinds and fetcher is not None:
                             seed = _fetch_kind(seed, fetcher)
                         stream.append(seed)
@@ -351,12 +347,8 @@ def assemble_collections(
 def _fetch_kind(seed: SeedUri, fetcher: Fetcher) -> SeedUri:
     result = fetcher.dereference(seed.canonical)
     if not result.ok:  # an error page's media type is not the seed's; keep the extension kind
-        return seed._replace(fetch_status=result.status)
-    return seed._replace(
-        final=result.final_uri,
-        fetch_status=result.status,
-        kind=classify_uri_kind(result.final_uri, result.media_type),
-    )
+        return seed
+    return seed._replace(kind=classify_uri_kind(result.final_uri, result.media_type))
 
 
 SEED_CSV_HEADER = (
@@ -384,34 +376,3 @@ def seed_rows(collections: dict[CellKey, SeedCollection]) -> list[tuple]:
                  format_timestamp(seed.retrieved_at))
             )
     return rows
-
-
-def seed_json(collections: dict[CellKey, SeedCollection]) -> list[dict]:
-    """Seed export: each seed's fields, with its cell's key filling in
-    the topic, source, vertical and class of its ``provenance``."""
-    from .corpus.model import format_timestamp
-
-    out = []
-    for key in sorted(collections):
-        topic, source, vertical, post_class = key
-        for seed in collections[key].seeds:
-            out.append(
-                {
-                    "original": seed.original,
-                    "canonical": seed.canonical,
-                    "final": seed.final,
-                    "kind": seed.kind,
-                    "hostname": seed.hostname,
-                    "provenance": {
-                        "post_id": seed.post_id,
-                        "group_id": seed.group_id,
-                        "topic_id": topic,
-                        "source": source,
-                        "vertical": vertical,
-                        "post_class": post_class,
-                    },
-                    "retrieved_at": format_timestamp(seed.retrieved_at),
-                    "fetch_status": seed.fetch_status,
-                }
-            )
-    return out

@@ -263,8 +263,8 @@ def _date_values(metas, times, payloads):
     for raw in payloads:
         try:
             payload = json.loads(raw)
-        except (json.JSONDecodeError, RecursionError):
-            # Too deep for the decoder: treated as carrying no date.
+        except (ValueError, RecursionError):
+            # Malformed, too deep, or an integer too long to convert: no date.
             continue
         yield _jsonld_published(payload)
     for wanted in _META_NAME_FIELDS:

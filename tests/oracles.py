@@ -560,8 +560,8 @@ def reference_tree_date(root):
         raw = "".join(c for c in el.children if isinstance(c, str))
         try:
             payload = json.loads(raw)
-        except (json.JSONDecodeError, RecursionError):
-            # Too deep for the decoder: treated as carrying no date.
+        except (ValueError, RecursionError):
+            # Malformed, too deep, or an integer too long to convert: no date.
             continue
         found = _parse_iso_date(_jsonld_published(payload))
         if found:
@@ -628,7 +628,7 @@ def reference_publication_date(fetch):
 def reference_substitute_intra_site(permalink, fetcher, depth_limit=3, strict=False, warnings=None):
     """Intra-site substitution recursing once per nesting level, reading
     each target's links from a fresh parse of its body. Returns the
-    (original, canonical, hostname, kind) targets, or None when the
+    (canonical, hostname, kind) targets, or None when the
     permalink is kept as-is."""
 
     def warn(message):
@@ -660,7 +660,7 @@ def reference_substitute_intra_site(permalink, fetcher, depth_limit=3, strict=Fa
                 if nested is not None:
                     out.extend(nested)
                 continue
-            out.append((link, canonical, hostname, classify_uri_kind(canonical)))
+            out.append((canonical, hostname, classify_uri_kind(canonical)))
         return out
 
     expanded = expand(permalink, 1)
@@ -702,8 +702,8 @@ def reference_assemble_collections(corpus, partition, fetcher, warnings=None, *,
                             warnings,
                         )
                     if targets is None:
-                        targets = [(raw, canonical, hostname, classify_uri_kind(canonical))]
-                    expanded = [SeedUri(*target, post.id, group.group_id, post.retrieved_at)
+                        targets = [(canonical, hostname, classify_uri_kind(canonical))]
+                    expanded = [SeedUri(*target, post.id, post.retrieved_at)
                                 for target in targets]
                     for candidate in expanded:
                         if candidate.canonical in post_seen:

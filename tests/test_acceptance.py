@@ -93,12 +93,10 @@ def _random_collections(rng):
                         kind = HTML_KIND if rng.random() < 0.8 else NON_HTML_KIND
                         seeds.append(
                             SeedUri(
-                                original=f"https://h{uid[0]}.example/x",
                                 canonical=f"https://h{uid[0]}.example/x",
                                 hostname=f"h{uid[0]}.example",
                                 kind=kind,
                                 post_id=post_id,
-                                group_id="g",
                                 retrieved_at=make_post().retrieved_at,
                             )
                         )

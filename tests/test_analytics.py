@@ -111,12 +111,10 @@ class TestJudgeRelevance:
 
 def seed(canonical, post_id="p1", kind=HTML_KIND):
     return SeedUri(
-        original=canonical,
         canonical=canonical,
         hostname=canonical.split("/")[2],
         kind=kind,
         post_id=post_id,
-        group_id="g",
         retrieved_at=RETRIEVED,
     )
 

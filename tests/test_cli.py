@@ -566,9 +566,12 @@ class TestStages:
     def test_extract(self, tmp_path):
         out = tmp_path / "ext"
         assert run_cli(*base_args(out, "extract")) == 0
-        seeds = json.loads((out / "seeds.json").read_text())
-        assert seeds and {"original", "canonical", "kind", "hostname"} <= set(seeds[0])
-        assert (out / "seeds.csv").read_text().splitlines()[0].startswith("topic,source")
+        lines = (out / "seeds.csv").read_text().splitlines()
+        assert lines[:2] == [
+            "topic,source,vertical,post_class,canonical_uri,kind,hostname,post_id,retrieved_at",
+            "eclipse,google,all,P1A1,https://sci-journal.example/totality-timeline,html,"
+            "sci-journal.example,eg1,2018-11-06T00:00:00Z",
+        ]
 
     def test_goldstd(self, tmp_path):
         out = tmp_path / "gold"
@@ -611,7 +614,7 @@ class TestStages:
             assert_same(seg, written(seg))
 
             assert run_cli("extract", *flags, *refs, "--out", ext) == 0
-            assert written(ext) == ["seeds.csv", "seeds.json"]
+            assert written(ext) == ["seeds.csv"]
             assert_same(ext, ["seeds.csv"])
 
             assert run_cli("goldstd", *flags, *refs, "--out", gold) == 0

@@ -28,7 +28,7 @@ from seedsmith.extraction import (
     extract_uris,
     hostname_of,
     intra_site_source,
-    seed_json,
+    seed_rows,
     substitute_intra_site,
 )
 from seedsmith.segmentation import partition_corpus
@@ -315,15 +315,14 @@ class TestSubstitute:
                       tweet_page("https://news.example/story"))
         fetcher = Fetcher(FixtureTransport(tmp_path))
         out = substitute_intra_site(uri, fetcher)
-        assert out == (("https://news.example/story", "https://news.example/story", "news.example",
-                        HTML_KIND),)
+        assert out == (("https://news.example/story", "news.example", HTML_KIND),)
 
     def test_ipv6_link_substituted(self, tmp_path):
         uri = "https://twitter.com/bob/status/1"
         write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"},
                       tweet_page("http://[::1]:8080/a"))
         out = substitute_intra_site(uri, Fetcher(FixtureTransport(tmp_path)))
-        assert [(canonical, hostname) for _, canonical, hostname, _ in out] == [
+        assert [(canonical, hostname) for canonical, hostname, _ in out] == [
             ("http://[::1]:8080/a", "::1")
         ]
 
@@ -337,7 +336,7 @@ class TestSubstitute:
                       tweet_page("https://news.example/final"))
         fetcher = Fetcher(FixtureTransport(tmp_path))
         out = substitute_intra_site(a, fetcher, depth_limit=3)
-        assert [target[1] for target in out] == ["https://news.example/final"]
+        assert [target[0] for target in out] == ["https://news.example/final"]
 
     def test_self_reference_terminates_empty(self, tmp_path):
         uri = "https://twitter.com/a/status/1"
@@ -356,7 +355,7 @@ class TestSubstitute:
                       tweet_page(a, "https://news.example/x"))
         fetcher = Fetcher(FixtureTransport(tmp_path))
         out = substitute_intra_site(a, fetcher, depth_limit=5)
-        assert [target[1] for target in out] == ["https://news.example/x"]
+        assert [target[0] for target in out] == ["https://news.example/x"]
 
     def test_fetch_failure_lenient_keeps_original(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
@@ -435,18 +434,17 @@ class TestAssemble:
         detached = build_corpus([*bundled.posts.values(), *lone], bundled.topics.values())
         for corpus in (bundled, detached):
             partition = partition_corpus(corpus)
-            holders = {g.group_id: (key, g.post_ids) for key, groups in partition.items()
-                       for g in groups}
-            records = seed_json(assemble_collections(corpus, partition))
-            assert records
-            for record in records:
-                p = record["provenance"]
-                key, post_ids = holders[p["group_id"]]
-                assert key == (p["topic_id"], p["source"], p["vertical"], p["post_class"])
-                assert p["post_id"] in post_ids
-                assert p["post_id"] in corpus.posts
-        assert {r["provenance"]["post_id"] for r in records
-                if r["provenance"]["group_id"] == "detached:lone/PnAn"} == {"lone", "lone-r1"}
+            rows = seed_rows(assemble_collections(corpus, partition))
+            assert rows
+            for row in rows:
+                key, post_id = row[:4], row[7]
+                assert any(post_id in group.post_ids for group in partition[key])
+                assert post_id in corpus.posts
+        # lone-r2's one link repeats lone's, so the cell's dedup drops it;
+        # the cell also holds bundled posts' rows, so filter by post.
+        lone_rows = [row for row in rows if row[7] in {post.id for post in lone}]
+        assert {row[:4] for row in lone_rows} == {("flood", "reddit", "top", "PnAn")}
+        assert {row[7] for row in lone_rows} == {"lone", "lone-r1"}
 
     def test_unparseable_uri_skipped_with_warning(self):
         corpus = make_corpus(
@@ -475,15 +473,15 @@ class TestAssemble:
         assert total == 1
 
     @pytest.mark.parametrize(
-        "uri, status, media_type, final",
+        "uri, status, media_type",
         [
-            ("https://a.example/download", 200, "application/pdf", "https://a.example/download"),
+            ("https://a.example/download", 200, "application/pdf"),
             # An error page's media type is not the seed's: the extension decides.
-            ("http://x.org/report.pdf", 404, "text/html", None),
+            ("http://x.org/report.pdf", 404, "text/html"),
         ],
         ids=["ok", "not-found"],
     )
-    def test_fetch_kinds_uses_media_type(self, tmp_path, uri, status, media_type, final):
+    def test_fetch_kinds_uses_media_type(self, tmp_path, uri, status, media_type):
         write_fixture(tmp_path, uri, status, {"Content-Type": media_type}, b"%PDF")
         corpus = make_corpus([make_post(id="r", serp_visible=True, text=uri)])
         partition = partition_corpus(corpus)
@@ -491,8 +489,6 @@ class TestAssemble:
         collections = assemble_collections(corpus, partition, fetcher, fetch_kinds=True)
         seed = collections[("t1", "reddit", "top", "P1A1")].seeds[0]
         assert seed.kind == NON_HTML_KIND
-        assert seed.fetch_status == status
-        assert seed.final == final
 
     def test_substituted_seeds_take_each_linking_posts_provenance(self, tmp_path):
         # r1's visit expands the permalink; r2's repeat visit reuses it.
@@ -509,11 +505,10 @@ class TestAssemble:
         collections = assemble_collections(corpus, partition, Fetcher(FixtureTransport(tmp_path)))
         cell = collections[("t1", "reddit", "top", "P1A1")]
         assert [
-            (s.original, s.canonical, s.post_id, s.group_id, s.retrieved_at)
+            (s.canonical, s.post_id, s.retrieved_at)
             for s in cell.post_seeds
         ] == [
-            ("https://news.example/story", "https://news.example/story", post_id, f"{post_id}/P1A1",
-             corpus.posts[post_id].retrieved_at)
+            ("https://news.example/story", post_id, corpus.posts[post_id].retrieved_at)
             for post_id in ("r1", "r2")
         ]
 

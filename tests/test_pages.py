@@ -48,6 +48,12 @@ def fixture_bodies():
     ]
 
 
+# A JSON-LD date past the decoder's integer-conversion limit, then a meta date.
+HUGE_JSONLD_INT = (
+    b'<html><head><script type="application/ld+json">{"datePublished": ' + b"9" * 5000
+    + b'}</script><meta name="date" content="2014-03-04"></head><body><p>flood water rises</p></body></html>'
+)
+
 EDGE_PAGES = [
     pytest.param(b'<html><head><meta charset="utf-8"></head><body>\xff\xfe\xfa</body></html>',
                  id="undecodable"),
@@ -70,6 +76,7 @@ EDGE_PAGES = [
         id="time-and-links",
     ),
     pytest.param(b"<div><p>one<p>two<a href='https://a.example/x'>x</div></span>", id="unclosed"),
+    pytest.param(HUGE_JSONLD_INT, id="huge-jsonld-int"),
 ]
 
 
@@ -79,7 +86,7 @@ JUDGING_GOLD = GoldStandard("t1", build_term_vector(["river flood eclipse transi
 
 def _one_seed_cell(*uris, topic="t1"):
     """One cell of ``topic`` whose post ``p1`` links ``uris`` as HTML seeds."""
-    seeds = tuple(SeedUri(uri, uri, uri.split("/")[2], HTML_KIND, "p1", "g", RETRIEVED) for uri in uris)
+    seeds = tuple(SeedUri(uri, uri.split("/")[2], HTML_KIND, "p1", RETRIEVED) for uri in uris)
     return {(topic, "reddit", "top", "P1A1"): SeedCollection(seeds, seeds)}
 
 
@@ -125,6 +132,7 @@ class TestDigestMatchesPerUseParsing:
         assert digests["unknown-charset"].text_error.startswith("cannot decode document as no-such-codec")
         assert digests["tagless"].text_error.endswith("(no tags found)")
         assert digests["jsonld-only"].published is not None
+        assert digests["huge-jsonld-int"].published == date(2014, 3, 4)
         assert digests["time-and-links"].links == ("HTTPS://b.example/y", "http://c.example")
 
 
@@ -390,6 +398,7 @@ def test_too_deep_jsonld_carries_no_date():
     [
         pytest.param(DEEP_NESTING, id="deep-nesting"),
         pytest.param(DEEP_JSONLD, id="deep-jsonld"),
+        pytest.param(HUGE_JSONLD_INT, id="huge-jsonld-int"),
         # Marked sections html.parser rejects with an AssertionError.
         pytest.param(b"<html><body><![foo]><p>flood water rises</p></body></html>", id="unknown-section"),
         pytest.param(b"<html><body><p>flood water rises<![ x</p></body></html>", id="nameless-section"),

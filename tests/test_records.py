@@ -1,7 +1,8 @@
 """The pipeline's records: immutable values are named tuples, the four
-that hold state are plain classes, and importing the CLI loads neither
-``dataclasses`` nor ``inspect``."""
+that hold state are plain classes, importing the CLI loads neither
+``dataclasses`` nor ``inspect``, and every module reads what it imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -55,3 +56,25 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = _modules_after("import seedsmith.cli") - _modules_after("pass")
     assert "seedsmith.cli" in added
     assert added & {"dataclasses", "inspect"} == set()
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names a module's top-level imports bind, less ``__future__``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_reads_what_it_imports():
+    unread = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(_imported_names(tree) - read)
+        if unused:
+            unread[path.relative_to(SRC).as_posix()] = unused
+    assert unread == {}
