@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import re
 from datetime import date, datetime, timedelta, timezone
-from email.utils import parsedate_to_datetime
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from . import textkernel
-from .corpus.fetch import FetchResult
+from .corpus.fetch import FetchResult, parse_http_date
 from .goldstandard import GoldStandard
 from .pages import PageDigest
 
@@ -166,7 +165,7 @@ def date_from_last_modified(fetch: FetchResult) -> date | None:
     if not raw:
         return None
     try:
-        return parsedate_to_datetime(raw).date()
+        return parse_http_date(raw).date()
     except (TypeError, ValueError, OverflowError):
         return None
 

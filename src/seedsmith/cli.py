@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import sys
 from pathlib import Path
 
@@ -336,6 +337,17 @@ def run_pipeline(args, stop: str = "analyze") -> int:
     distinct warning once, in the order it was first raised. A failed
     run raises for ``main`` to print as one ``error:`` line.
     """
+    collecting = gc.isenabled()
+    if args.mode == "offline":  # its records hold no reference cycles; a test in tests/test_cli.py keeps it so
+        gc.disable()
+    try:
+        return _run_stages(args, stop)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_stages(args, stop: str) -> int:
     if stop not in STAGES:
         raise ValueError(f"unknown stage {stop!r}; expected one of {STAGES}")
     _validate(args)

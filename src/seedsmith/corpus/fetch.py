@@ -21,8 +21,8 @@ import os
 import re
 import threading
 import time
-from datetime import datetime, timezone
-from email.utils import formatdate, parsedate_to_datetime
+from datetime import datetime, timedelta, timezone
+from email._parseaddr import _parsedate_tz
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urljoin, urlsplit
@@ -73,6 +73,15 @@ def media_type_of(headers: dict[str, str]) -> str | None:
     if not content_type:
         return None
     return content_type.split(";")[0].strip().lower() or None
+
+
+def parse_http_date(raw: str) -> datetime:
+    """What ``email.utils.parsedate_to_datetime(raw)`` returns or raises, from
+    the parser it calls: importing ``email.utils`` also loads ``socket``."""
+    if (parsed := _parsedate_tz(raw)) is None:
+        raise ValueError(f'Invalid date value or format "{raw}"')
+    zone = None if parsed[-1] is None else timezone(timedelta(seconds=parsed[-1]))
+    return datetime(*parsed[:6], tzinfo=zone)
 
 
 class HttpTransport:
@@ -216,6 +225,7 @@ class RecordingTransport:
 
     def request(self, uri: str):
         if not (self.replay.directory / fixture_filename(uri)).exists():
+            from email.utils import formatdate
             status, headers, body = self.live.request(uri)
             headers.setdefault("date", formatdate(usegmt=True))
             write_fixture(self.replay.directory, uri, status, headers, body)
@@ -344,7 +354,7 @@ class Fetcher:
         raw = headers.get("date")
         if raw:
             try:
-                dt = parsedate_to_datetime(raw)
+                dt = parse_http_date(raw)
                 if dt.tzinfo is None:
                     dt = dt.replace(tzinfo=timezone.utc)
                 return dt.astimezone(timezone.utc)

@@ -153,6 +153,18 @@ def extract_references(ref_page: FetchResult) -> list[str]:
     return list(dict.fromkeys(marked_uris if any_marked else ol_uris))
 
 
+def _indented(value, depth: int) -> str:
+    """``value`` as ``json.dumps(..., ensure_ascii=False, indent=2)`` writes it
+    ``depth`` levels in, with one call of the C encoder per flat list or dict."""
+    pad = "\n" + "  " * depth
+    if isinstance(value, list) and value and isinstance(value[0], dict):  # the failures
+        return "[" + pad + "  " + ("," + pad + "  ").join(_indented(v, depth + 1) for v in value) + pad + "]"
+    text = json.dumps(value, ensure_ascii=False, separators=("," + pad + "  ", ": "))
+    if isinstance(value, str) or not value:
+        return text
+    return text[0] + pad + "  " + text[1:-1] + pad + text[-1]
+
+
 class GoldStandard:
     def __init__(self, topic_id: str, vector: dict[str, float], reference_uris: tuple[str, ...],
                  failures: tuple[tuple[str, str], ...], built_at: datetime, post_class: str = P1AN):
@@ -171,7 +183,9 @@ class GoldStandard:
             other.topic_id, other.vector, other.reference_uris, other.failures, other.built_at, other.post_class)
 
     def to_json(self) -> str:
-        """Byte-stable JSON with lexicographically sorted terms."""
+        """Byte-stable JSON with lexicographically sorted terms, in the layout of
+        ``json.dumps(payload, ensure_ascii=False, indent=2)``; ``indent`` runs
+        the pure-Python encoder, whose closures form a reference cycle per call."""
         payload = {
             "topic_id": self.topic_id,
             "built_at": format_timestamp(self.built_at),
@@ -181,7 +195,7 @@ class GoldStandard:
             "stopwords_version": STOPWORDS_VERSION,
             "weights": {t: self.vector[t] for t in sorted(self.vector)},
         }
-        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        return "{\n" + ",\n".join(f'  "{key}": {_indented(value, 1)}' for key, value in payload.items()) + "\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "GoldStandard":

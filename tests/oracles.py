@@ -15,8 +15,9 @@ element tree before it became one lexer pass, reference extraction that
 searched the tree for containers, the page functions and the date chain
 that each parsed a document on their own, recursive intra-site
 substitution, seed assembly that canonicalizes every link and
-substitutes every permalink on each visit, and the per-row rescans of
-report assembly), for differential tests.
+substitutes every permalink on each visit, the per-row rescans of
+report assembly, and the gold file written by ``json.dumps`` with
+``indent``), for differential tests.
 """
 
 import json
@@ -41,6 +42,7 @@ from seedsmith.extraction import (
     hostname_of,
     intra_site_source,
 )
+from seedsmith.corpus.model import format_timestamp
 from seedsmith.goldstandard import _REFERENCE_MARKER_RE
 from seedsmith.htmltools import (
     _RAW_TEXT_END,
@@ -51,6 +53,7 @@ from seedsmith.htmltools import (
     decode_html,
 )
 from seedsmith.pages import PageDigest
+from seedsmith.stopwords import STOPWORDS_VERSION
 
 
 def brute_force_classify(posts, mc_exclude_root=False):
@@ -769,3 +772,18 @@ def reference_observations_for_scope(observations, source, scope):
         if key[1] == source and (classes is None or key[3] in classes)
         for o in observations[key]
     ]
+
+
+def reference_gold_json(gold):
+    """A gold standard's file as ``json.dumps`` writes it with ``indent=2``,
+    the pure-Python encoder."""
+    payload = {
+        "topic_id": gold.topic_id,
+        "built_at": format_timestamp(gold.built_at),
+        "reference_uris": list(gold.reference_uris),
+        "failures": [{"uri": u, "reason": r} for u, r in gold.failures],
+        "post_class": gold.post_class,
+        "stopwords_version": STOPWORDS_VERSION,
+        "weights": {t: gold.vector[t] for t in sorted(gold.vector)},
+    }
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"

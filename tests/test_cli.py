@@ -1,6 +1,7 @@
 import contextlib
 import csv as csvmod
 import functools
+import gc
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from seedsmith.corpus.fetch import Fetcher, FixtureTransport, write_fixture
 from seedsmith.corpus.jsonl import POST_FIELDS, TOPIC_FIELDS, load_corpus, write_corpus
 from seedsmith.extraction import HTML_KIND
 from seedsmith.stopwords import STOPWORDS_VERSION
+from test_pipebench_view import load
 
 DATA = Path(__file__).parent / "data"
 
@@ -1291,3 +1293,97 @@ def test_any_json_value_in_any_field_ends_in_a_run_or_one_error_line(case, value
         assert len(err.splitlines()) == 1
     else:
         assert err == ""
+
+
+# An offline run turns the cyclic collector off, so a reference cycle that
+# a run made per post, page or gold would stay in memory to its end. A run
+# may leave only a fixed amount of cyclic garbage (argparse's parser),
+# whatever its corpus.
+_CYCLIC_GARBAGE = """
+import gc, sys
+from seedsmith.cli import main
+gc.collect()
+gc.set_debug(gc.DEBUG_SAVEALL)
+code = main(sys.argv[1:])
+gc.collect()
+print(code, len(gc.garbage))
+"""
+
+
+def _cyclic_garbage(corpus, fixtures, refs, out):
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["run", "--corpus", corpus, "--fixtures", fixtures, "--refs", refs, "--out", out]
+    done = subprocess.run([sys.executable, "-c", _CYCLIC_GARBAGE, *map(str, argv)], env=env,
+                          capture_output=True, text=True, check=True)
+    code, garbage = done.stdout.split()
+    assert code == "0", done.stderr
+    return int(garbage)
+
+
+def test_offline_run_leaves_the_same_cyclic_garbage_whatever_its_corpus(tmp_path, monkeypatch):
+    world = load("worlds", monkeypatch).make_world("many-topics", 1, tmp_path / "world")
+    assert world.topics == 200
+    trimmed = tmp_path / "trimmed"
+    shutil.copytree(DATA / "responses", trimmed)
+    for path in sorted(trimmed.iterdir())[::5]:
+        path.unlink()
+    counts = {
+        "bundled": _cyclic_garbage(DATA / "corpus.jsonl", DATA / "responses", DATA / "refs.json", tmp_path / "a"),
+        "trimmed": _cyclic_garbage(DATA / "corpus.jsonl", trimmed, DATA / "refs.json", tmp_path / "b"),
+        "many-topics": _cyclic_garbage(world.corpus, world.fixtures, world.refs, tmp_path / "c"),
+    }
+    assert len(set(counts.values())) == 1, counts
+
+
+def _collector_during_runs(monkeypatch) -> list[bool]:
+    """Whether the collector was on in each run, seen at segmentation."""
+    seen = []
+    partition = cli.partition_corpus
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "partition_corpus", spy)
+    return seen
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("fixtures, flags, code", [
+    (DATA / "responses", [], 0),
+    (DATA / "responses", ["--threshold", "2"], 2),
+    (None, ["--strict"], 1),  # an empty fixtures directory
+], ids=["success", "config-error", "strict-failure"])
+def test_offline_run_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, collecting, fixtures, flags, code):
+    if fixtures is None:
+        fixtures = tmp_path / "empty"
+        fixtures.mkdir()
+    seen = _collector_during_runs(monkeypatch)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        result = run_cli("run", "--corpus", DATA / "corpus.jsonl", "--fixtures", fixtures, "--out", tmp_path / "out",
+                         *flags)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (result, after) == (code, collecting)
+    assert seen == ([] if code == 2 else [False])
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_run_that_raises_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, collecting):
+    def fail(*args, **kwargs):
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(cli, "partition_corpus", fail)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError):
+            run_cli(*base_args(tmp_path / "out"))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is collecting

@@ -1,5 +1,9 @@
+import contextlib
 import csv
+import email.utils
+import gc
 import inspect
+import io
 import json
 import os
 import shutil
@@ -13,7 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_post
@@ -35,11 +39,13 @@ from seedsmith.corpus.fetch import (
     RecordingTransport,
     TransportError,
     fixture_filename,
+    parse_http_date,
     write_fixture,
 )
 from seedsmith.corpus.jsonl import load_corpus, write_corpus
 from seedsmith.pages import PageDigest, digest_page
 from test_acceptance import BUNDLED_POSTS, assert_run_matches_recompute, regen
+from test_pages import _JSONLD, _MARKUP, EDGE_PAGES, HUGE_JSONLD_INT
 
 DATA = Path(__file__).parent / "data"
 # A URI that ``urllib.parse.urlsplit`` rejects ("Invalid IPv6 URL").
@@ -593,6 +599,46 @@ def test_invalid_uri_tagged(fixtures):
 
 # Any header value a fixture can hold: latin-1, one line.
 _HEADER_TEXT = st.text(st.characters(max_codepoint=255, blacklist_characters="\r\n"), max_size=20)
+# Date-header tokens: day names, days, months, years of two to five
+# digits, times, named and numeric zones, and junk.
+_DATE_TOKENS = st.sampled_from([
+    "Mon,", "Thu,", "Sunday,", "0", "1", "08", "31", "32", "Nov", "nov", "Feb", "December", "Foo",
+    "18", "49", "50", "69", "70", "99", "100", "1899", "2018", "9999", "10000", "99999",
+    "12:00:00", "23:59:60", "24:00", "12:00", "1:2:3", "12:00:00.5", "12.00.00", "::",
+    "+", "-", ",", "(comment)", "junk",
+])
+_ZONES = st.sampled_from(["GMT", "UT", "UTC", "Z", "EST", "EDT", "PST", "-0000", "+0000", "+2400", "-2400",
+                          "-2359", "+0130", "+0099", "+99999", "-12345678901234567890", "nowhere", ""])
+_HTTP_DATES = st.one_of(
+    _HEADER_TEXT,
+    st.lists(st.one_of(_DATE_TOKENS, _ZONES, _HEADER_TEXT), max_size=7).map(" ".join),
+    st.builds("{}, {} {} {} {:02d}:{:02d}:{:02d} {}".format,
+              st.sampled_from(["Thu", "Fri", "Xyz"]), st.integers(0, 32),
+              st.sampled_from(["Jan", "Feb", "Jun", "Nov", "Dec", "dec", "Foo"]),
+              st.one_of(st.integers(0, 99), st.integers(1899, 2101), st.integers(0, 10 ** 20)),
+              st.integers(0, 25), st.integers(0, 60), st.integers(0, 61), _ZONES),
+)
+
+
+def _outcome(parse, raw):
+    """What ``parse(raw)`` gives: its value's repr (offset included), or
+    the type of what it raised."""
+    try:
+        return repr(parse(raw))
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=_HTTP_DATES)
+@example(raw="Tue, 06 Nov 2018 00:00:00 GMT")
+@example(raw="Tue, 06 Nov 2018 00:00:00 -0000")
+@example(raw="Tue, 06 Nov 18 23:59:59 +2400")
+@example(raw="Tue, 06 Nov 2018 23:59:59 EST")
+@example(raw="Fri, 31 Dec 9999 23:59:59 -0100")
+@example(raw="")
+def test_parse_http_date_is_parsedate_to_datetime(raw):
+    assert _outcome(parse_http_date, raw) == _outcome(email.utils.parsedate_to_datetime, raw)
 
 
 @settings(max_examples=300, deadline=None)
@@ -676,6 +722,86 @@ def test_unreadable_fixture_ends_no_run_in_a_traceback(tmp_path, capsys, strict)
         assert f"seed https://news-b.example/flood-b not fetchable ({TAG_TRANSPORT}); judged on empty text" in (
             manifest["warnings"]
         )
+
+
+# Pages of the bundled corpus that a run reads: seed pages, a permalink
+# page, reference pages and a reference-list page.
+_READ_PAGES = [
+    "https://news-b.example/flood-b",
+    "https://river-times.example/2018/09/12/flood-report",
+    "https://twitter.com/grace/status/900",
+    "https://refdocs.example/flood-src-1",
+    "https://refdocs.example/strike-src-1",
+    "https://encyclo.example/wiki/Riverbend_flood",
+]
+_CHARSETS = st.one_of(_HEADER_TEXT, st.sampled_from(
+    ["utf-8", "UTF-8", "latin-1", "utf-16", "utf-32-le", "ascii", "cp1252", "shift_jis", "utf-7", "idna",
+     "rot13", "base64", "zlib", "no-such-codec", ""]
+))
+_RESPONSES = st.fixed_dictionaries({
+    "status": st.one_of(st.integers().map("HTTP/1.1 {} Reason".format),
+                        st.integers(100, 599).map("HTTP/1.0 {}".format), _HEADER_TEXT),
+    "headers": st.fixed_dictionaries({}, optional={
+        "Date": _HTTP_DATES,
+        "Last-Modified": _HTTP_DATES,
+        "Content-Type": st.one_of(_HEADER_TEXT, st.builds(
+            "{}; charset={}".format,
+            st.sampled_from(["text/html", "TEXT/HTML", "application/xhtml+xml", "application/pdf", "text/plain", ""]),
+            _CHARSETS,
+        )),
+        "Location": st.one_of(_HTTP_DATES, _HEADER_TEXT, st.sampled_from(_READ_PAGES),
+                              st.builds(str.__add__, st.sampled_from(["http://", "https://", "//", "/", "?"]),
+                                        _HEADER_TEXT)),
+    }),
+    "body": st.one_of(
+        _MARKUP.map(str.encode),
+        st.builds(lambda charset, markup: f'<html><head><meta charset="{charset}"></head><body>{markup}'
+                  "</body></html>".encode(), _CHARSETS, _MARKUP),
+        _JSONLD.map(lambda payload: b'<script type="application/ld+json">' + json.dumps(payload).encode()
+                    + b"</script><p>river flood</p>"),
+        st.sampled_from([param.values[0] for param in EDGE_PAGES]),
+        st.binary(max_size=40),
+    ),
+})
+
+
+@pytest.fixture(scope="module")
+def bundled_responses(tmp_path_factory):
+    fixtures = tmp_path_factory.mktemp("bundled") / "responses"
+    shutil.copytree(DATA / "responses", fixtures)
+    return fixtures
+
+
+@settings(max_examples=200, deadline=None)
+@given(uri=st.sampled_from(_READ_PAGES), response=_RESPONSES)
+@example(uri=_READ_PAGES[0], response={"status": "HTTP/1.1 200 OK", "headers": {}, "body": HUGE_JSONLD_INT})
+@example(uri=_READ_PAGES[1], response={"status": "HTTP/1.1 200 OK", "body": b"<p>river flood</p>", "headers": {
+    "Date": "Thu, 01 Jan 3000000000 00:00:00 GMT", "Last-Modified": "Thu, 01 Jan 2018 00:00:00 -12345678901234567890",
+    "Content-Type": "text/html; charset=rot13"}})
+def test_no_fetched_response_aborts_a_run(bundled_responses, uri, response):
+    """One page of the bundled corpus answered with any status line,
+    date, type and location headers and body: a lenient run exits 0, a
+    strict one exits 0 or 1 with one ``error:`` line, and neither ends
+    in a traceback."""
+    head = [response["status"], *(f"{name}: {value}" for name, value in response["headers"].items())]
+    path = bundled_responses / fixture_filename(uri)
+    original = path.read_bytes()
+    path.write_bytes("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + response["body"])
+    try:
+        for strict in (False, True):
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+                code = _run_cli("run", "--corpus", DATA / "corpus.jsonl", "--fixtures", bundled_responses,
+                                "--refs", DATA / "refs.json", "--out", out, *(["--strict"] if strict else []))
+            err = err.getvalue()
+            assert "Traceback" not in err
+            if strict and code:
+                assert code == 1
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            else:
+                assert (code, err) == (0, "")
+    finally:
+        path.write_bytes(original)
 
 
 # Citations must name another host than the page's: "localhost" against
@@ -848,6 +974,17 @@ class TestRecordReplay:
         _Handler.hits = []
         assert _run_cli(*live, "--out", tmp_path / "again") == 0
         assert _Handler.hits == []
+
+    def test_live_run_keeps_the_collector_on(self, live_server, tmp_path, monkeypatch):
+        # A live run's failed requests leave frames and tracebacks in
+        # reference cycles, so the collector stays on there.
+        seen, partition = [], cli.partition_corpus
+        monkeypatch.setattr(cli, "partition_corpus",
+                            lambda *a, **kw: seen.append(gc.isenabled()) or partition(*a, **kw))
+        assert gc.isenabled()
+        live = ["run", "--mode", "live", "--politeness-delay", "0", *self._inputs(live_server, tmp_path)]
+        assert _run_cli(*live, "--out", tmp_path / "out") == 0
+        assert seen == [True] and gc.isenabled()
 
     def test_fixtures_naming_a_file_is_a_config_error(self, live_server, tmp_path, capsys):
         inputs = self._inputs(live_server, tmp_path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic
-from oracles import reference_digest, reference_extract_references
+from oracles import reference_digest, reference_extract_references, reference_gold_json
 from seedsmith.corpus.fetch import Fetcher, FixtureTransport, write_fixture
 from seedsmith.goldstandard import (
     GoldStandard,
@@ -325,6 +325,13 @@ _NOT_WEIGHTS = "malformed gold standard: field 'weights' is not a map of finite 
 _NOT_FAILURES = "malformed gold standard: field 'failures' is not a list of {uri, reason} strings"
 
 
+# Gold file strings: any text, and keys or values that need an escape or
+# are not ASCII.
+_GOLD_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(
+    ["", '"', "\\", "\n", "\t", "\x00", "\x7f", "\u2028", "é", "\u00e9t\u00e9", "日本", "\U0001f30a", '{"a": [1]}']
+))
+
+
 class TestGoldFile:
     """``GoldStandard.from_json`` reads what ``to_json`` writes and raises
     GoldStandardError for anything of another shape."""
@@ -339,6 +346,24 @@ class TestGoldFile:
 
     def test_round_trip(self):
         assert GoldStandard.from_json(self.GOLD.to_json()) == self.GOLD
+
+    @given(
+        topic_id=_GOLD_TEXT,
+        uris=st.lists(_GOLD_TEXT, max_size=4),
+        failures=st.lists(st.tuples(_GOLD_TEXT, _GOLD_TEXT), max_size=3),
+        weights=st.dictionaries(_GOLD_TEXT, st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([5e-324, -2.2250738585072e-308, 1.7976931348623157e308, 0.1, -0.0]),
+            st.integers(-10 ** 6, 10 ** 6),
+        ), max_size=6),
+        post_class=_GOLD_TEXT,
+        built_at=st.datetimes(timezones=st.just(timezone.utc)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_to_json_writes_the_bytes_of_an_indented_dump(self, topic_id, uris, failures, weights, post_class,
+                                                          built_at):
+        gold = GoldStandard(topic_id, weights, tuple(uris), tuple(failures), built_at, post_class)
+        assert gold.to_json().encode("utf-8") == reference_gold_json(gold).encode("utf-8")
 
     # Each case is named after its field, its value and what is wrong
     # with that value.
