@@ -401,8 +401,10 @@ def _run_stages(args, stop: str) -> int:
     _write_golds(golds, out / "golds")
     fetcher.release("body")  # reference lists were the last pages read from a body
 
-    judgments, dates = judge_seeds(corpus, collections, golds, fetcher, warnings,
-                                   threshold=args.threshold, jobs=args.jobs)
+    # Offline, judging is CPU-bound and the GIL runs one thread at a time:
+    # only a live run's network waits gain from --jobs workers.
+    judgments, dates = judge_seeds(corpus, collections, golds, fetcher, warnings, threshold=args.threshold,
+                                   jobs=args.jobs if args.mode == "live" else 1)
     fetcher.release("text")  # judging was the last page reader
     tables.update(build_tables(collections, judgments, dates, warnings,
                                dist_mode=args.dist_mode, reference_source=args.reference_source))

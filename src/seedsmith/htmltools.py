@@ -235,5 +235,5 @@ def decode_html(body: bytes) -> str:
     encoding = detect_encoding(body) or "utf-8"
     try:
         return body.decode(encoding)
-    except (UnicodeDecodeError, LookupError) as exc:
+    except (UnicodeError, LookupError) as exc:  # the "undefined" codec raises a bare UnicodeError
         raise HtmlDecodingError(f"cannot decode document as {encoding}: {exc}") from exc

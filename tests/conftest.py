@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from seedsmith import cli
 from seedsmith.analytics import MODE_NORMALIZED, uri_count_distribution
+from seedsmith.corpus.fetch import FixtureTransport
 from seedsmith.corpus.model import Post, TopicSpec, build_corpus
 from seedsmith.reports import KIND_FILTERS, collect_observations, index_rows, scope_posts
 
@@ -35,6 +37,18 @@ def make_post(id=None, **overrides):
     )
     defaults.update(overrides)
     return Post(**defaults)
+
+
+@pytest.fixture
+def live_mode(monkeypatch, tmp_path):
+    """Flags for a ``--mode live`` run over ``--fixtures`` that reaches no
+    network: ``HttpTransport`` becomes a ``FixtureTransport`` over an
+    empty directory, so a request the fixtures do not hold fails as it
+    would offline (``missing-fixture``) and nothing is recorded. A live
+    run judges its pages with ``--jobs`` workers, an offline one in the
+    main thread."""
+    monkeypatch.setattr(cli, "HttpTransport", lambda politeness_delay: FixtureTransport(tmp_path / "no-network"))
+    return ["--mode", "live"]
 
 
 def make_topic(topic_id="t1", **overrides):

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from seedsmith.corpus.jsonl import POST_FIELDS, TOPIC_FIELDS, load_corpus, write
 from seedsmith.extraction import HTML_KIND
 from seedsmith.stopwords import STOPWORDS_VERSION
 from test_pipebench_view import load
+from test_records import _modules_after
 
 DATA = Path(__file__).parent / "data"
 
@@ -242,10 +244,10 @@ class TestRun:
         ]
         assert manifest["warning_count"] == len(manifest["warnings"])
 
-    def test_each_relevant_html_page_dated_once(self, tmp_path, monkeypatch):
+    def test_each_relevant_html_page_dated_once(self, tmp_path, monkeypatch, live_mode):
         # A flood post and a strike post link one page, relevant to both
         # topics, through two 301 aliases: each alias is a seed URI of its
-        # own, dated once, at any --jobs.
+        # own, dated once, at any --jobs (live at 2, where workers judge).
         fixtures = tmp_path / "responses"
         shutil.copytree(DATA / "responses", fixtures)
         page = "https://both.example/flood-and-strike"
@@ -281,7 +283,8 @@ class TestRun:
             dated.clear()
             relevant.clear()
             assert run_cli("run", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / f"jobs{jobs}",
-                           "--fixtures", fixtures, "--refs", DATA / "refs.json", "--jobs", jobs) == 0
+                           "--fixtures", fixtures, "--refs", DATA / "refs.json", "--jobs", jobs,
+                           *(live_mode if jobs == "2" else ())) == 0
             assert set(aliases) <= relevant
             assert sorted(dated) == sorted(relevant)
 
@@ -367,7 +370,12 @@ class TestJobs:
     """``--jobs`` changes how a run proceeds, never what it writes. The
     bundled corpus gains SERP posts linking pages that have no fixture,
     so the page-reading pass has warnings, and with --strict errors, to
-    order."""
+    order. Only a live run judges with ``--jobs`` workers, so every run
+    here is live, over fixtures and without a network."""
+
+    @pytest.fixture(autouse=True)
+    def live(self, live_mode):
+        self.mode = live_mode
 
     MISSING = {
         "eclipse": "https://zzz.example/missing-page",
@@ -392,7 +400,7 @@ class TestJobs:
         return path
 
     def run(self, corpus, refs, out, jobs, *flags, fixtures=DATA / "responses"):
-        return run_cli("run", "--corpus", corpus, "--fixtures", fixtures,
+        return run_cli("run", *self.mode, "--corpus", corpus, "--fixtures", fixtures,
                        "--refs", refs, "--out", out, "--jobs", jobs, *flags)
 
     @staticmethod
@@ -528,6 +536,48 @@ class TestJobs:
         # read of its text would fetch it once more.
         assert counts[1] == counts[0]
         self.assert_same_files(*outs)
+
+
+def _page_readers(monkeypatch) -> list:
+    """The thread of each ``Fetcher.text`` call: only judging takes a text."""
+    readers = []
+    text = Fetcher.text
+    monkeypatch.setattr(Fetcher, "text",
+                        lambda fetcher, result: readers.append(threading.current_thread()) or text(fetcher, result))
+    return readers
+
+
+def test_offline_run_judges_every_page_on_the_main_thread(tmp_path, monkeypatch):
+    """Offline, judging is CPU-bound, so any --jobs judges in the main
+    thread and never loads the worker pool's module."""
+    readers = _page_readers(monkeypatch)
+    args = [*base_args(tmp_path / "out"), "--refs", DATA / "refs.json", "--jobs", "4"]
+    assert run_cli(*args) == 0
+    assert readers and set(readers) == {threading.main_thread()}
+    argv = [str(arg) for arg in base_args(tmp_path / "again")] + ["--refs", str(DATA / "refs.json"), "--jobs", "4"]
+    loaded = _modules_after(f"from seedsmith.cli import main; assert main({argv!r}) == 0")
+    assert "seedsmith.reports" in loaded
+    assert "concurrent.futures" not in loaded
+
+
+def test_live_run_judges_with_its_jobs_workers(tmp_path, monkeypatch, live_mode):
+    """A live run waits on the network, so --jobs 2 judges every page in
+    one of two pool workers, and writes what an offline run over the
+    same fixtures writes."""
+    readers = _page_readers(monkeypatch)
+    live, offline = tmp_path / "live", tmp_path / "offline"
+    assert run_cli(*base_args(live), *live_mode, "--refs", DATA / "refs.json", "--jobs", "2") == 0
+    assert readers and threading.main_thread() not in readers
+    assert len(set(readers)) <= 2
+    assert run_cli(*base_args(offline), "--refs", DATA / "refs.json") == 0
+    files = sorted(p.relative_to(live) for p in live.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(offline) for p in offline.rglob("*") if p.is_file())
+    for rel in files:
+        if rel.name != "manifest.json":
+            assert (live / rel).read_bytes() == (offline / rel).read_bytes(), rel
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (live, offline)]
+    assert [manifest["config"].pop("mode") for manifest in manifests] == ["live", "offline"]
+    assert manifests[0] == manifests[1]
 
 
 @pytest.mark.parametrize(

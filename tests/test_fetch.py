@@ -424,19 +424,20 @@ class TestBodyRelease:
         self.assert_no_digested_body(fetcher)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_no_digested_page_keeps_its_body(self, tmp_path, monkeypatch, jobs):
+    def test_no_digested_page_keeps_its_body(self, tmp_path, monkeypatch, live_mode, jobs):
+        # Only a live run judges with --jobs workers.
         fetcher = self.run(monkeypatch, tmp_path / "out", "--corpus", DATA / "corpus.jsonl",
                            "--fixtures", DATA / "responses", "--refs", DATA / "refs.json",
-                           "--jobs", jobs)
+                           "--jobs", jobs, *(live_mode if jobs == "2" else ()))
         self.assert_no_digested_body(fetcher)
 
     @pytest.mark.parametrize("case", [None, "page-in-two-topics", "gold-reference-seed", "permalink-target-seed"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_no_digest_keeps_links_or_a_judged_text(self, tmp_path, monkeypatch, jobs, case):
+    def test_no_digest_keeps_links_or_a_judged_text(self, tmp_path, monkeypatch, live_mode, jobs, case):
         corpus, fixtures = self.edge_corpus(tmp_path, case) if case else (DATA / "corpus.jsonl", DATA / "responses")
         out = tmp_path / "out"
         fetcher = self.run(monkeypatch, out, "--corpus", corpus, "--fixtures", fixtures,
-                           "--refs", DATA / "refs.json", "--jobs", jobs)
+                           "--refs", DATA / "refs.json", "--jobs", jobs, *(live_mode if jobs == "2" else ()))
         with (out / "seeds.csv").open(encoding="utf-8") as fh:
             judged = {row["canonical_uri"] for row in csv.DictReader(fh) if row["kind"] == "html"}
         assert judged & fetcher._digests.keys()
@@ -445,10 +446,10 @@ class TestBodyRelease:
         # Each judged text was read once: no page was fetched again for it.
         assert len(fetcher.requested) == len(set(fetcher.requested))
 
-    def test_only_the_pages_in_flight_hold_a_text(self, tmp_path, monkeypatch):
-        """At --jobs 2, each judged page holds its text only while one of
-        the two workers judges it: at every digest, at most two judged
-        pages still hold a text."""
+    def test_only_the_pages_in_flight_hold_a_text(self, tmp_path, monkeypatch, live_mode):
+        """In a live run at --jobs 2, each judged page holds its text only
+        while one of the two workers judges it: at every digest, at most
+        two judged pages still hold a text."""
         args = ("--corpus", DATA / "corpus.jsonl", "--fixtures", DATA / "responses", "--refs", DATA / "refs.json")
         serial = self.run(monkeypatch, tmp_path / "jobs1", *args)
         with (tmp_path / "jobs1" / "seeds.csv").open(encoding="utf-8") as fh:
@@ -463,7 +464,7 @@ class TestBodyRelease:
             return digest(fetcher, result)
 
         monkeypatch.setattr(Fetcher, "digest", counting)
-        self.run(monkeypatch, tmp_path / "jobs2", *args, "--jobs", "2")
+        self.run(monkeypatch, tmp_path / "jobs2", *args, "--jobs", "2", *live_mode)
         assert 1 <= max(holding) <= 2
 
     def test_released_parts_raise_when_read(self, fixtures):
@@ -736,7 +737,7 @@ _READ_PAGES = [
 ]
 _CHARSETS = st.one_of(_HEADER_TEXT, st.sampled_from(
     ["utf-8", "UTF-8", "latin-1", "utf-16", "utf-32-le", "ascii", "cp1252", "shift_jis", "utf-7", "idna",
-     "rot13", "base64", "zlib", "no-such-codec", ""]
+     "rot13", "base64", "zlib", "undefined", "no-such-codec", ""]
 ))
 _RESPONSES = st.fixed_dictionaries({
     "status": st.one_of(st.integers().map("HTTP/1.1 {} Reason".format),
@@ -778,6 +779,10 @@ def bundled_responses(tmp_path_factory):
 @example(uri=_READ_PAGES[1], response={"status": "HTTP/1.1 200 OK", "body": b"<p>river flood</p>", "headers": {
     "Date": "Thu, 01 Jan 3000000000 00:00:00 GMT", "Last-Modified": "Thu, 01 Jan 2018 00:00:00 -12345678901234567890",
     "Content-Type": "text/html; charset=rot13"}})
+@example(uri="https://encyclo.example/wiki/2018_solar_eclipse", response={  # a reference-list page
+    "status": "HTTP/1.1 200 OK", "headers": {"Content-Type": "text/html"},
+    "body": b'<html><head><meta charset="undefined"></head><body><div class="references"><ol>'
+            b'<li><a href="https://refdocs.example/eclipse-src-1">1</a></li></ol></div></body></html>'})
 def test_no_fetched_response_aborts_a_run(bundled_responses, uri, response):
     """One page of the bundled corpus answered with any status line,
     date, type and location headers and body: a lenient run exits 0, a

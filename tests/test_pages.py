@@ -59,6 +59,9 @@ EDGE_PAGES = [
                  id="undecodable"),
     pytest.param(b'<html><head><meta charset="no-such-codec"></head><body><p>x</p></body></html>',
                  id="unknown-charset"),
+    # A known codec that raises a bare UnicodeError on every input.
+    pytest.param(b'<html><head><meta charset="undefined"></head><body><p>x</p></body></html>',
+                 id="undefined-charset"),
     pytest.param(b"just some plain text, no markup at all https://a.example/x", id="tagless"),
     pytest.param(b"", id="empty"),
     pytest.param(
@@ -130,6 +133,7 @@ class TestDigestMatchesPerUseParsing:
         digests = {p.id: digest_page(p.values[0]) for p in EDGE_PAGES}
         assert digests["undecodable"].text_error.startswith("cannot decode document as utf-8")
         assert digests["unknown-charset"].text_error.startswith("cannot decode document as no-such-codec")
+        assert digests["undefined-charset"].text_error.startswith("cannot decode document as undefined")
         assert digests["tagless"].text_error.endswith("(no tags found)")
         assert digests["jsonld-only"].published is not None
         assert digests["huge-jsonld-int"].published == date(2014, 3, 4)
@@ -259,16 +263,18 @@ def _record_html_pages(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_fixture_run_parses_each_html_page_once(tmp_path, monkeypatch, jobs):
+def test_fixture_run_parses_each_html_page_once(tmp_path, monkeypatch, live_mode, jobs):
     """Each HTML page is read once, by exactly one of the two readers: a
     page the measures read gets one ``digest_page`` pass, and a
-    reference-list page one ``extract_references`` pass."""
+    reference-list page one ``extract_references`` pass. At --jobs 2 the
+    run is live, the mode that judges with workers."""
     digested = _count_calls(monkeypatch, digest_page)
     searched = _count_calls(monkeypatch, goldstandard.extract_references)
     pages = _record_html_pages(monkeypatch)
     code = cli_main(
         ["run", "--corpus", str(DATA / "corpus.jsonl"), "--out", str(tmp_path / "out"),
-         "--fixtures", str(RESPONSES), "--refs", str(DATA / "refs.json"), "--jobs", jobs]
+         "--fixtures", str(RESPONSES), "--refs", str(DATA / "refs.json"), "--jobs", jobs,
+         *(live_mode if jobs == "2" else ())]
     )
     assert code == 0
     uri_of = {body: uri for uri, body in pages.items()}
