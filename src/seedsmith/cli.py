@@ -138,33 +138,35 @@ def _add_pipeline_flags(parser):
                              "reference URIs (goldstd needs it)")
     parser.add_argument("--golds", type=Path,
                         help="directory of gold_<topic>.json files, used instead of --refs")
-    parser.add_argument("--mode", choices=("offline", "live"), default="offline")
+    parser.add_argument("--mode", choices=("offline", "live"), default="offline",
+                        help="offline replays --fixtures; live fetches from the network")
     parser.add_argument("--fixtures", type=Path,
                         help="directory of {uri-hash}.response fixtures: replayed offline, "
                              "recorded into (and replayed from) with --mode live")
     parser.add_argument("--threshold", type=float, default=DEFAULT_RELEVANCE_THRESHOLD,
                         help="relevance threshold (cosine must exceed it)")
-    parser.add_argument("--reply-limit", type=int, default=500)
-    parser.add_argument("--depth-limit", type=int, default=3)
-    parser.add_argument("--max-redirects", type=int, default=10)
+    parser.add_argument("--reply-limit", type=int, default=500, help="most descendants --replies adds to a post")
+    parser.add_argument("--depth-limit", type=int, default=3, help="levels of nested post links substituted")
+    parser.add_argument("--max-redirects", type=int, default=10, help="redirects followed per fetch")
     parser.add_argument("--politeness-delay", type=float, default=1.0,
                         help="seconds between live requests to one host")
-    parser.add_argument("--dist-mode", choices=(MODE_NORMALIZED, MODE_LITERAL),
-                        default=MODE_NORMALIZED)
+    parser.add_argument("--dist-mode", choices=(MODE_NORMALIZED, MODE_LITERAL), default=MODE_NORMALIZED,
+                        help="URI-count distribution: pooled over topics, or per-topic fractions summed")
     parser.add_argument("--mc-exclude-root", action="store_true",
                         help="count only replies inside micro-collection groups")
     parser.add_argument("--global-dedup", action="store_true",
                         help="dedup seeds across all cells instead of per cell")
     parser.add_argument("--fetch-kinds", action="store_true",
                         help="dereference seeds to classify HTML/non-HTML from media types")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="live runs: fetch up to N seed pages ahead of judging; offline runs ignore it")
     parser.add_argument("--strict", action="store_true",
                         help="abort on fetch errors instead of downgrading to warnings")
     parser.add_argument("--reference-source", default=DEFAULT_REFERENCE_SOURCE,
                         help="source name treated as the web-SERP reference for overlap")
-    parser.add_argument("--only-topics", type=_csv_list, default=())
-    parser.add_argument("--only-sources", type=_csv_list, default=())
-    parser.add_argument("--only-verticals", type=_csv_list, default=())
+    parser.add_argument("--only-topics", type=_csv_list, default=(), help="comma-separated topic ids to keep")
+    parser.add_argument("--only-sources", type=_csv_list, default=(), help="comma-separated sources to keep")
+    parser.add_argument("--only-verticals", type=_csv_list, default=(), help="comma-separated verticals to keep")
 
 
 def build_parser() -> argparse.ArgumentParser:

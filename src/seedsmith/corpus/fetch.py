@@ -239,8 +239,8 @@ class Fetcher:
     digest text until ``text`` or ``release``. Fetch results handed out
     are never changed; digests lose the parts released or taken.
 
-    Safe for concurrent use: the caches tolerate concurrent readers and
-    writers, and pacing requests to a host is the transport's concern.
+    Only ``dereference`` may run in several threads at once; ``digest``,
+    ``text`` and ``release`` belong to one thread.
     """
 
     def __init__(self, transport=None, max_redirects: int = 10, lenient: bool = True, clock=None):
@@ -251,44 +251,41 @@ class Fetcher:
         self._memory: dict[str, FetchResult] = {}
         self._memory_lock = threading.Lock()
         self._digests: dict[str, PageDigest] = {}
-        self._digest_lock = threading.Lock()
         self._released: set[str] = set()  # parts dropped from every page: "body", "links", "text"
 
     def digest(self, result: FetchResult) -> PageDigest:
         """The digest of a successfully fetched document, built once per
         final URI (requests redirected to one page share its digest).
-
-        A page is digested under a lock, so concurrent callers never
-        digest it twice; digesting holds the GIL throughout anyway.
         After ``release``, a new digest lacks the released parts, and a
         cache entry holding a body is replaced by a body-free copy.
         """
-        with self._digest_lock:
-            found = self._digests.get(result.final_uri)
-            if found is None:
-                found = self._digests[result.final_uri] = digest_page(result.body)
-                for part in self._released:
-                    vars(found).pop(part, None)
+        found = self._digests.get(result.final_uri)
+        if found is None:
+            found = self._digests[result.final_uri] = digest_page(result.body)
+            for part in self._released:
+                vars(found).pop(part, None)
         if "body" in self._released and result.body:
             with self._memory_lock:
                 if self._memory.get(result.request_uri) is result:
                     self._memory[result.request_uri] = result._replace(body=b"")
         return found
 
-    def text(self, result: FetchResult) -> str:
+    def text(self, result: FetchResult, failed=None) -> str:
         """The text of ``result``'s page, taken out of its digest: each page's
-        text is read once. A later read fetches the page anew, leniently,
-        and reads its text there: "" unless that answer is a 2xx."""
+        text is read once. A later read fetches the page anew, as any fetch
+        of the run, and reads its text there; an answer that is no 2xx
+        reads "" and is passed to ``failed``, if given."""
         taken = vars(self.digest(result)).pop("text", None)
         if taken is not None:
             return taken
-        again = Fetcher(self.transport, self.max_redirects).dereference(result.request_uri)
+        if not (again := self._fetch(result.request_uri)).ok and failed is not None:
+            failed(again)
         return digest_page(again.body).text if again.ok else ""
 
     def release(self, part: str) -> None:
         """Stop keeping ``part`` ("body", "links" or "text") of every page,
         now and as each is digested. Call it once no reader will ask for it."""
-        with self._memory_lock, self._digest_lock:
+        with self._memory_lock:
             self._released.add(part)
             for uri, cached in self._memory.items():
                 if part == "body" and cached.body and cached.final_uri in self._digests:

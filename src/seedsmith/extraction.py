@@ -216,8 +216,9 @@ def substitute_intra_site(
     ``permalink`` is a canonical URI. Follows nested post links up to
     ``depth_limit``, visiting each post URI once (cycles terminate). A
     target without outbound links gives ``()``. A failed fetch keeps the
-    permalink as-is (the result is ``None``) under a lenient fetcher and
-    raises ExtractionError under a strict one.
+    permalink as-is (the result is ``None``), or drops a nested post link,
+    with a warning under a lenient fetcher; it raises ExtractionError
+    under a strict one.
     ``links`` is the run's link table, if the caller keeps one.
     """
     if links is None:
@@ -225,12 +226,13 @@ def substitute_intra_site(
     if warnings is None:
         warnings = []
 
-    def links_of(uri: str) -> tuple[str, ...] | None:
+    def links_of(uri: str, linked_from: str | None = None) -> tuple[str, ...] | None:
         result = fetcher.dereference(uri)
         if not result.ok:
             if not fetcher.lenient:
                 raise ExtractionError(f"cannot resolve intra-site URI {uri}: {result.status}")
-            warnings.append(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
+            fate = "kept as-is" if linked_from is None else f"its link in {linked_from} dropped"
+            warnings.append(f"intra-site URI {uri} not resolvable ({result.status}); {fate}")
             return None
         return fetcher.digest(result).links
 
@@ -256,7 +258,7 @@ def substitute_intra_site(
                 if canonical in visited:
                     continue
                 visited.add(canonical)
-                nested = links_of(canonical)
+                nested = links_of(canonical, uri)
                 if nested is not None:
                     stack.append((canonical, depth + 1, iter(nested)))
                     break

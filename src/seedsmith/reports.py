@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,19 +85,16 @@ def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fet
     once, and every page judged relevant there, each dated once. The
     pass is the run's last page reader: no table reads a page.
 
-    An HTML seed is judged on the main text of its page. Each page is one
-    task, run in the order of its first judgment (sorted cells, then
-    ``post_seeds``) by ``jobs`` threads (this one if ``jobs`` <= 1), and
-    its warning is added in that order, so every ``jobs`` writes the
-    same. Under one lock, a task judges its page for each topic of its URI
-    or final URI not yet judged there (requests redirected to one page
-    share its judgments), taking the text out of the digest, so a page
-    digested here holds it only while in flight. Once its judgments are
-    known, a task dates the page if any topic of its URI judged it
-    relevant. A page that cannot be fetched or yields no text is judged
-    on "" with a warning, so it is never relevant and never dated; in
-    strict mode the first failed fetch raises and the queued tasks never
-    run. Any other seed is judged on the text of its post.
+    An HTML seed is judged on the main text of its page. Pages are read in
+    this thread, in the order of their first judgment (sorted cells, then
+    ``post_seeds``), so every ``jobs`` writes the same; ``jobs`` > 1
+    threads only fetch ahead (``_fetch_ahead``). A page is judged for each
+    topic of its URI or final URI not yet judged there (requests
+    redirected to one page share its judgments), taking its text out of
+    the digest, and dated if a topic of its URI judged it relevant. A page
+    that cannot be fetched (or fetched again for its text) or yields no
+    text is judged on "" with a warning, so it is never dated; in strict
+    mode a failed fetch raises. Any other seed is judged on its post.
     """
     judgments = {}
     pages: dict[str, list] = {}  # HTML seed URI -> the topics whose cells hold it
@@ -115,47 +111,52 @@ def judge_seeds(corpus: Corpus, collections, golds: dict[str, GoldStandard], fet
                 post = corpus.posts.get(seed.post_id)
                 judgments[found] = judge_relevance(build_term_vector([post.text if post else ""]),
                                                    golds[topic], threshold)
-    by_page: dict[str, dict] = {}  # final URI of a usable page -> {topic: judgment}
-    judging = threading.Lock()
 
     def judge(topics, text):
         vector = build_term_vector([text])
         return {topic: judge_relevance(vector, golds[topic], threshold) for topic in topics}
 
-    def read(item):
-        uri, topics = item
-        result = fetcher.dereference(uri)
+    def unfetchable(uri, result):
+        warnings.append(f"seed {uri} not fetchable ({result.status}); judged on empty text")
+
+    by_page: dict[str, dict] = {}  # final URI of a usable page -> {topic: judgment}
+    dates = {}
+    for result, (uri, topics) in zip(_fetch_ahead(fetcher, pages, jobs), pages.items()):
         if not result.ok:
-            return f"seed {uri} not fetchable ({result.status}); judged on empty text", judge(topics, ""), None
-        digest = fetcher.digest(result)
-        if digest.text_error is not None:
-            return f"seed {uri} unusable as HTML: {digest.text_error}", judge(topics, ""), None
-        with judging:
+            unfetchable(uri, result)
+            judged = judge(topics, "")
+        elif (digest := fetcher.digest(result)).text_error is not None:
+            warnings.append(f"seed {uri} unusable as HTML: {digest.text_error}")
+            judged = judge(topics, "")
+        else:
             judged = by_page.setdefault(result.final_uri, {})
             unjudged = [t for t in dict.fromkeys([*topics, *pages.get(result.final_uri, ())]) if t not in judged]
             if unjudged:
-                judged.update(judge(unjudged, fetcher.text(result)))
-            mine = {topic: judged[topic] for topic in topics}
-        relevant = any(judgment.relevant for judgment in mine.values())
-        return None, mine, estimate_publication_date(result, digest) if relevant else None
-
-    def read_all():
-        if jobs <= 1:
-            yield from map(read, pages.items())
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(read, pages.items())
-
-    dates = {}
-    for uri, (warning, judged, found) in zip(pages, read_all()):
-        if warning is not None:
-            warnings.append(warning)
-        judgments.update(((topic, HTML_KIND, uri), judgment) for topic, judgment in judged.items())
-        if found is not None:
-            dates[uri] = found[0]
+                text = fetcher.text(result, lambda again: unfetchable(uri, again))  # a re-read may fail
+                judged.update(judge(unjudged, text))
+            if any(judged[t].relevant for t in topics) and (found := estimate_publication_date(result, digest)):
+                dates[uri] = found[0]
+        judgments.update(((topic, HTML_KIND, uri), judged[topic]) for topic in topics)
     return judgments, dates
+
+
+def _fetch_ahead(fetcher: Fetcher, uris, jobs: int):
+    """``fetcher.dereference`` of each of ``uris``, in order. With ``jobs``
+    > 1, that many threads fetch the next pages while the caller reads
+    one: at most ``jobs`` + 1 pages are fetched and not yet read."""
+    if jobs <= 1:
+        yield from map(fetcher.dereference, uris)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        ahead = []
+        for uri in uris:
+            ahead.append(pool.submit(fetcher.dereference, uri))
+            if len(ahead) > jobs:
+                yield ahead.pop(0).result()
+        while ahead:
+            yield ahead.pop(0).result()
 
 
 class PostObservation(NamedTuple):

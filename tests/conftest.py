@@ -45,8 +45,8 @@ def live_mode(monkeypatch, tmp_path):
     network: ``HttpTransport`` becomes a ``FixtureTransport`` over an
     empty directory, so a request the fixtures do not hold fails as it
     would offline (``missing-fixture``) and nothing is recorded. A live
-    run judges its pages with ``--jobs`` workers, an offline one in the
-    main thread."""
+    run fetches its seed pages ahead of judging in ``--jobs`` workers;
+    every run judges them in the main thread."""
     monkeypatch.setattr(cli, "HttpTransport", lambda politeness_delay: FixtureTransport(tmp_path / "no-network"))
     return ["--mode", "live"]
 

@@ -640,12 +640,13 @@ def reference_substitute_intra_site(permalink, fetcher, depth_limit=3, strict=Fa
 
     visited = {permalink}
 
-    def expand(uri, depth):
+    def expand(uri, depth, linked_from=None):
         result = fetcher.dereference(uri)
         if not result.ok:
             if strict:
                 raise ExtractionError(f"cannot resolve intra-site URI {uri}: {result.status}")
-            warn(f"intra-site URI {uri} not resolvable ({result.status}); kept as-is")
+            fate = "kept as-is" if linked_from is None else f"its link in {linked_from} dropped"
+            warn(f"intra-site URI {uri} not resolvable ({result.status}); {fate}")
             return None
         out = []
         for link in reference_target_links(result.body):
@@ -659,7 +660,7 @@ def reference_substitute_intra_site(permalink, fetcher, depth_limit=3, strict=Fa
                 if canonical in visited:
                     continue
                 visited.add(canonical)
-                nested = expand(canonical, depth + 1)
+                nested = expand(canonical, depth + 1, uri)
                 if nested is not None:
                     out.extend(nested)
                 continue

@@ -1,3 +1,5 @@
+import argparse
+import collections
 import contextlib
 import csv as csvmod
 import functools
@@ -247,7 +249,7 @@ class TestRun:
     def test_each_relevant_html_page_dated_once(self, tmp_path, monkeypatch, live_mode):
         # A flood post and a strike post link one page, relevant to both
         # topics, through two 301 aliases: each alias is a seed URI of its
-        # own, dated once, at any --jobs (live at 2, where workers judge).
+        # own, dated once, at any --jobs (live at 2, where workers fetch).
         fixtures = tmp_path / "responses"
         shutil.copytree(DATA / "responses", fixtures)
         page = "https://both.example/flood-and-strike"
@@ -296,9 +298,9 @@ class TestRun:
         for name in ("dereference", "digest", "text"):
             method = getattr(Fetcher, name)
 
-            def recording(fetcher, arg, _name=name, _method=method):
+            def recording(fetcher, arg, *rest, _name=name, _method=method):
                 calls.append((_name, bool(judged)))
-                return _method(fetcher, arg)
+                return _method(fetcher, arg, *rest)
 
             monkeypatch.setattr(Fetcher, name, recording)
         judge_seeds = cli.judge_seeds
@@ -370,8 +372,9 @@ class TestJobs:
     """``--jobs`` changes how a run proceeds, never what it writes. The
     bundled corpus gains SERP posts linking pages that have no fixture,
     so the page-reading pass has warnings, and with --strict errors, to
-    order. Only a live run judges with ``--jobs`` workers, so every run
-    here is live, over fixtures and without a network."""
+    order. Only a live run fetches pages ahead of judging with ``--jobs``
+    workers, so every run here is live, over fixtures and without a
+    network."""
 
     @pytest.fixture(autouse=True)
     def live(self, live_mode):
@@ -474,9 +477,12 @@ class TestJobs:
         assert counts[0] == 11
         assert counts[0] <= counts[1] <= counts[0] + 2
 
-    def test_redirected_page_writes_the_same_at_any_jobs(self, tmp_path):
-        # flood links news-b's page directly, eclipse and strike through
-        # 301 aliases; threads switch often, so tasks race to the page.
+    def test_redirected_page_writes_the_same_at_any_jobs(self, tmp_path, monkeypatch):
+        """flood links news-b's page directly, eclipse and strike through
+        301 aliases, so the page's text is read again for them. Threads
+        switch often, so the workers race to fetch; still, every run at
+        every --jobs makes the same requests and writes the same files,
+        and those of an offline run but for the manifest's mode."""
         fixtures = tmp_path / "responses"
         shutil.copytree(DATA / "responses", fixtures)
         corpus = load_corpus(DATA / "corpus.jsonl")
@@ -486,25 +492,38 @@ class TestJobs:
             post = make_post(id=f"alias-{topic}", topic_id=topic, serp_visible=True, text=f"see {alias}")
             corpus.posts[post.id] = post
         write_corpus(corpus, tmp_path / "corpus.jsonl")
-        outs = [tmp_path / f"jobs{jobs}" for jobs in ("1", "2", "4")]
+        requested = []
+        request = FixtureTransport.request
+        monkeypatch.setattr(FixtureTransport, "request",
+                            lambda transport, uri: requested.append(uri) or request(transport, uri))
+        outs = [tmp_path / f"jobs{jobs}-{i}" for jobs in ("1", "2", "4") for i in range(3)]
+        requests = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for out in outs:
-                assert self.run(tmp_path / "corpus.jsonl", DATA / "refs.json", out, out.name[4:],
+                requested.clear()
+                assert self.run(tmp_path / "corpus.jsonl", DATA / "refs.json", out, out.name[4],
                                 fixtures=fixtures) == 0
+                requests.append(collections.Counter(requested))
         finally:
             sys.setswitchinterval(switch)
         seeds = (outs[0] / "seeds.csv").read_text(encoding="utf-8")
         assert all(alias in seeds for alias in aliases)
         self.assert_same_files(*outs)
+        assert requests[1:] == requests[:1] * (len(outs) - 1)
+        assert requests[0]["https://news-b.example/flood-b"] > 1 + len(aliases)  # read again for the aliases
+        offline = tmp_path / "offline"
+        assert run_cli("run", "--corpus", tmp_path / "corpus.jsonl", "--fixtures", fixtures,
+                       "--refs", DATA / "refs.json", "--out", offline, "--jobs", "4") == 0
+        assert_live_writes_what_offline_writes(outs[0], offline)
 
     def test_tasks_reaching_one_page_together_read_it_once(self, tmp_path, monkeypatch):
         """One eclipse post links news-b's flood page through two 301
-        aliases, so at --jobs 2 both tasks reach the page at once. Taking
-        the text is slowed to 0.2 s, so the second task finds the page
-        mid-judgment: it must wait and reuse the judgments, not read the
-        page anew and judge it again."""
+        aliases, so at --jobs 2 the workers fetch both at once. Taking the
+        page's text is slowed to 0.2 s, so the second alias is fetched
+        while the page is judged: its judgments must be reused, not the
+        page read anew and judged again."""
         fixtures = tmp_path / "responses"
         shutil.copytree(DATA / "responses", fixtures)
         page = "https://news-b.example/flood-b"
@@ -520,7 +539,8 @@ class TestJobs:
         monkeypatch.setattr(FixtureTransport, "request",
                             lambda transport, uri: requested.append(uri) or request(transport, uri))
         text = Fetcher.text
-        monkeypatch.setattr(Fetcher, "text", lambda fetcher, result: time.sleep(0.2) or text(fetcher, result))
+        monkeypatch.setattr(Fetcher, "text", lambda fetcher, result, *a: time.sleep(0.2 if result.final_uri == page else 0)
+                            or text(fetcher, result, *a))
         judged = []
         judge_relevance = reports.judge_relevance
         monkeypatch.setattr(reports, "judge_relevance", lambda *a: judged.append(1) or judge_relevance(*a))
@@ -543,7 +563,7 @@ def _page_readers(monkeypatch) -> list:
     readers = []
     text = Fetcher.text
     monkeypatch.setattr(Fetcher, "text",
-                        lambda fetcher, result: readers.append(threading.current_thread()) or text(fetcher, result))
+                        lambda fetcher, *a: readers.append(threading.current_thread()) or text(fetcher, *a))
     return readers
 
 
@@ -560,16 +580,67 @@ def test_offline_run_judges_every_page_on_the_main_thread(tmp_path, monkeypatch)
     assert "concurrent.futures" not in loaded
 
 
-def test_live_run_judges_with_its_jobs_workers(tmp_path, monkeypatch, live_mode):
-    """A live run waits on the network, so --jobs 2 judges every page in
-    one of two pool workers, and writes what an offline run over the
-    same fixtures writes."""
-    readers = _page_readers(monkeypatch)
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_live_run_judges_in_the_main_thread_while_workers_fetch(tmp_path, monkeypatch, live_mode, jobs):
+    """A live run at --jobs N waits on the network in N workers that only
+    fetch seed pages: every digest, text, judgment and date of the
+    judging pass is taken in the main thread, and at no moment are more
+    than N + 1 pages fetched and not yet judged. Each digest is slowed,
+    so the workers run as far ahead as they may. The run writes what an
+    offline run over the same fixtures writes."""
+    judging = []
+    callers = {}  # judging-pass function -> the threads that called it
+    for owner, name in ((Fetcher, "digest"), (Fetcher, "text"),
+                        (reports, "judge_relevance"), (reports, "estimate_publication_date")):
+        def recording(*args, _name=name, _function=getattr(owner, name)):
+            if judging:
+                callers.setdefault(_name, set()).add(threading.current_thread())
+                if _name == "digest":
+                    time.sleep(0.005)
+            return _function(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+    judge_seeds = cli.judge_seeds
+    monkeypatch.setattr(cli, "judge_seeds", lambda *a, **kw: judging.append(1) or judge_seeds(*a, **kw))
+    fetchers = set()  # the threads that fetched a seed page
+    judged = []  # one entry per page the main thread is done with
+    lead = []  # at each seed page fetched: pages fetched and not yet judged
+    lock = threading.Lock()
+    dereference = Fetcher.dereference
+
+    def fetching(fetcher, uri):
+        result = dereference(fetcher, uri)
+        if judging:
+            with lock:
+                fetchers.add(threading.current_thread())
+                lead.append(len(lead) + 1 - len(judged))
+        return result
+
+    monkeypatch.setattr(Fetcher, "dereference", fetching)
+    fetch_ahead = reports._fetch_ahead
+
+    def counting(*args):
+        for result in fetch_ahead(*args):
+            yield result
+            judged.append(1)  # the caller asks for the next page once it has judged this one
+
+    monkeypatch.setattr(reports, "_fetch_ahead", counting)
     live, offline = tmp_path / "live", tmp_path / "offline"
-    assert run_cli(*base_args(live), *live_mode, "--refs", DATA / "refs.json", "--jobs", "2") == 0
-    assert readers and threading.main_thread() not in readers
-    assert len(set(readers)) <= 2
+    assert run_cli(*base_args(live), *live_mode, "--refs", DATA / "refs.json", "--jobs", jobs) == 0
+    assert set(callers) == {"digest", "text", "judge_relevance", "estimate_publication_date"}
+    assert set().union(*callers.values()) == {threading.main_thread()}
+    assert fetchers and threading.main_thread() not in fetchers
+    assert len(fetchers) <= jobs
+    assert len(judged) == len(lead)
+    assert 1 < max(lead) <= jobs + 1
+    judging.clear()
     assert run_cli(*base_args(offline), "--refs", DATA / "refs.json") == 0
+    assert_live_writes_what_offline_writes(live, offline)
+
+
+def assert_live_writes_what_offline_writes(live, offline):
+    """Every file of the two ``--out`` directories is the same, but for the
+    manifest's ``mode``."""
     files = sorted(p.relative_to(live) for p in live.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(offline) for p in offline.rglob("*") if p.is_file())
     for rel in files:
@@ -1153,6 +1224,13 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", [name for name, _help in cli.PIPELINE_COMMANDS])
+def test_every_pipeline_flag_has_help(command):
+    [subcommands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = subcommands.choices[command]._actions
+    assert [a.option_strings for a in actions if a.dest != "help" and not a.help] == []
 
 
 @pytest.mark.parametrize("flag", ["--corpus", "--replies"])

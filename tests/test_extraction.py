@@ -365,6 +365,15 @@ class TestSubstitute:
         assert out is None
         assert warnings
 
+    def test_nested_fetch_failure_lenient_drops_the_link(self, tmp_path):
+        a = "https://twitter.com/a/status/1"
+        b = "https://twitter.com/b/status/2"  # no fixture
+        write_fixture(tmp_path, a, 200, {"Content-Type": "text/html"}, tweet_page(b, "https://news.example/x"))
+        warnings = []
+        out = substitute_intra_site(a, Fetcher(FixtureTransport(tmp_path)), warnings=warnings)
+        assert [target[0] for target in out] == ["https://news.example/x"]
+        assert warnings == [f"intra-site URI {b} not resolvable (missing-fixture); its link in {a} dropped"]
+
     def test_fetch_failure_strict_raises(self, tmp_path):
         uri = "https://twitter.com/a/status/404"
         write_fixture(tmp_path, uri, 404, {}, b"")

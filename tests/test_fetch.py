@@ -45,7 +45,7 @@ from seedsmith.corpus.fetch import (
 from seedsmith.corpus.jsonl import load_corpus, write_corpus
 from seedsmith.pages import PageDigest, digest_page
 from test_acceptance import BUNDLED_POSTS, assert_run_matches_recompute, regen
-from test_pages import _JSONLD, _MARKUP, EDGE_PAGES, HUGE_JSONLD_INT
+from test_pages import _CHARSETS, _HEADER_TEXT, BODIES, HUGE_JSONLD_INT
 
 DATA = Path(__file__).parent / "data"
 # A URI that ``urllib.parse.urlsplit`` rejects ("Invalid IPv6 URL").
@@ -248,68 +248,6 @@ class TestBodyRelease:
         assert fetcher.digest(fetcher.dereference("https://a.example/y")) is digest
         assert (x.body, y.body) == (b"<p>x</p>", b"<p>y</p>")  # results handed out stay whole
 
-    def test_concurrent_digests_after_release(self, fixtures):
-        uris = [f"https://a.example/p{i}" for i in range(40)]
-        for uri in uris:
-            write_fixture(fixtures, uri, 200, {"Content-Type": "text/html"}, f"<p>{uri}</p>".encode())
-        fetcher = fixture_fetcher(fixtures)
-        for uri in uris[::2]:  # half digested before the release
-            fetcher.digest(fetcher.dereference(uri))
-        fetcher.release("body")
-        seen = [[] for _ in range(8)]
-
-        def worker(i):
-            for uri in uris[i:] + uris[:i]:
-                result = fetcher.dereference(uri)
-                seen[i].append((result, fetcher.digest(result)))
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        digests = {}
-        for pairs in seen:
-            assert len(pairs) == len(uris)
-            for result, digest in pairs:
-                assert digests.setdefault(result.final_uri, digest) is digest
-                assert digest.text == result.final_uri
-        assert [fetcher.dereference(uri).body for uri in uris] == [b""] * len(uris)
-
-    def test_links_released_while_pages_are_digested(self, fixtures):
-        uris = [f"https://a.example/p{i}" for i in range(60)]
-        for uri in uris:
-            write_fixture(fixtures, uri, 200, {}, f'<p>{uri}</p><a href="{uri}">x</a>'.encode())
-        fetcher = fixture_fetcher(fixtures)
-        started = threading.Barrier(5)
-
-        def worker(i):
-            started.wait(timeout=30)
-            for uri in uris[i::4]:
-                fetcher.digest(fetcher.dereference(uri))
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            started.wait(timeout=30)
-            fetcher.release("links")
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        assert len(fetcher._digests) == len(uris)
-        assert [uri for uri, d in fetcher._digests.items() if "links" in vars(d)] == []
-
     def run(self, monkeypatch, out, *args, keep_parts=False):
         """``seedsmith run`` with ``args``; returns the run's fetcher, whose
         ``requested`` lists the URIs its transport was asked for. With
@@ -322,7 +260,7 @@ class TestBodyRelease:
             fetcher = make(parsed)
             if keep_parts:
                 fetcher.release = lambda *parts: None
-                fetcher.text = lambda result: fetcher.digest(result).text
+                fetcher.text = lambda result, failed=None: fetcher.digest(result).text
             fetcher.requested = []
             request = fetcher.transport.request
             fetcher.transport.request = lambda uri: fetcher.requested.append(uri) or request(uri)
@@ -447,9 +385,9 @@ class TestBodyRelease:
         assert len(fetcher.requested) == len(set(fetcher.requested))
 
     def test_only_the_pages_in_flight_hold_a_text(self, tmp_path, monkeypatch, live_mode):
-        """In a live run at --jobs 2, each judged page holds its text only
-        while one of the two workers judges it: at every digest, at most
-        two judged pages still hold a text."""
+        """In a live run at --jobs 2, the workers only fetch, and each
+        judged page holds its text only while the main thread judges it:
+        at every digest, at most one judged page still holds a text."""
         args = ("--corpus", DATA / "corpus.jsonl", "--fixtures", DATA / "responses", "--refs", DATA / "refs.json")
         serial = self.run(monkeypatch, tmp_path / "jobs1", *args)
         with (tmp_path / "jobs1" / "seeds.csv").open(encoding="utf-8") as fh:
@@ -465,7 +403,7 @@ class TestBodyRelease:
 
         monkeypatch.setattr(Fetcher, "digest", counting)
         self.run(monkeypatch, tmp_path / "jobs2", *args, "--jobs", "2", *live_mode)
-        assert 1 <= max(holding) <= 2
+        assert max(holding) == 1
 
     def test_released_parts_raise_when_read(self, fixtures):
         page = b'<html><body><p>river flood rising</p><a href="https://b.example/">b</a></body></html>'
@@ -506,11 +444,19 @@ class TestBodyRelease:
         fetcher = fixture_fetcher(fixtures, lenient=lenient)
         assert fetcher.text(fetcher.dereference("https://a.example/x")) == digest_page(page).text
         old = fetcher.dereference("https://a.example/old")
-        # The page now answers with an error page, then not at all.
+        # The page now answers with an error page, then not at all. Each
+        # failed read is handed to ``failed``; a strict fetcher raises at
+        # the one with no answer, as at any other fetch of its run.
         path = write_fixture(fixtures, "https://a.example/x", 404, {}, page.replace(b"river", b"missing"))
-        assert fetcher.text(old) == ""
+        failed = []
+        assert fetcher.text(old, failed.append) == ""
         path.unlink()
-        assert fetcher.text(old) == ""
+        if lenient:
+            assert fetcher.text(old, failed.append) == ""
+        else:
+            with pytest.raises(FetchError):
+                fetcher.text(old, failed.append)
+        assert [result.status for result in failed] == [404, TAG_MISSING_FIXTURE][:1 + lenient]
 
     @staticmethod
     def edge_corpus(tmp_path, case):
@@ -567,6 +513,42 @@ class TestBodyRelease:
         # The redirect's own fetch, then one more for the taken text.
         assert [fetcher.requested.count(uri) for uri in (alias, "https://news-b.example/flood-b")] == [2, 3]
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_failed_read_of_a_taken_text_is_reported(self, tmp_path, monkeypatch, capsys, strict):
+        """As above, strike reads news-b's page again for its alias, and
+        that read fails: a lenient run warns about strike's seed as at a
+        failed first read, and a strict run ends with one error line."""
+        fixtures = tmp_path / "responses"
+        shutil.copytree(DATA / "responses", fixtures)
+        page, alias = "https://news-b.example/flood-b", "https://news-b.example/old-flood"
+        write_fixture(fixtures, alias, 301, {"Location": page}, b"")
+        corpus = load_corpus(DATA / "corpus.jsonl")
+        post = make_post(id="alias-1", topic_id="strike", serp_visible=True, text=f"see {alias}")
+        corpus.posts[post.id] = post
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        served = []
+        request = FixtureTransport.request
+
+        def failing_the_third(transport, uri):
+            # The page answers flood's read and the alias's redirect hop, then nothing.
+            if uri == page:
+                served.append(uri)
+                if len(served) == 3:
+                    raise TransportError(TAG_TRANSPORT, "connection reset")
+            return request(transport, uri)
+
+        monkeypatch.setattr(FixtureTransport, "request", failing_the_third)
+        out = tmp_path / "out"
+        code = _run_cli("run", "--corpus", tmp_path / "corpus.jsonl", "--fixtures", fixtures,
+                        "--refs", DATA / "refs.json", "--out", out, *(["--strict"] if strict else []))
+        err = capsys.readouterr().err
+        if strict:
+            assert (code, err) == (1, f"error: {TAG_TRANSPORT}: connection reset\n")
+            return
+        assert (code, err) == (0, "")
+        warnings = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["warnings"]
+        assert f"seed {alias} not fetchable ({TAG_TRANSPORT}); judged on empty text" in warnings
+
 
 def test_default_fetcher_writes_nothing(fixtures, tmp_path, monkeypatch):
     write_fixture(fixtures, "https://a.example/x", 200, {}, b"body")
@@ -598,8 +580,6 @@ def test_invalid_uri_tagged(fixtures):
     assert caught.value.tag == TAG_INVALID_URI
 
 
-# Any header value a fixture can hold: latin-1, one line.
-_HEADER_TEXT = st.text(st.characters(max_codepoint=255, blacklist_characters="\r\n"), max_size=20)
 # Date-header tokens: day names, days, months, years of two to five
 # digits, times, named and numeric zones, and junk.
 _DATE_TOKENS = st.sampled_from([
@@ -735,10 +715,6 @@ _READ_PAGES = [
     "https://refdocs.example/strike-src-1",
     "https://encyclo.example/wiki/Riverbend_flood",
 ]
-_CHARSETS = st.one_of(_HEADER_TEXT, st.sampled_from(
-    ["utf-8", "UTF-8", "latin-1", "utf-16", "utf-32-le", "ascii", "cp1252", "shift_jis", "utf-7", "idna",
-     "rot13", "base64", "zlib", "undefined", "no-such-codec", ""]
-))
 _RESPONSES = st.fixed_dictionaries({
     "status": st.one_of(st.integers().map("HTTP/1.1 {} Reason".format),
                         st.integers(100, 599).map("HTTP/1.0 {}".format), _HEADER_TEXT),
@@ -754,15 +730,7 @@ _RESPONSES = st.fixed_dictionaries({
                               st.builds(str.__add__, st.sampled_from(["http://", "https://", "//", "/", "?"]),
                                         _HEADER_TEXT)),
     }),
-    "body": st.one_of(
-        _MARKUP.map(str.encode),
-        st.builds(lambda charset, markup: f'<html><head><meta charset="{charset}"></head><body>{markup}'
-                  "</body></html>".encode(), _CHARSETS, _MARKUP),
-        _JSONLD.map(lambda payload: b'<script type="application/ld+json">' + json.dumps(payload).encode()
-                    + b"</script><p>river flood</p>"),
-        st.sampled_from([param.values[0] for param in EDGE_PAGES]),
-        st.binary(max_size=40),
-    ),
+    "body": BODIES,
 })
 
 

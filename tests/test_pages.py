@@ -3,7 +3,6 @@ per use and as reading an element tree."""
 
 import json
 import sys
-import threading
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -154,38 +153,6 @@ class TestFetcherDigests:
         assert first is second
         assert first.links == ("https://b.example/",)
         assert len(calls) == 1
-
-    def test_concurrent_callers_share_one_parse(self, tmp_path, monkeypatch):
-        uris = [f"https://a.example/p{i}" for i in range(20)]
-        for uri in uris:
-            write_fixture(tmp_path, uri, 200, {"Content-Type": "text/html"}, f"<p>{uri}</p>".encode())
-        parsed = []
-        monkeypatch.setattr(fetch_module, "digest_page", lambda body: parsed.append(body) or digest_page(body))
-        fetcher = Fetcher(FixtureTransport(tmp_path))
-        results = [fetcher.dereference(uri) for uri in uris]
-        seen = [[] for _ in range(8)]
-
-        def worker(i):
-            order = results[i:] + results[:i]
-            seen[i].extend(fetcher.digest(result) for result in order)
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(parsed) == sorted(result.body for result in results)
-        by_uri = {}
-        for i, digests in enumerate(seen):
-            assert len(digests) == len(uris)
-            for result, digest in zip(results[i:] + results[:i], digests):
-                assert by_uri.setdefault(result.final_uri, digest) is digest
 
     @pytest.mark.parametrize("body", fixture_bodies() + EDGE_PAGES)
     def test_digest_chain_matches_default_chain(self, body):
@@ -375,6 +342,40 @@ def test_jsonld_search_deeper_than_recursion_limit():
     for _ in range(sys.getrecursionlimit() * 5):
         node = [{"a": None}, node]
     assert _jsonld_published(node) == "2010-01-02"
+
+
+# Any header value a fixture can hold: latin-1, one line.
+_HEADER_TEXT = st.text(st.characters(max_codepoint=255, blacklist_characters="\r\n"), max_size=20)
+_CHARSETS = st.one_of(_HEADER_TEXT, st.sampled_from(
+    ["utf-8", "UTF-8", "latin-1", "utf-16", "utf-32-le", "ascii", "cp1252", "shift_jis", "utf-7", "idna",
+     "rot13", "base64", "zlib", "undefined", "no-such-codec", ""]
+))
+# Markup with words outside ASCII, encoded in the charset its <meta> declares.
+_ENCODED = st.builds(
+    lambda charset, markup: f'<html><head><meta charset="{charset}"></head><body>{markup}</body></html>'.encode(
+        charset, "xmlcharrefreplace"),
+    st.sampled_from(["latin-1", "cp1252", "shift_jis", "euc-jp", "koi8-r", "utf-16"]),
+    st.lists(st.one_of(_MARKUP, st.sampled_from(["café ", "naïve “quoted” ", "洪水の記事 ", "наводнение ", "€ "])),
+             max_size=6).map("".join),
+)
+# The bodies of fetched pages: markup, declared charsets, JSON-LD
+# payloads, edge pages and raw bytes.
+BODIES = st.one_of(
+    _MARKUP.map(str.encode),
+    st.builds(lambda charset, markup: f'<html><head><meta charset="{charset}"></head><body>{markup}'
+              "</body></html>".encode(), _CHARSETS, _MARKUP),
+    _ENCODED,
+    _JSONLD.map(lambda payload: b'<script type="application/ld+json">' + json.dumps(payload).encode()
+                + b"</script><p>river flood</p>"),
+    st.sampled_from([param.values[0] for param in EDGE_PAGES]),
+    st.binary(max_size=40),
+)
+
+
+@given(BODIES)
+@settings(max_examples=300, deadline=None)
+def test_digest_matches_reference_on_any_body(body):
+    assert digest_page(body) == reference_digest(body)
 
 
 DEEP_NESTING = (
