@@ -28,6 +28,7 @@ _CHARSET_META_RE = re.compile(
     rb"""<meta[^>]+charset\s*=\s*["']?\s*([a-zA-Z0-9_.:-]+)""", re.IGNORECASE
 )
 _XML_DECL_RE = re.compile(rb"""<\?xml[^>]*encoding\s*=\s*["']([a-zA-Z0-9_.:-]+)["']""")
+_BOMS = ((b"\xef\xbb\xbf", "utf-8"), (b"\xff\xfe", "utf-16-le"), (b"\xfe\xff", "utf-16-be"))
 
 
 class HtmlDecodingError(ValueError):
@@ -229,10 +230,17 @@ def detect_encoding(body: bytes) -> str | None:
 
 
 def decode_html(body: bytes) -> str:
-    """Decode HTML bytes using the declared charset, defaulting to UTF-8."""
+    """Decode HTML bytes by their byte-order mark, else by the declared
+    charset, else as UTF-8. A mark wins over any declaration, as in the
+    WHATWG encoding sniff."""
     if isinstance(body, str):
         return body
-    encoding = detect_encoding(body) or "utf-8"
+    for bom, encoding in _BOMS:
+        if body.startswith(bom):
+            body = body[len(bom):]
+            break
+    else:
+        encoding = detect_encoding(body) or "utf-8"
     try:
         return body.decode(encoding)
     except (UnicodeError, LookupError) as exc:  # the "undefined" codec raises a bare UnicodeError

@@ -15,12 +15,21 @@ IMPLEMENTATION = "python"
 # With a minimum length the greedy match still takes whole runs only: a
 # run too short at its start is too short from any later position.
 _TOKEN_PATTERN = r"\w{%d,}"
+# For ASCII text, where \w is [A-Za-z0-9_], one byte table does the same:
+# letters lowercased, digits kept, every other byte a space to split on.
+_ALNUM = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_ASCII_TOKENS = bytes(c if c in _ALNUM else 32 for c in bytes.maketrans(_ALNUM.upper(), _ALNUM))
 
 
 def token_counts(text, stopwords=frozenset(), min_len=2):
     """Count tokens in ``text`` after lowercasing, dropping short tokens
     and stopwords. Returns a term -> count dict, in first-seen order."""
-    counts = Counter(re.findall(_TOKEN_PATTERN % max(min_len, 1), text.lower().replace("_", " ")))
+    if text.isascii():  # a flag of the string: no scan
+        counts = Counter(text.encode("ascii").translate(_ASCII_TOKENS).decode("ascii").split())
+        for term in [t for t in counts if len(t) < min_len]:
+            del counts[term]
+    else:
+        counts = Counter(re.findall(_TOKEN_PATTERN % max(min_len, 1), text.lower().replace("_", " ")))
     for term in stopwords.intersection(counts):
         del counts[term]
     return counts

@@ -1,13 +1,15 @@
 """Page digests: one lexer pass per fetched page, same results as parsing
 per use and as reading an element tree."""
 
+import codecs
 import json
+import re
 import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -32,7 +34,7 @@ from seedsmith.corpus.fetch import Fetcher, FetchResult, FixtureTransport, write
 from seedsmith.corpus.jsonl import write_corpus
 from seedsmith.extraction import HTML_KIND, SeedCollection, SeedUri
 from seedsmith.goldstandard import GoldStandard, build_term_vector
-from seedsmith.htmltools import decode_html
+from seedsmith.htmltools import HtmlDecodingError, decode_html
 from seedsmith.pages import PageDigest, _jsonld_published, digest_page
 from seedsmith.reports import judge_seeds
 
@@ -376,6 +378,59 @@ BODIES = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_digest_matches_reference_on_any_body(body):
     assert digest_page(body) == reference_digest(body)
+
+
+# ``oracles.reference_digest`` decodes through ``decode_html``, so the
+# property above cannot see a decoding fault; the one below can.
+_BYTE_ORDER_MARKS = {codecs.BOM_UTF8: "utf-8", codecs.BOM_UTF16_LE: "utf-16-le", codecs.BOM_UTF16_BE: "utf-16-be"}
+_META_CHARSET = re.compile(rb"""<meta[^>]+charset\s*=\s*["']?\s*([a-zA-Z0-9_.:-]+)""", re.IGNORECASE)
+_XML_ENCODING = re.compile(rb"""<\?xml[^>]*encoding\s*=\s*["']([a-zA-Z0-9_.:-]+)["']""")
+
+
+def reference_decode(body):
+    """A body's text, or the package's error text if it does not decode:
+    by its byte-order mark (which it drops), else by the charset that a
+    <meta> tag, else an XML declaration, names in its first 4 KB, else
+    as UTF-8."""
+    mark = next((mark for mark in _BYTE_ORDER_MARKS if body.startswith(mark)), None)
+    if mark:
+        encoding, body = _BYTE_ORDER_MARKS[mark], body[len(mark):]
+    else:
+        head = body[:4096]
+        declared = _META_CHARSET.search(head) or _XML_ENCODING.search(head)
+        encoding = declared.group(1).decode("ascii", "replace").lower() if declared else "utf-8"
+    try:
+        return body.decode(encoding)
+    except (UnicodeError, LookupError) as exc:
+        return f"cannot decode document as {encoding}: {exc}"
+
+
+@given(BODIES)
+@example(codecs.BOM_UTF16_LE + b"<p>")  # a mark, then bytes that do not decode
+@settings(max_examples=300, deadline=None)
+def test_decode_matches_reference_on_any_body(body):
+    try:
+        got = decode_html(body)
+    except HtmlDecodingError as exc:
+        got = str(exc)
+    assert got == reference_decode(body)
+
+
+_BOM_PAGE = '<html><head><meta charset="{}"></head><body><p>Hello café flood world</p></body></html>'
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # The mark wins over a declaration that names another charset.
+        pytest.param(codecs.BOM_UTF8 + _BOM_PAGE.format("latin-1").encode("utf-8"), id="utf-8"),
+        pytest.param(codecs.BOM_UTF16_LE + _BOM_PAGE.format("utf-16").encode("utf-16-le"), id="utf-16-le"),
+        pytest.param(codecs.BOM_UTF16_BE + _BOM_PAGE.format("utf-16").encode("utf-16-be"), id="utf-16-be"),
+    ],
+)
+def test_byte_order_mark_decides_the_encoding(body):
+    want = PageDigest("Hello café flood world", None, None, ())
+    assert digest_page(body) == want
 
 
 DEEP_NESTING = (

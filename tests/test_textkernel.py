@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import reference_token_counts
 from seedsmith import textkernel
+from seedsmith.cli import main as cli_main
 from seedsmith.stopwords import STOPWORDS
 from seedsmith.textkernel import IMPLEMENTATION
+
+DATA = Path(__file__).parent / "data"
 
 
 # The kernel module, as a parameter so that each test's name records the
@@ -49,6 +53,31 @@ def test_token_counts_matches_token_by_token_reference(text, stopwords, min_len)
     got = textkernel.token_counts(text, frozenset(stopwords), min_len)
     want = reference_token_counts(text, frozenset(stopwords), min_len)
     assert list(got.items()) == list(want.items())
+
+
+@given(
+    st.text(alphabet=st.characters(max_codepoint=127) | st.sampled_from("aZ9_ "), max_size=80),
+    st.sets(st.sampled_from(["a", "az", "z9", "9", "a_z", "A"]), max_size=3),
+    st.integers(0, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_ascii_token_counts_match_token_by_token_reference(text, stopwords, min_len):
+    got = textkernel.token_counts(text, frozenset(stopwords), min_len)
+    want = reference_token_counts(text, frozenset(stopwords), min_len)
+    assert list(got.items()) == list(want.items())
+
+
+def test_both_paths_count_every_text_of_a_corpus_run_alike(tmp_path, monkeypatch):
+    # A text holding "’" is not ASCII, so its second count takes the \w
+    # path, and the added word is no token.
+    calls = []
+    count = textkernel.token_counts
+    monkeypatch.setattr(textkernel, "token_counts", lambda *args: calls.append(args) or count(*args))
+    assert cli_main(["run", "--corpus", str(DATA / "corpus.jsonl"), "--out", str(tmp_path / "out"),
+                     "--fixtures", str(DATA / "responses"), "--refs", str(DATA / "refs.json")]) == 0
+    assert calls and all(text.isascii() for text, *_ in calls)
+    for text, *rest in calls:
+        assert list(count(text, *rest).items()) == list(count(text + " \u2019", *rest).items())
 
 
 def test_token_counts_order_on_real_text():
